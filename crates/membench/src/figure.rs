@@ -4,10 +4,8 @@
 //! directly comparable to a plot in the paper. Figures render to CSV (for
 //! plotting) and to aligned text tables (for the `repro` binary's output).
 
-use serde::{Deserialize, Serialize};
-
 /// One labelled curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label (matches the paper's legends, e.g. "18" threads or
     /// "2 Near").
@@ -48,7 +46,7 @@ impl Series {
 }
 
 /// One reproduced figure (or half-figure, e.g. "Figure 3a").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure {
     /// Identifier, e.g. "fig3a".
     pub id: String,

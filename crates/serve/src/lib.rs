@@ -13,8 +13,6 @@
 //!   saturation point, reader caps at the core budget, and deferral of
 //!   whichever side [`AccessPlanner::should_serialize`] says should wait —
 //!   the mixed phase is shrunk to nothing (Insight #11, Best Practice #5).
-//! * **NUMA-pinned pools** ([`pool`]): one worker pool per socket, pinned
-//!   per the `sched` layout model, socket-affine routing.
 //! * **Shared scans** ([`batch`]): compatible fact-table scans arriving
 //!   within a window ride one physical scan.
 //! * **Accounting** ([`report`]): queue waits, simulated execution times,
@@ -51,7 +49,6 @@ pub mod control;
 pub mod fairness;
 pub mod job;
 pub mod overload;
-pub mod pool;
 pub mod report;
 pub mod resilience;
 pub mod scheduler;
@@ -66,7 +63,6 @@ pub use control::{auto_tune, ControllerConfig, EpochObservation, Knobs, TuneOutc
 pub use fairness::FairnessPolicy;
 pub use job::{JobId, JobKind, JobSpec, OpenLoopPlan, Side, TenantLoad};
 pub use overload::{BreakerConfig, BreakerState, BrownoutConfig, CircuitBreaker, OverloadPolicy};
-pub use pool::{PoolSet, WorkItem};
 pub use report::{
     class_reports, tenant_reports, ClassReport, FanoutOutcome, HotTierReport, JobOutcome,
     JobRecord, Percentiles, ServeHealth, ServeReport, ShardRole, TenantReport, TierCurvePoint,

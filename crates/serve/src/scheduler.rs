@@ -1,8 +1,8 @@
 //! The query server: admission, batching, socket routing, and a
 //! virtual-time execution loop priced by the bandwidth model.
 //!
-//! Execution happens on two planes. The *real* plane runs each query on
-//! the NUMA-pinned worker pools ([`crate::pool`]) to obtain its result
+//! Execution happens on two planes. The *real* plane runs each distinct
+//! query of a run once ([`pmem_ssb::run_query`]) to obtain its result
 //! rows, operator counters, and measured traffic. The *virtual* plane
 //! replays the jobs through a discrete-event loop: at every instant each
 //! socket's admitted reader/writer thread mix determines the progress
@@ -11,6 +11,7 @@
 //! execution times, and bandwidth figures all come from the virtual plane;
 //! rows and counters from the real one.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use pmem_olap::planner::{AccessPlanner, ConcurrencyBudget};
@@ -20,7 +21,7 @@ use pmem_sim::stats::SimStats;
 use pmem_sim::topology::{Machine, SocketId};
 use pmem_sim::workload::{MixedSpec, WorkloadSpec};
 use pmem_sim::{tiered_rate, Bandwidth};
-use pmem_ssb::SsbStore;
+use pmem_ssb::{run_query, QueryId, QueryOutcome, SsbStore};
 use pmem_store::Result;
 
 use crate::admission::{AdmissionController, AdmissionPolicy, QueueReason, ShedReason, Verdict};
@@ -28,7 +29,6 @@ use crate::batch::{ScanBatcher, ScanJobInfo};
 use crate::fairness::{FairnessPolicy, TenantBuckets};
 use crate::job::{JobId, JobKind, JobSpec, OpenLoopPlan, Side};
 use crate::overload::{BreakerState, CircuitBreaker, OverloadPolicy, RetryLedger};
-use crate::pool::{PoolSet, WorkItem};
 use crate::report::{
     self, HotTierReport, JobOutcome, JobRecord, Percentiles, ServeHealth, ServeReport,
     TierCurvePoint,
@@ -45,12 +45,10 @@ const DONE_EPSILON: f64 = 0.5;
 pub struct ServeConfig {
     /// Admission rules.
     pub admission: AdmissionPolicy,
-    /// Thread pinning assumed for pricing and used by the pools.
+    /// Thread pinning assumed for pricing.
     pub pinning: Pinning,
     /// Shared-scan batching window in virtual seconds (0 disables).
     pub batch_window: f64,
-    /// OS workers per socket pool for the real query executions.
-    pub pool_workers: u32,
     /// Injected fault schedule the virtual plane replays (empty = healthy
     /// machine).
     pub faults: FaultPlan,
@@ -83,7 +81,6 @@ impl ServeConfig {
             admission: AdmissionPolicy::paper(planner),
             pinning: Pinning::Cores,
             batch_window: 0.010,
-            pool_workers: 2,
             faults: FaultPlan::none(),
             resilience: ResiliencePolicy::disabled(),
             fairness: FairnessPolicy::disabled(),
@@ -164,7 +161,6 @@ impl ServeConfig {
             admission: AdmissionPolicy::free_for_all(),
             pinning: Pinning::None,
             batch_window: 0.0,
-            pool_workers: 2,
             faults: FaultPlan::none(),
             resilience: ResiliencePolicy::disabled(),
             fairness: FairnessPolicy::disabled(),
@@ -339,36 +335,28 @@ impl<'s> QueryServer<'s> {
             })
             .collect();
 
-        // ---- Real plane: run the queries on the pinned pools ----
-        let pool = PoolSet::new(
-            self.planner.simulation().params().machine.clone(),
-            self.config.pinning,
-            self.config.pool_workers,
-        );
-        let work: Vec<(SocketId, WorkItem)> = routed
-            .iter()
-            .filter_map(|(id, spec, socket)| match spec.kind {
-                JobKind::Query { query, threads } => (
-                    *socket,
-                    WorkItem {
-                        id: *id,
-                        query,
-                        threads,
-                    },
-                )
-                    .into(),
-                JobKind::Ingest { .. } => None,
-            })
-            .collect();
-        let outcomes = pool.execute(self.store, &work)?;
+        // ---- Real plane: run each distinct query once ----
+        // The store does not change during a run, and a query's outcome
+        // depends only on (store, query, threads), so jobs repeating a
+        // query share one execution. Faults live in the virtual plane
+        // only: cancelled, retried, or restarted jobs replay virtual
+        // timing, never the real computation.
+        let mut outcomes: HashMap<(QueryId, u32), QueryOutcome> = HashMap::new();
+        for (_, spec, _) in &routed {
+            if let JobKind::Query { query, threads } = spec.kind {
+                if let Entry::Vacant(slot) = outcomes.entry((query, threads)) {
+                    slot.insert(run_query(self.store, query, threads)?);
+                }
+            }
+        }
 
         // ---- Batch compatible scans, build schedulable units ----
         let scan_infos: Vec<ScanJobInfo> = routed
             .iter()
             .enumerate()
-            .filter_map(|(idx, (id, spec, socket))| match spec.kind {
-                JobKind::Query { threads, .. } => {
-                    let traffic = &outcomes[id].traffic;
+            .filter_map(|(idx, (_, spec, socket))| match spec.kind {
+                JobKind::Query { query, threads } => {
+                    let traffic = &outcomes[&(query, threads)].traffic;
                     Some(ScanJobInfo {
                         id: JobId(idx as u64), // index into `routed`
                         socket: *socket,
@@ -582,8 +570,8 @@ impl<'s> QueryServer<'s> {
         for (idx, (id, spec, _)) in routed.iter().enumerate() {
             let unit = &units[by_unit[&idx]];
             let (bytes, rows, counters) = match spec.kind {
-                JobKind::Query { .. } => {
-                    let o = &outcomes[id];
+                JobKind::Query { query, threads } => {
+                    let o = &outcomes[&(query, threads)];
                     (
                         o.traffic.read_bytes().max(1),
                         o.rows.len() as u64,

@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// 2^30 bytes. The paper (and most memory literature) reports "GB/s" as
 /// GiB/s; we follow that convention in [`Bandwidth::gib_s`].
 pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
@@ -21,7 +19,7 @@ pub const MIB: f64 = 1024.0 * 1024.0;
 pub const KIB: f64 = 1024.0;
 
 /// A data rate in bytes per second.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Bandwidth(f64);
 
 impl Bandwidth {

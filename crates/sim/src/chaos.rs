@@ -21,17 +21,16 @@
 //!   fixpoint. Same schedule + same deterministic predicate → the same
 //!   minimal reproducer, every run.
 //!
-//! Schedules serialize (serde), so a minimal reproducer can be stored in
-//! a regression corpus verbatim.
-
-use serde::{Deserialize, Serialize};
+//! Nothing serializes a schedule: its seed and the deterministic shrink
+//! reproduce it, and a minimal reproducer is reported through its `Debug`
+//! form.
 
 use crate::rng::SplitMix64;
 use crate::topology::SocketId;
 
 /// One compositional fault, relative to the machine named by its
 /// [`ChaosEvent`]. Durations and instants are virtual seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChaosFault {
     /// An uncorrectable media error: one scrub block of one column of
     /// the machine's columnar shard is poisoned at `at`. `column` and
@@ -86,7 +85,7 @@ pub enum ChaosFault {
 }
 
 /// One scheduled fault: which machine, what happens.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosEvent {
     /// Target machine index.
     pub machine: usize,
@@ -95,7 +94,7 @@ pub struct ChaosEvent {
 }
 
 /// Shape of the schedule generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
     /// Machines in the fleet events are drawn over.
     pub machines: usize,
@@ -118,7 +117,7 @@ impl ChaosConfig {
 }
 
 /// A seeded stack of compositional faults over one fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosSchedule {
     /// The seed the schedule was drawn from (identification only —
     /// shrunk schedules keep their parent's seed).

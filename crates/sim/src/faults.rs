@@ -25,7 +25,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::topology::{Machine, SocketId};
 
@@ -41,7 +40,7 @@ pub const STALL_SCALE: f64 = 0.05;
 pub const XPLINE_BYTES: u64 = 256;
 
 /// One kind of injected hardware degradation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Thermal write throttling on one socket's DIMMs: the WPQ drain rate —
     /// and with it the achievable write bandwidth — is scaled by `factor`.
@@ -121,7 +120,7 @@ impl FaultKind {
 
 /// A fault with its active window `[start, end)` in virtual seconds.
 /// Power-loss events are instantaneous: `end == start`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Virtual time the fault begins.
     pub start: f64,
@@ -150,7 +149,7 @@ impl FaultEvent {
 
 /// Bandwidth scale factors for one socket at a point in virtual time.
 /// `1.0` is healthy; multiple active faults multiply together.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SocketFaultState {
     /// Scale on the socket's achievable read bandwidth.
     pub read_scale: f64,
@@ -201,7 +200,7 @@ impl Default for SocketFaultState {
 }
 
 /// The machine-wide fault state at a point in virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineFaultState {
     /// Per-socket degradation (index = `SocketId.0`).
     pub sockets: [SocketFaultState; 2],
@@ -243,7 +242,7 @@ impl Default for MachineFaultState {
 /// Shape of a generated fault schedule: how many of each fault kind to
 /// draw and over what horizon. All draws come from one seeded generator,
 /// so a `(seed, config)` pair fully determines the timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultScheduleConfig {
     /// Virtual-time horizon the faults are scattered over, in seconds.
     pub horizon: f64,
@@ -336,7 +335,7 @@ impl Default for FaultScheduleConfig {
 }
 
 /// A deterministic schedule of fault events over virtual time.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }
@@ -545,7 +544,7 @@ impl FaultPlan {
 
 /// One materialized media-error event, as surfaced by
 /// [`FaultPlan::media_errors_in`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediaHit {
     /// Virtual time the poison lands.
     pub at: f64,

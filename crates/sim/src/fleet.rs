@@ -24,8 +24,6 @@
 //!   [`Interconnect`] prices a transfer with a latency + bandwidth
 //!   model so cluster reports charge remote repairs honestly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::faults::{FaultEvent, FaultKind, FaultPlan, FaultScheduleConfig};
 use crate::topology::SocketId;
 
@@ -42,7 +40,7 @@ pub fn machine_seed(fleet_seed: u64, machine: usize) -> u64 {
 }
 
 /// Latency + bandwidth pricing for the network between machines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interconnect {
     /// Sustained point-to-point bandwidth in bytes/second.
     pub bandwidth_bytes_per_sec: f64,
@@ -89,7 +87,7 @@ impl Interconnect {
 /// One link-degradation window: while active, the interconnect's latency
 /// floor is multiplied by `latency_scale` (≥ 1 for degradation) and its
 /// bandwidth by `bandwidth_scale` (≤ 1). Overlapping windows compound.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkEvent {
     /// Virtual time the degradation begins.
     pub start: f64,
@@ -112,7 +110,7 @@ impl LinkEvent {
 /// `LinkDegrade` fault plane. The same `(seed, config)` always prices
 /// the same transfer the same way, so hedged scatter-gather runs that
 /// cross a flaky link replay bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LinkPlan {
     events: Vec<LinkEvent>,
 }
@@ -193,7 +191,7 @@ impl LinkPlan {
 }
 
 /// The blackout window of a lost machine, if the fleet schedules one.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Blackout {
     /// Machine index that goes dark.
     pub machine: usize,
@@ -205,7 +203,7 @@ pub struct Blackout {
 }
 
 /// The fail-slow window of a gray-degraded machine, if one is scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailSlowWindow {
     /// Machine index that degrades.
     pub machine: usize,

@@ -5,13 +5,11 @@
 //! The analytic model and the discrete-event engine share this single source
 //! of truth, so tuning a parameter moves both consistently.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bandwidth::Bandwidth;
 use crate::topology::Machine;
 
 /// Which memory device a workload targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceClass {
     /// Intel Optane DC Persistent Memory (App Direct).
     Pmem,
@@ -33,7 +31,7 @@ impl DeviceClass {
 }
 
 /// Optane DIMM and socket-level PMEM parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptaneParams {
     /// Optane's internal media granularity ("XPLine"): 256 B. CPU cache
     /// lines are 64 B, so sub-256 B traffic causes read/write amplification
@@ -101,7 +99,7 @@ impl Default for OptaneParams {
 }
 
 /// DRAM parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramParams {
     /// Socket sequential read peak: ≈100 GB/s near (Figure 6b: "peak
     /// bandwidth for near DRAM (~100 GB/s)", 2 sockets 185 GB/s).
@@ -147,7 +145,7 @@ impl Default for DramParams {
 }
 
 /// NVMe SSD parameters (Intel SSD DC P4610, §6.2 footnote).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsdParams {
     /// Sequential read bandwidth: 3.20 GB/s.
     pub seq_read: Bandwidth,
@@ -168,7 +166,7 @@ impl Default for SsdParams {
 }
 
 /// UPI cross-socket interconnect parameters (§3.5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpiParams {
     /// Raw link bandwidth per direction: "The UPI achieves ~40 GB/s per
     /// direction".
@@ -199,7 +197,7 @@ impl Default for UpiParams {
 }
 
 /// CPU-side parameters: prefetcher, hyperthreading, scheduling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuParams {
     /// Whether the L2 hardware prefetcher is enabled (it is by default, and
     /// the paper recommends leaving it on, §3.1).
@@ -248,7 +246,7 @@ impl Default for CpuParams {
 }
 
 /// Parameters of the NUMA coherence-remapping warm-up effect (§3.4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoherenceParams {
     /// Bandwidth fraction achieved on the *first* multi-threaded far read of
     /// a region ("a very low bandwidth of ~8 GB/s, being worse by a factor
@@ -275,7 +273,7 @@ impl Default for CoherenceParams {
 
 /// Far-write behaviour (§4.4–4.5): ntstore across the UPI degrades into
 /// read-modify-write, with up to ~10× internal write amplification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FarWriteParams {
     /// Peak data bandwidth for single-socket far writes (≈7 GB/s at 8
     /// threads, Figure 10).
@@ -301,7 +299,7 @@ impl Default for FarWriteParams {
 /// Mixed read/write interference (§5.1): writes occupy the iMC/media for
 /// much longer than reads, so capacity is shared in *utilization* units with
 /// an efficiency that degrades as write threads are added.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedParams {
     /// Shared-capacity efficiency with zero interference.
     pub base_efficiency: f64,
@@ -330,10 +328,9 @@ impl Default for MixedParams {
 }
 
 /// The full parameter set shared by the analytic model and the DES.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SystemParams {
     /// Topology of the machine.
-    #[serde(default = "Machine::paper_default")]
     pub machine: Machine,
     /// Optane device model.
     pub optane: OptaneParams,

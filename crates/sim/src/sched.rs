@@ -12,12 +12,10 @@
 //! * `Cores` — threads are pinned to explicit cores, physical cores first,
 //!   hyperthread siblings after 18; the paper's best case.
 
-use serde::{Deserialize, Serialize};
-
 use crate::topology::{CoreId, Machine, SocketId};
 
 /// The three pinning strategies evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pinning {
     /// No pinning at all; the OS scheduler decides.
     None,

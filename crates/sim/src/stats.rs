@@ -4,10 +4,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated while evaluating a workload.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct SimStats {
     /// Application-visible bytes read.
     pub app_read_bytes: u64,

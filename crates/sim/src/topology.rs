@@ -16,10 +16,8 @@
 //! (Figure 2), which [`InterleaveMap`] models; that map is what makes access
 //! size interact with thread-to-DIMM distribution throughout the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a CPU socket (= NUMA *region* in the paper's terminology).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SocketId(pub u8);
 
 impl SocketId {
@@ -30,7 +28,7 @@ impl SocketId {
 }
 
 /// Identifier of a NUMA node (half a socket: 9 cores + 1 iMC).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NumaNodeId(pub u8);
 
 impl NumaNodeId {
@@ -42,24 +40,24 @@ impl NumaNodeId {
 
 /// Identifier of a logical core. Logical cores `0..cores` are the first
 /// hyperthread of each physical core; `cores..2*cores` are the siblings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CoreId(pub u16);
 
 /// Identifier of a memory channel within a socket (0..6 on the paper system).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChannelId(pub u8);
 
 /// Identifier of a DIMM, global across the system. On the paper system the
 /// PMEM DIMMs are `#0..#5` on socket 0 and `#6..#11` on socket 1 (Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DimmId(pub u8);
 
 /// Which iMC of a socket a channel belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ImcId(pub u8);
 
 /// Static description of the machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Machine {
     /// Number of CPU sockets.
     pub sockets: u8,
@@ -175,7 +173,7 @@ impl Machine {
 
 /// The 4 KB striping of a socket-wide PMEM interleave set across its DIMMs
 /// (paper Figure 2): byte `b` lives on DIMM `(b / 4096) % 6`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterleaveMap {
     /// Number of DIMMs in the interleave set.
     pub dimms: u8,

@@ -3,14 +3,12 @@
 //! A [`WorkloadSpec`] captures one cell of one figure: device, operation,
 //! access pattern, access size, thread count, socket placement, and pinning.
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::DeviceClass;
 use crate::sched::Pinning;
 use crate::topology::SocketId;
 
 /// Read, write, or a concurrent mix (Figure 11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Loads (`vmovntdqa` in the paper's kernels).
     Read,
@@ -19,7 +17,7 @@ pub enum AccessKind {
 }
 
 /// Spatial access pattern (§3.1/§4.1/§5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pattern {
     /// One global sequential stream interleaved across all threads: thread 1
     /// takes bytes `0..A`, thread 2 takes `A..2A`, … ("Grouped Access").
@@ -45,7 +43,7 @@ impl Pattern {
 
 /// Where threads run and which socket's memory they target (§3.4–3.5,
 /// §4.4–4.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// Threads on socket `cpu` access memory of socket `mem`. `cpu == mem`
     /// is "Near", otherwise "Far". `threads` in the spec is the total count.
@@ -99,7 +97,7 @@ impl Placement {
 }
 
 /// A fully specified microbenchmark configuration — one cell of one figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Target device.
     pub device: DeviceClass,
@@ -198,7 +196,7 @@ impl WorkloadSpec {
 /// A concurrent read+write workload (Figure 11): `x` write threads and `y`
 /// read threads on the same socket targeting the same PMEM DIMMs, each side
 /// using 4 KB individual access.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedSpec {
     /// Target device.
     pub device: DeviceClass,

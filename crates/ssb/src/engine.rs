@@ -22,7 +22,7 @@ use crate::storage::EngineMode;
 pub const SCAN_CHUNK_ROWS: u64 = 512;
 
 /// Counters a query execution accumulates beyond the namespace trackers.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct OpCounters {
     /// Fact tuples visited.
     pub tuples_scanned: u64,

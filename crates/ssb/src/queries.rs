@@ -103,7 +103,7 @@ impl QueryId {
 }
 
 /// Traffic observed during one query, split by phase and namespace group.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseTraffic {
     /// Dimension-table scans + index writes during the build phase.
     pub build: TrackerSnapshot,
@@ -149,7 +149,7 @@ impl PhaseTraffic {
 }
 
 /// Result of one query execution.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct QueryOutcome {
     /// Which query ran.
     pub query: QueryId,
@@ -799,20 +799,44 @@ mod tests {
     #[test]
     fn repeated_executions_do_not_exhaust_namespaces() {
         // Benchmark loops run the same query dozens of times on one store;
-        // per-query index/intermediate budgets must be returned.
+        // per-query index/intermediate budgets must be returned. A serve
+        // run executes each distinct (query, threads) once and hands the
+        // outcome to every job repeating it, so a repeat must also return
+        // exactly the first outcome, whatever ran in between.
         let data = crate::datagen::generate(0.002, 21);
         for mode in [EngineMode::Aware, EngineMode::Unaware] {
             let st = SsbStore::load(&data, 0.002, mode, StorageDevice::PmemFsdax).unwrap();
+            let index_used = || st.shards.iter().map(|s| s.index_ns.used()).sum::<u64>();
             let used_after_first = {
                 run_query(&st, QueryId::Q2_1, 2).unwrap();
-                st.shards.iter().map(|s| s.index_ns.used()).sum::<u64>()
+                index_used()
             };
             for _ in 0..30 {
                 run_query(&st, QueryId::Q2_1, 2).unwrap();
             }
-            let used_after_many: u64 = st.shards.iter().map(|s| s.index_ns.used()).sum();
             assert_eq!(
-                used_after_first, used_after_many,
+                used_after_first,
+                index_used(),
+                "{mode:?}: index namespace budget leaked"
+            );
+
+            let first: Vec<QueryOutcome> = QueryId::ALL
+                .iter()
+                .map(|&q| run_query(&st, q, 2).unwrap())
+                .collect();
+            for pass in 0..2 {
+                for (&q, want) in QueryId::ALL.iter().zip(&first) {
+                    let again = run_query(&st, q, 2).unwrap();
+                    assert_eq!(&again, want, "{mode:?} {} repeat {pass}", q.name());
+                }
+            }
+            for (&q, want) in QueryId::ALL.iter().zip(&first).rev() {
+                let again = run_query(&st, q, 2).unwrap();
+                assert_eq!(&again, want, "{mode:?} {} in reverse order", q.name());
+            }
+            assert_eq!(
+                used_after_first,
+                index_used(),
                 "{mode:?}: index namespace budget leaked"
             );
         }

@@ -6,7 +6,7 @@
 use pmem_olap::planner::AccessPlanner;
 use pmem_serve::{AdmissionPolicy, JobSpec, QueryServer, QueueReason, ServeConfig, Side, Verdict};
 use pmem_sim::topology::SocketId;
-use pmem_ssb::{EngineMode, QueryId, SsbStore, StorageDevice};
+use pmem_ssb::{run_query, EngineMode, QueryId, SsbStore, StorageDevice};
 
 const MIB: u64 = 1 << 20;
 
@@ -309,6 +309,18 @@ fn every_job_completes_with_stats() {
                 .tenant(i as u32 % 3),
         );
     }
+    // Q2.1 again, four more times: the server executes a repeated query
+    // once, and every copy must report what a direct execution returns.
+    let repeats: Vec<_> = (0..4u32)
+        .map(|i| {
+            server.submit(
+                JobSpec::query(QueryId::Q2_1)
+                    .threads(4)
+                    .arrival(0.003 + 0.005 * f64::from(i))
+                    .tenant(i % 3),
+            )
+        })
+        .collect();
     for i in 0..4u64 {
         server.submit(
             JobSpec::ingest(64 * MIB)
@@ -350,9 +362,21 @@ fn every_job_completes_with_stats() {
             .sum::<u64>()
     );
     // Shared scans actually formed under the default window (13 queries
-    // arriving 2 ms apart on two sockets, 10 ms window).
+    // arriving 2 ms apart plus the four repeats, on two sockets, 10 ms
+    // window).
     assert!(report.batches < 13, "some scans coalesced");
     assert!(report.shared_scan_bytes_saved > 0);
+    let direct = run_query(&store, QueryId::Q2_1, 4).expect("direct execution");
+    for id in &repeats {
+        let job = report
+            .jobs
+            .iter()
+            .find(|j| j.id == *id)
+            .expect("repeat recorded");
+        assert_eq!(job.rows, direct.rows.len() as u64, "{id} rows");
+        assert_eq!(job.bytes, direct.traffic.read_bytes().max(1), "{id} bytes");
+        assert_eq!(job.counters, Some(direct.counters), "{id} counters");
+    }
 
     // The unscheduled config completes everything too (no lost jobs without
     // admission control either), pinning differences notwithstanding.
