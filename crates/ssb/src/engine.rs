@@ -15,7 +15,7 @@ use pmem_dash::{ChainedTable, DashTable, KvIndex};
 use pmem_store::{AccessHint, Namespace, Region, Result};
 
 use crate::schema::{DateDim, GeoDim, Lineorder, PartDim, DIM_ROW, LINEORDER_ROW};
-use crate::storage::EngineMode;
+use crate::storage::{EngineMode, Reservation, RESULT_ROW};
 
 /// Rows per scan chunk: 512 × 128 B = 64 KB sequential reads, comfortably
 /// in the flat region of the read-bandwidth curves.
@@ -240,15 +240,15 @@ pub fn spill_result(ns: &Namespace, rows: &[(u64, i64)]) -> Result<()> {
     if rows.is_empty() {
         return Ok(());
     }
-    let mut region = ns.alloc_region(rows.len() as u64 * 16)?;
-    let mut buf = Vec::with_capacity(rows.len() * 16);
+    let len = rows.len() as u64 * RESULT_ROW;
+    let (mut region, _held) = Reservation::hold(ns, || ns.alloc_region(len))?;
+    let mut buf = Vec::with_capacity(len as usize);
     for (k, v) in rows {
         buf.extend_from_slice(&k.to_le_bytes());
         buf.extend_from_slice(&v.to_le_bytes());
     }
     region.try_ntstore(0, &buf, AccessHint::Sequential)?;
     region.sfence();
-    ns.release(rows.len() as u64 * 16);
     Ok(())
 }
 

@@ -21,7 +21,7 @@ use pmem_store::{AccessHint, Region, Result};
 
 use crate::engine::{scan_fact, spill_result, GroupAgg, JoinIndex, OpCounters};
 use crate::queries::{build_for_plan, PhaseTraffic, Plan, QueryOutcome, ShardIndexes};
-use crate::storage::SsbStore;
+use crate::storage::{Reservation, SsbStore};
 
 /// Bytes per materialized intermediate tuple: the four join keys, the
 /// aggregate value, and the four dimension payloads.
@@ -70,11 +70,12 @@ impl Rec {
     }
 }
 
-/// Materialize a batch of records into a fresh intermediate region.
-fn materialize(store: &SsbStore, recs: &[Rec]) -> Result<Region> {
+/// Materialize a batch of records into a fresh intermediate region, which
+/// holds its namespace budget until it is dropped.
+fn materialize<'s>(store: &'s SsbStore, recs: &[Rec]) -> Result<(Region, Reservation<'s>)> {
     let ns = &store.shards[0].intermediate_ns;
     let len = (recs.len() as u64).max(1) * INTERMEDIATE_ROW;
-    let mut region = ns.alloc_region(len)?;
+    let (mut region, held) = Reservation::hold(ns, || ns.alloc_region(len))?;
     let mut buf = vec![0u8; recs.len() * INTERMEDIATE_ROW as usize];
     for (i, r) in recs.iter().enumerate() {
         r.encode(&mut buf[i * INTERMEDIATE_ROW as usize..(i + 1) * INTERMEDIATE_ROW as usize]);
@@ -83,7 +84,7 @@ fn materialize(store: &SsbStore, recs: &[Rec]) -> Result<Region> {
         region.try_ntstore(0, &buf, AccessHint::Sequential)?;
         region.sfence();
     }
-    Ok(region)
+    Ok((region, held))
 }
 
 /// Parallel chunked pass over an intermediate region. Returns the
@@ -160,10 +161,12 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
         .tracker()
         .snapshot()
         .plus(&shard.index_ns.tracker().snapshot());
-    let index_used0 = shard.index_ns.used();
 
     // ---- Build phase: full (unfiltered) chained indexes ----
-    let indexes: ShardIndexes = build_for_plan(store, shard, plan)?;
+    // The indexes are per-query structures: their budget returns when
+    // `index_budget` drops, on every return path.
+    let (indexes, index_budget) =
+        Reservation::hold(&shard.index_ns, || build_for_plan(store, shard, plan))?;
 
     let build = shard
         .dim_ns
@@ -172,7 +175,7 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
         .plus(&shard.index_ns.tracker().snapshot())
         .since(&dimidx0);
     let index1 = shard.index_ns.tracker().snapshot();
-    let index_bytes = shard.index_ns.used() - index_used0;
+    let index_bytes = index_budget.bytes();
     let inter0 = shard.intermediate_ns.tracker().snapshot();
 
     let mut counters = OpCounters {
@@ -201,8 +204,7 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
     )?;
     counters.tuples_scanned = shard.fact_rows;
     let mut current: Vec<Rec> = scanned.into_iter().flatten().collect();
-    let mut region = materialize(store, &current)?;
-    let mut released = Vec::new();
+    let mut materialized = materialize(store, &current)?;
 
     // ---- One materializing probe stage per joined dimension ----
     type Stage = (
@@ -244,25 +246,26 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
             .as_ref()
             .expect("index built for joined dim");
         let count = current.len() as u64;
-        let (outs, stage_counters) = scan_intermediate(&region, count, threads, |rec, out, c| {
-            c.probes += 1;
-            if let Some(payload) = idx.get(key_of(rec)) {
-                if pred(payload) {
-                    let mut rec = *rec;
-                    set_payload(&mut rec, payload);
-                    out.push(rec);
+        let (outs, stage_counters) =
+            scan_intermediate(&materialized.0, count, threads, |rec, out, c| {
+                c.probes += 1;
+                if let Some(payload) = idx.get(key_of(rec)) {
+                    if pred(payload) {
+                        let mut rec = *rec;
+                        set_payload(&mut rec, payload);
+                        out.push(rec);
+                    }
                 }
-            }
-        });
+            });
         counters.merge(&stage_counters);
         current = outs.into_iter().flatten().collect();
-        released.push(region.len());
-        region = materialize(store, &current)?;
+        // The new intermediate replaces this one, whose budget returns.
+        materialized = materialize(store, &current)?;
     }
 
     // ---- Final aggregation over the last intermediate ----
     let count = current.len() as u64;
-    let (aggs, _) = scan_intermediate(&region, count, threads, |rec, out, _| {
+    let (aggs, _) = scan_intermediate(&materialized.0, count, threads, |rec, out, _| {
         // Reuse the record vec as a carrier; aggregation happens below to
         // keep the group map merge explicit.
         out.push(*rec);
@@ -275,18 +278,10 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
     }
     counters.tuples_selected = count;
     counters.agg_updates = agg.updates;
-
-    for len in released {
-        shard.intermediate_ns.release(len);
-    }
-    shard.intermediate_ns.release(region.len());
+    drop(materialized);
 
     let probe = shard.index_ns.tracker().snapshot().since(&index1);
     let fact = shard.fact_ns.tracker().snapshot().since(&fact0);
-
-    // Return the per-query index budget (regions die with `indexes` at the
-    // end of this function), so benchmark loops can re-run indefinitely.
-    shard.index_ns.release(index_bytes);
 
     let rows = agg.into_sorted();
     spill_result(&shard.intermediate_ns, &rows)?;

@@ -20,7 +20,7 @@ use crate::schema::{
     city_of, DateDim, GeoDim, Lineorder, PartDim, Region, NATION_UNITED_KINGDOM,
     NATION_UNITED_STATES,
 };
-use crate::storage::{EngineMode, SocketShard, SsbStore};
+use crate::storage::{EngineMode, Reservation, SocketShard, SsbStore};
 
 /// Identifier of an SSB query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -310,20 +310,28 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
             .snapshot()
             .plus(&s.index_ns.tracker().snapshot())
     });
-    let index_used0: u64 = store.shards.iter().map(|s| s.index_ns.used()).sum();
 
     // ---- Build phase (per shard, in parallel) ----
-    let shard_indexes: Vec<ShardIndexes> = std::thread::scope(|scope| {
+    // The indexes are per-query structures: their budget returns when
+    // `index_budget` drops, on every return path, so repeated executions
+    // (benchmark loops) and failed ones never exhaust the namespace.
+    let built = std::thread::scope(|scope| {
         let handles: Vec<_> = store
             .shards
             .iter()
-            .map(|shard| scope.spawn(move || build_for_plan(store, shard, plan)))
+            .map(|shard| {
+                scope.spawn(move || {
+                    Reservation::hold(&shard.index_ns, || build_for_plan(store, shard, plan))
+                })
+            })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("build worker"))
             .collect::<Result<Vec<_>>>()
     })?;
+    let (shard_indexes, index_budget): (Vec<ShardIndexes>, Vec<Reservation<'_>>) =
+        built.into_iter().unzip();
 
     let build_traffic = snap(&|s| {
         s.dim_ns
@@ -333,8 +341,7 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
     })
     .since(&dimidx0);
     let index1 = snap(&|s| s.index_ns.tracker().snapshot());
-    let index_bytes: u64 =
-        store.shards.iter().map(|s| s.index_ns.used()).sum::<u64>() - index_used0;
+    let index_bytes: u64 = index_budget.iter().map(Reservation::bytes).sum();
 
     // ---- Probe/scan phase (shards in parallel, threads per shard) ----
     let shard_results: Vec<(GroupAgg, OpCounters)> = std::thread::scope(|scope| {
@@ -416,14 +423,6 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
     let rows = agg.into_sorted();
     spill_result(&store.shards[0].intermediate_ns, &rows)?;
     let intermediate = snap(&|s| s.intermediate_ns.tracker().snapshot()).since(&inter0);
-
-    // Return the index namespace budget: the indexes are per-query
-    // structures and their regions die with `shard_indexes`, so repeated
-    // query executions (benchmark loops) must not exhaust the namespace.
-    for (shard, si) in store.shards.iter().zip(&shard_indexes) {
-        shard.index_ns.release(si.bytes_by_dim.iter().sum());
-    }
-    drop(shard_indexes);
 
     Ok(QueryOutcome {
         query: QueryId::Q1_1, // overwritten by caller
@@ -655,6 +654,7 @@ mod tests {
 
     use super::*;
     use crate::storage::{SsbStore, StorageDevice};
+    use pmem_store::{StoreError, XPLINE};
 
     fn store(mode: EngineMode) -> SsbStore {
         SsbStore::generate_and_load(0.005, 21, mode, StorageDevice::PmemDevdax).unwrap()
@@ -839,6 +839,46 @@ mod tests {
                 index_used(),
                 "{mode:?}: index namespace budget leaked"
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4))]
+
+        /// A scan that hits poison fails the query with the typed error and
+        /// returns every byte of namespace budget the query took.
+        #[test]
+        fn a_query_failing_on_poison_returns_every_namespace_budget(
+            at in 0u64..1_000_000,
+            lines in 1u64..4,
+            threads in 1u32..5,
+        ) {
+            let data = crate::datagen::generate(0.002, 21);
+            for mode in [EngineMode::Aware, EngineMode::Unaware] {
+                let mut st = SsbStore::load(&data, 0.002, mode, StorageDevice::PmemFsdax).unwrap();
+                for shard in &mut st.shards {
+                    let fact = std::sync::Arc::get_mut(&mut shard.fact).unwrap();
+                    let offset = at % fact.len() / XPLINE * XPLINE;
+                    proptest::prop_assert!(fact.inject_poison(offset, lines * XPLINE) > 0);
+                }
+                let used = |st: &SsbStore| -> Vec<u64> {
+                    st.shards
+                        .iter()
+                        .flat_map(|s| [&s.fact_ns, &s.dim_ns, &s.index_ns, &s.intermediate_ns])
+                        .map(|ns| ns.used())
+                        .collect()
+                };
+                for q in QueryId::ALL {
+                    let before = used(&st);
+                    let result = run_query(&st, q, threads);
+                    proptest::prop_assert!(
+                        matches!(result, Err(StoreError::Poisoned { .. })),
+                        "{mode:?} {}: {result:?}",
+                        q.name()
+                    );
+                    proptest::prop_assert_eq!(used(&st), before, "{:?} {}", mode, q.name());
+                }
+            }
         }
     }
 

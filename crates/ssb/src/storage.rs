@@ -19,6 +19,7 @@ use pmem_sim::topology::SocketId;
 use pmem_store::{AccessHint, Namespace, Region, Result};
 
 use crate::datagen::{cardinalities, Cardinalities, SsbData};
+use crate::hyrise::INTERMEDIATE_ROW;
 use crate::schema::{DIM_ROW, LINEORDER_ROW};
 
 /// Execution mode (paper §6.1 vs §6.2).
@@ -105,6 +106,61 @@ pub struct SsbStore {
     pub sf: f64,
 }
 
+/// Bytes of one spilled result row: the group key and its aggregate.
+pub(crate) const RESULT_ROW: u64 = 16;
+
+/// Capacity of each partition's intermediate namespace, from the
+/// cardinalities alone. The unaware engine materializes up to one
+/// [`INTERMEDIATE_ROW`] tuple per fact row per stage and writes a stage's
+/// output while its input is still held, so two partition-sized
+/// intermediates are live at once; the query result, at most one
+/// [`RESULT_ROW`] per fact row, spills beside them. Plus the same 1 MiB
+/// of slack the fact and dimension namespaces get.
+pub(crate) fn intermediate_capacity(card: &Cardinalities, partitions: u64) -> u64 {
+    let rows = card.lineorder.div_ceil(partitions.max(1));
+    rows * (2 * INTERMEDIATE_ROW + RESULT_ROW) + (1 << 20)
+}
+
+/// Namespace capacity a query holds while it runs: its join indexes, a
+/// materialized intermediate, its spilled result. Dropping the
+/// reservation returns the capacity, so a query that fails part-way (a
+/// scan hitting poison returns early through `?`) leaks none of it.
+#[derive(Debug)]
+pub(crate) struct Reservation<'a> {
+    ns: &'a Namespace,
+    bytes: u64,
+}
+
+impl<'a> Reservation<'a> {
+    /// Run `alloc` and hold everything it allocates from `ns`, measured as
+    /// the growth of `ns.used()`: nothing else may allocate from `ns`
+    /// meanwhile, which holds because a query runs alone on its store.
+    /// When `alloc` fails, what it took is returned at once.
+    pub(crate) fn hold<T>(
+        ns: &'a Namespace,
+        alloc: impl FnOnce() -> Result<T>,
+    ) -> Result<(T, Self)> {
+        let used0 = ns.used();
+        let out = alloc();
+        let held = Reservation {
+            ns,
+            bytes: ns.used().saturating_sub(used0),
+        };
+        Ok((out?, held))
+    }
+
+    /// Bytes held.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.ns.release(self.bytes);
+    }
+}
+
 /// Rows per ingest chunk (512 × 128 B = 64 KB writes — well above the 4 KB
 /// best-practice minimum, and writers are few).
 const INGEST_CHUNK_ROWS: usize = 512;
@@ -178,7 +234,10 @@ impl SsbStore {
             // Index namespace: join indexes over the dimensions, generously
             // sized (Dash segments have slack).
             let index_ns = device.namespace(socket, (dim_bytes * 24).max(64 << 20));
-            let intermediate_ns = device.namespace(socket, (64 << 20).max(dim_bytes));
+            let intermediate_ns = device.namespace(
+                socket,
+                intermediate_capacity(&cardinalities(sf), partitions as u64),
+            );
 
             let fact = Arc::new(load_fact(&fact_ns, part_rows)?);
             let dates = Arc::new(load_dim(&dim_ns, &data.dates, |d, b| d.encode(b))?);
@@ -325,6 +384,46 @@ mod tests {
         for shard in &store.shards {
             assert_eq!(shard.fact_ns.tracker().snapshot().write_bytes(), 0);
         }
+    }
+
+    #[test]
+    fn intermediate_namespace_covers_the_unaware_peak_at_every_rung() {
+        for sf in [0.01, 0.05, 0.1, 0.2, 0.5, 1.0] {
+            let card = cardinalities(sf);
+            // Stage 0 of a query without a row filter (Q2.1) materializes
+            // every fact row, and the next stage's output is written while
+            // it is still held; result groups never outnumber fact rows.
+            let intermediate = card.lineorder * INTERMEDIATE_ROW;
+            let spill = card.lineorder * RESULT_ROW;
+            let capacity = intermediate_capacity(&card, 1);
+            assert!(
+                capacity >= 2 * intermediate + spill,
+                "sf {sf}: {capacity} B < {} B",
+                2 * intermediate + spill
+            );
+            // Aware partitions hold half the rows each and only spill.
+            assert!(intermediate_capacity(&card, 2) >= spill, "sf {sf}");
+        }
+        // The 64 MiB the namespace used to get is short from SF 0.2 on.
+        assert!(cardinalities(0.2).lineorder * INTERMEDIATE_ROW > 64 << 20);
+    }
+
+    #[test]
+    fn reservations_return_their_bytes_on_drop_and_on_failure() {
+        let ns = Namespace::devdax(SocketId(0), 1 << 20);
+        let (region, held) = Reservation::hold(&ns, || ns.alloc_region(4096)).unwrap();
+        assert_eq!((held.bytes(), ns.used()), (4096, 4096));
+        drop(held);
+        assert_eq!(ns.used(), 0);
+        drop(region);
+        // A failing allocation holds nothing afterwards, even when it took
+        // capacity before failing.
+        let failed = Reservation::hold(&ns, || {
+            ns.alloc_region(1000)?;
+            ns.alloc_region(2 << 20)
+        });
+        assert!(failed.is_err());
+        assert_eq!(ns.used(), 0);
     }
 
     #[test]

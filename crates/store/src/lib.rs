@@ -53,6 +53,7 @@ pub mod trace;
 pub mod tracker;
 
 mod error;
+mod lineset;
 
 pub use error::StoreError;
 pub use log::WorkerLog;

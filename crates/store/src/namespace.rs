@@ -185,7 +185,7 @@ impl Namespace {
             }
         }
         let fault = match self.inner.mode {
-            NamespaceMode::FsDax { page_bytes } => Some(Arc::new(FaultModel::new(page_bytes))),
+            NamespaceMode::FsDax { page_bytes } => Some(FaultModel::new(page_bytes, len)),
             _ => None,
         };
         Ok(Region::new(

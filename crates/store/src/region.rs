@@ -16,13 +16,21 @@
 //! [`crate::tracker::AccessTracker`] so simulated device time
 //! can be derived, and fsdax regions charge first-touch page faults
 //! (the §2.3 devdax-vs-fsdax effect).
+//!
+//! The bookkeeping around each access costs O(1) amortized and takes no
+//! shared lock (DESIGN.md, "Store hot path"): dirty, pending and poisoned
+//! lines are bitsets updated a 64-bit word at a time, `sfence` visits only
+//! the words made pending since the previous fence, the fsdax fault state
+//! is an atomic page bitmap, and the trace hooks take their mutex only
+//! while a trace is attached.
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::lineset::{word_masks, LineSet};
+use crate::trace::{PersistEvent, PersistenceTrace, TraceBuffer, TraceEntry};
 use crate::tracker::AccessTracker;
 use crate::{Result, StoreError};
 
@@ -46,46 +54,124 @@ pub enum AccessHint {
     Auto,
 }
 
-/// fsdax page-fault state (2 MB pages by default, §2.3).
+/// fsdax page-fault state (2 MB pages by default, §2.3): one bit per page
+/// of the region, set by the first access that touches the page.
 #[derive(Debug)]
 pub(crate) struct FaultModel {
-    pub page_bytes: u64,
-    faulted: Mutex<HashSet<u64>>,
+    page_bytes: u64,
+    /// Touched pages. Relaxed throughout: a bit publishes no other data,
+    /// and `fetch_or` is a read-modify-write, so exactly one thread sees
+    /// a given bit go from 0 to 1 and counts that fault.
+    touched: Box<[AtomicU64]>,
 }
 
 impl FaultModel {
-    pub(crate) fn new(page_bytes: u64) -> Self {
+    /// Fault state for a region of `region_len` bytes. It covers every page
+    /// an in-bounds access can name — also the page a zero-length access
+    /// at `offset == region_len` names, which faults like any other.
+    pub(crate) fn new(page_bytes: u64, region_len: u64) -> Self {
+        let pages = region_len / page_bytes + 1;
         FaultModel {
             page_bytes,
-            faulted: Mutex::new(HashSet::new()),
+            touched: (0..pages.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Touch the pages covering `len` bytes at `offset`; returns how many
+    /// of them were touched for the first time. A page already touched
+    /// costs one relaxed load.
+    fn touch(&self, offset: u64, len: u64) -> u64 {
+        let first = offset / self.page_bytes;
+        let last = (offset + len.max(1) - 1) / self.page_bytes;
+        let mut fresh = 0;
+        for (w, mask) in word_masks(first, last) {
+            let word = &self.touched[w];
+            if word.load(Ordering::Relaxed) & mask == mask {
+                continue;
+            }
+            fresh += u64::from((mask & !word.fetch_or(mask, Ordering::Relaxed)).count_ones());
+        }
+        fresh
+    }
+}
+
+/// An optional sink accesses report into (an access trace or a
+/// persistence trace). The `attached` flag lets an access with no sink
+/// attached skip the mutex.
+#[derive(Debug)]
+struct Hook<T> {
+    /// Mirrors `sink.is_some()`. Stored with `Release` under the `sink`
+    /// lock and loaded with `Acquire` before taking it: an access that
+    /// sees `true` also sees everything done before the attach. The lock
+    /// still decides which sink, if any, an event goes to.
+    attached: AtomicBool,
+    sink: Mutex<Option<Arc<T>>>,
+}
+
+impl<T> Hook<T> {
+    fn new() -> Self {
+        Hook {
+            attached: AtomicBool::new(false),
+            sink: Mutex::new(None),
+        }
+    }
+
+    fn set(&self, sink: Option<Arc<T>>) {
+        let mut slot = self.sink.lock();
+        self.attached.store(sink.is_some(), Ordering::Release);
+        *slot = sink;
+    }
+
+    #[inline]
+    fn with(&self, f: impl FnOnce(&T)) {
+        if !self.attached.load(Ordering::Acquire) {
+            return;
+        }
+        if let Some(sink) = self.sink.lock().as_ref() {
+            f(sink);
         }
     }
 }
 
+/// Copy the cache lines `start..end` from `src` to `dst`, clamped to the
+/// region's end.
+fn copy_lines(dst: &mut [u8], src: &[u8], start: u64, end: u64) {
+    let from = (start * CACHE_LINE) as usize;
+    let to = ((end * CACHE_LINE) as usize).min(src.len());
+    dst[from..to].copy_from_slice(&src[from..to]);
+}
+
 /// A byte-addressable allocation on a (simulated) memory device.
+///
+/// Persistence state is one bit per 64 B cache line and poison one bit
+/// per 256 B XPLine, in bitsets sized to the region: lines past the end
+/// are never dirty, pending or poisoned, and a line is never both dirty
+/// and pending. With no trace attached an access takes no lock. Its page
+/// faults and tracker counts are atomic, and exact once the accessing
+/// threads are joined.
 #[derive(Debug)]
 pub struct Region {
     data: Vec<u8>,
     /// Last persisted image (what survives a crash).
     shadow: Vec<u8>,
     /// Lines written through the cache and not yet flushed.
-    dirty: HashSet<u64>,
+    dirty: LineSet,
     /// Lines on their way to the WPQ (ntstore / clwb), not yet fenced.
-    pending: HashSet<u64>,
+    pending: LineSet,
     /// XPLine indices with uncorrectable media errors. Checked reads of a
     /// poisoned line fail with [`StoreError::Poisoned`]; a write covering
     /// the whole XPLine clears the poison (the device remaps the line).
-    poisoned: HashSet<u64>,
+    poisoned: LineSet,
     tracker: Arc<AccessTracker>,
     /// False for DRAM or Memory-Mode regions: nothing survives a crash.
     persistent: bool,
-    fault_model: Option<Arc<FaultModel>>,
+    fault_model: Option<FaultModel>,
     last_read_end: AtomicU64,
     last_write_end: AtomicU64,
     /// Optional access-trace sink (see [`crate::trace`]).
-    trace: Mutex<Option<Arc<crate::trace::TraceBuffer>>>,
+    trace: Hook<TraceBuffer>,
     /// Optional persistence-event sink for crash-state model checking.
-    persist_trace: Mutex<Option<Arc<crate::trace::PersistenceTrace>>>,
+    persist_trace: Hook<PersistenceTrace>,
 }
 
 impl Region {
@@ -93,57 +179,54 @@ impl Region {
         len: u64,
         tracker: Arc<AccessTracker>,
         persistent: bool,
-        fault_model: Option<Arc<FaultModel>>,
+        fault_model: Option<FaultModel>,
     ) -> Self {
         Region {
             data: vec![0; len as usize],
             shadow: vec![0; len as usize],
-            dirty: HashSet::new(),
-            pending: HashSet::new(),
-            poisoned: HashSet::new(),
+            dirty: LineSet::new(len.div_ceil(CACHE_LINE)),
+            pending: LineSet::new(len.div_ceil(CACHE_LINE)),
+            poisoned: LineSet::new(len.div_ceil(XPLINE)),
             tracker,
             persistent,
             fault_model,
             last_read_end: AtomicU64::new(u64::MAX),
             last_write_end: AtomicU64::new(u64::MAX),
-            trace: Mutex::new(None),
-            persist_trace: Mutex::new(None),
+            trace: Hook::new(),
+            persist_trace: Hook::new(),
         }
     }
 
     /// Attach a trace buffer: subsequent accesses are recorded into it.
-    pub fn attach_trace(&self, buffer: Arc<crate::trace::TraceBuffer>) {
-        *self.trace.lock() = Some(buffer);
+    pub fn attach_trace(&self, buffer: Arc<TraceBuffer>) {
+        self.trace.set(Some(buffer));
     }
 
     /// Stop tracing.
     pub fn detach_trace(&self) {
-        *self.trace.lock() = None;
+        self.trace.set(None);
     }
 
     /// Attach a persistence trace: subsequent stores, `clwb`s, and
     /// `sfence`s are recorded in order for crash-state model checking.
-    pub fn attach_persist_trace(&self, trace: Arc<crate::trace::PersistenceTrace>) {
-        *self.persist_trace.lock() = Some(trace);
+    pub fn attach_persist_trace(&self, trace: Arc<PersistenceTrace>) {
+        self.persist_trace.set(Some(trace));
     }
 
     /// Stop recording persistence events.
     pub fn detach_persist_trace(&self) {
-        *self.persist_trace.lock() = None;
+        self.persist_trace.set(None);
     }
 
     #[inline]
     fn record_trace(&self, offset: u64, len: u64, write: bool) {
-        if let Some(buffer) = self.trace.lock().as_ref() {
-            buffer.record(crate::trace::TraceEntry { offset, len, write });
-        }
+        self.trace
+            .with(|buffer| buffer.record(TraceEntry { offset, len, write }));
     }
 
     #[inline]
-    fn record_persist(&self, event: impl FnOnce() -> crate::trace::PersistEvent) {
-        if let Some(trace) = self.persist_trace.lock().as_ref() {
-            trace.record(event());
-        }
+    fn record_persist(&self, event: impl FnOnce() -> PersistEvent) {
+        self.persist_trace.with(|trace| trace.record(event()));
     }
 
     /// Capacity in bytes.
@@ -179,13 +262,9 @@ impl Region {
 
     fn fault_pages(&self, offset: u64, len: u64) {
         if let Some(fm) = &self.fault_model {
-            let first = offset / fm.page_bytes;
-            let last = (offset + len.max(1) - 1) / fm.page_bytes;
-            let mut faulted = fm.faulted.lock();
-            for page in first..=last {
-                if faulted.insert(page) {
-                    self.tracker.record_page_fault();
-                }
+            let fresh = fm.touch(offset, len);
+            if fresh > 0 {
+                self.tracker.record_page_faults(fresh);
             }
         }
     }
@@ -304,15 +383,14 @@ impl Region {
         if self.poisoned.is_empty() || len == 0 {
             return None;
         }
-        let first = offset / XPLINE;
-        let last = (offset + len - 1) / XPLINE;
-        (first..=last).find(|line| self.poisoned.contains(line))
+        self.poisoned
+            .first_in(offset / XPLINE, (offset + len - 1) / XPLINE)
     }
 
     /// Describe the contiguous poisoned run starting at `line`.
     fn poison_error(&self, line: u64) -> StoreError {
         let mut run = 1;
-        while self.poisoned.contains(&(line + run)) {
+        while self.poisoned.contains(line + run) {
             run += 1;
         }
         StoreError::Poisoned {
@@ -336,9 +414,7 @@ impl Region {
         let last = (end - 1) / XPLINE;
         let mut fresh = 0;
         for line in first..=last {
-            if self.poisoned.insert(line) {
-                fresh += 1;
-            }
+            fresh += self.poisoned.insert(line, line);
             let start = (line * XPLINE) as usize;
             let stop = (start + XPLINE as usize).min(self.data.len());
             // Deterministic scramble (splitmix64 keyed by the line index) so
@@ -367,15 +443,7 @@ impl Region {
             return 0;
         }
         let end = offset.saturating_add(len);
-        let first = offset / XPLINE;
-        let last = (end - 1) / XPLINE;
-        let mut cleared = 0;
-        for line in first..=last {
-            if self.poisoned.remove(&line) {
-                cleared += 1;
-            }
-        }
-        cleared
+        self.poisoned.remove(offset / XPLINE, (end - 1) / XPLINE)
     }
 
     /// Whether the range intersects any poisoned XPLine.
@@ -389,34 +457,36 @@ impl Region {
 
     /// Byte offsets of every poisoned XPLine, sorted.
     pub fn poisoned_lines(&self) -> Vec<u64> {
-        let mut lines: Vec<u64> = self.poisoned.iter().map(|l| l * XPLINE).collect();
-        lines.sort_unstable();
-        lines
+        self.poisoned.iter().map(|l| l * XPLINE).collect()
     }
 
     /// Clear poison from every XPLine *fully covered* by a write to
     /// `[offset, offset + len)` — the device remaps fully rewritten lines.
     /// Partially covered lines stay poisoned (the lost bytes are still
-    /// unreadable).
+    /// unreadable). Callers must bounds-check first.
     fn clear_poison_covered(&mut self, offset: u64, len: u64) {
         if self.poisoned.is_empty() || len == 0 {
             return;
         }
-        let first = offset / XPLINE;
-        let last = (offset + len - 1) / XPLINE;
-        for line in first..=last {
-            let start = line * XPLINE;
-            let stop = ((line + 1) * XPLINE).min(self.len());
-            if offset <= start && stop <= offset + len {
-                self.poisoned.remove(&line);
-            }
+        let end = offset + len;
+        // Covered: lines starting at or after `offset` that end (clamped to
+        // the region) at or before `end`.
+        let first = offset.div_ceil(XPLINE);
+        let stop = if end == self.len() {
+            end.div_ceil(XPLINE)
+        } else {
+            end / XPLINE
+        };
+        if first < stop {
+            self.poisoned.remove(first, stop - 1);
         }
     }
 
-    fn lines(offset: u64, len: u64) -> impl Iterator<Item = u64> {
-        let first = offset / CACHE_LINE;
-        let last = (offset + len.max(1) - 1) / CACHE_LINE;
-        first..=last
+    /// The cache lines `first..=last` an access of `len` bytes at `offset`
+    /// touches; a zero-length access names the line holding `offset`.
+    fn lines(offset: u64, len: u64) -> (u64, u64) {
+        let last = offset.saturating_add(len.max(1) - 1);
+        (offset / CACHE_LINE, last / CACHE_LINE)
     }
 
     /// Regular (cached) store. Volatile until `clwb` + `sfence` or a
@@ -433,15 +503,14 @@ impl Region {
         let sequential = self.infer_write(offset, bytes.len() as u64, hint);
         self.tracker.record_write(bytes.len() as u64, sequential);
         self.record_trace(offset, bytes.len() as u64, true);
-        self.record_persist(|| crate::trace::PersistEvent::Store {
+        self.record_persist(|| PersistEvent::Store {
             offset,
             data: bytes.to_vec(),
         });
         self.data[offset as usize..offset as usize + bytes.len()].copy_from_slice(bytes);
-        for line in Self::lines(offset, bytes.len() as u64) {
-            self.pending.remove(&line);
-            self.dirty.insert(line);
-        }
+        let (first, last) = Self::lines(offset, bytes.len() as u64);
+        self.pending.remove(first, last);
+        self.dirty.insert(first, last);
         self.clear_poison_covered(offset, bytes.len() as u64);
         Ok(())
     }
@@ -460,15 +529,14 @@ impl Region {
         let sequential = self.infer_write(offset, bytes.len() as u64, hint);
         self.tracker.record_write(bytes.len() as u64, sequential);
         self.record_trace(offset, bytes.len() as u64, true);
-        self.record_persist(|| crate::trace::PersistEvent::NtStore {
+        self.record_persist(|| PersistEvent::NtStore {
             offset,
             data: bytes.to_vec(),
         });
         self.data[offset as usize..offset as usize + bytes.len()].copy_from_slice(bytes);
-        for line in Self::lines(offset, bytes.len() as u64) {
-            self.dirty.remove(&line);
-            self.pending.insert(line);
-        }
+        let (first, last) = Self::lines(offset, bytes.len() as u64);
+        self.dirty.remove(first, last);
+        self.pending.insert(first, last);
         self.clear_poison_covered(offset, bytes.len() as u64);
         Ok(())
     }
@@ -481,27 +549,22 @@ impl Region {
     /// `clwb`: schedule the dirty cache lines covering the range for
     /// write-back. They persist at the next [`Region::sfence`].
     pub fn clwb(&mut self, offset: u64, len: u64) {
-        self.record_persist(|| crate::trace::PersistEvent::Clwb { offset, len });
-        for line in Self::lines(offset, len) {
-            if self.dirty.remove(&line) {
-                self.pending.insert(line);
-            }
-        }
+        self.record_persist(|| PersistEvent::Clwb { offset, len });
+        let (first, last) = Self::lines(offset, len);
+        self.dirty.move_into(&mut self.pending, first, last);
     }
 
     /// Store fence: everything previously `ntstore`d or `clwb`ed is now in
     /// the WPQ and — by the ADR guarantee — persistent.
     pub fn sfence(&mut self) {
         self.tracker.record_sfence();
-        self.record_persist(|| crate::trace::PersistEvent::Sfence);
+        self.record_persist(|| PersistEvent::Sfence);
         if !self.persistent {
             return; // Memory Mode: nothing actually persists (§2.1).
         }
-        for line in self.pending.drain() {
-            let start = (line * CACHE_LINE) as usize;
-            let end = (start + CACHE_LINE as usize).min(self.data.len());
-            self.shadow[start..end].copy_from_slice(&self.data[start..end]);
-        }
+        let (shadow, data) = (&mut self.shadow, &self.data);
+        self.pending
+            .drain_runs(|start, end| copy_lines(shadow, data, start, end));
     }
 
     /// Convenience: `clwb` the range, then `sfence` (PMDK's
@@ -516,30 +579,22 @@ impl Region {
         if !self.persistent {
             return false;
         }
-        Self::lines(offset, len)
-            .all(|line| !self.dirty.contains(&line) && !self.pending.contains(&line))
+        let (first, last) = Self::lines(offset, len);
+        self.dirty.first_in(first, last).is_none() && self.pending.first_in(first, last).is_none()
     }
 
     /// Simulate a power loss: all lines not yet accepted into the WPQ revert
     /// to their last persisted image. Returns the number of lines lost.
     pub fn crash(&mut self) -> u64 {
-        let lost: Vec<u64> = if self.persistent {
-            self.dirty.drain().chain(self.pending.drain()).collect()
-        } else {
+        let (data, shadow) = (&mut self.data, &self.shadow);
+        let mut revert = |start, end| copy_lines(data, shadow, start, end);
+        // Dirty and pending are disjoint, so the two drains count each
+        // lost line once.
+        let mut count = self.dirty.drain_runs(&mut revert) + self.pending.drain_runs(&mut revert);
+        if !self.persistent {
             // Volatile region: everything reverts.
-            self.dirty.clear();
-            self.pending.clear();
-            (0..self.data.len() as u64 / CACHE_LINE.max(1) + 1).collect()
-        };
-        let mut count = 0;
-        for line in lost {
-            let start = (line * CACHE_LINE) as usize;
-            if start >= self.data.len() {
-                continue;
-            }
-            let end = (start + CACHE_LINE as usize).min(self.data.len());
-            self.data[start..end].copy_from_slice(&self.shadow[start..end]);
-            count += 1;
+            self.data.copy_from_slice(&self.shadow);
+            count = self.len().div_ceil(CACHE_LINE);
         }
         self.last_read_end.store(u64::MAX, Ordering::Relaxed);
         self.last_write_end.store(u64::MAX, Ordering::Relaxed);
@@ -841,7 +896,7 @@ mod tests {
 
     #[test]
     fn fsdax_faults_once_per_page_devdax_never() {
-        let fm = Arc::new(FaultModel::new(2 << 20));
+        let fm = FaultModel::new(2 << 20, 8 << 20);
         let r = Region::new(8 << 20, AccessTracker::shared(), true, Some(fm));
         r.read(0, 64, AccessHint::Auto);
         r.read(100, 64, AccessHint::Auto); // same page: no new fault
@@ -855,7 +910,7 @@ mod tests {
 
     #[test]
     fn prefault_touches_every_page_up_front() {
-        let fm = Arc::new(FaultModel::new(2 << 20));
+        let fm = FaultModel::new(2 << 20, 8 << 20);
         let r = Region::new(8 << 20, AccessTracker::shared(), true, Some(fm));
         r.prefault();
         assert_eq!(r.tracker().snapshot().page_faults, 4);

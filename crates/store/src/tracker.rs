@@ -5,22 +5,72 @@
 //! counts into the [`pmem-sim`](pmem_sim) bandwidth model to obtain the
 //! simulated device time a real Optane system would have spent.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// Counter stripes per tracker. Threads take stripes round-robin, in the
+/// order they first record into any tracker, so threads spawned together
+/// (a query's scan workers) count on distinct cache lines.
+const STRIPES: usize = 16;
+
+// Counter slots of a stripe, in `TrackerSnapshot` field order.
+const SEQ_READ_BYTES: usize = 0;
+const RAND_READ_BYTES: usize = 1;
+const SEQ_WRITE_BYTES: usize = 2;
+const RAND_WRITE_BYTES: usize = 3;
+const READ_OPS: usize = 4;
+const WRITE_OPS: usize = 5;
+const SFENCES: usize = 6;
+const PAGE_FAULTS: usize = 7;
+const CRASHES: usize = 8;
+const CRASH_LOST_LINES: usize = 9;
+const COUNTERS: usize = 10;
+
+/// One thread's share of the counters, alone on its cache lines (128 B
+/// covers the adjacent-line prefetch pair as well).
+#[derive(Default)]
+#[repr(align(128))]
+struct Stripe([AtomicU64; COUNTERS]);
+
+/// Next stripe to hand to a thread. Relaxed: the value only spreads
+/// threads over stripes and publishes nothing.
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// The calling thread's stripe index, assigned on its first use.
+#[inline]
+fn stripe_index() -> usize {
+    STRIPE.with(|slot| {
+        let mut index = slot.get();
+        if index == usize::MAX {
+            index = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+            slot.set(index);
+        }
+        index
+    })
+}
+
 /// Thread-safe access counters shared by all regions of a namespace.
-#[derive(Debug, Default)]
+///
+/// Each counter is split into per-thread, cache-line-padded stripes, so
+/// threads scanning the same namespace never contend on a counter line.
+/// Increments are relaxed atomic adds: a count publishes no other data,
+/// and threads that do share a stripe still lose no update.
+#[derive(Default)]
 pub struct AccessTracker {
-    seq_read_bytes: AtomicU64,
-    rand_read_bytes: AtomicU64,
-    seq_write_bytes: AtomicU64,
-    rand_write_bytes: AtomicU64,
-    read_ops: AtomicU64,
-    write_ops: AtomicU64,
-    sfences: AtomicU64,
-    page_faults: AtomicU64,
-    crashes: AtomicU64,
-    crash_lost_lines: AtomicU64,
+    stripes: [Stripe; STRIPES],
+}
+
+impl std::fmt::Debug for AccessTracker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("AccessTracker")
+            .field(&self.snapshot())
+            .finish()
+    }
 }
 
 impl AccessTracker {
@@ -29,69 +79,78 @@ impl AccessTracker {
         Arc::new(Self::default())
     }
 
+    #[inline]
+    fn add(&self, counter: usize, n: u64) {
+        self.stripes[stripe_index()].0[counter].fetch_add(n, Ordering::Relaxed);
+    }
+
     pub(crate) fn record_read(&self, bytes: u64, sequential: bool) {
-        self.read_ops.fetch_add(1, Ordering::Relaxed);
-        if sequential {
-            self.seq_read_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let stripe = &self.stripes[stripe_index()].0;
+        stripe[READ_OPS].fetch_add(1, Ordering::Relaxed);
+        let kind = if sequential {
+            SEQ_READ_BYTES
         } else {
-            self.rand_read_bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
+            RAND_READ_BYTES
+        };
+        stripe[kind].fetch_add(bytes, Ordering::Relaxed);
     }
 
     pub(crate) fn record_write(&self, bytes: u64, sequential: bool) {
-        self.write_ops.fetch_add(1, Ordering::Relaxed);
-        if sequential {
-            self.seq_write_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let stripe = &self.stripes[stripe_index()].0;
+        stripe[WRITE_OPS].fetch_add(1, Ordering::Relaxed);
+        let kind = if sequential {
+            SEQ_WRITE_BYTES
         } else {
-            self.rand_write_bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
+            RAND_WRITE_BYTES
+        };
+        stripe[kind].fetch_add(bytes, Ordering::Relaxed);
     }
 
     pub(crate) fn record_sfence(&self) {
-        self.sfences.fetch_add(1, Ordering::Relaxed);
+        self.add(SFENCES, 1);
     }
 
-    pub(crate) fn record_page_fault(&self) {
-        self.page_faults.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_page_faults(&self, pages: u64) {
+        self.add(PAGE_FAULTS, pages);
     }
 
     pub(crate) fn record_crash(&self, lost_lines: u64) {
-        self.crashes.fetch_add(1, Ordering::Relaxed);
-        self.crash_lost_lines
-            .fetch_add(lost_lines, Ordering::Relaxed);
+        self.add(CRASHES, 1);
+        self.add(CRASH_LOST_LINES, lost_lines);
     }
 
-    /// Consistent-enough snapshot of the counters (individual counters are
-    /// read with relaxed ordering; exactness across counters is not needed
-    /// for timing estimates).
+    /// Snapshot of the counters: each is the sum of its stripes, read with
+    /// relaxed loads. Once every thread that recorded into the tracker has
+    /// been joined, the counts are exact; a snapshot taken while threads
+    /// are still recording may see some of their updates and not others
+    /// (fine for timing estimates, which snapshot between phases).
     pub fn snapshot(&self) -> TrackerSnapshot {
+        let mut sum = [0u64; COUNTERS];
+        for stripe in &self.stripes {
+            for (total, counter) in sum.iter_mut().zip(&stripe.0) {
+                *total += counter.load(Ordering::Relaxed);
+            }
+        }
         TrackerSnapshot {
-            seq_read_bytes: self.seq_read_bytes.load(Ordering::Relaxed),
-            rand_read_bytes: self.rand_read_bytes.load(Ordering::Relaxed),
-            seq_write_bytes: self.seq_write_bytes.load(Ordering::Relaxed),
-            rand_write_bytes: self.rand_write_bytes.load(Ordering::Relaxed),
-            read_ops: self.read_ops.load(Ordering::Relaxed),
-            write_ops: self.write_ops.load(Ordering::Relaxed),
-            sfences: self.sfences.load(Ordering::Relaxed),
-            page_faults: self.page_faults.load(Ordering::Relaxed),
-            crashes: self.crashes.load(Ordering::Relaxed),
-            crash_lost_lines: self.crash_lost_lines.load(Ordering::Relaxed),
+            seq_read_bytes: sum[SEQ_READ_BYTES],
+            rand_read_bytes: sum[RAND_READ_BYTES],
+            seq_write_bytes: sum[SEQ_WRITE_BYTES],
+            rand_write_bytes: sum[RAND_WRITE_BYTES],
+            read_ops: sum[READ_OPS],
+            write_ops: sum[WRITE_OPS],
+            sfences: sum[SFENCES],
+            page_faults: sum[PAGE_FAULTS],
+            crashes: sum[CRASHES],
+            crash_lost_lines: sum[CRASH_LOST_LINES],
         }
     }
 
-    /// Reset all counters to zero (e.g. after the load phase, before the
-    /// measured query phase).
+    /// Reset all counters, in every stripe, to zero (e.g. after the load
+    /// phase, before the measured query phase).
     pub fn reset(&self) {
-        self.seq_read_bytes.store(0, Ordering::Relaxed);
-        self.rand_read_bytes.store(0, Ordering::Relaxed);
-        self.seq_write_bytes.store(0, Ordering::Relaxed);
-        self.rand_write_bytes.store(0, Ordering::Relaxed);
-        self.read_ops.store(0, Ordering::Relaxed);
-        self.write_ops.store(0, Ordering::Relaxed);
-        self.sfences.store(0, Ordering::Relaxed);
-        self.page_faults.store(0, Ordering::Relaxed);
-        self.crashes.store(0, Ordering::Relaxed);
-        self.crash_lost_lines.store(0, Ordering::Relaxed);
+        for counter in self.stripes.iter().flat_map(|s| &s.0) {
+            counter.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -188,7 +247,7 @@ mod tests {
         t.record_write(30, true);
         t.record_write(20, false);
         t.record_sfence();
-        t.record_page_fault();
+        t.record_page_faults(1);
         let s = t.snapshot();
         assert_eq!(s.seq_read_bytes, 100);
         assert_eq!(s.rand_read_bytes, 50);

@@ -1,0 +1,394 @@
+//! `Region`'s per-line bookkeeping against a reference model, and the
+//! lock-free counters under concurrent access.
+//!
+//! The reference model keeps dirty, pending and poisoned lines in one
+//! `HashSet` entry per line, the way `Region` once did, and applies every
+//! operation line by line. Random operation sequences must leave both
+//! with the same bytes, the same poison, and the same answers — including
+//! the number of lines each crash loses.
+
+#![allow(clippy::unwrap_used)] // unwrap in tests is fine
+
+use std::collections::HashSet;
+use std::sync::Barrier;
+
+use pmem_sim::topology::SocketId;
+use pmem_store::{AccessHint, Namespace, Region, StoreError, XPLINE};
+use proptest::prelude::*;
+
+const LINE: u64 = 64;
+const S0: SocketId = SocketId(0);
+
+/// The line-by-line reference. Lines at or past the region's end are
+/// never dirty or pending.
+struct Model {
+    data: Vec<u8>,
+    shadow: Vec<u8>,
+    dirty: HashSet<u64>,
+    pending: HashSet<u64>,
+    poisoned: HashSet<u64>,
+    persistent: bool,
+}
+
+impl Model {
+    fn new(len: u64, persistent: bool) -> Self {
+        Model {
+            data: vec![0; len as usize],
+            shadow: vec![0; len as usize],
+            dirty: HashSet::new(),
+            pending: HashSet::new(),
+            poisoned: HashSet::new(),
+            persistent,
+        }
+    }
+
+    fn len(&self) -> u64 {
+        self.data.len() as u64
+    }
+
+    /// The in-range cache lines an access of `len` bytes at `offset` names
+    /// (a zero-length access names the line holding `offset`).
+    fn lines(&self, offset: u64, len: u64) -> impl Iterator<Item = u64> {
+        let end = self.len().div_ceil(LINE);
+        let last = offset.saturating_add(len.max(1) - 1) / LINE;
+        (offset / LINE..=last).take_while(move |&line| line < end)
+    }
+
+    fn copy_line(dst: &mut [u8], src: &[u8], line: u64) {
+        let start = (line * LINE) as usize;
+        let stop = (start + LINE as usize).min(src.len());
+        dst[start..stop].copy_from_slice(&src[start..stop]);
+    }
+
+    fn store(&mut self, offset: u64, bytes: &[u8], nt: bool) -> bool {
+        let len = bytes.len() as u64;
+        if offset.checked_add(len).is_none_or(|end| end > self.len()) {
+            return false;
+        }
+        self.data[offset as usize..(offset + len) as usize].copy_from_slice(bytes);
+        for line in self.lines(offset, len).collect::<Vec<_>>() {
+            if nt {
+                self.dirty.remove(&line);
+                self.pending.insert(line);
+            } else {
+                self.pending.remove(&line);
+                self.dirty.insert(line);
+            }
+        }
+        if len > 0 {
+            for x in offset / XPLINE..=(offset + len - 1) / XPLINE {
+                let stop = ((x + 1) * XPLINE).min(self.len());
+                if offset <= x * XPLINE && stop <= offset + len {
+                    self.poisoned.remove(&x);
+                }
+            }
+        }
+        true
+    }
+
+    fn clwb(&mut self, offset: u64, len: u64) {
+        for line in self.lines(offset, len).collect::<Vec<_>>() {
+            if self.dirty.remove(&line) {
+                self.pending.insert(line);
+            }
+        }
+    }
+
+    fn sfence(&mut self) {
+        if self.persistent {
+            for line in self.pending.drain() {
+                Self::copy_line(&mut self.shadow, &self.data, line);
+            }
+        }
+    }
+
+    fn is_persisted(&self, offset: u64, len: u64) -> bool {
+        self.persistent
+            && self
+                .lines(offset, len)
+                .all(|line| !self.dirty.contains(&line) && !self.pending.contains(&line))
+    }
+
+    fn crash(&mut self) -> u64 {
+        let lost: Vec<u64> = if self.persistent {
+            self.dirty.drain().chain(self.pending.drain()).collect()
+        } else {
+            self.dirty.clear();
+            self.pending.clear();
+            (0..self.len().div_ceil(LINE)).collect()
+        };
+        for &line in &lost {
+            Self::copy_line(&mut self.data, &self.shadow, line);
+        }
+        lost.len() as u64
+    }
+
+    /// Poison the XPLines covering the range (clamped to the region),
+    /// adopting the bytes the region scrambled them to.
+    fn inject_poison(&mut self, offset: u64, len: u64, scrambled: &[u8]) -> u64 {
+        if len == 0 || offset >= self.len() {
+            return 0;
+        }
+        let end = offset.saturating_add(len).min(self.len());
+        let mut fresh = 0;
+        for x in offset / XPLINE..=(end - 1) / XPLINE {
+            fresh += u64::from(self.poisoned.insert(x));
+            let start = (x * XPLINE) as usize;
+            let stop = (start + XPLINE as usize).min(self.data.len());
+            self.data[start..stop].copy_from_slice(&scrambled[start..stop]);
+            self.shadow[start..stop].copy_from_slice(&scrambled[start..stop]);
+        }
+        fresh
+    }
+
+    fn clear_poison(&mut self, offset: u64, len: u64) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let end = offset.saturating_add(len);
+        (offset / XPLINE..=(end - 1) / XPLINE)
+            .filter(|x| self.poisoned.remove(x))
+            .count() as u64
+    }
+
+    fn try_read(&self, offset: u64, len: u64) -> Result<&[u8], StoreError> {
+        if offset.checked_add(len).is_none_or(|end| end > self.len()) {
+            return Err(StoreError::OutOfBounds {
+                offset,
+                len,
+                capacity: self.len(),
+            });
+        }
+        if len > 0 {
+            let hit =
+                (offset / XPLINE..=(offset + len - 1) / XPLINE).find(|x| self.poisoned.contains(x));
+            if let Some(x) = hit {
+                let run = (x..).take_while(|l| self.poisoned.contains(l)).count() as u64;
+                return Err(StoreError::Poisoned {
+                    offset: x * XPLINE,
+                    len: run * XPLINE,
+                });
+            }
+        }
+        Ok(&self.data[offset as usize..(offset + len) as usize])
+    }
+
+    fn poisoned_lines(&self) -> Vec<u64> {
+        let mut lines: Vec<u64> = self.poisoned.iter().map(|x| x * XPLINE).collect();
+        lines.sort_unstable();
+        lines
+    }
+}
+
+/// One operation, its offset and length still raw: they are resolved
+/// against the region's length when applied.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    kind: u8,
+    offset_pick: u8,
+    raw_offset: u64,
+    len_pick: u8,
+    raw_len: u64,
+    fill: u8,
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    (
+        (0u8..10, 0u8..5, 0u64..40_000),
+        (0u8..6, 0u64..5_000, any::<u8>()),
+    )
+        .prop_map(
+            |((kind, offset_pick, raw_offset), (len_pick, raw_len, fill))| Op {
+                kind,
+                offset_pick,
+                raw_offset,
+                len_pick,
+                raw_len,
+                fill,
+            },
+        )
+}
+
+/// Region sizes: empty, sub-line, unaligned, one word of lines, and
+/// unaligned and aligned multi-word sizes.
+const LENS: [u64; 6] = [0, 40, 300, 4096, 8292, 3 * 64 * LINE];
+
+impl Op {
+    fn offset(&self, region_len: u64) -> u64 {
+        match self.offset_pick {
+            0 => self.raw_offset % (region_len + 130),
+            1 => region_len,
+            // Straddles a boundary between two 64-line words.
+            2 => {
+                ((self.raw_offset % 3 + 1) * 64 * LINE).saturating_sub(100) + self.raw_offset % 200
+            }
+            // An XPLine start, the region's short tail line included.
+            3 => self.raw_offset % (region_len / XPLINE + 2) * XPLINE,
+            _ => self.raw_offset,
+        }
+    }
+
+    fn len(&self, region_len: u64, offset: u64) -> u64 {
+        match self.len_pick {
+            0 => 0,
+            1 => self.raw_len % 300,
+            2 => self.raw_len,
+            3 => (self.raw_len % 8 + 1) * XPLINE,
+            // Exactly to the region's end.
+            4 => region_len.saturating_sub(offset),
+            _ => self.raw_len * LINE,
+        }
+    }
+}
+
+fn apply(region: &mut Region, model: &mut Model, op: Op) -> Result<(), TestCaseError> {
+    let offset = op.offset(model.len());
+    let len = op.len(model.len(), offset);
+    match op.kind {
+        0..=2 => {
+            let bytes = vec![op.fill; len as usize];
+            let nt = op.kind != 0;
+            let ok = if nt {
+                region.try_ntstore(offset, &bytes, AccessHint::Auto)
+            } else {
+                region.try_write(offset, &bytes, AccessHint::Auto)
+            };
+            prop_assert_eq!(
+                ok.is_ok(),
+                model.store(offset, &bytes, nt),
+                "store {:?}",
+                op
+            );
+        }
+        3 => {
+            region.clwb(offset, len);
+            model.clwb(offset, len);
+        }
+        4 => {
+            region.sfence();
+            model.sfence();
+        }
+        5 => prop_assert_eq!(region.crash(), model.crash(), "crash-lost lines"),
+        6 => prop_assert_eq!(
+            region.is_persisted(offset, len),
+            model.is_persisted(offset, len),
+            "is_persisted({}, {})",
+            offset,
+            len
+        ),
+        7 => {
+            let fresh = region.inject_poison(offset, len);
+            let scrambled = region.untracked_slice().to_vec();
+            prop_assert_eq!(fresh, model.inject_poison(offset, len, &scrambled));
+        }
+        8 => prop_assert_eq!(
+            region.clear_poison(offset, len),
+            model.clear_poison(offset, len)
+        ),
+        _ => {
+            let got = region.try_read(offset, len, AccessHint::Auto);
+            prop_assert_eq!(
+                format!("{got:?}"),
+                format!("{:?}", model.try_read(offset, len))
+            );
+        }
+    }
+    prop_assert!(
+        region.untracked_slice() == model.data,
+        "bytes differ after {:?}",
+        op
+    );
+    prop_assert_eq!(region.poisoned_lines(), model.poisoned_lines());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn bitset_bookkeeping_matches_the_per_line_model(
+        shape in (0usize..LENS.len(), 0u8..3),
+        ops in prop::collection::vec(op(), 1..80),
+    ) {
+        let (len, mode) = (LENS[shape.0], shape.1);
+        // Persistent (devdax, fsdax) and volatile (Memory Mode) regions.
+        let ns = match mode {
+            0 => Namespace::devdax(S0, 1 << 20),
+            1 => Namespace::fsdax(S0, 1 << 20),
+            _ => Namespace::memory_mode(S0, 1 << 20),
+        };
+        let mut region = ns.alloc_region(len).unwrap();
+        let mut model = Model::new(len, ns.is_persistent());
+        for &op in &ops {
+            apply(&mut region, &mut model, op)?;
+        }
+        // A closing crash shows the persisted images agree as well.
+        prop_assert_eq!(region.crash(), model.crash());
+        prop_assert!(region.untracked_slice() == model.data);
+    }
+}
+
+#[test]
+fn concurrent_accesses_count_exactly_once_joined() {
+    // More threads than the tracker has stripes, so some share one.
+    const THREADS: u64 = 20;
+    const READS: u64 = 20_000;
+    let ns = Namespace::devdax(S0, 64 << 20);
+    let shared = ns.alloc_region(1 << 16).unwrap();
+    let barrier = Barrier::new(THREADS as usize);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (ns, shared, barrier) = (&ns, &shared, &barrier);
+            s.spawn(move || {
+                let mut own = ns.alloc_region(1 << 12).unwrap();
+                barrier.wait();
+                let hint = if t % 2 == 0 {
+                    AccessHint::Sequential
+                } else {
+                    AccessHint::Random
+                };
+                for i in 0..READS {
+                    shared.read((i % 1024) * 64, 64, hint);
+                }
+                own.try_ntstore(0, &[t as u8; 256], AccessHint::Sequential)
+                    .unwrap();
+                own.sfence();
+            });
+        }
+    });
+    let snap = ns.tracker().snapshot();
+    assert_eq!(snap.read_ops, THREADS * READS);
+    assert_eq!(snap.seq_read_bytes, THREADS / 2 * READS * 64);
+    assert_eq!(snap.rand_read_bytes, THREADS / 2 * READS * 64);
+    assert_eq!(snap.write_ops, THREADS);
+    assert_eq!(snap.seq_write_bytes, THREADS * 256);
+    assert_eq!(snap.sfences, THREADS);
+    ns.tracker().reset();
+    assert_eq!(ns.tracker().snapshot(), Default::default());
+}
+
+#[test]
+fn concurrent_first_touch_of_one_page_faults_once() {
+    const THREADS: usize = 8;
+    let ns = Namespace::fsdax(S0, 1 << 30);
+    for round in 0..20u64 {
+        let before = ns.tracker().snapshot().page_faults;
+        // Two 2 MB pages: every thread touches both, in opposite orders.
+        let region = ns.alloc_region(4 << 20).unwrap();
+        let barrier = Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS as u64 {
+                let (region, barrier) = (&region, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    let pages = [0, 2 << 20];
+                    let (a, b) = if t % 2 == 0 { (0, 1) } else { (1, 0) };
+                    region.read(pages[a] + t * 64, 64, AccessHint::Random);
+                    region.read(pages[b] + t * 64, 64, AccessHint::Random);
+                });
+            }
+        });
+        let faults = ns.tracker().snapshot().page_faults - before;
+        assert_eq!(faults, 2, "round {round}: one fault per page");
+    }
+}
