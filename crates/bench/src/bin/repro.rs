@@ -15,16 +15,18 @@
 //! Every seeded section carries a pass/fail gate (the claim its closing
 //! line prints); the run ends with a verdict table and a non-zero exit
 //! status if any section's gate failed — so `repro --all` is usable as
-//! a single CI check.
+//! a single CI check. A failed SSB figure, ingest report or CSV write
+//! fails its own verdict (`ssb`, `csv`) and the run goes on; a bad
+//! command line prints the usage line and exits 2 before anything runs.
 
 #![deny(clippy::unwrap_used)]
 
 use std::env;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use pmem_crashmc::{clients, CrashChecker};
-use pmem_membench::experiments;
+use pmem_membench::{experiments, Figure};
 use pmem_olap::best_practices::BestPractice;
 use pmem_olap::cost::PriceModel;
 use pmem_olap::planner::AccessPlanner;
@@ -52,6 +54,30 @@ struct Args {
     recover: Option<u64>,
 }
 
+const USAGE: &str = "repro [--sf <f64>] [--threads <u32>] [--csv <dir>] [--skip-ssb] [--faults <seed>] [--media <seed>] [--crashes] [--surge <seed>] [--cache <seed>] [--cluster <seed>] [--slo <seed>] [--gray <seed>] [--recover <seed>] [--all [seed]]";
+
+/// What a seeded section's flag expects after it.
+const SEED: &str = "a u64 seed";
+
+/// A bad command line: print `message` and the usage line, exit 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    eprintln!("usage: {USAGE}");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, parsed as `T`. A missing or malformed
+/// value is a usage error.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs {what}")))
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         sf: 0.01,
@@ -72,78 +98,23 @@ fn parse_args() -> Args {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--sf" => {
-                args.sf = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sf needs a positive number");
+                args.sf = flag_value(&mut it, "--sf", "a positive number");
+                if !(args.sf.is_finite() && args.sf > 0.0) {
+                    usage_error("--sf needs a positive number");
+                }
             }
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a number");
-            }
-            "--csv" => {
-                args.csv_dir = Some(PathBuf::from(it.next().expect("--csv needs a directory")));
-            }
+            "--threads" => args.threads = flag_value(&mut it, "--threads", "a number"),
+            "--csv" => args.csv_dir = Some(flag_value(&mut it, "--csv", "a directory")),
             "--skip-ssb" => args.skip_ssb = true,
-            "--faults" => {
-                args.faults = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--faults needs a u64 seed"),
-                );
-            }
-            "--media" => {
-                args.media = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--media needs a u64 seed"),
-                );
-            }
+            "--faults" => args.faults = Some(flag_value(&mut it, "--faults", SEED)),
+            "--media" => args.media = Some(flag_value(&mut it, "--media", SEED)),
             "--crashes" => args.crashes = true,
-            "--surge" => {
-                args.surge = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--surge needs a u64 seed"),
-                );
-            }
-            "--cache" => {
-                args.cache = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--cache needs a u64 seed"),
-                );
-            }
-            "--cluster" => {
-                args.cluster = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--cluster needs a u64 seed"),
-                );
-            }
-            "--slo" => {
-                args.slo = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--slo needs a u64 seed"),
-                );
-            }
-            "--gray" => {
-                args.gray = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--gray needs a u64 seed"),
-                );
-            }
-            "--recover" => {
-                args.recover = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--recover needs a u64 seed"),
-                );
-            }
+            "--surge" => args.surge = Some(flag_value(&mut it, "--surge", SEED)),
+            "--cache" => args.cache = Some(flag_value(&mut it, "--cache", SEED)),
+            "--cluster" => args.cluster = Some(flag_value(&mut it, "--cluster", SEED)),
+            "--slo" => args.slo = Some(flag_value(&mut it, "--slo", SEED)),
+            "--gray" => args.gray = Some(flag_value(&mut it, "--gray", SEED)),
+            "--recover" => args.recover = Some(flag_value(&mut it, "--recover", SEED)),
             "--all" => {
                 // Every section in one run; the optional seed feeds each
                 // seeded section (already-given per-section seeds win).
@@ -169,15 +140,10 @@ fn parse_args() -> Args {
                 }
             }
             "--help" | "-h" => {
-                println!(
-                    "repro [--sf <f64>] [--threads <u32>] [--csv <dir>] [--skip-ssb] [--faults <seed>] [--media <seed>] [--crashes] [--surge <seed>] [--cache <seed>] [--cluster <seed>] [--slo <seed>] [--gray <seed>] [--recover <seed>] [--all [seed]]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
     args
@@ -1370,9 +1336,85 @@ fn crash_section() -> Option<bool> {
     Some(total_violations == 0)
 }
 
+/// Write `fig` as `<dir>/<id>.csv`, returning the path written.
+fn write_csv(dir: &Path, fig: &Figure) -> std::io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
+    let path = dir.join(format!("{}.csv", fig.id));
+    fs::write(&path, fig.to_csv())?;
+    Ok(path)
+}
+
+/// Figure 14b, Figure 14a, Table 1 and the §7 cost comparison.
+fn ssb_section(sf: f64, threads: u32) -> pmem_store::Result<()> {
+    println!(
+        "running SSB at sf {sf} with {threads} threads (traffic priced at the paper's sf 50/100)...\n"
+    );
+    let fig14b = fig14b_aware(sf, threads)?;
+    println!("{}", fig14b.to_table());
+    println!(
+        "paper fig14b: avg 1.66x (1.4x-3.0x) | measured: {:.2}x ({:.2}x-{:.2}x)\n",
+        fig14b.average_ratio(),
+        fig14b.min_ratio(),
+        fig14b.max_ratio()
+    );
+
+    let fig14a = fig14a_unaware(sf, threads)?;
+    println!("{}", fig14a.to_table());
+    println!(
+        "paper fig14a: avg 5.3x (2.5x-7.7x) | measured: {:.2}x ({:.2}x-{:.2}x)\n",
+        fig14a.average_ratio(),
+        fig14a.min_ratio(),
+        fig14a.max_ratio()
+    );
+
+    let (ladder, ssd) = table1_ladder(sf, threads)?;
+    println!("== Table 1: Optimization of Q2.1 (sf 100) ==");
+    println!("{:>10} {:>12} {:>12}", "step", "PMEM [s]", "DRAM [s]");
+    let paper_pmem = [306.7, 25.1, 12.3, 9.4, 8.6];
+    let paper_dram = [221.2, 15.2, 9.2, 5.2, 5.2];
+    for (i, step) in ladder.iter().enumerate() {
+        println!(
+            "{:>10} {:>12.1} {:>12.1}   (paper: {:.1} / {:.1})",
+            step.label, step.pmem_seconds, step.dram_seconds, paper_pmem[i], paper_dram[i]
+        );
+    }
+    println!("{:>10} {:>12.1} {:>12}   (paper: 22.8)", "SSD", ssd, "-");
+
+    // ---- §7 cost ----
+    let prices = PriceModel::default();
+    let ratio = fig14b.average_ratio();
+    println!("\n== §7 price/performance (1.5 TB) ==");
+    println!(
+        "PMEM ${:.0} vs DRAM ${:.0} -> cost ratio {:.2}x for a {:.2}x slowdown: PMEM {}",
+        prices.pmem_cost(1536.0),
+        prices.dram_cost(1536.0),
+        prices.cost_ratio(1536.0),
+        ratio,
+        if prices.pmem_wins(1536.0, ratio) {
+            "wins on price/performance"
+        } else {
+            "loses on price/performance"
+        }
+    );
+    Ok(())
+}
+
 fn main() {
     let args = parse_args();
     let mut verdicts: Vec<(&'static str, bool)> = Vec::new();
+    // A failed SSB figure, ingest report or CSV write is reported and
+    // recorded as a failed verdict; the remaining sections still run.
+    let mut ssb_ok = true;
+    let mut csv_ok = true;
+    let mut csv = |fig: &Figure| -> Option<PathBuf> {
+        let dir = args.csv_dir.as_ref()?;
+        write_csv(dir, fig)
+            .map_err(|e| {
+                eprintln!("{}.csv not written: {e}", fig.id);
+                csv_ok = false;
+            })
+            .ok()
+    };
 
     println!("pmem-olap repro — \"Maximizing Persistent Memory Bandwidth");
     println!("Utilization for OLAP Workloads\" (SIGMOD 2021) on a simulated");
@@ -1381,14 +1423,9 @@ fn main() {
     // ---- Characterization figures (3–13 + devdax/fsdax) ----
     let mut sim = Simulation::paper_default();
     let figures = experiments::all_figures(&mut sim);
-    if let Some(dir) = &args.csv_dir {
-        fs::create_dir_all(dir).expect("create csv dir");
-    }
     for fig in &figures {
         println!("{}", fig.to_table());
-        if let Some(dir) = &args.csv_dir {
-            let path = dir.join(format!("{}.csv", fig.id));
-            fs::write(&path, fig.to_csv()).expect("write csv");
+        if let Some(path) = csv(fig) {
             println!("  (csv: {})\n", path.display());
         }
     }
@@ -1400,80 +1437,43 @@ fn main() {
 
     // ---- SSB (Figure 14 + Table 1) ----
     if !args.skip_ssb {
-        println!(
-            "running SSB at sf {} with {} threads (traffic priced at the paper's sf 50/100)...\n",
-            args.sf, args.threads
-        );
-        let fig14b = fig14b_aware(args.sf, args.threads).expect("fig14b");
-        println!("{}", fig14b.to_table());
-        println!(
-            "paper fig14b: avg 1.66x (1.4x-3.0x) | measured: {:.2}x ({:.2}x-{:.2}x)\n",
-            fig14b.average_ratio(),
-            fig14b.min_ratio(),
-            fig14b.max_ratio()
-        );
-
-        let fig14a = fig14a_unaware(args.sf, args.threads).expect("fig14a");
-        println!("{}", fig14a.to_table());
-        println!(
-            "paper fig14a: avg 5.3x (2.5x-7.7x) | measured: {:.2}x ({:.2}x-{:.2}x)\n",
-            fig14a.average_ratio(),
-            fig14a.min_ratio(),
-            fig14a.max_ratio()
-        );
-
-        let (ladder, ssd) = table1_ladder(args.sf, args.threads).expect("table 1");
-        println!("== Table 1: Optimization of Q2.1 (sf 100) ==");
-        println!("{:>10} {:>12} {:>12}", "step", "PMEM [s]", "DRAM [s]");
-        let paper_pmem = [306.7, 25.1, 12.3, 9.4, 8.6];
-        let paper_dram = [221.2, 15.2, 9.2, 5.2, 5.2];
-        for (i, step) in ladder.iter().enumerate() {
-            println!(
-                "{:>10} {:>12.1} {:>12.1}   (paper: {:.1} / {:.1})",
-                step.label, step.pmem_seconds, step.dram_seconds, paper_pmem[i], paper_dram[i]
-            );
+        if let Err(e) = ssb_section(args.sf, args.threads) {
+            eprintln!("SSB figures failed: {e}");
+            ssb_ok = false;
         }
-        println!("{:>10} {:>12.1} {:>12}   (paper: 22.8)", "SSD", ssd, "-");
-
-        // ---- §7 cost ----
-        let prices = PriceModel::default();
-        let ratio = fig14b.average_ratio();
-        println!("\n== §7 price/performance (1.5 TB) ==");
-        println!(
-            "PMEM ${:.0} vs DRAM ${:.0} -> cost ratio {:.2}x for a {:.2}x slowdown: PMEM {}",
-            prices.pmem_cost(1536.0),
-            prices.dram_cost(1536.0),
-            prices.cost_ratio(1536.0),
-            ratio,
-            if prices.pmem_wins(1536.0, ratio) {
-                "wins on price/performance"
-            } else {
-                "loses on price/performance"
-            }
-        );
     }
 
     // ---- Ablations (mechanism sweeps behind the paper's explanations) ----
     println!("\n== ablations: the mechanisms behind the curves ==");
     for fig in pmem_olap::membench::ablations::all_ablations() {
         println!("{}", fig.to_table());
-        if let Some(dir) = &args.csv_dir {
-            let path = dir.join(format!("{}.csv", fig.id));
-            fs::write(&path, fig.to_csv()).expect("write csv");
-        }
+        csv(&fig);
     }
 
     // ---- Data import (§4 motivation) ----
     if !args.skip_ssb {
-        let rows = pmem_olap::ssb::report::ingest_report(args.sf, 100.0).expect("ingest");
-        println!("== ingest of the sf-100 fact table (70 GB) ==");
-        println!("{:>24} {:>10} {:>10}", "configuration", "GB/s", "seconds");
-        for row in &rows {
-            println!(
-                "{:>24} {:>10.1} {:>10.1}",
-                row.label, row.bandwidth_gib_s, row.seconds
-            );
+        match pmem_olap::ssb::report::ingest_report(args.sf, 100.0) {
+            Ok(rows) => {
+                println!("== ingest of the sf-100 fact table (70 GB) ==");
+                println!("{:>24} {:>10} {:>10}", "configuration", "GB/s", "seconds");
+                for row in &rows {
+                    println!(
+                        "{:>24} {:>10.1} {:>10.1}",
+                        row.label, row.bandwidth_gib_s, row.seconds
+                    );
+                }
+            }
+            Err(e) => {
+                eprintln!("ingest report failed: {e}");
+                ssb_ok = false;
+            }
         }
+    }
+    if !ssb_ok {
+        verdicts.push(("ssb", false));
+    }
+    if !csv_ok {
+        verdicts.push(("csv", false));
     }
 
     // Record a section's gate verdict; a `None` (skipped: its stack

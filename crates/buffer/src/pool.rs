@@ -10,7 +10,7 @@
 //! [`crate::frame`]): readers snapshot the frame's version word, copy the
 //! payload, and validate; fills and evictions take the exclusive state and
 //! bump the version. The payload itself lives in a tracked
-//! [`Region`](pmem_store::Region) behind a `parking_lot::RwLock` — Rust
+//! [`Region`] behind a `parking_lot::RwLock` — Rust
 //! cannot express the C++ racy-copy optimistic read, so the lock carries
 //! the data race the version word resolves in the original protocol, while
 //! the version word remains the source of truth for validity (a reader
@@ -21,7 +21,7 @@
 //! and evicts still-marked ones on the second; any access in between
 //! clears the mark. Admission is planned, not incidental: only objects
 //! whose observed heat density earns DRAM residency (per
-//! [`AdmissionPlan`](crate::heat::AdmissionPlan)) are cached, everything
+//! [`AdmissionPlan`]) are cached, everything
 //! else bypasses the pool and streams from PMEM.
 
 use std::collections::HashMap;

@@ -12,7 +12,8 @@
 //!
 //! * **Signals.** The router observes two streams per shard: periodic
 //!   health probes (a fixed-cost sample scan, priced directly off the
-//!   shard's [`FaultPlan`] service scale and the interconnect) and the
+//!   shard's [`pmem_sim::faults::FaultPlan`] service scale and the
+//!   interconnect) and the
 //!   shard's *completion stream* — per-job latency and deadline
 //!   outcomes from the serve plane.
 //! * **Score.** The windowed median probe inflation (observed latency ÷
@@ -31,7 +32,10 @@
 //!
 //! The outcome of a replay is a [`HealthTimeline`]: the shard's state
 //! transitions over virtual time, which the router consults for routing
-//! weights, tied hedges, and failover instants.
+//! weights, tied hedges, and failover instants. Every cluster run goes
+//! through one detector step that builds a timeline per shard; a rejoin
+//! then extends its victim's timeline past the death verdict (see
+//! [`crate::cluster`]).
 
 use std::collections::VecDeque;
 
@@ -299,6 +303,25 @@ impl HealthTimeline {
     /// The transitions, `(at, state)` in time order.
     pub fn transitions(&self) -> &[(f64, HealthState)] {
         &self.transitions
+    }
+
+    /// Continue the timeline with `later` transitions — a machine back
+    /// from a blackout re-entering the detector after its death verdict.
+    /// A transition earlier than the last one recorded is clamped to it,
+    /// so the timeline stays in time order.
+    pub(crate) fn extend(&mut self, later: &[(f64, HealthState)]) {
+        for &(at, state) in later {
+            let floor = self.transitions.last().map_or(at, |(t, _)| *t);
+            self.transitions.push((at.max(floor), state));
+        }
+    }
+
+    /// Whether the timeline ends `Dead`: the router writes the shard off
+    /// (a timeline that leaves `Dead` is a rejoin).
+    pub(crate) fn written_off(&self) -> bool {
+        self.transitions
+            .last()
+            .is_some_and(|(_, s)| *s == HealthState::Dead)
     }
 
     /// The shard's state at virtual time `t`.

@@ -12,13 +12,15 @@
 //! 1. **Fault.** A seeded [`FailSlowWindow`] (optionally plus seeded
 //!    interconnect jitter, [`LinkPlan`]) degrades one machine's service
 //!    rate — alive, answering, slow.
-//! 2. **Detection.** The accrual detector ([`crate::detector`]) replays
-//!    each shard's probe and completion streams into a
-//!    [`HealthTimeline`]; a suspected shard is *demoted*, not written
-//!    off — it keeps serving at reduced router weight while new ingest
-//!    arrivals rebalance to its replica host (each paying the priced,
-//!    possibly degraded interconnect), and it re-earns full weight when
-//!    its score clears.
+//! 2. **Detection and ingest.** The cluster's shared detector step
+//!    replays each faulted shard's probe and completion streams into a
+//!    [`HealthTimeline`] (the accrual detector, [`crate::detector`]), and
+//!    the shared fleet run ([`crate::cluster`]) routes ingest by those
+//!    timelines. A suspected shard is *demoted*, not written off — it
+//!    keeps serving at reduced router weight while new ingest arrivals
+//!    rebalance to its replica host (each paying the priced, possibly
+//!    degraded interconnect), and it re-earns full weight when its score
+//!    clears. Only the query plane below is this module's own.
 //! 3. **Hedging.** The query plane fans Q1.1 out every
 //!    [`GrayConfig::query_interval`] seconds. A shard the detector has
 //!    demoted gets a *tied* hedge (primary and ring-replica backup
@@ -39,9 +41,7 @@
 use std::collections::VecDeque;
 
 use pmem_olap::planner::AccessPlanner;
-use pmem_serve::{
-    FanoutOutcome, JobSpec, Percentiles, QueryServer, ServeConfig, ShardRole, ShedReason,
-};
+use pmem_serve::Percentiles;
 use pmem_sim::faults::FaultPlan;
 use pmem_sim::fleet::{FailSlowWindow, FleetFaultPlans, LinkPlan};
 use pmem_sim::rng::splitmix64;
@@ -49,9 +49,8 @@ use pmem_sim::topology::Machine;
 use pmem_store::Result;
 
 use crate::cluster::Cluster;
-use crate::detector::{DetectorMode, HealthState, HealthTimeline, Observation};
+use crate::detector::{HealthState, HealthTimeline};
 use crate::machine::ShardMachine;
-use crate::partition::ShardMap;
 use crate::report::GrayReport;
 
 /// Sub-seed salt for the interconnect jitter stream, so link draws are
@@ -181,73 +180,6 @@ fn lane_after_cancel(before: f64, start: f64, finish: f64, cancel_at: f64) -> f6
 }
 
 impl Cluster {
-    /// Run one shard's ingest plan under `plan` and return its
-    /// completion stream as detector observations. Ingress sheds (flow
-    /// control) carry no service signal and are filtered, the same rule
-    /// the cluster breaker replay uses.
-    pub(crate) fn observe_shard(
-        &self,
-        shard: u32,
-        plan: &FaultPlan,
-        planner: &AccessPlanner,
-    ) -> Result<Vec<Observation>> {
-        let config = ServeConfig::surge(planner)
-            .with_faults(plan.clone())
-            .with_slo_classes(self.cfg.slo);
-        let mut server = QueryServer::new(&self.machines[shard as usize].store, config);
-        server.submit_all(self.shard_plan(shard, planner).jobs());
-        let report = server.run()?;
-        let mut observations: Vec<Observation> = report
-            .jobs
-            .iter()
-            .filter(|j| {
-                !matches!(
-                    j.outcome,
-                    pmem_serve::JobOutcome::Shed(ShedReason::QueueFull)
-                        | pmem_serve::JobOutcome::Shed(ShedReason::RetryBudget)
-                )
-            })
-            .map(|j| Observation {
-                at: j.finished_at,
-                latency: (j.finished_at - j.arrival).max(0.0),
-                miss: !j.met_deadline(),
-            })
-            .collect();
-        observations.sort_by(|a, b| a.at.total_cmp(&b.at));
-        Ok(observations)
-    }
-
-    /// Replay the accrual detector against a blacked-out machine and
-    /// return the virtual time it declares the machine dead. This is
-    /// what replaces the `DETECT_DELAY` oracle in
-    /// [`Cluster::run_with_lost_shard`]: the router is told nothing and
-    /// still fails over, typically faster than the 5 ms oracle did.
-    pub(crate) fn accrual_blackout_detect_at(&self, victim: u32, at: f64) -> Result<f64> {
-        let cfg = self.cfg;
-        let planner = AccessPlanner::paper_default();
-        let machine = Machine::paper_default();
-        let plan = FleetFaultPlans::healthy(cfg.shards as usize)
-            .with_lost_machine(victim as usize, at, 10.0 * cfg.horizon.max(0.1))
-            .plan(victim as usize);
-        let terminals = self.observe_shard(victim, &plan, &planner)?;
-        let scan_bw = Self::machine_scan_bw(&planner);
-        let scan = self.machines[victim as usize]
-            .virtual_scan_bytes(GrayConfig::demo().bytes_per_row) as f64
-            / scan_bw.max(1.0);
-        let rtt = 2.0 * cfg.interconnect.latency_seconds;
-        let probe = |t: f64| rtt + scan / plan.state_at(&machine, t).service_scale().max(1e-9);
-        let timeline = HealthTimeline::replay(
-            &cfg.detector,
-            cfg.horizon.max(at + 10.0 * cfg.detector.probe_interval),
-            rtt + scan,
-            probe,
-            &terminals,
-        );
-        // A detector that somehow never fires falls back to the oracle
-        // delay rather than never failing over.
-        Ok(timeline.dead_at().unwrap_or(at + cfg.detector.oracle_delay))
-    }
-
     /// Run one gray-failure experiment: detector-routed ingest plus the
     /// hedged scatter-gather query plane. See the module docs for the
     /// moving parts; every stream is seeded and the run replays bit for
@@ -272,133 +204,23 @@ impl Cluster {
         }
         let plans: Vec<FaultPlan> = (0..shards).map(|s| fleet.plan(s)).collect();
 
+        // The ingest plane is the shared fleet run: the oracle only ever
+        // learns about blackouts, so under a pure fail-slow fault it keeps
+        // every timeline healthy — that blindness is the baseline. The
+        // accrual detector demotes the victim, and the run rebalances its
+        // arrivals to the replica host by the graded weight.
+        let timelines = self.detect(&fleet, &link, gray.bytes_per_row, &planner)?;
+        let ingest = self.simulate(&fleet, &link, &timelines, &planner)?;
+
         // Query-plane pricing: each shard's partial scan in virtual
         // bytes, served at the planner's projected scan bandwidth.
         let scan_bw = Self::machine_scan_bw(&planner).max(1.0);
-        let scan_secs: Vec<f64> = self
+        let max_scan = self
             .machines
             .iter()
             .map(|m| m.virtual_scan_bytes(gray.bytes_per_row) as f64 / scan_bw)
-            .collect();
-        let max_scan = scan_secs.iter().fold(0.0_f64, |a, &b| a.max(b));
+            .fold(0.0_f64, f64::max);
         let healthy_rtt = 2.0 * cfg.interconnect.latency_seconds;
-
-        // Detector replay per shard. The oracle only ever learns about
-        // blackouts, so under a pure fail-slow fault it keeps every
-        // timeline healthy — that blindness is the baseline.
-        let mut timelines = Vec::with_capacity(shards);
-        for s in 0..shards {
-            if plans[s].is_empty() || det.mode == DetectorMode::Oracle {
-                timelines.push(HealthTimeline::healthy());
-                continue;
-            }
-            let terminals = self.observe_shard(s as u32, &plans[s], &planner)?;
-            let plan = &plans[s];
-            let probe = |t: f64| {
-                2.0 * cfg.interconnect.latency_seconds_at(t, &link)
-                    + scan_secs[s] / plan.state_at(&machine, t).service_scale().max(1e-9)
-            };
-            timelines.push(HealthTimeline::replay(
-                &det,
-                cfg.horizon,
-                healthy_rtt + scan_secs[s],
-                probe,
-                &terminals,
-            ));
-        }
-
-        // Ingest plane, pass 2: replay the arrivals with the detector's
-        // graded weights. A demoted shard keeps `weight` of its new
-        // arrivals; the rest rebalance to the replica host, paying the
-        // (possibly jittered) interconnect for the payload hop.
-        let mut routed: Vec<Vec<JobSpec>> = (0..shards)
-            .map(|s| self.shard_plan(s as u32, &planner).jobs())
-            .collect();
-        let routed_counts: Vec<u64> = routed.iter().map(|v| v.len() as u64).collect();
-        let mut rebalanced_from = vec![0u64; shards];
-        let mut rebalanced_to = vec![0u64; shards];
-        let mut transfer_in = vec![0.0_f64; shards];
-        for s in 0..shards {
-            if !timelines[s].ever_degraded() {
-                continue;
-            }
-            let Some(peer) = self.map.replica_of(s as u32).filter(|_| cfg.replicate) else {
-                continue;
-            };
-            let jobs = std::mem::take(&mut routed[s]);
-            let mut stay = Vec::with_capacity(jobs.len());
-            for (i, mut job) in jobs.into_iter().enumerate() {
-                let weight = timelines[s].weight_at(job.arrival, &det);
-                if weight >= 1.0 || ShardMap::rebalance_draw(cfg.seed, s as u32, i as u64) < weight
-                {
-                    stay.push(job);
-                } else {
-                    let hop =
-                        cfg.interconnect
-                            .transfer_seconds_at(cfg.unit_bytes, job.arrival, &link);
-                    job.arrival += hop;
-                    transfer_in[peer as usize] += hop;
-                    rebalanced_from[s] += 1;
-                    rebalanced_to[peer as usize] += 1;
-                    routed[peer as usize].push(job);
-                }
-            }
-            routed[s] = stay;
-        }
-        for (s, jobs) in routed.iter_mut().enumerate() {
-            if rebalanced_to[s] > 0 {
-                jobs.sort_by(|x, y| {
-                    x.arrival
-                        .total_cmp(&y.arrival)
-                        .then(x.tenant.cmp(&y.tenant))
-                });
-            }
-        }
-
-        let mut per_shard = Vec::with_capacity(shards);
-        for (s, shard_machine) in self.machines.iter().enumerate() {
-            let config = ServeConfig::surge(&planner)
-                .with_faults(plans[s].clone())
-                .with_slo_classes(cfg.slo);
-            let mut server = QueryServer::new(&shard_machine.store, config);
-            server.submit_all(routed[s].iter().copied());
-            let mut report = server.run()?;
-            let weight_min = if timelines[s].dead_at().is_some() {
-                0.0
-            } else if timelines[s].suspected_at().is_some() {
-                det.demoted_weight
-            } else {
-                1.0
-            };
-            report.fanout = Some(FanoutOutcome {
-                shard: s as u32,
-                role: if rebalanced_from[s] > 0 {
-                    ShardRole::Demoted
-                } else if rebalanced_to[s] > 0 {
-                    ShardRole::Failover
-                } else {
-                    ShardRole::Primary
-                },
-                routed_jobs: routed_counts[s],
-                rerouted_jobs: rebalanced_to[s],
-                rebalanced_jobs: rebalanced_from[s],
-                router_weight: weight_min,
-                transfer_seconds: transfer_in[s],
-            });
-            per_shard.push(report);
-        }
-        let ingest_window_bytes: u64 = per_shard
-            .iter()
-            .flat_map(|r| r.jobs.iter())
-            .filter(|j| j.outcome.is_completed() && j.finished_at <= cfg.horizon)
-            .map(|j| j.bytes)
-            .sum();
-        let ingest_samples: Vec<f64> = per_shard
-            .iter()
-            .flat_map(|r| r.jobs.iter())
-            .filter(|j| j.outcome.is_completed())
-            .map(|j| (j.finished_at - j.arrival).max(0.0))
-            .collect();
 
         // The query plane. Partial *values* are computed once per
         // source — the columnar data is static over the run (ingest is
@@ -562,21 +384,16 @@ impl Cluster {
             q_t += interval;
         }
 
-        let victim = gray.fail_slow.map(|w| w.machine).unwrap_or(usize::MAX);
-        let victim_timeline = timelines.get(victim);
-        let (victim_weight_min, victim_weight_end) = match victim_timeline {
-            Some(tl) => {
-                let min = if tl.dead_at().is_some() {
-                    0.0
-                } else if tl.suspected_at().is_some() {
-                    det.demoted_weight
-                } else {
-                    1.0
-                };
-                (min, tl.weight_at(cfg.horizon, &det))
-            }
-            None => (1.0, 1.0),
-        };
+        // The victim's router weight at the end of the run, and the lowest
+        // it served at.
+        let victim_timeline = gray.fail_slow.and_then(|w| timelines.get(w.machine));
+        let weight_at = |t| victim_timeline.map_or(1.0, |tl| tl.weight_at(t, &det));
+        let victim_weight_end = weight_at(cfg.horizon);
+        let victim_weight_min = victim_timeline
+            .map_or(&[][..], HealthTimeline::transitions)
+            .iter()
+            .map(|(t, _)| weight_at(*t))
+            .fold(victim_weight_end, f64::min);
 
         Ok(GrayReport {
             shards: cfg.shards,
@@ -589,10 +406,10 @@ impl Cluster {
             cleared_at: victim_timeline.and_then(HealthTimeline::cleared_at),
             victim_weight_min,
             victim_weight_end,
-            rebalanced_jobs: rebalanced_from.iter().sum(),
-            ingest_goodput_bytes_per_sec: ingest_window_bytes as f64 / cfg.horizon.max(1e-9),
-            ingest_e2e: Percentiles::of(&ingest_samples),
-            per_shard,
+            rebalanced_jobs: ingest.rerouted_jobs,
+            ingest_goodput_bytes_per_sec: ingest.goodput_bytes_per_sec,
+            ingest_e2e: ingest.e2e,
+            per_shard: ingest.per_shard,
             queries,
             queries_met,
             query_deadline,

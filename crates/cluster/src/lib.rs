@@ -9,6 +9,15 @@
 //! aggregation while ingest load is admitted per shard through the
 //! existing planner.
 //!
+//! Every scenario runs through **one fleet simulation**
+//! ([`cluster`]): the entry points build their faults, a shared detector
+//! step turns them into one [`detector::HealthTimeline`] per shard, and a
+//! shared run routes arrivals by those timelines, serves every machine,
+//! replays per-shard breakers, rolls the fleet up, re-replicates or
+//! garbage-collects, and answers a scrub-guarded verification query. The
+//! chaos fuzzer therefore searches exactly the code the scenario gates
+//! pin.
+//!
 //! Robustness is the point of the design:
 //!
 //! * **Peer replication.** Every shard's columnar partition is copied to
@@ -18,11 +27,13 @@
 //!   checkpoint mirror — and a whole lost machine does not lose data.
 //! * **Failover.** A seeded whole-machine blackout
 //!   ([`pmem_sim::fleet::FleetFaultPlans::with_lost_machine`]) kills one
-//!   shard mid-run; the router re-routes the dead shard's key range to
-//!   its replica (arrivals pay the interconnect transfer), a per-shard
-//!   circuit breaker ([`pmem_serve::CircuitBreaker`]) isolates the
-//!   failure, and a background re-replication pass restores redundancy
-//!   on a surviving peer.
+//!   shard mid-run; its timeline goes `Dead` (after the oracle's fixed
+//!   delay, or at the accrual detector's verdict), the router re-routes
+//!   the dead shard's key range to its replica (arrivals pay the
+//!   interconnect transfer), a per-shard circuit breaker
+//!   ([`pmem_serve::CircuitBreaker`]) isolates the failure, and a
+//!   background re-replication pass restores redundancy on a surviving
+//!   peer.
 //! * **Gray failures.** A machine that *keeps answering slowly* never
 //!   trips a binary breaker, yet drags every scatter-gather query's tail
 //!   behind its slowest partial. The accrual detector
@@ -50,8 +61,9 @@
 //!   path (suspect → demoted weight → full weight), takes its key range
 //!   back, and the extra replica re-replication made is GC'd. The same
 //!   module's chaos runner stacks compositional fault schedules
-//!   ([`pmem_sim::chaos`]) on the full stack and checks the standing
-//!   invariants, for the `pmem-crashmc` fuzzer to search and shrink.
+//!   ([`pmem_sim::chaos`]) on the same fleet run, checks the standing
+//!   invariants, and restores the fleet as built, for the `pmem-crashmc`
+//!   fuzzer to search and shrink.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -32,6 +32,11 @@ pub struct ShardMachine {
     pub committed: i64,
 }
 
+/// Whether every block of `fact` verifies against its sealed checksums.
+pub(crate) fn scrubs_clean(fact: &ColumnarFact) -> bool {
+    fact.scrub().iter().all(|(_, r)| r.is_clean())
+}
+
 /// The Q1.1 predicate/aggregate over one projected tuple — the
 /// committed-data witness the failover tests compare against.
 fn q11_term(orderdate: u32, discount: u8, quantity: u8, extendedprice: u32) -> i64 {
@@ -74,19 +79,26 @@ impl ShardMachine {
     }
 
     /// Install (or refresh) the hosted replica of `source`'s partition.
+    /// `copy` must have been replicated into [`Self::replica_ns`]; a
+    /// refresh releases the copy it replaces.
     pub fn host_replica(&mut self, source: u32, copy: ColumnarFact) {
-        self.replicas.retain(|(s, _)| *s != source);
+        self.drop_replica(source);
         self.replicas.push((source, copy));
     }
 
     /// Garbage-collect the hosted replica of `source` (the rejoin
     /// hand-back path: once the owner's shard is verified caught up, the
     /// extra copy re-replication made is redundant). Returns the bytes
-    /// freed, or `None` if no such replica was hosted.
+    /// freed to [`Self::replica_ns`], or `None` if no such replica was
+    /// hosted.
     pub fn drop_replica(&mut self, source: u32) -> Option<u64> {
         let index = self.replicas.iter().position(|(s, _)| *s == source)?;
         let (_, copy) = self.replicas.remove(index);
-        Some(copy.total_bytes())
+        // Regions do not return their bytes on drop: give back exactly
+        // what `replicate_to` allocated for the copy.
+        let bytes = copy.total_bytes();
+        self.replica_ns.release(bytes);
+        Some(bytes)
     }
 
     /// The hosted replica of shard `source`, if this machine carries one.
@@ -158,5 +170,27 @@ mod tests {
         assert!(freed > 0, "GC reports the bytes it freed");
         assert!(host.replica_of(0).is_none(), "copy gone");
         assert_eq!(host.drop_replica(0), None, "double GC is a no-op");
+    }
+
+    #[test]
+    fn replaced_and_dropped_replicas_return_their_namespace_bytes() {
+        let data = generate(0.001, 5);
+        let parts = ShardMap::new(2).partition(&data);
+        let mut host = ShardMachine::build(1, &parts[1], 0.001, 64 << 20).unwrap();
+        let src = ShardMachine::build(0, &parts[0], 0.001, 32 << 20).unwrap();
+        let start = host.replica_ns().used();
+
+        let copy = src.fact.replicate_to(host.replica_ns()).unwrap();
+        let bytes = copy.total_bytes();
+        host.host_replica(0, copy);
+        assert_eq!(host.replica_ns().used(), start + bytes);
+
+        // A refresh replaces the copy and releases the old one.
+        let refresh = src.fact.replicate_to(host.replica_ns()).unwrap();
+        host.host_replica(0, refresh);
+        assert_eq!(host.replica_ns().used(), start + bytes);
+
+        assert_eq!(host.drop_replica(0), Some(bytes));
+        assert_eq!(host.replica_ns().used(), start, "GC returns every byte");
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! 1. **Blackout.** The victim goes dark over a finite `[at, until)`
 //!    window ([`pmem_sim::fleet::FleetFaultPlans::with_lost_machine`]);
-//!    the router detects (oracle delay or accrual replay) and fails its
-//!    arrivals over to the replica host.
+//!    the cluster's shared detector step (oracle delay or accrual
+//!    replay) declares it dead, and the shared fleet run
+//!    ([`crate::cluster`]) fails its arrivals over to the replica host.
 //! 2. **Rejoin + scrub.** At `until` the machine re-attaches and
 //!    validates its local shard against its sealed
 //!    [`pmem_store::scrub::BlockChecksums`]. The blackout leaves seeded
@@ -21,42 +22,47 @@
 //!    jittered) interconnect and ships *only* the divergent blocks via
 //!    verified copies ([`pmem_ssb::columnar::ColumnarFact::catch_up_from_replica`]).
 //!    Shipped bytes ≪ shard bytes is the point of the protocol.
-//! 4. **Probe-earned weight.** The caught-up shard re-enters the
-//!    accrual detector `Suspect` and re-earns full router weight
-//!    through clean probes ([`HealthTimeline::replay_from`]): demoted
-//!    weight first, full weight at the cleared verdict, at which point
-//!    the replica-served range is handed back and the extra replica
-//!    re-replication made is garbage-collected.
+//! 4. **Probe-earned weight.** The caught-up shard's health timeline
+//!    continues past its death verdict: it re-enters the accrual
+//!    detector `Suspect` and re-earns full router weight through clean
+//!    probes ([`HealthTimeline::replay_from`]); the oracle just waits its
+//!    fixed delay. The fleet run routes by that timeline — demoted
+//!    weight first, full weight at the cleared verdict — and because the
+//!    timeline left `Dead` it hands the range back and garbage-collects
+//!    the extra replica re-replication made.
 //!
 //! A machine that cannot verify its catch-up (bad replica source,
-//! verification refusals) is **never** handed back — it stays failed
-//! over, exactly like the terminal-loss path.
+//! verification refusals) is **never** handed back — its timeline stays
+//! `Dead` and the fleet run writes it off, exactly like the
+//! terminal-loss path.
 //!
 //! The second half of the module is the chaos runner
 //! ([`Cluster::run_chaos`]): it applies a compositional
 //! [`ChaosSchedule`] — media poison + power loss + fail-slow + link
 //! jitter + blackout/rejoin, stacked — to the full serve/cluster stack
-//! and checks the standing invariants (zero committed-data loss, one
-//! partial per key range, the retry ledger drains, bounded p99). The
-//! `pmem-crashmc` fuzz client drives it over hundreds of seeded
-//! schedules and delta-debugs any failure to a minimal reproducer.
+//! through the same detector step and fleet run, so the fuzzer searches
+//! the code the scenario gates pin. It checks the standing invariants
+//! (zero committed-data loss, one partial per key range, the retry
+//! ledger drains, bounded p99), then restores the fleet: dirty shards
+//! are repaired from their ring replicas and a written-off victim's
+//! re-replicated copy is dropped. The `pmem-crashmc` fuzz client drives
+//! it over hundreds of seeded schedules and delta-debugs any failure to
+//! a minimal reproducer.
 
 use pmem_olap::planner::AccessPlanner;
-use pmem_serve::{FanoutOutcome, JobSpec, Percentiles, QueryServer, ServeConfig, ShardRole};
 use pmem_sim::chaos::{ChaosFault, ChaosSchedule};
 use pmem_sim::faults::{FaultEvent, FaultKind};
 use pmem_sim::fleet::{machine_seed, FleetFaultPlans, LinkEvent, LinkPlan};
 use pmem_sim::rng::{splitmix64, SplitMix64};
-use pmem_sim::topology::Machine;
 use pmem_ssb::columnar::{AntiEntropyReport, Column, ColumnarFact};
 use pmem_store::scrub::SCRUB_BLOCK;
-use pmem_store::{Result, StoreError};
+use pmem_store::Result;
 
 use crate::cluster::Cluster;
 use crate::detector::{DetectorMode, HealthState, HealthTimeline};
-use crate::machine::ShardMachine;
-use crate::partition::ShardMap;
-use crate::report::{ChaosReport, RecoveryReport, ScatterGather};
+use crate::gray::GrayConfig;
+use crate::machine::scrubs_clean;
+use crate::report::{ChaosReport, RecoveryReport};
 
 /// Sub-seed salt for the rejoin experiment's link-jitter stream,
 /// distinct from the gray plane's so the two suites draw independent
@@ -84,7 +90,7 @@ pub struct RecoveryConfig {
     pub verify_catch_up: bool,
     /// Virtual bytes each row stands in for when pricing the scrub and
     /// the catch-up transfer (the demo data set is a miniature; see
-    /// [`ShardMachine::virtual_scan_bytes`]).
+    /// [`ShardMachine::virtual_scan_bytes`](crate::machine::ShardMachine::virtual_scan_bytes)).
     pub bytes_per_row: u64,
     /// Seeded interconnect-jitter windows over the horizon.
     pub link_windows: u32,
@@ -119,19 +125,6 @@ impl RecoveryConfig {
     }
 }
 
-/// The shard's Q1.1 partial — but only if its blocks verify against the
-/// sealed checksums right now. A primary serving unverified blocks
-/// returns garbage, not an answer; the guard scores it `None` so the
-/// aggregate-vs-reference invariant flags it (an unchecked scan of a
-/// poisoned region would abort the whole simulated machine instead).
-fn guarded_partial(fact: &ColumnarFact) -> Option<i64> {
-    if fact.scrub().iter().all(|(_, r)| r.is_clean()) {
-        Some(ShardMachine::q11_partial(fact))
-    } else {
-        None
-    }
-}
-
 /// Inject `sites` seeded uncorrectable media errors into `fact`, each at
 /// a column/offset drawn from `seed`. Returns newly poisoned XPLines.
 fn inject_seeded_poison(fact: &mut ColumnarFact, seed: u64, sites: u32) -> u64 {
@@ -158,70 +151,6 @@ fn inject_poison_at(fact: &mut ColumnarFact, column: u32, block: u64) {
 }
 
 impl Cluster {
-    /// Borrow shard `shard`'s machine mutably together with the replica
-    /// of its partition hosted by its ring successor (the split-borrow
-    /// the catch-up path needs). Errors if no replica exists.
-    fn with_replica<R>(
-        &mut self,
-        shard: u32,
-        f: impl FnOnce(&mut ShardMachine, &ColumnarFact) -> Result<R>,
-    ) -> Result<R> {
-        let peer = self.map.replica_of(shard).ok_or(StoreError::OutOfBounds {
-            offset: u64::from(shard),
-            len: 0,
-            capacity: u64::from(self.cfg.shards),
-        })?;
-        let (a, b) = {
-            let (lo, hi) = (shard.min(peer) as usize, shard.max(peer) as usize);
-            let (head, tail) = self.machines.split_at_mut(hi);
-            (&mut head[lo], &mut tail[0])
-        };
-        let (target, host) = if shard < peer { (a, b) } else { (b, a) };
-        let replica = host.replica_of(shard).ok_or(StoreError::OutOfBounds {
-            offset: u64::from(shard),
-            len: 0,
-            capacity: 0,
-        })?;
-        f(target, replica)
-    }
-
-    /// Scatter-gather with the scrub guard of [`guarded_partial`]: a
-    /// primary whose blocks no longer verify contributes a zero partial
-    /// (surfacing as an aggregate mismatch) instead of scanning
-    /// unverified bytes.
-    fn guarded_scatter_gather(&self, lost: Option<u32>) -> ScatterGather {
-        let cfg = &self.cfg;
-        let mut partials = vec![0i64; cfg.shards as usize];
-        let mut lost_rows = 0;
-        let mut replica_served_rows = 0;
-        let mut transfer_seconds = 2.0 * cfg.shards as f64 * cfg.interconnect.latency_seconds;
-        for (s, machine) in self.machines.iter().enumerate() {
-            if lost == Some(s as u32) {
-                let replica = self
-                    .map
-                    .replica_of(s as u32)
-                    .and_then(|peer| self.machines[peer as usize].replica_of(s as u32));
-                match replica.and_then(guarded_partial) {
-                    Some(partial) => {
-                        partials[s] = partial;
-                        replica_served_rows += machine.rows;
-                        transfer_seconds += cfg.interconnect.latency_seconds;
-                    }
-                    None => lost_rows += machine.rows,
-                }
-            } else {
-                partials[s] = guarded_partial(&machine.fact).unwrap_or(0);
-            }
-        }
-        ScatterGather {
-            aggregate: partials.iter().sum(),
-            partials,
-            lost_rows,
-            replica_served_rows,
-            transfer_seconds,
-        }
-    }
-
     /// Run the full rejoin arc: blackout → failover → scrub →
     /// anti-entropy catch-up → probe-earned weight → range hand-back +
     /// replica GC. See the module docs. Every stream is seeded; the run
@@ -244,14 +173,11 @@ impl Cluster {
         );
 
         // The blackout is a *window*: the machine comes back at `until`.
+        // Detection cannot know that, so it reaches the same death
+        // verdict the terminal-loss path would.
         let fleet = FleetFaultPlans::healthy(shards).with_lost_machine(v, at, until);
-
-        // Detection and failover, same verdict the terminal-loss path
-        // would reach (the detector cannot know the window will close).
-        let detect_at = match det.mode {
-            DetectorMode::Oracle => at + det.oracle_delay,
-            DetectorMode::Accrual => self.accrual_blackout_detect_at(victim, at)?,
-        };
+        let mut timelines = self.detect(&fleet, &link, rcfg.bytes_per_row, &planner)?;
+        let detect_at = timelines[v].dead_at().unwrap_or(at + det.oracle_delay);
 
         // The blackout leaves seeded media damage on the victim's shard.
         let poisoned_lines = inject_seeded_poison(
@@ -296,216 +222,34 @@ impl Cluster {
         // Rejoin step 3: earn the traffic back. The rejoined shard
         // re-enters the detector `Suspect` and must clear the probe
         // dwell; the oracle just waits its fixed delay. A shard that
-        // could not verify its catch-up is never handed back.
+        // could not verify its catch-up is never handed back: its
+        // timeline stays `Dead` and the fleet run writes it off.
         let full_weight_at = if !caught_up {
             None
+        } else if det.mode == DetectorMode::Oracle {
+            let back_at = ready_at + det.oracle_delay;
+            timelines[v].extend(&[(back_at, HealthState::Healthy)]);
+            Some(back_at)
         } else {
-            match det.mode {
-                DetectorMode::Oracle => Some(ready_at + det.oracle_delay),
-                DetectorMode::Accrual => {
-                    let scan = virtual_bytes as f64 / scan_bw;
-                    let healthy_rtt = 2.0 * cfg.interconnect.latency_seconds;
-                    let plan = fleet.plan(v);
-                    let machine = Machine::paper_default();
-                    let probe = |t: f64| {
-                        2.0 * cfg.interconnect.latency_seconds_at(t, &link)
-                            + scan / plan.state_at(&machine, t).service_scale().max(1e-9)
-                    };
-                    HealthTimeline::replay_from(
-                        &det,
-                        ready_at,
-                        HealthState::Suspect,
-                        cfg.horizon.max(ready_at + 10.0 * det.probe_interval),
-                        healthy_rtt + scan,
-                        probe,
-                        &[],
-                    )
-                    .cleared_at()
-                }
-            }
+            let plan = fleet.plan(v);
+            let (baseline, probe) =
+                self.probe_pricing(v, &plan, &link, rcfg.bytes_per_row, &planner);
+            let back = HealthTimeline::replay_from(
+                &det,
+                ready_at,
+                HealthState::Suspect,
+                cfg.horizon.max(ready_at + 10.0 * det.probe_interval),
+                baseline,
+                probe,
+                &[],
+            );
+            timelines[v].extend(back.transitions());
+            back.cleared_at()
         };
 
-        // Route: victim keeps pre-detection arrivals; the blackout/
-        // catch-up span fails over to the peer; the demoted span routes
-        // by the detector's graded weight; past full weight the range is
-        // handed back.
-        let mut routed: Vec<Vec<JobSpec>> = (0..shards)
-            .map(|s| self.shard_plan(s as u32, &planner).jobs())
-            .collect();
-        let routed_counts: Vec<u64> = routed.iter().map(|x| x.len() as u64).collect();
-        let mut rerouted = 0u64;
-        let mut handed_back = 0u64;
-        let mut rerouted_to = vec![0u64; shards];
-        let mut transfer_in = vec![0.0_f64; shards];
-        if let Some(peer) = self.map.replica_of(victim).filter(|_| cfg.replicate) {
-            let p = peer as usize;
-            let jobs = std::mem::take(&mut routed[v]);
-            let mut stay = Vec::with_capacity(jobs.len());
-            for (i, mut job) in jobs.into_iter().enumerate() {
-                let a = job.arrival;
-                let keep = if a < detect_at {
-                    true
-                } else if full_weight_at.map(|fw| a >= fw).unwrap_or(false) {
-                    handed_back += 1;
-                    true
-                } else if caught_up && a >= ready_at && det.mode == DetectorMode::Accrual {
-                    // Demoted span: probe-earned partial weight.
-                    let keep =
-                        ShardMap::rebalance_draw(cfg.seed, victim, i as u64) < det.demoted_weight;
-                    if keep {
-                        handed_back += 1;
-                    }
-                    keep
-                } else {
-                    false
-                };
-                if keep {
-                    stay.push(job);
-                } else {
-                    let hop = cfg
-                        .interconnect
-                        .transfer_seconds_at(cfg.unit_bytes, a, &link);
-                    job.arrival += hop;
-                    transfer_in[p] += hop;
-                    rerouted += 1;
-                    rerouted_to[p] += 1;
-                    routed[p].push(job);
-                }
-            }
-            routed[v] = stay;
-            routed[p].sort_by(|x, y| {
-                x.arrival
-                    .total_cmp(&y.arrival)
-                    .then(x.tenant.cmp(&y.tenant))
-            });
-        }
-
-        // Serve every machine over its routed jobs under the windowed
-        // fault plan.
-        let mut per_shard = Vec::with_capacity(shards);
-        for (s, machine) in self.machines.iter().enumerate() {
-            let config = ServeConfig::surge(&planner)
-                .with_faults(fleet.plan(s))
-                .with_slo_classes(cfg.slo);
-            let mut server = QueryServer::new(&machine.store, config);
-            server.submit_all(routed[s].iter().copied());
-            let mut report = server.run()?;
-            let role = if s == v {
-                if caught_up {
-                    ShardRole::Rejoining
-                } else {
-                    ShardRole::Demoted
-                }
-            } else if rerouted_to[s] > 0 {
-                ShardRole::Failover
-            } else {
-                ShardRole::Primary
-            };
-            report.fanout = Some(FanoutOutcome {
-                shard: s as u32,
-                role,
-                routed_jobs: routed_counts[s],
-                rerouted_jobs: rerouted_to[s],
-                rebalanced_jobs: if s == v { rerouted } else { 0 },
-                router_weight: if s != v
-                    || full_weight_at.map(|fw| fw <= cfg.horizon).unwrap_or(false)
-                {
-                    1.0
-                } else if caught_up {
-                    det.demoted_weight
-                } else {
-                    0.0
-                },
-                transfer_seconds: transfer_in[s],
-            });
-            per_shard.push(report);
-        }
-
-        // Fleet rollup. A rejoined machine's makespan counts like any
-        // other; only a never-handed-back victim is written off at its
-        // last completion (the terminal-loss rule).
-        let makespan = per_shard
-            .iter()
-            .enumerate()
-            .map(|(s, r)| {
-                if s == v && !caught_up {
-                    r.jobs
-                        .iter()
-                        .filter(|j| j.outcome.is_completed())
-                        .map(|j| j.finished_at)
-                        .fold(detect_at, f64::max)
-                } else {
-                    r.makespan
-                }
-            })
-            .fold(0.0_f64, f64::max);
-        let window_bytes: u64 = per_shard
-            .iter()
-            .flat_map(|r| r.jobs.iter())
-            .filter(|j| j.outcome.is_completed() && j.finished_at <= cfg.horizon)
-            .map(|j| j.bytes)
-            .sum();
-        let e2e_samples: Vec<f64> = per_shard
-            .iter()
-            .flat_map(|r| r.jobs.iter())
-            .filter(|j| j.outcome.is_completed())
-            .map(|j| (j.finished_at - j.arrival).max(0.0))
-            .collect();
-        let jobs: u64 = routed_counts.iter().sum();
-        let completed: u64 = per_shard
-            .iter()
-            .flat_map(|r| r.jobs.iter())
-            .filter(|j| j.outcome.is_completed())
-            .count() as u64;
-        let shed: u64 = per_shard.iter().map(|r| r.shed_jobs() as u64).sum();
-
-        // Redundancy: re-replication starts at detection exactly like
-        // the terminal-loss path (the router cannot know the machine
-        // will be back); once the rejoin verifies, the extra copy is
-        // garbage-collected and the steady ring replica remains the only
-        // one.
-        let mut rereplicated_bytes = 0;
-        let mut replica_gc_bytes = 0;
-        if cfg.replicate && cfg.shards >= 3 {
-            if let Some(peer) = self.map.replica_of(victim) {
-                let mut target = (peer + 1) % cfg.shards;
-                if target == victim {
-                    target = (target + 1) % cfg.shards;
-                }
-                let copy = {
-                    let host = &self.machines[peer as usize];
-                    let replica = host.replica_of(victim).ok_or(StoreError::OutOfBounds {
-                        offset: u64::from(victim),
-                        len: 0,
-                        capacity: 0,
-                    })?;
-                    // A damaged replica must never be the *source* of a
-                    // new copy: refuse the re-replication rather than
-                    // propagate unverifiable bytes.
-                    match replica.replicate_to(self.machines[target as usize].replica_ns()) {
-                        Ok(copy) => Some(copy),
-                        Err(StoreError::Poisoned { .. }) => None,
-                        Err(e) => return Err(e),
-                    }
-                };
-                if let Some(copy) = copy {
-                    rereplicated_bytes = copy.total_bytes();
-                    self.machines[target as usize].host_replica(victim, copy);
-                    if caught_up {
-                        replica_gc_bytes = self.machines[target as usize]
-                            .drop_replica(victim)
-                            .unwrap_or(0);
-                    }
-                }
-            }
-        }
-
-        // Verification query: a caught-up victim serves its own range
-        // again; otherwise the replica still covers it.
-        let query = self.guarded_scatter_gather(if caught_up { None } else { Some(victim) });
-
+        let run = self.simulate(&fleet, &link, &timelines, &planner)?;
         Ok(RecoveryReport {
-            shards: cfg.shards,
+            fleet: run,
             victim,
             mode: det.mode,
             verified: verify,
@@ -521,19 +265,6 @@ impl Cluster {
             ready_at,
             caught_up,
             full_weight_at,
-            rerouted_jobs: rerouted,
-            handed_back_jobs: handed_back,
-            rereplicated_bytes,
-            replica_gc_bytes,
-            per_shard,
-            makespan,
-            goodput_bytes_per_sec: window_bytes as f64 / cfg.horizon.max(1e-9),
-            e2e: Percentiles::of(&e2e_samples),
-            jobs,
-            completed,
-            shed,
-            query,
-            reference: self.reference,
         })
     }
 
@@ -543,12 +274,12 @@ impl Cluster {
     /// regression (`clean` asserted without evidence) the fuzzer must
     /// rediscover.
     ///
-    /// The runner routes blackout failover with the oracle delay
-    /// regardless of detector mode: detector quality is the gray and
-    /// rejoin suites' subject; this plane's subject is data-loss,
-    /// partial-count, ledger, and tail invariants under stacked faults.
-    /// The cluster is restored to a clean, fully-replicated state before
-    /// returning, so one built cluster serves an entire fuzz campaign.
+    /// The schedule's faults go through the same detector step and fleet
+    /// run as every other scenario; this runner adds only the media plane
+    /// (poison and catch-up, before the run) and the restore after it.
+    /// The cluster is restored to a clean state with exactly its ring
+    /// replicas before returning, so one built cluster serves an entire
+    /// fuzz campaign.
     pub fn run_chaos(&mut self, schedule: &ChaosSchedule, verify: bool) -> Result<ChaosReport> {
         let cfg = self.cfg;
         let planner = AccessPlanner::paper_default();
@@ -619,36 +350,23 @@ impl Cluster {
                 && self
                     .map
                     .replica_of(m32)
-                    .map(|peer| self.machines[peer as usize].replica_of(m32).is_some())
-                    .unwrap_or(false);
-            if victim == Some(m) {
-                let diff =
-                    if has_replica {
-                        Some(self.with_replica(m32, |machine, replica| {
-                            machine.fact.diff_blocks(replica)
-                        })?)
-                    } else {
-                        None
-                    };
-                for &(pm, column, block) in poisons.iter().filter(|p| p.0 == m) {
-                    let _ = pm;
-                    inject_poison_at(&mut self.machines[m].fact, column, block);
-                }
-                if let Some(diff) = diff {
-                    catch_up = Some(self.with_replica(m32, |machine, replica| {
-                        machine.fact.apply_diff(replica, &diff, verify)
-                    })?);
-                }
+                    .is_some_and(|peer| self.machines[peer as usize].replica_of(m32).is_some());
+            let diff = if victim == Some(m) && has_replica {
+                Some(self.with_replica(m32, |machine, replica| machine.fact.diff_blocks(replica))?)
             } else {
-                for &(pm, column, block) in poisons.iter().filter(|p| p.0 == m) {
-                    let _ = pm;
-                    inject_poison_at(&mut self.machines[m].fact, column, block);
-                }
-                if has_replica {
-                    let _ = self.with_replica(m32, |machine, replica| {
-                        machine.fact.catch_up_from_replica(replica, verify)
-                    })?;
-                }
+                None
+            };
+            for &(_, column, block) in poisons.iter().filter(|p| p.0 == m) {
+                inject_poison_at(&mut self.machines[m].fact, column, block);
+            }
+            if let Some(diff) = diff {
+                catch_up = Some(self.with_replica(m32, |machine, replica| {
+                    machine.fact.apply_diff(replica, &diff, verify)
+                })?);
+            } else if victim != Some(m) && has_replica {
+                self.with_replica(m32, |machine, replica| {
+                    machine.fact.catch_up_from_replica(replica, verify)
+                })?;
             }
         }
         // A blackout victim with no media damage still runs the rejoin
@@ -660,78 +378,32 @@ impl Cluster {
                 })?);
             }
         }
-        let rejoined = match (blackout, catch_up) {
-            (Some(_), Some(report)) => report.is_fully_caught_up(),
-            (Some(_), None) => false,
-            (None, _) => false,
-        };
+        let rejoined = blackout.is_some()
+            && catch_up
+                .as_ref()
+                .is_some_and(AntiEntropyReport::is_fully_caught_up);
 
-        // Serve plane: route the blackout victim's post-detection
-        // arrivals to its replica host until the rejoin instant, then
-        // hand the range back if (and only if) the catch-up verified.
-        let mut routed: Vec<Vec<JobSpec>> = (0..shards)
-            .map(|s| self.shard_plan(s as u32, &planner).jobs())
-            .collect();
-        let submitted: u64 = routed.iter().map(|x| x.len() as u64).sum();
-        let mut rerouted_to = vec![0u64; shards];
-        if let Some((m, b_at, b_until)) = blackout {
-            let detect_at = b_at + cfg.detector.oracle_delay;
-            if let Some(peer) = self.map.replica_of(m as u32).filter(|_| cfg.replicate) {
-                let p = peer as usize;
-                let jobs = std::mem::take(&mut routed[m]);
-                let mut stay = Vec::with_capacity(jobs.len());
-                for mut job in jobs {
-                    let a = job.arrival;
-                    if a < detect_at || (rejoined && a >= b_until) {
-                        stay.push(job);
-                    } else {
-                        job.arrival +=
-                            cfg.interconnect
-                                .transfer_seconds_at(cfg.unit_bytes, a, &link);
-                        rerouted_to[p] += 1;
-                        routed[p].push(job);
-                    }
-                }
-                routed[m] = stay;
-                routed[p].sort_by(|x, y| {
-                    x.arrival
-                        .total_cmp(&y.arrival)
-                        .then(x.tenant.cmp(&y.tenant))
-                });
-            }
+        // Serve plane: the shared fleet run. A victim whose catch-up
+        // verified takes its range back at the rejoin instant (or at
+        // detection, if the window closed before the router noticed).
+        let mut timelines =
+            self.detect(&fleet, &link, GrayConfig::demo().bytes_per_row, &planner)?;
+        if let (Some((m, _, b_until)), true) = (blackout, rejoined) {
+            timelines[m].extend(&[(b_until, HealthState::Healthy)]);
         }
-        let mut per_shard_jobs = 0u64;
-        let mut completed = 0u64;
-        let mut shed = 0u64;
-        let mut e2e_samples = Vec::new();
-        for (s, machine) in self.machines.iter().enumerate() {
-            let config = ServeConfig::surge(&planner)
-                .with_faults(fleet.plan(s))
-                .with_slo_classes(cfg.slo);
-            let mut server = QueryServer::new(&machine.store, config);
-            server.submit_all(routed[s].iter().copied());
-            let report = server.run()?;
-            // Ledger conservation: every submitted job must reach a
-            // terminal record — completed or shed, never silently gone.
-            per_shard_jobs += report.jobs.len() as u64;
-            shed += report.shed_jobs() as u64;
-            for j in &report.jobs {
-                if j.outcome.is_completed() {
-                    completed += 1;
-                    e2e_samples.push((j.finished_at - j.arrival).max(0.0));
-                }
-            }
-        }
-        let ledger_outstanding = submitted as i64 - per_shard_jobs as i64;
+        let run = self.simulate(&fleet, &link, &timelines, &planner)?;
+        // Ledger conservation: every submitted job must reach a terminal
+        // record — completed or shed, never silently gone.
+        let terminal: u64 = run.per_shard.iter().map(|r| r.jobs.len() as u64).sum();
+        let ledger_outstanding = run.jobs as i64 - terminal as i64;
 
         // Invariant accounting happens *before* the restore: dirty
         // blocks on any serving primary (a rejoined victim included) are
-        // a hand-back violation, and the guarded scatter-gather turns
+        // a hand-back violation, and the guarded scatter-gather turned
         // them into an aggregate mismatch.
         let mut handed_back_dirty_blocks = 0u64;
         for (s, machine) in self.machines.iter().enumerate() {
-            let serving = victim != Some(s) || rejoined;
-            if serving {
+            if victim != Some(s) || rejoined {
                 handed_back_dirty_blocks += machine
                     .fact
                     .scrub()
@@ -740,44 +412,41 @@ impl Cluster {
                     .sum::<u64>();
             }
         }
-        let lost = victim.filter(|_| !rejoined).map(|m| m as u32);
-        let query = self.guarded_scatter_gather(lost);
-        let partials_counted = query.partials.len() as u64;
+        let partials_counted = run.query.partials.len() as u64;
 
         // Restore the fleet for the next schedule: force a *verified*
-        // repair on anything still dirty so one built cluster can absorb
-        // an entire fuzz campaign.
+        // repair on anything still dirty, and drop every replica that is
+        // not a ring replica (a written-off victim's re-replicated copy),
+        // so one built cluster can absorb an entire fuzz campaign.
         for m in 0..shards {
-            let dirty = self.machines[m]
-                .fact
-                .scrub()
-                .iter()
-                .any(|(_, r)| !r.is_clean());
-            if dirty {
+            if !scrubs_clean(&self.machines[m].fact) {
                 self.with_replica(m as u32, |machine, replica| {
                     machine.fact.repair_from_replica(replica).map(|_| ())
                 })?;
             }
+            let strays: Vec<u32> = self.machines[m]
+                .replicas
+                .iter()
+                .map(|(source, _)| *source)
+                .filter(|source| self.map.replica_of(*source) != Some(m as u32))
+                .collect();
+            for source in strays {
+                self.machines[m].drop_replica(source);
+            }
         }
 
         Ok(ChaosReport {
+            fleet: run,
             seed: schedule.seed,
             events: schedule.len(),
-            shards: cfg.shards,
             blackout,
             rejoined,
             catch_up,
             handed_back_dirty_blocks,
             worst_window,
             deadline: cfg.deadline,
-            jobs: submitted,
-            completed,
-            shed,
             ledger_outstanding,
-            e2e: Percentiles::of(&e2e_samples),
             partials_counted,
-            query,
-            reference: self.reference,
         })
     }
 }

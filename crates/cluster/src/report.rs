@@ -13,9 +13,9 @@ use crate::detector::DetectorMode;
 pub struct ShardOutcome {
     /// Shard index.
     pub shard: u32,
-    /// Jobs routed here as primary.
+    /// Arrivals of the key range this shard owns, before any re-routing.
     pub routed: u64,
-    /// Jobs re-routed here after a peer died.
+    /// Jobs moved here from a dead or demoted peer.
     pub rerouted: u64,
     /// Jobs that ran to completion.
     pub completed: u64,
@@ -68,16 +68,21 @@ pub struct ClusterReport {
     pub completed: u64,
     /// Jobs shed fleet-wide.
     pub shed: u64,
-    /// Jobs re-routed off the lost shard.
+    /// Jobs the router moved off their home shard to its replica host
+    /// (failover off a dead shard, or rebalancing off a demoted one).
     pub rerouted_jobs: u64,
+    /// Jobs a shard kept after its death verdict because its timeline
+    /// came back (demoted-span keeps plus post-full-weight hand-backs).
+    pub handed_back_jobs: u64,
     /// Cluster-level per-shard breaker trips, summed.
     pub shard_breaker_trips: u32,
-    /// The shard the fault plan killed, if any.
+    /// The shard the detector declared dead, if any.
     pub lost_shard: Option<u32>,
     /// Virtual time the router detected the loss and re-routed.
     pub failover_at: Option<f64>,
-    /// The scatter-gather verification query the router ran after the
-    /// run (Q1.1 partial aggregation over every key range).
+    /// The scrub-guarded scatter-gather verification query the router
+    /// ran after the run (Q1.1 partial aggregation over every key range;
+    /// a written-off shard's range is read from its replica).
     pub query: ScatterGather,
     /// Ground-truth committed aggregate (from the generated rows).
     pub reference: i64,
@@ -85,6 +90,9 @@ pub struct ClusterReport {
     pub rereplicated_bytes: u64,
     /// Virtual time redundancy was restored (failover + transfer).
     pub redundancy_restored_at: Option<f64>,
+    /// Bytes of the re-replicated copy garbage-collected after the dead
+    /// shard came back and took its range back.
+    pub replica_gc_bytes: u64,
 }
 
 impl ClusterReport {
@@ -275,13 +283,16 @@ impl std::fmt::Display for GrayReport {
     }
 }
 
-/// The outcome of one rejoin experiment ([`crate::recovery`]): the full
-/// blackout → scrub → anti-entropy → hand-back arc, with the serve
-/// plane's fleet rollup alongside the recovery-plane accounting.
+/// The outcome of one rejoin experiment ([`crate::recovery`]): the
+/// recovery-plane accounting of the blackout → scrub → anti-entropy →
+/// hand-back arc, viewed over the fleet run it drove (every
+/// [`ClusterReport`] field and method reads through `Deref`).
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
-    /// Shards in the fleet.
-    pub shards: u32,
+    /// The fleet run: per-shard serve reports (the victim is
+    /// `Rejoining`), rollup, re-replication + GC, and the guarded
+    /// verification query.
+    pub fleet: ClusterReport,
     /// The machine that blacked out and rejoined.
     pub victim: u32,
     /// Detector mode the run routed under.
@@ -317,62 +328,17 @@ pub struct RecoveryReport {
     /// When the victim re-earned full router weight (probe-cleared), if
     /// it did within the replayed window. `None` = never handed back.
     pub full_weight_at: Option<f64>,
-    /// Victim arrivals failed over to the replica host.
-    pub rerouted_jobs: u64,
-    /// Victim arrivals routed back to it after `ready_at` (demoted-span
-    /// keeps + post-full-weight hand-backs).
-    pub handed_back_jobs: u64,
-    /// Bytes re-replication copied at detection.
-    pub rereplicated_bytes: u64,
-    /// Bytes of the extra replica garbage-collected after the verified
-    /// hand-back.
-    pub replica_gc_bytes: u64,
-    /// Per-shard serve reports, fan-out roles attached (the victim is
-    /// `Rejoining`).
-    pub per_shard: Vec<ServeReport>,
-    /// Longest shard makespan.
-    pub makespan: f64,
-    /// Whole-window goodput (completed bytes in `[0, horizon]` / horizon).
-    pub goodput_bytes_per_sec: f64,
-    /// End-to-end latency percentiles over completed jobs fleet-wide.
-    pub e2e: Percentiles,
-    /// Jobs routed across the fleet.
-    pub jobs: u64,
-    /// Jobs completed fleet-wide.
-    pub completed: u64,
-    /// Jobs shed fleet-wide.
-    pub shed: u64,
-    /// The guarded scatter-gather verification query after the run.
-    pub query: ScatterGather,
-    /// Ground-truth committed aggregate.
-    pub reference: i64,
+}
+
+impl std::ops::Deref for RecoveryReport {
+    type Target = ClusterReport;
+
+    fn deref(&self) -> &ClusterReport {
+        &self.fleet
+    }
 }
 
 impl RecoveryReport {
-    /// Zero committed-data loss: every key range served by a verified
-    /// source and the aggregate matches the committed ground truth.
-    pub fn data_intact(&self) -> bool {
-        self.query.lost_rows == 0 && self.query.aggregate == self.reference
-    }
-
-    /// Whole-window goodput in GiB/s.
-    pub fn goodput_gib_s(&self) -> f64 {
-        self.goodput_bytes_per_sec / (1u64 << 30) as f64
-    }
-
-    /// Goodput over the sub-window `(from, until]` only (see
-    /// [`ClusterReport::goodput_in_window`]).
-    pub fn goodput_in_window(&self, from: f64, until: f64) -> f64 {
-        let bytes: u64 = self
-            .per_shard
-            .iter()
-            .flat_map(|r| r.jobs.iter())
-            .filter(|j| j.outcome.is_completed() && j.finished_at > from && j.finished_at <= until)
-            .map(|j| j.bytes)
-            .sum();
-        bytes as f64 / (until - from).max(1e-9)
-    }
-
     /// Seconds from the rejoin instant to full router weight, if the
     /// shard got there.
     pub fn time_to_full_weight(&self) -> Option<f64> {
@@ -455,16 +421,18 @@ impl std::fmt::Display for RecoveryReport {
 }
 
 /// The outcome of one chaos schedule ([`crate::recovery`]'s
-/// `run_chaos`): the serve/cluster stack under a stacked multi-fault
-/// schedule, with the standing invariants accounted.
+/// `run_chaos`): the standing-invariant accounting of a stacked
+/// multi-fault schedule, viewed over the fleet run it drove (every
+/// [`ClusterReport`] field and method reads through `Deref`).
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
+    /// The fleet run: jobs, completions, sheds, latency, and the guarded
+    /// verification query.
+    pub fleet: ClusterReport,
     /// Seed of the schedule that ran.
     pub seed: u64,
     /// Events in the schedule.
     pub events: usize,
-    /// Shards in the fleet.
-    pub shards: u32,
     /// The blackout/rejoin window, if the schedule stacked one:
     /// `(machine, at, until)`.
     pub blackout: Option<(usize, f64, f64)>,
@@ -482,24 +450,20 @@ pub struct ChaosReport {
     pub worst_window: f64,
     /// Per-job deadline the cluster ran under.
     pub deadline: f64,
-    /// Jobs submitted across the fleet after routing.
-    pub jobs: u64,
-    /// Jobs completed.
-    pub completed: u64,
-    /// Jobs shed (terminal, accounted).
-    pub shed: u64,
     /// Submitted jobs minus terminal records. Invariant: 0 — the ledger
     /// drains, nothing is silently dropped.
     pub ledger_outstanding: i64,
-    /// End-to-end latency percentiles over completed jobs.
-    pub e2e: Percentiles,
     /// Partials the verification query counted. Invariant: exactly one
     /// per key range.
     pub partials_counted: u64,
-    /// The guarded scatter-gather verification query.
-    pub query: ScatterGather,
-    /// Ground-truth committed aggregate.
-    pub reference: i64,
+}
+
+impl std::ops::Deref for ChaosReport {
+    type Target = ClusterReport;
+
+    fn deref(&self) -> &ClusterReport {
+        &self.fleet
+    }
 }
 
 impl ChaosReport {

@@ -11,7 +11,7 @@
 //! [`ClassReport::met_fraction`] — and moves the knobs by
 //! **additive-increase / multiplicative-decrease**:
 //!
-//! * any defended class violating its [`ClassTarget`] (windowed p99 over
+//! * any defended class violating its [`ClassTarget`](crate::ClassTarget) (windowed p99 over
 //!   the objective, or met fraction under the gate) → cut the knobs
 //!   multiplicatively: halve the ingress queue cap and the retry
 //!   fraction, trip brownout earlier, shrink tenant bursts, pull the

@@ -370,8 +370,8 @@ pub struct FanoutOutcome {
     /// Jobs the router moved *away* from this shard while the failure
     /// detector had it demoted (graded rebalancing, not failover).
     pub rebalanced_jobs: u64,
-    /// The lowest router weight this shard served at during the run
-    /// (1.0 = never demoted, 0.0 = declared dead).
+    /// This shard's router weight at the end of the offered window
+    /// (1.0 = full weight, 0.0 = declared dead).
     pub router_weight: f64,
     /// Interconnect seconds spent moving re-routed payloads here.
     pub transfer_seconds: f64,

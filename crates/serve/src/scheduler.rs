@@ -6,7 +6,7 @@
 //! rows, operator counters, and measured traffic. The *virtual* plane
 //! replays the jobs through a discrete-event loop: at every instant each
 //! socket's admitted reader/writer thread mix determines the progress
-//! rates via [`Simulation::evaluate_mixed`] (the Figure 11 surface), and
+//! rates via [`Simulation::evaluate_mixed`](pmem_sim::Simulation::evaluate_mixed) (the Figure 11 surface), and
 //! the admission controller decides who may join the mix. Queue waits,
 //! execution times, and bandwidth figures all come from the virtual plane;
 //! rows and counters from the real one.

@@ -1,6 +1,6 @@
 //! A durable, crash-consistent checkpoint for columnar `lineorder` data.
 //!
-//! [`ColumnarFact`] is rebuilt from the generator on every start; this
+//! [`ColumnarFact`](crate::columnar::ColumnarFact) is rebuilt from the generator on every start; this
 //! module adds the missing durability story: tuples are checkpointed into a
 //! single PMEM region with an A/B manifest, and [`CheckpointStore::open`]
 //! recovers the durable prefix after a crash.

@@ -12,7 +12,7 @@
 //!
 //! [`apply_media_plan`] bridges the simulator's fault timeline into real
 //! poisoned bytes: each [`MediaHit`] drawn by the seeded
-//! [`FaultPlan`](pmem_sim::faults::FaultPlan) lands on the shard of its
+//! [`FaultPlan`] lands on the shard of its
 //! socket, at a deterministic XPLine-aligned offset within the fact
 //! region.
 

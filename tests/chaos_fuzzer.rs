@@ -10,7 +10,7 @@
 
 #![allow(clippy::unwrap_used)]
 
-use pmem_crashmc::chaos::{fuzz_cluster, run_one, shrink_failure, ChaosFuzzConfig};
+use pmem_crashmc::chaos::{build_cluster, fuzz_cluster, run_one, shrink_failure, ChaosFuzzConfig};
 use pmem_sim::chaos::ChaosFault;
 
 #[test]
@@ -119,6 +119,53 @@ fn fuzzer_rediscovers_the_planted_regression_and_shrinks_it() {
         report.violations(outcome.healthy_p99).is_empty(),
         "verification closes the reproducer: {report}"
     );
+}
+
+#[test]
+fn chaos_campaign_hands_the_fleet_back_as_built() {
+    // One built cluster absorbs a whole campaign, so every schedule must
+    // leave it as it was built: exactly the ring replicas (a written-off
+    // victim's re-replicated copy dropped), clean media, and every
+    // replica namespace back at its post-build usage.
+    let cfg = ChaosFuzzConfig::smoke(11, 100);
+    let mut cluster = build_cluster(&cfg).unwrap();
+    let map = cluster.map();
+    let built: Vec<u64> = cluster
+        .machines()
+        .iter()
+        .map(|m| m.replica_ns().used())
+        .collect();
+    for i in 0..cfg.schedules {
+        cluster
+            .run_chaos(&cfg.schedule(i), cfg.verify_catch_up)
+            .unwrap();
+        for (s, machine) in cluster.machines().iter().enumerate() {
+            let sources: Vec<u32> = machine.replicas.iter().map(|(src, _)| *src).collect();
+            assert_eq!(
+                sources.len(),
+                1,
+                "schedule {i}: machine {s} hosts {sources:?}"
+            );
+            assert_eq!(
+                map.replica_of(sources[0]),
+                Some(s as u32),
+                "schedule {i}: machine {s} must host its ring predecessor's replica"
+            );
+            let clean = |fact: &pmem_ssb::columnar::ColumnarFact| {
+                fact.scrub().iter().all(|(_, r)| r.is_clean())
+            };
+            assert!(clean(&machine.fact), "schedule {i}: machine {s} is dirty");
+            assert!(
+                clean(&machine.replicas[0].1),
+                "schedule {i}: machine {s}'s replica is dirty"
+            );
+            assert_eq!(
+                machine.replica_ns().used(),
+                built[s],
+                "schedule {i}: machine {s}'s replica namespace drifted"
+            );
+        }
+    }
 }
 
 #[test]

@@ -240,6 +240,30 @@ fn slo_classes_propagate_through_failover_rerouting() {
 }
 
 #[test]
+fn repeated_failovers_return_every_replaced_replica_byte() {
+    // Each failover re-replicates the victim's partition onto the next
+    // survivor. A second identical failover replaces that copy, and the
+    // replaced copy must give its bytes back: every replica namespace
+    // ends exactly where the first run left it.
+    let mut cluster = fleet(4);
+    let used =
+        |c: &Cluster| -> Vec<u64> { c.machines().iter().map(|m| m.replica_ns().used()).collect() };
+    let first = cluster
+        .run_with_lost_shard(1, BLACKOUT_AT)
+        .expect("first failover");
+    assert!(first.rereplicated_bytes > 0, "the failover re-replicated");
+    let after_first = used(&cluster);
+    cluster
+        .run_with_lost_shard(1, BLACKOUT_AT)
+        .expect("second failover");
+    assert_eq!(
+        used(&cluster),
+        after_first,
+        "a replaced replica leaked its namespace bytes"
+    );
+}
+
+#[test]
 fn cluster_runs_are_seed_deterministic() {
     let run = || {
         let mut cluster = fleet(4);

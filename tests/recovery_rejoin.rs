@@ -11,6 +11,7 @@
 
 use pmem_cluster::{Cluster, ClusterConfig, DetectorConfig, RecoveryConfig};
 use pmem_serve::ShardRole;
+use pmem_sim::chaos::{ChaosEvent, ChaosFault, ChaosSchedule};
 
 /// The master seed: identical seeds must reproduce identical reports.
 const SEED: u64 = 7;
@@ -271,4 +272,48 @@ fn rejoin_runs_are_seed_deterministic() {
         b.goodput_bytes_per_sec.to_bits()
     );
     assert_eq!(a.e2e.p99.to_bits(), b.e2e.p99.to_bits());
+}
+
+#[test]
+fn chaos_restore_drops_a_written_off_shards_extra_copy() {
+    // Under the accrual detector a machine serving at 0.5% of its rate
+    // is declared dead, failed over, written off and re-replicated. The
+    // chaos restore must drop that extra copy and return its bytes: the
+    // cluster leaves the run with exactly its ring replicas.
+    let cfg = ClusterConfig::demo(3, SEED).with_detector(DetectorConfig::accrual());
+    let mut cluster = Cluster::build(cfg).expect("cluster builds");
+    let used =
+        |c: &Cluster| -> Vec<u64> { c.machines().iter().map(|m| m.replica_ns().used()).collect() };
+    let built = used(&cluster);
+    let crawl = ChaosFault::FailSlow {
+        at: 0.02,
+        until: cfg.horizon,
+        factor: 0.005,
+    };
+    let schedule = ChaosSchedule::from_events(
+        1,
+        cfg.horizon,
+        vec![ChaosEvent {
+            machine: 1,
+            fault: crawl,
+        }],
+    );
+    let report = cluster.run_chaos(&schedule, true).expect("chaos run");
+    assert_eq!(report.lost_shard, Some(1), "the crawling machine is dead");
+    assert!(report.rereplicated_bytes > 0, "its range was re-replicated");
+    assert_eq!(
+        report.replica_gc_bytes, 0,
+        "a written-off shard is not GC'd"
+    );
+    assert!(report.data_intact(), "its replica answered for it");
+
+    assert_eq!(used(&cluster), built, "the extra copy returned its bytes");
+    for (s, machine) in cluster.machines().iter().enumerate() {
+        let sources: Vec<u32> = machine.replicas.iter().map(|(src, _)| *src).collect();
+        assert_eq!(
+            sources,
+            vec![(s as u32 + 2) % 3],
+            "machine {s} hosts {sources:?}"
+        );
+    }
 }
