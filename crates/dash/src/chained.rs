@@ -11,6 +11,10 @@
 //! It is also persistence-unaware: plain stores, no flushes — on PMEM it
 //! would not recover from a crash, just like a volatile structure `mmap`ed
 //! onto App Direct memory.
+//!
+//! A table that takes no more writes can be [sealed](ChainedTable::seal)
+//! into a [`SealedChainedTable`], which walks the same chains without the
+//! table lock.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -39,6 +43,34 @@ pub struct ChainedTable {
     ns: Namespace,
     inner: RwLock<Inner>,
     len: AtomicUsize,
+}
+
+/// A [`ChainedTable`] after its last write: the same buckets and nodes out
+/// of the table lock. A probe takes no lock and reads exactly the nodes
+/// [`ChainedTable::get`] reads.
+pub struct SealedChainedTable {
+    /// On the heap, as a sealed Dash table's segments are, so both sealed
+    /// kinds are a few words wide.
+    inner: Box<Inner>,
+    len: usize,
+}
+
+impl SealedChainedTable {
+    /// Point lookup.
+    #[inline]
+    pub fn get(&self, key: u64) -> Option<u64> {
+        self.inner.get(key)
+    }
+
+    /// Number of live records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the table holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
 }
 
 impl ChainedTable {
@@ -71,6 +103,15 @@ impl ChainedTable {
         self.inner.read().bucket_count
     }
 
+    /// Consume the table into its read-only form. The regions, and so the
+    /// namespace bytes they hold, move over unchanged.
+    pub fn seal(self) -> SealedChainedTable {
+        SealedChainedTable {
+            inner: Box::new(self.inner.into_inner()),
+            len: self.len.into_inner(),
+        }
+    }
+
     /// Simulate a power loss (chaos-testing hook). This table never
     /// flushes, so everything written since creation is lost — the
     /// PMEM-unaware failure mode.
@@ -95,6 +136,20 @@ impl Inner {
         self.heads
             .try_write(bucket * 8, &link.to_le_bytes(), AccessHint::Random)
             .expect("head in bounds");
+    }
+
+    /// The one lookup body of the live and the sealed table: walk the
+    /// key's chain, one random node read per hop.
+    fn get(&self, key: u64) -> Option<u64> {
+        let mut link = self.head(self.bucket_of(key));
+        while link != 0 {
+            let (k, v, next) = self.node(link);
+            if k == key {
+                return Some(v);
+            }
+            link = next;
+        }
+        None
     }
 
     fn node(&self, link: u64) -> (u64, u64, u64) {
@@ -212,16 +267,7 @@ impl KvIndex for ChainedTable {
     }
 
     fn get(&self, key: u64) -> Option<u64> {
-        let inner = self.inner.read();
-        let mut link = inner.head(inner.bucket_of(key));
-        while link != 0 {
-            let (k, v, next) = inner.node(link);
-            if k == key {
-                return Some(v);
-            }
-            link = next;
-        }
-        None
+        self.inner.read().get(key)
     }
 
     fn remove(&self, key: u64) -> Option<u64> {
@@ -339,6 +385,41 @@ mod tests {
             mean < 32.0,
             "mean probe granule should be sub-cacheline, got {mean}"
         );
+    }
+
+    #[test]
+    fn sealed_lookup_reads_what_the_live_get_reads() {
+        // Two tables built alike on namespaces of their own; one is sealed.
+        // 24 records in 8 buckets, just below the rehash threshold, so
+        // some chain holds 3 or more.
+        let build = || {
+            let ns = Namespace::fsdax(SocketId(0), 8 << 20);
+            let t = ChainedTable::with_capacity(&ns, 16).unwrap();
+            for k in 0..24u64 {
+                t.insert(k * 2, k).unwrap();
+            }
+            assert_eq!(t.bucket_count(), 8);
+            (ns, t)
+        };
+        let (live_ns, live) = build();
+        let (sealed_ns, table) = build();
+        let sealed = table.seal();
+        assert_eq!(sealed.len(), live.len());
+        let mut longest_walk = 0;
+        // Even keys hit, odd keys miss.
+        for key in 0..48u64 {
+            let (live0, sealed0) = (live_ns.tracker().snapshot(), sealed_ns.tracker().snapshot());
+            assert_eq!(sealed.get(key), live.get(key), "key {key}");
+            let delta = live_ns.tracker().snapshot().since(&live0);
+            assert_eq!(
+                sealed_ns.tracker().snapshot().since(&sealed0),
+                delta,
+                "key {key}"
+            );
+            // One head read, then one read per node visited.
+            longest_walk = longest_walk.max(delta.read_ops - 1);
+        }
+        assert!(longest_walk >= 3, "longest chain walked: {longest_walk}");
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub mod hash;
 pub mod segment;
 pub mod table;
 
-pub use chained::ChainedTable;
-pub use table::{DashRecovery, DashStats, DashTable};
+pub use chained::{ChainedTable, SealedChainedTable};
+pub use table::{DashRecovery, DashStats, DashTable, SealedDashTable};
 
 /// Common interface over the PMEM-aware and PMEM-unaware tables so the SSB
 /// engine can swap them per execution mode.

@@ -77,6 +77,11 @@ impl Segment {
     pub fn write(&self) -> parking_lot::RwLockWriteGuard<'_, SegmentInner> {
         self.inner.write()
     }
+
+    /// The inner state, out of its lock (the segment is consumed).
+    pub fn into_inner(self) -> SegmentInner {
+        self.inner.into_inner()
+    }
 }
 
 fn bucket_off(b: u32) -> u64 {

@@ -5,7 +5,13 @@
 //! already at the global depth, the directory doubles first. Concurrency is
 //! directory-read + segment-write for normal operations and directory-write
 //! for splits — coarse but correct, and segment operations dominate.
+//!
+//! A table that takes no more writes can be [sealed](DashTable::seal) into
+//! a [`SealedDashTable`]: the same segments and directory, out of their
+//! locks, probed with exactly the same bucket reads.
 
+use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -13,7 +19,7 @@ use parking_lot::RwLock;
 use pmem_store::{Namespace, Result};
 
 use crate::hash::{self, hash64};
-use crate::segment::{Segment, SegmentInsert};
+use crate::segment::{Segment, SegmentInner, SegmentInsert};
 use crate::KvIndex;
 
 /// Directory state.
@@ -59,6 +65,49 @@ pub struct DashTable {
     ns: Namespace,
     dir: RwLock<Directory>,
     len: AtomicUsize,
+}
+
+/// The one lookup body of the live and the sealed table: hash the key,
+/// pick its directory slot, probe the segment `segment` returns for it.
+#[inline]
+fn lookup<S: Deref<Target = SegmentInner>>(
+    key: u64,
+    global_depth: u8,
+    segment: impl FnOnce(usize) -> S,
+) -> Option<u64> {
+    let h = hash64(key);
+    segment(hash::dir_index(h, global_depth)).get(h, key)
+}
+
+/// A [`DashTable`] after its last write: the directory as segment indices
+/// and the segments out of their locks. A probe takes no lock and clones
+/// nothing, and reads exactly the buckets [`DashTable::get`] reads.
+pub struct SealedDashTable {
+    global_depth: u8,
+    /// Segment index of every directory slot (twins share one).
+    dir: Vec<u32>,
+    segments: Vec<SegmentInner>,
+    len: usize,
+}
+
+impl SealedDashTable {
+    /// Point lookup.
+    #[inline]
+    pub fn get(&self, key: u64) -> Option<u64> {
+        lookup(key, self.global_depth, |slot| {
+            &self.segments[self.dir[slot] as usize]
+        })
+    }
+
+    /// Number of live records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the table holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
 }
 
 impl DashTable {
@@ -108,6 +157,43 @@ impl DashTable {
     /// Current global depth (diagnostic).
     pub fn global_depth(&self) -> u8 {
         self.dir.read().global_depth
+    }
+
+    /// Consume the table into its read-only form. Every segment leaves its
+    /// lock; directory twins keep sharing one segment. The regions, and so
+    /// the namespace bytes they hold, move over unchanged.
+    pub fn seal(self) -> SealedDashTable {
+        let Directory {
+            global_depth,
+            entries,
+        } = self.dir.into_inner();
+        let mut index_of: HashMap<*const Segment, u32> = HashMap::new();
+        let mut unique = Vec::new();
+        let dir = entries
+            .iter()
+            .map(|segment| {
+                *index_of.entry(Arc::as_ptr(segment)).or_insert_with(|| {
+                    unique.push(Arc::clone(segment));
+                    (unique.len() - 1) as u32
+                })
+            })
+            .collect();
+        // With the directory gone, `unique` holds the only handles.
+        drop(entries);
+        let segments = unique
+            .into_iter()
+            .map(|segment| {
+                Arc::into_inner(segment)
+                    .expect("a consumed table shares no segment")
+                    .into_inner()
+            })
+            .collect();
+        SealedDashTable {
+            global_depth,
+            dir,
+            segments,
+            len: self.len.into_inner(),
+        }
     }
 
     fn insert_inner(&self, key: u64, value: u64) -> Result<()> {
@@ -299,13 +385,9 @@ impl KvIndex for DashTable {
     }
 
     fn get(&self, key: u64) -> Option<u64> {
-        let h = hash64(key);
+        // Directory, then segment: the lock order inserts and splits use.
         let dir = self.dir.read();
-        let idx = hash::dir_index(h, dir.global_depth);
-        let segment = Arc::clone(&dir.entries[idx]);
-        drop(dir);
-        let inner = segment.read();
-        inner.get(h, key)
+        lookup(key, dir.global_depth, |slot| dir.entries[slot].read())
     }
 
     fn remove(&self, key: u64) -> Option<u64> {
@@ -491,6 +573,40 @@ mod tests {
         assert_eq!(t.len(), 201);
         assert_eq!(t.remove(key), Some(1));
         assert_eq!(t.get(key), None, "removal must be final after recovery");
+    }
+
+    #[test]
+    fn sealed_lookup_reads_what_the_live_get_reads() {
+        // Two tables built alike on namespaces of their own; one is sealed.
+        // A small capacity hint makes them split.
+        let build = || {
+            let ns = Namespace::fsdax(SocketId(0), 64 << 20);
+            let t = DashTable::with_capacity(&ns, 16).unwrap();
+            for k in 0..7_500u64 {
+                t.insert(k * 3, k).unwrap();
+            }
+            (ns, t)
+        };
+        let (live_ns, live) = build();
+        let (sealed_ns, table) = build();
+        let stats = table.stats();
+        assert!(
+            stats.directory_entries > stats.segments,
+            "twin directory entries: {stats:?}"
+        );
+        assert!(stats.stash_records > 0, "stash in use: {stats:?}");
+        let sealed = table.seal();
+        assert_eq!(sealed.len(), live.len());
+        // Every third key is a hit, the others miss.
+        for key in 0..22_500u64 {
+            let (live0, sealed0) = (live_ns.tracker().snapshot(), sealed_ns.tracker().snapshot());
+            assert_eq!(sealed.get(key), live.get(key), "key {key}");
+            assert_eq!(
+                sealed_ns.tracker().snapshot().since(&sealed0),
+                live_ns.tracker().snapshot().since(&live0),
+                "key {key}"
+            );
+        }
     }
 
     #[test]

@@ -285,8 +285,18 @@ impl ColumnarFact {
     ///
     /// Fails with [`StoreError::Poisoned`] if any source column holds a
     /// poisoned or checksum-mismatched block — a dirty table must be
-    /// repaired before it may serve as a replication source.
+    /// repaired before it may serve as a replication source. On any error
+    /// the column regions already allocated in `ns` are released, so
+    /// `ns.used()` is what it was before the call.
     pub fn replicate_to(&self, ns: &Namespace) -> Result<ColumnarFact> {
+        let mut held = 0;
+        self.copy_columns(ns, &mut held)
+            .inspect_err(|_| ns.release(held))
+    }
+
+    /// [`ColumnarFact::replicate_to`]'s copy loop; `held` counts the bytes
+    /// it has allocated in `ns` so far.
+    fn copy_columns(&self, ns: &Namespace, held: &mut u64) -> Result<ColumnarFact> {
         let mut columns = Vec::with_capacity(self.columns.len());
         let mut checks = Vec::with_capacity(self.columns.len());
         for ((column, region), check) in self.columns.iter().zip(self.checks.iter()) {
@@ -296,6 +306,7 @@ impl ColumnarFact {
             let len = region.len();
             let bytes = region.try_read(0, len, AccessHint::Sequential)?.to_vec();
             let mut copy = ns.alloc_region(len)?;
+            *held += len;
             if !bytes.is_empty() {
                 copy.try_ntstore(0, &bytes, AccessHint::Sequential)?;
                 copy.sfence();
@@ -1086,6 +1097,36 @@ mod tests {
             fact.replicate_to(&other),
             Err(StoreError::Poisoned { .. })
         ));
+    }
+
+    #[test]
+    fn failed_replication_returns_every_byte_it_allocated() {
+        let (_data, fact, _ns) = setup();
+        // A namespace one byte short, 100 bytes of it already held, fails
+        // on the last column's allocation after every other column landed.
+        let short = Namespace::devdax(SocketId(1), fact.total_bytes() - 1);
+        let _other = short.alloc_region(100).unwrap();
+        let used0 = short.used();
+        assert!(matches!(
+            fact.replicate_to(&short),
+            Err(StoreError::OutOfSpace { .. })
+        ));
+        assert_eq!(short.used(), used0);
+
+        // A copy that fits lands, holding exactly the table's bytes.
+        let fits = Namespace::devdax(SocketId(1), fact.total_bytes());
+        let replica = fact.replicate_to(&fits).unwrap();
+        assert_eq!(fits.used(), replica.total_bytes());
+
+        // A dirty column after clean ones: the clean copies go back too.
+        let (_data, mut fact, _ns) = setup();
+        fact.inject_poison(Column::SupplyCost, 0, 1);
+        let peer = Namespace::devdax(SocketId(1), 64 << 20);
+        assert!(matches!(
+            fact.replicate_to(&peer),
+            Err(StoreError::Poisoned { .. })
+        ));
+        assert_eq!(peer.used(), 0);
     }
 
     #[test]

@@ -6,12 +6,18 @@
 //! near their data; joins build a (filtered) hash index per dimension and
 //! probe it during the fact scan; aggregates accumulate into per-thread
 //! hash maps merged at the end.
+//!
+//! [`build_index`] fills a live table, then seals it into a [`JoinIndex`]
+//! that only answers lookups. The scan workers share it and probe it
+//! without a lock or a reference-count bump, yet every probe reads exactly
+//! the buckets (Dash) or chain nodes (chained) a live table's `get` reads,
+//! so sealing moves host time and no tracked byte.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pmem_dash::{ChainedTable, DashTable, KvIndex};
+use pmem_dash::{ChainedTable, DashTable, KvIndex, SealedChainedTable, SealedDashTable};
 use pmem_store::{AccessHint, Namespace, Region, Result};
 
 use crate::schema::{DateDim, GeoDim, Lineorder, PartDim, DIM_ROW, LINEORDER_ROW};
@@ -47,14 +53,14 @@ impl OpCounters {
     }
 }
 
-/// A join index: either PMEM-aware (Dash) or unaware (chained), per the
-/// execution mode.
-#[allow(clippy::large_enum_variant)] // two long-lived variants per query
+/// A sealed join index: either PMEM-aware (Dash) or unaware (chained), per
+/// the execution mode. [`build_index`] seals it after its last insert, so
+/// a probe takes no lock yet reads exactly what a live table's would.
 pub enum JoinIndex {
     /// Dash extendible hashing (paper §6.2).
-    Dash(Box<DashTable>),
+    Dash(SealedDashTable),
     /// PMEM-unaware chained hashing (paper §6.1 / Hyrise).
-    Chained(ChainedTable),
+    Chained(SealedChainedTable),
 }
 
 impl JoinIndex {
@@ -64,14 +70,6 @@ impl JoinIndex {
         match self {
             JoinIndex::Dash(t) => t.get(key),
             JoinIndex::Chained(t) => t.get(key),
-        }
-    }
-
-    /// Insert a record.
-    fn insert(&self, key: u64, value: u64) -> Result<()> {
-        match self {
-            JoinIndex::Dash(t) => t.insert(key, value),
-            JoinIndex::Chained(t) => t.insert(key, value),
         }
     }
 
@@ -89,10 +87,10 @@ impl JoinIndex {
     }
 }
 
-/// Build a join index over a dimension region. `decode` parses one row;
-/// `entry` maps it to `Some((key, payload))` if it passes the build-side
-/// filter (the paper's aware engine pushes dimension predicates into the
-/// build so probe misses filter fact rows).
+/// Build a join index over a dimension region and seal it. `decode` parses
+/// one row; `entry` maps it to `Some((key, payload))` if it passes the
+/// build-side filter (the paper's aware engine pushes dimension predicates
+/// into the build so probe misses filter fact rows).
 pub fn build_index<T, D, E>(
     ns: &Namespace,
     dim: &Region,
@@ -106,28 +104,35 @@ where
     D: Fn(&[u8]) -> T,
     E: Fn(&T) -> Option<(u64, u64)>,
 {
-    let index = match mode {
-        EngineMode::Aware => {
-            JoinIndex::Dash(Box::new(DashTable::with_capacity(ns, capacity_hint)?))
-        }
-        EngineMode::Unaware => JoinIndex::Chained(ChainedTable::with_capacity(ns, capacity_hint)?),
-    };
-    let mut inserts = 0u64;
-    let chunk_rows = SCAN_CHUNK_ROWS;
-    let mut row = 0u64;
-    while row < row_count {
-        let n = chunk_rows.min(row_count - row);
-        let bytes = dim.read(row * DIM_ROW, n * DIM_ROW, AccessHint::Sequential);
-        for i in 0..n as usize {
-            let t = decode(&bytes[i * DIM_ROW as usize..(i + 1) * DIM_ROW as usize]);
-            if let Some((key, value)) = entry(&t) {
-                index.insert(key, value)?;
-                inserts += 1;
+    let fill = |index: &dyn KvIndex| -> Result<u64> {
+        let mut inserts = 0u64;
+        let mut row = 0u64;
+        while row < row_count {
+            let n = SCAN_CHUNK_ROWS.min(row_count - row);
+            let bytes = dim.read(row * DIM_ROW, n * DIM_ROW, AccessHint::Sequential);
+            for i in 0..n as usize {
+                let t = decode(&bytes[i * DIM_ROW as usize..(i + 1) * DIM_ROW as usize]);
+                if let Some((key, value)) = entry(&t) {
+                    index.insert(key, value)?;
+                    inserts += 1;
+                }
             }
+            row += n;
         }
-        row += n;
-    }
-    Ok((index, inserts))
+        Ok(inserts)
+    };
+    Ok(match mode {
+        EngineMode::Aware => {
+            let table = DashTable::with_capacity(ns, capacity_hint)?;
+            let inserts = fill(&table)?;
+            (JoinIndex::Dash(table.seal()), inserts)
+        }
+        EngineMode::Unaware => {
+            let table = ChainedTable::with_capacity(ns, capacity_hint)?;
+            let inserts = fill(&table)?;
+            (JoinIndex::Chained(table.seal()), inserts)
+        }
+    })
 }
 
 /// Scan a fact partition with `threads` workers. Each worker claims 64 KB

@@ -14,6 +14,19 @@
 //!
 //! The executor still produces bit-identical query answers to the aware
 //! engine — only the physical execution differs.
+//!
+//! Each stage is one parallel pass over its input, and its output is one
+//! materialized intermediate of 64 B tuples:
+//!
+//! * the stage's workers encode surviving tuples straight into byte
+//!   buffers of their own (a probe stage copies the row it read and writes
+//!   the probed payload into the copy);
+//! * the buffers land, in worker order, as one non-temporal store of the
+//!   whole intermediate ([`Region::try_ntstore_gather`]) and one fence, so
+//!   the tracked traffic is that of one store however many workers ran;
+//! * the probes go to sealed indexes ([`JoinIndex`]), which take no lock;
+//! * the final aggregation folds per-worker [`GroupAgg`]s, as the aware
+//!   engine does.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -26,6 +39,19 @@ use crate::storage::{Reservation, SsbStore};
 /// Bytes per materialized intermediate tuple: the four join keys, the
 /// aggregate value, and the four dimension payloads.
 pub const INTERMEDIATE_ROW: u64 = 64;
+
+// Byte offsets of the fields of an encoded intermediate tuple. Keys are
+// `u32`, the value `i64` and payloads `u64`, all little-endian; bytes
+// 56..64 are zero.
+const PARTKEY: usize = 0;
+const SUPPKEY: usize = 4;
+const CUSTKEY: usize = 8;
+const ORDERDATE: usize = 12;
+const VALUE: usize = 16;
+const DATE_PAYLOAD: usize = 24;
+const CUST_PAYLOAD: usize = 32;
+const SUPP_PAYLOAD: usize = 40;
+const PART_PAYLOAD: usize = 48;
 
 /// A materialized intermediate tuple.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -41,74 +67,89 @@ struct Rec {
     pp: u64,
 }
 
+fn u32_at(row: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(row[at..at + 4].try_into().expect("4"))
+}
+
+fn u64_at(row: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(row[at..at + 8].try_into().expect("8"))
+}
+
 impl Rec {
-    fn encode(&self, buf: &mut [u8]) {
-        buf[0..4].copy_from_slice(&self.partkey.to_le_bytes());
-        buf[4..8].copy_from_slice(&self.suppkey.to_le_bytes());
-        buf[8..12].copy_from_slice(&self.custkey.to_le_bytes());
-        buf[12..16].copy_from_slice(&self.orderdate.to_le_bytes());
-        buf[16..24].copy_from_slice(&self.value.to_le_bytes());
-        buf[24..32].copy_from_slice(&self.dp.to_le_bytes());
-        buf[32..40].copy_from_slice(&self.cp.to_le_bytes());
-        buf[40..48].copy_from_slice(&self.sp.to_le_bytes());
-        buf[48..56].copy_from_slice(&self.pp.to_le_bytes());
-        buf[56..64].fill(0);
+    fn encode(&self) -> [u8; INTERMEDIATE_ROW as usize] {
+        let mut row = [0u8; INTERMEDIATE_ROW as usize];
+        row[PARTKEY..PARTKEY + 4].copy_from_slice(&self.partkey.to_le_bytes());
+        row[SUPPKEY..SUPPKEY + 4].copy_from_slice(&self.suppkey.to_le_bytes());
+        row[CUSTKEY..CUSTKEY + 4].copy_from_slice(&self.custkey.to_le_bytes());
+        row[ORDERDATE..ORDERDATE + 4].copy_from_slice(&self.orderdate.to_le_bytes());
+        row[VALUE..VALUE + 8].copy_from_slice(&self.value.to_le_bytes());
+        row[DATE_PAYLOAD..DATE_PAYLOAD + 8].copy_from_slice(&self.dp.to_le_bytes());
+        row[CUST_PAYLOAD..CUST_PAYLOAD + 8].copy_from_slice(&self.cp.to_le_bytes());
+        row[SUPP_PAYLOAD..SUPP_PAYLOAD + 8].copy_from_slice(&self.sp.to_le_bytes());
+        row[PART_PAYLOAD..PART_PAYLOAD + 8].copy_from_slice(&self.pp.to_le_bytes());
+        row
     }
 
-    fn decode(buf: &[u8]) -> Rec {
+    fn decode(row: &[u8]) -> Rec {
         Rec {
-            partkey: u32::from_le_bytes(buf[0..4].try_into().expect("4")),
-            suppkey: u32::from_le_bytes(buf[4..8].try_into().expect("4")),
-            custkey: u32::from_le_bytes(buf[8..12].try_into().expect("4")),
-            orderdate: u32::from_le_bytes(buf[12..16].try_into().expect("4")),
-            value: i64::from_le_bytes(buf[16..24].try_into().expect("8")),
-            dp: u64::from_le_bytes(buf[24..32].try_into().expect("8")),
-            cp: u64::from_le_bytes(buf[32..40].try_into().expect("8")),
-            sp: u64::from_le_bytes(buf[40..48].try_into().expect("8")),
-            pp: u64::from_le_bytes(buf[48..56].try_into().expect("8")),
+            partkey: u32_at(row, PARTKEY),
+            suppkey: u32_at(row, SUPPKEY),
+            custkey: u32_at(row, CUSTKEY),
+            orderdate: u32_at(row, ORDERDATE),
+            value: u64_at(row, VALUE) as i64,
+            dp: u64_at(row, DATE_PAYLOAD),
+            cp: u64_at(row, CUST_PAYLOAD),
+            sp: u64_at(row, SUPP_PAYLOAD),
+            pp: u64_at(row, PART_PAYLOAD),
         }
     }
 }
 
-/// Materialize a batch of records into a fresh intermediate region, which
-/// holds its namespace budget until it is dropped.
-fn materialize<'s>(store: &'s SsbStore, recs: &[Rec]) -> Result<(Region, Reservation<'s>)> {
-    let ns = &store.shards[0].intermediate_ns;
-    let len = (recs.len() as u64).max(1) * INTERMEDIATE_ROW;
-    let (mut region, held) = Reservation::hold(ns, || ns.alloc_region(len))?;
-    let mut buf = vec![0u8; recs.len() * INTERMEDIATE_ROW as usize];
-    for (i, r) in recs.iter().enumerate() {
-        r.encode(&mut buf[i * INTERMEDIATE_ROW as usize..(i + 1) * INTERMEDIATE_ROW as usize]);
-    }
-    if !recs.is_empty() {
-        region.try_ntstore(0, &buf, AccessHint::Sequential)?;
-        region.sfence();
-    }
-    Ok((region, held))
+/// One materialized intermediate. It holds its namespace budget until it
+/// is dropped.
+struct Intermediate<'s> {
+    region: Region,
+    rows: u64,
+    _held: Reservation<'s>,
 }
 
-/// Parallel chunked pass over an intermediate region. Returns the
-/// per-thread output batches and the merged stage counters.
-fn scan_intermediate<F>(
-    region: &Region,
-    count: u64,
+/// Materialize the encoded rows of `parts`, in order, into a fresh
+/// intermediate region with one non-temporal store and one fence.
+fn materialize<'s>(store: &'s SsbStore, parts: &[Vec<u8>]) -> Result<Intermediate<'s>> {
+    let ns = &store.shards[0].intermediate_ns;
+    let bytes: u64 = parts.iter().map(|p| p.len() as u64).sum();
+    let (mut region, held) =
+        Reservation::hold(ns, || ns.alloc_region(bytes.max(INTERMEDIATE_ROW)))?;
+    if bytes > 0 {
+        region.try_ntstore_gather(0, parts, AccessHint::Sequential)?;
+        region.sfence();
+    }
+    Ok(Intermediate {
+        region,
+        rows: bytes / INTERMEDIATE_ROW,
+        _held: held,
+    })
+}
+
+/// Parallel chunked pass over an intermediate: each worker claims chunks
+/// of rows, reads each with one sequential access, and feeds every encoded
+/// row to its own accumulator.
+fn scan_intermediate<A: Send>(
+    input: &Intermediate<'_>,
     threads: u32,
-    visit: F,
-) -> (Vec<Vec<Rec>>, OpCounters)
-where
-    F: Fn(&Rec, &mut Vec<Rec>, &mut OpCounters) + Sync,
-{
+    make_acc: impl Fn() -> A + Sync,
+    visit: impl Fn(&mut A, &[u8]) + Sync,
+) -> Vec<A> {
     const CHUNK: u64 = 1024;
+    let (region, count) = (&input.region, input.rows);
     let cursor = AtomicU64::new(0);
     let chunks = count.div_ceil(CHUNK);
-    let outs: Vec<(Vec<Rec>, OpCounters)> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads.max(1))
             .map(|_| {
-                let cursor = &cursor;
-                let visit = &visit;
+                let (cursor, make_acc, visit) = (&cursor, &make_acc, &visit);
                 scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut counters = OpCounters::default();
+                    let mut acc = make_acc();
                     loop {
                         let chunk = cursor.fetch_add(1, Ordering::Relaxed);
                         if chunk >= chunks {
@@ -121,15 +162,11 @@ where
                             n * INTERMEDIATE_ROW,
                             AccessHint::Sequential,
                         );
-                        for i in 0..n as usize {
-                            let rec = Rec::decode(
-                                &bytes[i * INTERMEDIATE_ROW as usize
-                                    ..(i + 1) * INTERMEDIATE_ROW as usize],
-                            );
-                            visit(&rec, &mut out, &mut counters);
+                        for row in bytes.chunks_exact(INTERMEDIATE_ROW as usize) {
+                            visit(&mut acc, row);
                         }
                     }
-                    (out, counters)
+                    acc
                 })
             })
             .collect();
@@ -137,16 +174,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("stage worker"))
             .collect()
-    });
-    let mut merged = OpCounters::default();
-    let recs = outs
-        .into_iter()
-        .map(|(recs, c)| {
-            merged.merge(&c);
-            recs
-        })
-        .collect::<Vec<_>>();
-    (recs, merged)
+    })
 }
 
 /// Execute a plan in the Hyrise-like operator-at-a-time fashion.
@@ -184,101 +212,84 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
     };
 
     // ---- Stage 0: table scan, materialize survivors ----
-    let scanned: Vec<Vec<Rec>> = scan_fact(
+    let scanned: Vec<Vec<u8>> = scan_fact(
         &shard.fact,
         shard.fact_rows,
         threads,
         Vec::new,
-        |out: &mut Vec<Rec>, row| {
+        |out: &mut Vec<u8>, row| {
             if (plan.row)(row) {
-                out.push(Rec {
+                let rec = Rec {
                     partkey: row.partkey,
                     suppkey: row.suppkey,
                     custkey: row.custkey,
                     orderdate: row.orderdate,
                     value: (plan.value)(row),
                     ..Rec::default()
-                });
+                };
+                out.extend_from_slice(&rec.encode());
             }
         },
     )?;
     counters.tuples_scanned = shard.fact_rows;
-    let mut current: Vec<Rec> = scanned.into_iter().flatten().collect();
-    let mut materialized = materialize(store, &current)?;
+    let mut current = materialize(store, &scanned)?;
+    drop(scanned);
 
     // ---- One materializing probe stage per joined dimension ----
+    // (index, predicate, key offset, payload offset)
     type Stage = (
         fn(&ShardIndexes) -> &Option<JoinIndex>,
         Option<fn(u64) -> bool>,
-        fn(&Rec) -> u64,
-        fn(&mut Rec, u64),
+        usize,
+        usize,
     );
     let stages: [Stage; 4] = [
-        (
-            |i| &i.part,
-            plan.part,
-            |r| r.partkey as u64,
-            |r, p| r.pp = p,
-        ),
-        (
-            |i| &i.supp,
-            plan.supp,
-            |r| r.suppkey as u64,
-            |r, p| r.sp = p,
-        ),
-        (
-            |i| &i.cust,
-            plan.cust,
-            |r| r.custkey as u64,
-            |r, p| r.cp = p,
-        ),
-        (
-            |i| &i.date,
-            plan.date,
-            |r| r.orderdate as u64,
-            |r, p| r.dp = p,
-        ),
+        (|i| &i.part, plan.part, PARTKEY, PART_PAYLOAD),
+        (|i| &i.supp, plan.supp, SUPPKEY, SUPP_PAYLOAD),
+        (|i| &i.cust, plan.cust, CUSTKEY, CUST_PAYLOAD),
+        (|i| &i.date, plan.date, ORDERDATE, DATE_PAYLOAD),
     ];
 
-    for (select, pred, key_of, set_payload) in stages {
+    for (select, pred, key_at, payload_at) in stages {
         let Some(pred) = pred else { continue };
         let idx = select(&indexes)
             .as_ref()
             .expect("index built for joined dim");
-        let count = current.len() as u64;
-        let (outs, stage_counters) =
-            scan_intermediate(&materialized.0, count, threads, |rec, out, c| {
+        let outs = scan_intermediate(
+            &current,
+            threads,
+            || (Vec::new(), OpCounters::default()),
+            |(out, c): &mut (Vec<u8>, OpCounters), row| {
                 c.probes += 1;
-                if let Some(payload) = idx.get(key_of(rec)) {
+                if let Some(payload) = idx.get(u32_at(row, key_at) as u64) {
                     if pred(payload) {
-                        let mut rec = *rec;
-                        set_payload(&mut rec, payload);
-                        out.push(rec);
+                        let at = out.len() + payload_at;
+                        out.extend_from_slice(row);
+                        out[at..at + 8].copy_from_slice(&payload.to_le_bytes());
                     }
                 }
-            });
-        counters.merge(&stage_counters);
-        current = outs.into_iter().flatten().collect();
+            },
+        );
+        let mut parts = Vec::with_capacity(outs.len());
+        for (out, c) in outs {
+            counters.merge(&c);
+            parts.push(out);
+        }
         // The new intermediate replaces this one, whose budget returns.
-        materialized = materialize(store, &current)?;
+        current = materialize(store, &parts)?;
     }
 
     // ---- Final aggregation over the last intermediate ----
-    let count = current.len() as u64;
-    let (aggs, _) = scan_intermediate(&materialized.0, count, threads, |rec, out, _| {
-        // Reuse the record vec as a carrier; aggregation happens below to
-        // keep the group map merge explicit.
-        out.push(*rec);
-    });
     let mut agg = GroupAgg::default();
-    for recs in aggs {
-        for rec in recs {
-            agg.add((plan.group)(rec.dp, rec.cp, rec.sp, rec.pp), rec.value);
-        }
+    for part in scan_intermediate(&current, threads, GroupAgg::default, |agg, row| {
+        let rec = Rec::decode(row);
+        agg.add((plan.group)(rec.dp, rec.cp, rec.sp, rec.pp), rec.value);
+    }) {
+        agg.merge(part);
     }
-    counters.tuples_selected = count;
+    counters.tuples_selected = current.rows;
     counters.agg_updates = agg.updates;
-    drop(materialized);
+    drop(current);
 
     let probe = shard.index_ns.tracker().snapshot().since(&index1);
     let fact = shard.fact_ns.tracker().snapshot().since(&fact0);
@@ -324,9 +335,7 @@ mod tests {
             sp: 30,
             pp: 40,
         };
-        let mut buf = [0u8; INTERMEDIATE_ROW as usize];
-        rec.encode(&mut buf);
-        assert_eq!(Rec::decode(&buf), rec);
+        assert_eq!(Rec::decode(&rec.encode()), rec);
     }
 
     #[test]

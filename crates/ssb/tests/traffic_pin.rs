@@ -1,0 +1,121 @@
+//! The engines' reported work is pinned: host-side changes to how a query
+//! executes must leave every row, operator counter and tracked byte of
+//! every phase exactly as it was.
+//!
+//! Each engine runs all 13 queries at SF 0.005 (seed 21) on PMEM fsdax, in
+//! paper order on one store, so first-touch page faults are pinned too.
+//! The outcomes fold into one FNV-1a digest per engine; a mismatch prints
+//! every outcome.
+
+use pmem_ssb::{
+    run_query, EngineMode, OpCounters, PhaseTraffic, QueryId, QueryOutcome, SsbStore, StorageDevice,
+};
+use pmem_store::TrackerSnapshot;
+
+const SF: f64 = 0.005;
+const SEED: u64 = 21;
+const THREADS: u32 = 4;
+
+/// Digests of the 13 outcomes per engine.
+const AWARE_DIGEST: u64 = 0xcb43a2b8980ce786;
+const UNAWARE_DIGEST: u64 = 0x5e72325e0188b2e2;
+
+/// Every number an outcome reports, in a fixed order. The destructuring
+/// names every field, so a new one cannot go unpinned.
+fn words(outcome: &QueryOutcome) -> Vec<u64> {
+    let mut words = vec![outcome.rows.len() as u64];
+    for &(key, value) in &outcome.rows {
+        words.extend([key, value as u64]);
+    }
+    let OpCounters {
+        tuples_scanned,
+        tuples_selected,
+        probes,
+        agg_updates,
+        build_inserts,
+    } = outcome.counters;
+    words.extend([
+        tuples_scanned,
+        tuples_selected,
+        probes,
+        agg_updates,
+        build_inserts,
+    ]);
+    let PhaseTraffic {
+        build,
+        probe,
+        fact,
+        intermediate,
+        index_bytes,
+        index_bytes_by_dim,
+    } = outcome.traffic;
+    for snapshot in [build, probe, fact, intermediate] {
+        let TrackerSnapshot {
+            seq_read_bytes,
+            rand_read_bytes,
+            seq_write_bytes,
+            rand_write_bytes,
+            read_ops,
+            write_ops,
+            sfences,
+            page_faults,
+            crashes,
+            crash_lost_lines,
+        } = snapshot;
+        words.extend([
+            seq_read_bytes,
+            rand_read_bytes,
+            seq_write_bytes,
+            rand_write_bytes,
+            read_ops,
+            write_ops,
+            sfences,
+            page_faults,
+            crashes,
+            crash_lost_lines,
+        ]);
+    }
+    words.push(index_bytes);
+    words.extend(index_bytes_by_dim);
+    words
+}
+
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in words.into_iter().flat_map(u64::to_le_bytes) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+#[test]
+fn both_engines_report_the_pinned_traffic() {
+    for (mode, pinned) in [
+        (EngineMode::Aware, AWARE_DIGEST),
+        (EngineMode::Unaware, UNAWARE_DIGEST),
+    ] {
+        let store = SsbStore::generate_and_load(SF, SEED, mode, StorageDevice::PmemFsdax)
+            .expect("store loads");
+        let outcomes: Vec<QueryOutcome> = QueryId::ALL
+            .iter()
+            .map(|&q| run_query(&store, q, THREADS).expect("query runs"))
+            .collect();
+        let digest = fnv1a(outcomes.iter().flat_map(words));
+        if digest != pinned {
+            for o in &outcomes {
+                eprintln!(
+                    "{mode:?} {}: {} rows (digest {:#018x}), {:?}, {:?}",
+                    o.query.name(),
+                    o.rows.len(),
+                    fnv1a(o.rows.iter().flat_map(|&(k, v)| [k, v as u64])),
+                    o.counters,
+                    o.traffic
+                );
+            }
+        }
+        assert_eq!(
+            digest, pinned,
+            "{mode:?} engine digest {digest:#018x}, pinned {pinned:#018x}"
+        );
+    }
+}

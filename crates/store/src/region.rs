@@ -524,20 +524,40 @@ impl Region {
 
     /// Fallible [`Region::ntstore`] with an explicit hint.
     pub fn try_ntstore(&mut self, offset: u64, bytes: &[u8], hint: AccessHint) -> Result<()> {
-        self.check(offset, bytes.len() as u64)?;
-        self.fault_pages(offset, bytes.len() as u64);
-        let sequential = self.infer_write(offset, bytes.len() as u64, hint);
-        self.tracker.record_write(bytes.len() as u64, sequential);
-        self.record_trace(offset, bytes.len() as u64, true);
+        self.try_ntstore_gather(offset, &[bytes], hint)
+    }
+
+    /// Gather form of [`Region::try_ntstore`]: `parts`, in order, land at
+    /// `offset` as one non-temporal store. Bounds, accounting, the trace
+    /// and persistence events, the lines and the poison cleared are those
+    /// of one store of their concatenation, which is built only for an
+    /// attached persistence trace.
+    pub fn try_ntstore_gather<B: AsRef<[u8]>>(
+        &mut self,
+        offset: u64,
+        parts: &[B],
+        hint: AccessHint,
+    ) -> Result<()> {
+        let len: u64 = parts.iter().map(|p| p.as_ref().len() as u64).sum();
+        self.check(offset, len)?;
+        self.fault_pages(offset, len);
+        let sequential = self.infer_write(offset, len, hint);
+        self.tracker.record_write(len, sequential);
+        self.record_trace(offset, len, true);
         self.record_persist(|| PersistEvent::NtStore {
             offset,
-            data: bytes.to_vec(),
+            data: parts.iter().flat_map(|p| p.as_ref()).copied().collect(),
         });
-        self.data[offset as usize..offset as usize + bytes.len()].copy_from_slice(bytes);
-        let (first, last) = Self::lines(offset, bytes.len() as u64);
+        let mut at = offset as usize;
+        for part in parts {
+            let part = part.as_ref();
+            self.data[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
+        let (first, last) = Self::lines(offset, len);
         self.dirty.remove(first, last);
         self.pending.insert(first, last);
-        self.clear_poison_covered(offset, bytes.len() as u64);
+        self.clear_poison_covered(offset, len);
         Ok(())
     }
 
@@ -923,6 +943,110 @@ mod tests {
         let r = region(64);
         let _ = r.untracked_slice();
         assert_eq!(r.tracker().snapshot().read_ops, 0);
+    }
+
+    #[test]
+    fn gather_store_equals_one_store_of_the_concatenation() {
+        use crate::trace::{PersistEvent, PersistenceTrace, TraceBuffer};
+        // Two identical regions (fsdax faults, poison, both traces): one
+        // takes the parts as a gather store, the other their concatenation.
+        let make = || {
+            let mut r = Region::new(
+                4096,
+                AccessTracker::shared(),
+                true,
+                Some(FaultModel::new(1024, 4096)),
+            );
+            let (accesses, persists) = (TraceBuffer::shared(64), PersistenceTrace::shared(64));
+            r.attach_trace(Arc::clone(&accesses));
+            r.attach_persist_trace(Arc::clone(&persists));
+            r.ntstore(0, &[1; 64]);
+            r.inject_poison(512, 256);
+            (r, accesses, persists)
+        };
+        let (mut gathered, g_accesses, g_persists) = make();
+        let (mut single, s_accesses, s_persists) = make();
+        let lines = |r: &Region| {
+            let line_set = |set: &LineSet| set.iter().collect::<Vec<_>>();
+            let persisted: Vec<bool> = (0..4096 / CACHE_LINE)
+                .map(|l| r.is_persisted(l * CACHE_LINE, CACHE_LINE))
+                .collect();
+            (line_set(&r.dirty), line_set(&r.pending), persisted)
+        };
+        let same = |g: &Region, s: &Region| {
+            assert_eq!(g.tracker().snapshot(), s.tracker().snapshot());
+            assert_eq!(lines(g), lines(s));
+            assert_eq!(g.untracked_slice(), s.untracked_slice());
+            assert_eq!(g.poisoned_lines(), s.poisoned_lines());
+        };
+
+        // 300..1000 in three parts (one empty); the part boundary at 600
+        // falls inside the poisoned XPLine 512..768, which the store covers.
+        let parts: [&[u8]; 3] = [&[7; 300], &[], &[9; 400]];
+        let writes0 = gathered.tracker().snapshot().write_ops;
+        gathered
+            .try_ntstore_gather(300, &parts, AccessHint::Auto)
+            .unwrap();
+        single
+            .try_ntstore(300, &parts.concat(), AccessHint::Auto)
+            .unwrap();
+        same(&gathered, &single);
+        assert_eq!(gathered.tracker().snapshot().write_ops, writes0 + 1);
+        assert!(
+            !gathered.is_poisoned(0, 4096),
+            "poison cleared across parts"
+        );
+        assert!(!gathered.is_persisted(300, 700), "pending until the fence");
+        gathered.sfence();
+        single.sfence();
+        same(&gathered, &single);
+        assert!(gathered.is_persisted(300, 700));
+
+        // An unfenced gather store is lost to a crash exactly as one store.
+        let parts: [&[u8]; 2] = [&[3; 100], &[4; 200]];
+        gathered
+            .try_ntstore_gather(2000, &parts, AccessHint::Auto)
+            .unwrap();
+        single
+            .try_ntstore(2000, &parts.concat(), AccessHint::Auto)
+            .unwrap();
+        same(&gathered, &single);
+        assert_eq!(gathered.crash(), single.crash());
+        same(&gathered, &single);
+
+        // Bounds hold on the total: parts that each fit but together run
+        // past the end fail as their concatenation does, and record nothing.
+        let parts: [&[u8]; 2] = [&[5; 64], &[6; 64]];
+        let err = gathered.try_ntstore_gather(4000, &parts, AccessHint::Auto);
+        assert_eq!(
+            err,
+            Err(StoreError::OutOfBounds {
+                offset: 4000,
+                len: 128,
+                capacity: 4096
+            })
+        );
+        assert_eq!(
+            err,
+            single.try_ntstore(4000, &parts.concat(), AccessHint::Auto)
+        );
+        same(&gathered, &single);
+
+        assert_eq!(g_accesses.take(), s_accesses.take());
+        let events = g_persists.take();
+        assert_eq!(events, s_persists.take());
+        let stores: Vec<_> = events
+            .iter()
+            .filter(|e| matches!(e, PersistEvent::NtStore { .. }))
+            .collect();
+        assert_eq!(stores.len(), 3, "the setup store and one per gather");
+        assert_eq!(
+            stores[1],
+            &PersistEvent::NtStore {
+                offset: 300,
+                data: [[7; 300].as_slice(), &[9; 400]].concat()
+            }
+        );
     }
 
     #[test]
