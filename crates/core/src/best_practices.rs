@@ -73,21 +73,22 @@ impl Insight {
             + 1
     }
 
-    /// The bench target reproducing the measurement behind this insight.
+    /// The id of the `repro` figure reproducing the measurement behind
+    /// this insight (also the stem of its `--csv` file).
     pub fn experiment(self) -> &'static str {
         match self {
-            Insight::ReadIndividualOr4K => "fig03_read_access_size",
-            Insight::ReadWithAllCores => "fig03_read_access_size",
-            Insight::PinReadThreads => "fig04_read_pinning",
-            Insight::ReadNearOnly => "fig05_read_numa",
-            Insight::StripeAcrossSockets => "fig06_read_multisocket",
-            Insight::Write4KOr256B => "fig07_write_access_size",
-            Insight::WriteFewThreads => "fig08_write_heatmap",
-            Insight::PinWriteThreads => "fig09_write_pinning",
-            Insight::WriteNearOnly => "fig10_write_multisocket",
-            Insight::AvoidContendedWrites => "fig10_write_multisocket",
-            Insight::SerializeMixedAccess => "fig11_mixed",
-            Insight::PreferSequential => "fig12_random_read",
+            Insight::ReadIndividualOr4K => "fig3b",
+            Insight::ReadWithAllCores => "fig3a",
+            Insight::PinReadThreads => "fig4",
+            Insight::ReadNearOnly => "fig5",
+            Insight::StripeAcrossSockets => "fig6a",
+            Insight::Write4KOr256B => "fig7a",
+            Insight::WriteFewThreads => "fig8a",
+            Insight::PinWriteThreads => "fig9",
+            Insight::WriteNearOnly => "fig10",
+            Insight::AvoidContendedWrites => "fig10",
+            Insight::SerializeMixedAccess => "fig11",
+            Insight::PreferSequential => "fig12a",
         }
     }
 }
@@ -212,8 +213,14 @@ mod tests {
 
     #[test]
     fn every_insight_names_a_reproducing_experiment() {
+        let figures =
+            pmem_membench::experiments::all_figures(&mut pmem_sim::Simulation::paper_default());
         for insight in Insight::ALL {
-            assert!(insight.experiment().starts_with("fig"));
+            assert!(
+                figures.iter().any(|f| f.id == insight.experiment()),
+                "{insight} names {}, which no figure has",
+                insight.experiment()
+            );
         }
     }
 
