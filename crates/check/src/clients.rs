@@ -166,15 +166,16 @@ pub fn check_dash_segment(checker: &CrashChecker, repair: bool) -> CheckReport {
     let region_len;
     {
         let mut inner = seg.write();
+        let tally = &mut ns.tally();
         inner.region.attach_persist_trace(Arc::clone(&trace));
         for (seq, op) in ops.iter().enumerate() {
             match *op {
                 DashOp::Insert(k, v) => {
-                    let r = inner.insert(hash64(k), k, v);
+                    let r = inner.insert(hash64(k), k, v, tally);
                     assert_ne!(r, SegmentInsert::NeedsSplit, "workload fits one segment");
                 }
                 DashOp::Remove(k) => {
-                    inner.remove(hash64(k), k);
+                    inner.remove(hash64(k), k, tally);
                 }
             }
             trace.mark(seq as u64);
@@ -193,6 +194,8 @@ pub fn check_dash_segment(checker: &CrashChecker, repair: bool) -> CheckReport {
 
     checker.check_trace(&trace, region_len, |state| {
         let (mut inner, _) = SegmentInner::recover(materialize(state.image), 0, repair);
+        let tracker = Arc::clone(inner.region.tracker());
+        let tally = &mut tracker.tally();
         let durable = state.durable_marks.len();
         let committed = apply_dash(&ops[..durable]);
         let later = &ops[durable..];
@@ -213,7 +216,7 @@ pub fn check_dash_segment(checker: &CrashChecker, repair: bool) -> CheckReport {
                     _ => {}
                 }
             }
-            match inner.get(hash64(k), k) {
+            match inner.get(hash64(k), k, tally) {
                 Some(v2) if allowed.contains(&v2) => {}
                 None if none_ok => {}
                 other => {
@@ -237,7 +240,7 @@ pub fn check_dash_segment(checker: &CrashChecker, repair: bool) -> CheckReport {
                         _ => None,
                     })
                     .collect();
-                match inner.get(hash64(k), k) {
+                match inner.get(hash64(k), k, tally) {
                     None => {}
                     Some(v2) if reinserted.contains(&v2) => {}
                     Some(v2) => {
@@ -250,7 +253,7 @@ pub fn check_dash_segment(checker: &CrashChecker, repair: bool) -> CheckReport {
         }
         // No resurrected unknown data: everything live must be a key/value
         // the workload actually wrote at some point.
-        for (k, v) in inner.records() {
+        for (k, v) in inner.records(tally) {
             if !ever.get(&k).is_some_and(|vals| vals.contains(&v)) {
                 return Err(format!("resurrected record ({k}, {v}) never written"));
             }
@@ -258,10 +261,10 @@ pub fn check_dash_segment(checker: &CrashChecker, repair: bool) -> CheckReport {
         // Removal finality: removing any live key must make it invisible.
         // An interrupted displacement breaks exactly this — the stale
         // duplicate answers lookups for a key the caller just deleted.
-        let live: Vec<u64> = inner.records().iter().map(|(k, _)| *k).collect();
+        let live: Vec<u64> = inner.records(tally).iter().map(|(k, _)| *k).collect();
         for k in live {
             let h = hash64(k);
-            if inner.remove(h, k).is_some() && inner.get(h, k).is_some() {
+            if inner.remove(h, k, tally).is_some() && inner.get(h, k, tally).is_some() {
                 return Err(format!(
                     "key {k} resurrected after removal (stale duplicate copy)"
                 ));
@@ -270,10 +273,12 @@ pub fn check_dash_segment(checker: &CrashChecker, repair: bool) -> CheckReport {
         // Idempotence: recovery's repairs must be durable — crashing right
         // after recovery must change nothing.
         let (mut second, _) = SegmentInner::recover(materialize(state.image), 0, repair);
-        let before = second.records();
+        let tracker = Arc::clone(second.region.tracker());
+        let tally = &mut tracker.tally();
+        let before = second.records(tally);
         second.region.crash();
         second.recount();
-        if second.records() != before {
+        if second.records(tally) != before {
             return Err("recovery repairs were not durably persisted".to_string());
         }
         Ok(())
@@ -483,27 +488,29 @@ mod tests {
         let ns = pmem_store::Namespace::devdax(pmem_sim::topology::SocketId(0), 4 << 20);
         let seg = Segment::new(&ns, 0).unwrap();
         let mut inner = seg.write();
+        let tally = &mut ns.tally();
         let planted = (0u64..)
             .find(|&k| bucket_index(hash64(k), BUCKETS) == 6)
             .unwrap();
         for op in dash_workload() {
             match op {
                 DashOp::Insert(k, v) => {
-                    inner.insert(hash64(k), k, v);
+                    inner.insert(hash64(k), k, v, tally);
                 }
                 DashOp::Remove(k) => {
-                    inner.remove(hash64(k), k);
+                    inner.remove(hash64(k), k, tally);
                 }
             }
         }
         // Displaced out of its home bucket, still reachable, no duplicate.
-        let snap = pmem_dash::bucket::load(&inner.region, 6 * pmem_dash::bucket::BUCKET_BYTES);
+        let snap =
+            pmem_dash::bucket::load(&inner.region, 6 * pmem_dash::bucket::BUCKET_BYTES, tally);
         assert!(
             snap.live().all(|(_, k, _)| k != planted),
             "planted key must have been displaced out of bucket 6"
         );
         assert_eq!(
-            inner.get(hash64(planted), planted),
+            inner.get(hash64(planted), planted, tally),
             Some(planted.wrapping_mul(10))
         );
         assert!(inner.raw_duplicates().is_empty());

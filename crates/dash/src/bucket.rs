@@ -14,8 +14,14 @@
 //! *first*; only then is the fingerprint (the visibility bit) written and
 //! persisted. A crash between the two leaves the slot empty — never a
 //! half-visible record.
+//!
+//! A [`load`] keeps the raw 256 B its one read returned and decodes a slot
+//! only when asked: a lookup compares the 14 fingerprint bytes and decodes
+//! just the records whose fingerprint matches, and the occupancy and
+//! free-slot checks read the fingerprints alone. Every access counts into
+//! the caller's [`Tally`].
 
-use pmem_store::{AccessHint, Region};
+use pmem_store::{AccessHint, Region, Tally};
 
 /// Bytes per bucket (= Optane XPLine).
 pub const BUCKET_BYTES: u64 = 256;
@@ -37,57 +43,76 @@ pub enum BucketInsert {
     Full,
 }
 
-/// A decoded view of one bucket, produced by a single 256 B read.
-#[derive(Debug, Clone)]
-pub struct BucketSnapshot {
-    /// Fingerprint per slot (0 = empty).
-    pub fps: [u8; SLOTS],
-    /// Records (valid only where `fps[i] != 0`).
-    pub records: [(u64, u64); SLOTS],
+/// One bucket as a single 256 B read returned it. Slots are decoded on
+/// demand, so a probe decodes only the records whose fingerprint matches.
+#[derive(Debug, Clone, Copy)]
+pub struct BucketSnapshot<'r> {
+    bytes: &'r [u8; BUCKET_BYTES as usize],
 }
 
-impl BucketSnapshot {
+impl BucketSnapshot<'_> {
+    /// The fingerprint of each slot (0 = empty).
+    pub fn fps(&self) -> &[u8] {
+        &self.bytes[..SLOTS]
+    }
+
+    fn word(&self, at: usize) -> u64 {
+        u64::from_le_bytes(self.bytes[at..at + 8].try_into().expect("8 bytes"))
+    }
+
+    /// The `(key, value)` record of `slot` (meaningful only where its
+    /// fingerprint is nonzero).
+    pub fn record(&self, slot: usize) -> (u64, u64) {
+        let base = (REC_OFF + slot as u64 * REC_SIZE) as usize;
+        (self.word(base), self.word(base + 8))
+    }
+
     /// Number of occupied slots.
     pub fn occupancy(&self) -> usize {
-        self.fps.iter().filter(|fp| **fp != 0).count()
+        self.fps().iter().filter(|fp| **fp != 0).count()
     }
 
     /// Slot holding `key` if the fingerprint matches and the key compares
-    /// equal.
+    /// equal. Only slots whose fingerprint matches are decoded.
+    #[inline]
     pub fn find(&self, fp: u8, key: u64) -> Option<usize> {
-        (0..SLOTS).find(|&i| self.fps[i] == fp && self.records[i].0 == key)
+        (0..SLOTS).find(|&i| self.bytes[i] == fp && self.record(i).0 == key)
     }
 
     /// First empty slot.
     pub fn free_slot(&self) -> Option<usize> {
-        (0..SLOTS).find(|&i| self.fps[i] == 0)
+        self.fps().iter().position(|&fp| fp == 0)
     }
 
     /// Iterate live `(slot, key, value)` triples.
     pub fn live(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
-        (0..SLOTS)
-            .filter(|&i| self.fps[i] != 0)
-            .map(|i| (i, self.records[i].0, self.records[i].1))
+        (0..SLOTS).filter(|&i| self.bytes[i] != 0).map(|i| {
+            let (key, value) = self.record(i);
+            (i, key, value)
+        })
     }
 }
 
 /// Read a whole bucket with one 256 B access (the PMEM-friendly probe).
-pub fn load(region: &Region, bucket_off: u64) -> BucketSnapshot {
-    let bytes = region.read(bucket_off, BUCKET_BYTES, AccessHint::Random);
-    let mut fps = [0u8; SLOTS];
-    fps.copy_from_slice(&bytes[..SLOTS]);
-    let mut records = [(0u64, 0u64); SLOTS];
-    for (i, rec) in records.iter_mut().enumerate() {
-        let base = (REC_OFF + i as u64 * REC_SIZE) as usize;
-        rec.0 = u64::from_le_bytes(bytes[base..base + 8].try_into().expect("8 bytes"));
-        rec.1 = u64::from_le_bytes(bytes[base + 8..base + 16].try_into().expect("8 bytes"));
+#[inline]
+pub fn load<'r>(region: &'r Region, bucket_off: u64, tally: &mut Tally<'_>) -> BucketSnapshot<'r> {
+    let bytes = region.read_tallied(bucket_off, BUCKET_BYTES, AccessHint::Random, tally);
+    BucketSnapshot {
+        bytes: bytes.try_into().expect("one bucket"),
     }
-    BucketSnapshot { fps, records }
 }
 
 /// Write + persist the record of `slot`, then its fingerprint — the
 /// crash-consistent publication order.
-pub fn publish(region: &mut Region, bucket_off: u64, slot: usize, fp: u8, key: u64, value: u64) {
+pub fn publish(
+    region: &mut Region,
+    bucket_off: u64,
+    slot: usize,
+    fp: u8,
+    key: u64,
+    value: u64,
+    tally: &mut Tally<'_>,
+) {
     debug_assert!(slot < SLOTS);
     debug_assert_ne!(fp, 0);
     let rec_off = bucket_off + REC_OFF + slot as u64 * REC_SIZE;
@@ -95,43 +120,59 @@ pub fn publish(region: &mut Region, bucket_off: u64, slot: usize, fp: u8, key: u
     rec[..8].copy_from_slice(&key.to_le_bytes());
     rec[8..].copy_from_slice(&value.to_le_bytes());
     region
-        .try_ntstore(rec_off, &rec, AccessHint::Random)
+        .try_ntstore_tallied(rec_off, &rec, AccessHint::Random, tally)
         .expect("record in bounds");
-    region.sfence();
+    region.sfence_tallied(tally);
     region
-        .try_ntstore(bucket_off + slot as u64, &[fp], AccessHint::Random)
+        .try_ntstore_tallied(bucket_off + slot as u64, &[fp], AccessHint::Random, tally)
         .expect("fingerprint in bounds");
-    region.sfence();
+    region.sfence_tallied(tally);
 }
 
 /// Update the value of an existing slot in place (record overwrite is a
 /// single ≤8-byte atomic-enough ntstore; the fingerprint stays valid).
-pub fn update_value(region: &mut Region, bucket_off: u64, slot: usize, value: u64) {
+pub fn update_value(
+    region: &mut Region,
+    bucket_off: u64,
+    slot: usize,
+    value: u64,
+    tally: &mut Tally<'_>,
+) {
     let val_off = bucket_off + REC_OFF + slot as u64 * REC_SIZE + 8;
     region
-        .try_ntstore(val_off, &value.to_le_bytes(), AccessHint::Random)
+        .try_ntstore_tallied(val_off, &value.to_le_bytes(), AccessHint::Random, tally)
         .expect("value in bounds");
-    region.sfence();
+    region.sfence_tallied(tally);
 }
 
 /// Clear a slot (persisted fingerprint zero = tombstone-free removal).
-pub fn clear_slot(region: &mut Region, bucket_off: u64, slot: usize) {
+pub fn clear_slot(region: &mut Region, bucket_off: u64, slot: usize, tally: &mut Tally<'_>) {
     region
-        .try_ntstore(bucket_off + slot as u64, &[0u8], AccessHint::Random)
+        .try_ntstore_tallied(bucket_off + slot as u64, &[0u8], AccessHint::Random, tally)
         .expect("fingerprint in bounds");
-    region.sfence();
+    region.sfence_tallied(tally);
 }
 
 /// Insert or update `key` within this bucket only.
-pub fn insert(region: &mut Region, bucket_off: u64, fp: u8, key: u64, value: u64) -> BucketInsert {
-    let snap = load(region, bucket_off);
-    if let Some(slot) = snap.find(fp, key) {
-        update_value(region, bucket_off, slot, value);
+pub fn insert(
+    region: &mut Region,
+    bucket_off: u64,
+    fp: u8,
+    key: u64,
+    value: u64,
+    tally: &mut Tally<'_>,
+) -> BucketInsert {
+    let (found, free) = {
+        let snap = load(region, bucket_off, tally);
+        (snap.find(fp, key), snap.free_slot())
+    };
+    if let Some(slot) = found {
+        update_value(region, bucket_off, slot, value, tally);
         return BucketInsert::Updated;
     }
-    match snap.free_slot() {
+    match free {
         Some(slot) => {
-            publish(region, bucket_off, slot, fp, key, value);
+            publish(region, bucket_off, slot, fp, key, value, tally);
             BucketInsert::Inserted
         }
         None => BucketInsert::Full,
@@ -146,19 +187,20 @@ mod tests {
     use pmem_sim::topology::SocketId;
     use pmem_store::Namespace;
 
-    fn region() -> Region {
-        Namespace::devdax(SocketId(0), 1 << 20)
-            .alloc_region(BUCKET_BYTES * 4)
-            .unwrap()
+    fn region() -> (Namespace, Region) {
+        let ns = Namespace::devdax(SocketId(0), 1 << 20);
+        let region = ns.alloc_region(BUCKET_BYTES * 4).unwrap();
+        (ns, region)
     }
 
     #[test]
     fn publish_then_load_round_trips() {
-        let mut r = region();
-        publish(&mut r, 0, 3, 0xAB, 111, 222);
-        let snap = load(&r, 0);
-        assert_eq!(snap.fps[3], 0xAB);
-        assert_eq!(snap.records[3], (111, 222));
+        let (ns, mut r) = region();
+        let t = &mut ns.tally();
+        publish(&mut r, 0, 3, 0xAB, 111, 222, t);
+        let snap = load(&r, 0, t);
+        assert_eq!(snap.fps()[3], 0xAB);
+        assert_eq!(snap.record(3), (111, 222));
         assert_eq!(snap.occupancy(), 1);
         assert_eq!(snap.find(0xAB, 111), Some(3));
         assert_eq!(snap.find(0xAB, 999), None);
@@ -167,22 +209,24 @@ mod tests {
 
     #[test]
     fn insert_fills_update_and_reports_full() {
-        let mut r = region();
+        let (ns, mut r) = region();
+        let t = &mut ns.tally();
         for k in 0..SLOTS as u64 {
-            assert_eq!(insert(&mut r, 256, 7, k, k * 10), BucketInsert::Inserted);
+            assert_eq!(insert(&mut r, 256, 7, k, k * 10, t), BucketInsert::Inserted);
         }
-        assert_eq!(insert(&mut r, 256, 7, 3, 999), BucketInsert::Updated);
-        assert_eq!(load(&r, 256).records[3].1, 999);
-        assert_eq!(insert(&mut r, 256, 7, 10_000, 0), BucketInsert::Full);
-        assert_eq!(load(&r, 256).occupancy(), SLOTS);
+        assert_eq!(insert(&mut r, 256, 7, 3, 999, t), BucketInsert::Updated);
+        assert_eq!(load(&r, 256, t).record(3).1, 999);
+        assert_eq!(insert(&mut r, 256, 7, 10_000, 0, t), BucketInsert::Full);
+        assert_eq!(load(&r, 256, t).occupancy(), SLOTS);
     }
 
     #[test]
     fn clear_slot_frees_space() {
-        let mut r = region();
-        publish(&mut r, 0, 0, 5, 1, 2);
-        clear_slot(&mut r, 0, 0);
-        let snap = load(&r, 0);
+        let (ns, mut r) = region();
+        let t = &mut ns.tally();
+        publish(&mut r, 0, 0, 5, 1, 2, t);
+        clear_slot(&mut r, 0, 0, t);
+        let snap = load(&r, 0, t);
         assert_eq!(snap.occupancy(), 0);
         assert_eq!(snap.free_slot(), Some(0));
     }
@@ -190,41 +234,43 @@ mod tests {
     #[test]
     fn crash_between_record_and_fingerprint_hides_the_record() {
         // Simulate the torn insert by doing the steps manually.
-        let mut r = region();
+        let (ns, mut r) = region();
         let rec_off = 16;
         r.ntstore(rec_off, &42u64.to_le_bytes());
         r.sfence(); // record persisted …
         r.ntstore(0, &[0x99u8]); // … fingerprint written but NOT fenced
         r.crash();
-        let snap = load(&r, 0);
+        let snap = load(&r, 0, &mut ns.tally());
         assert_eq!(snap.occupancy(), 0, "unfenced fingerprint must not survive");
     }
 
     #[test]
     fn published_records_survive_crashes() {
-        let mut r = region();
-        publish(&mut r, 0, 1, 9, 77, 88);
+        let (ns, mut r) = region();
+        let t = &mut ns.tally();
+        publish(&mut r, 0, 1, 9, 77, 88, t);
         r.crash();
-        let snap = load(&r, 0);
+        let snap = load(&r, 0, t);
         assert_eq!(snap.find(9, 77), Some(1));
-        assert_eq!(snap.records[1].1, 88);
+        assert_eq!(snap.record(1).1, 88);
     }
 
     #[test]
     fn live_iterates_only_occupied_slots() {
-        let mut r = region();
-        publish(&mut r, 0, 0, 1, 10, 100);
-        publish(&mut r, 0, 5, 2, 20, 200);
-        let snap = load(&r, 0);
+        let (ns, mut r) = region();
+        let t = &mut ns.tally();
+        publish(&mut r, 0, 0, 1, 10, 100, t);
+        publish(&mut r, 0, 5, 2, 20, 200, t);
+        let snap = load(&r, 0, t);
         let live: Vec<_> = snap.live().collect();
         assert_eq!(live, vec![(0, 10, 100), (5, 20, 200)]);
     }
 
     #[test]
     fn bucket_probe_costs_one_random_256b_read() {
-        let r = region();
+        let (ns, r) = region();
         let before = r.tracker().snapshot();
-        let _ = load(&r, 0);
+        let _ = load(&r, 0, &mut ns.tally());
         let delta = r.tracker().snapshot().since(&before);
         assert_eq!(delta.read_ops, 1);
         assert_eq!(delta.rand_read_bytes, 256);

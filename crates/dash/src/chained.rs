@@ -14,13 +14,14 @@
 //!
 //! A table that takes no more writes can be [sealed](ChainedTable::seal)
 //! into a [`SealedChainedTable`], which walks the same chains without the
-//! table lock.
+//! table lock. Lookups and inserts, node-region grows and rehashes
+//! included, count into the caller's [`Tally`], as Dash's do.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
 use pmem_store::alloc::Arena;
-use pmem_store::{AccessHint, Namespace, Region, Result};
+use pmem_store::{AccessHint, Namespace, Region, Result, Tally};
 
 use crate::hash::hash64;
 use crate::KvIndex;
@@ -56,10 +57,11 @@ pub struct SealedChainedTable {
 }
 
 impl SealedChainedTable {
-    /// Point lookup.
+    /// Point lookup, counted into `tally` (a tally of the namespace the
+    /// table was built in).
     #[inline]
-    pub fn get(&self, key: u64) -> Option<u64> {
-        self.inner.get(key)
+    pub fn get(&self, key: u64, tally: &mut Tally<'_>) -> Option<u64> {
+        self.inner.get(key, tally)
     }
 
     /// Number of live records.
@@ -128,22 +130,25 @@ impl Inner {
         hash64(key) & (self.bucket_count - 1)
     }
 
-    fn head(&self, bucket: u64) -> u64 {
-        self.heads.read_u64(bucket * 8, AccessHint::Random)
+    fn head(&self, bucket: u64, t: &mut Tally<'_>) -> u64 {
+        let bytes = self
+            .heads
+            .read_tallied(bucket * 8, 8, AccessHint::Random, t);
+        u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
     }
 
-    fn set_head(&mut self, bucket: u64, link: u64) {
+    fn set_head(&mut self, bucket: u64, link: u64, t: &mut Tally<'_>) {
         self.heads
-            .try_write(bucket * 8, &link.to_le_bytes(), AccessHint::Random)
+            .try_write_tallied(bucket * 8, &link.to_le_bytes(), AccessHint::Random, t)
             .expect("head in bounds");
     }
 
     /// The one lookup body of the live and the sealed table: walk the
     /// key's chain, one random node read per hop.
-    fn get(&self, key: u64) -> Option<u64> {
-        let mut link = self.head(self.bucket_of(key));
+    fn get(&self, key: u64, t: &mut Tally<'_>) -> Option<u64> {
+        let mut link = self.head(self.bucket_of(key), t);
         while link != 0 {
-            let (k, v, next) = self.node(link);
+            let (k, v, next) = self.node(link, t);
             if k == key {
                 return Some(v);
             }
@@ -152,12 +157,14 @@ impl Inner {
         None
     }
 
-    fn node(&self, link: u64) -> (u64, u64, u64) {
+    fn node(&self, link: u64, t: &mut Tally<'_>) -> (u64, u64, u64) {
         debug_assert_ne!(link, 0);
         let off = link - 1;
         // One pointer-chasing hop: a 24 B random read, the PMEM-hostile
         // pattern this structure exists to demonstrate.
-        let bytes = self.nodes.read(off, NODE_SIZE, AccessHint::Random);
+        let bytes = self
+            .nodes
+            .read_tallied(off, NODE_SIZE, AccessHint::Random, t);
         (
             u64::from_le_bytes(bytes[0..8].try_into().expect("8")),
             u64::from_le_bytes(bytes[8..16].try_into().expect("8")),
@@ -165,40 +172,40 @@ impl Inner {
         )
     }
 
-    fn write_node(&mut self, link: u64, key: u64, value: u64, next: u64) {
+    fn write_node(&mut self, link: u64, key: u64, value: u64, next: u64, t: &mut Tally<'_>) {
         let off = link - 1;
         let mut buf = [0u8; NODE_SIZE as usize];
         buf[0..8].copy_from_slice(&key.to_le_bytes());
         buf[8..16].copy_from_slice(&value.to_le_bytes());
         buf[16..24].copy_from_slice(&next.to_le_bytes());
         self.nodes
-            .try_write(off, &buf, AccessHint::Random)
+            .try_write_tallied(off, &buf, AccessHint::Random, t)
             .expect("node in bounds");
     }
 
-    fn set_node_value(&mut self, link: u64, value: u64) {
+    fn set_node_value(&mut self, link: u64, value: u64, t: &mut Tally<'_>) {
         self.nodes
-            .try_write(link - 1 + 8, &value.to_le_bytes(), AccessHint::Random)
+            .try_write_tallied(link - 1 + 8, &value.to_le_bytes(), AccessHint::Random, t)
             .expect("node in bounds");
     }
 
-    fn set_node_next(&mut self, link: u64, next: u64) {
+    fn set_node_next(&mut self, link: u64, next: u64, t: &mut Tally<'_>) {
         self.nodes
-            .try_write(link - 1 + 16, &next.to_le_bytes(), AccessHint::Random)
+            .try_write_tallied(link - 1 + 16, &next.to_le_bytes(), AccessHint::Random, t)
             .expect("node in bounds");
     }
 
-    fn alloc_node(&mut self, ns: &Namespace) -> Result<u64> {
+    fn alloc_node(&mut self, ns: &Namespace, t: &mut Tally<'_>) -> Result<u64> {
         if self.free_head != 0 {
             let link = self.free_head;
-            let (_, _, next) = self.node(link);
+            let (_, _, next) = self.node(link, t);
             self.free_head = next;
             return Ok(link);
         }
         match self.arena.alloc(NODE_SIZE, 8) {
             Ok(off) => Ok(off + 1),
             Err(pmem_store::StoreError::OutOfSpace { .. }) => {
-                self.grow_nodes(ns)?;
+                self.grow_nodes(ns, t)?;
                 Ok(self.arena.alloc(NODE_SIZE, 8)? + 1)
             }
             Err(e) => Err(e),
@@ -207,32 +214,36 @@ impl Inner {
 
     /// Double the node storage, copying existing nodes so offsets stay
     /// valid (accounted as the sequential copy a real rehash performs).
-    fn grow_nodes(&mut self, ns: &Namespace) -> Result<()> {
+    fn grow_nodes(&mut self, ns: &Namespace, t: &mut Tally<'_>) -> Result<()> {
         let old_len = self.nodes.len();
         let new_len = old_len * 2;
         let mut new_nodes = ns.alloc_region(new_len)?;
-        let bytes = self.nodes.read(0, old_len, AccessHint::Sequential).to_vec();
-        new_nodes.try_write(0, &bytes, AccessHint::Sequential)?;
+        let bytes = self
+            .nodes
+            .read_tallied(0, old_len, AccessHint::Sequential, t)
+            .to_vec();
+        new_nodes.try_write_tallied(0, &bytes, AccessHint::Sequential, t)?;
         self.nodes = new_nodes;
         self.arena.grow(new_len);
         ns.release(old_len);
         Ok(())
     }
 
-    fn rehash(&mut self, ns: &Namespace) -> Result<()> {
+    fn rehash(&mut self, ns: &Namespace, t: &mut Tally<'_>) -> Result<()> {
         let new_count = self.bucket_count * 2;
         let new_heads = ns.alloc_region(new_count * 8)?;
         let old_heads = std::mem::replace(&mut self.heads, new_heads);
         let old_count = self.bucket_count;
         self.bucket_count = new_count;
         for b in 0..old_count {
-            let mut link = old_heads.read_u64(b * 8, AccessHint::Sequential);
+            let bytes = old_heads.read_tallied(b * 8, 8, AccessHint::Sequential, t);
+            let mut link = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
             while link != 0 {
-                let (key, _, next) = self.node(link);
+                let (key, _, next) = self.node(link, t);
                 let nb = self.bucket_of(key);
-                let nh = self.head(nb);
-                self.set_node_next(link, nh);
-                self.set_head(nb, link);
+                let nh = self.head(nb, t);
+                self.set_node_next(link, nh, t);
+                self.set_head(nb, link, t);
                 link = next;
             }
         }
@@ -243,49 +254,58 @@ impl Inner {
 
 impl KvIndex for ChainedTable {
     fn insert(&self, key: u64, value: u64) -> Result<()> {
+        self.insert_tallied(key, value, &mut self.ns.tally())
+    }
+
+    fn get(&self, key: u64) -> Option<u64> {
+        self.get_tallied(key, &mut self.ns.tally())
+    }
+
+    fn insert_tallied(&self, key: u64, value: u64, t: &mut Tally<'_>) -> Result<()> {
         let mut inner = self.inner.write();
         let bucket = inner.bucket_of(key);
-        let head = inner.head(bucket);
+        let head = inner.head(bucket, t);
         // Walk the chain looking for the key.
         let mut link = head;
         while link != 0 {
-            let (k, _, next) = inner.node(link);
+            let (k, _, next) = inner.node(link, t);
             if k == key {
-                inner.set_node_value(link, value);
+                inner.set_node_value(link, value, t);
                 return Ok(());
             }
             link = next;
         }
-        let node = inner.alloc_node(&self.ns)?;
-        inner.write_node(node, key, value, head);
-        inner.set_head(bucket, node);
+        let node = inner.alloc_node(&self.ns, t)?;
+        inner.write_node(node, key, value, head, t);
+        inner.set_head(bucket, node, t);
         let len = self.len.fetch_add(1, Ordering::Relaxed) + 1;
         if len > inner.bucket_count as usize * MAX_LOAD {
-            inner.rehash(&self.ns)?;
+            inner.rehash(&self.ns, t)?;
         }
         Ok(())
     }
 
-    fn get(&self, key: u64) -> Option<u64> {
-        self.inner.read().get(key)
+    fn get_tallied(&self, key: u64, t: &mut Tally<'_>) -> Option<u64> {
+        self.inner.read().get(key, t)
     }
 
     fn remove(&self, key: u64) -> Option<u64> {
+        let t = &mut self.ns.tally();
         let mut inner = self.inner.write();
         let bucket = inner.bucket_of(key);
         let mut prev = 0u64;
-        let mut link = inner.head(bucket);
+        let mut link = inner.head(bucket, t);
         while link != 0 {
-            let (k, v, next) = inner.node(link);
+            let (k, v, next) = inner.node(link, t);
             if k == key {
                 if prev == 0 {
-                    inner.set_head(bucket, next);
+                    inner.set_head(bucket, next, t);
                 } else {
-                    inner.set_node_next(prev, next);
+                    inner.set_node_next(prev, next, t);
                 }
                 // Push onto the free list.
                 let free = inner.free_head;
-                inner.set_node_next(link, free);
+                inner.set_node_next(link, free, t);
                 inner.free_head = link;
                 self.len.fetch_sub(1, Ordering::Relaxed);
                 return Some(v);
@@ -389,27 +409,46 @@ mod tests {
 
     #[test]
     fn sealed_lookup_reads_what_the_live_get_reads() {
-        // Two tables built alike on namespaces of their own; one is sealed.
-        // 24 records in 8 buckets, just below the rehash threshold, so
-        // some chain holds 3 or more.
-        let build = || {
+        // Two tables built alike on namespaces of their own: one through
+        // `KvIndex::insert`, the other through one tally, then sealed. 45
+        // records from a 16-record hint cross a rehash (8 → 16 buckets, at
+        // the 25th) and a node-region grow (at the 33rd), and leave some
+        // chain of 3 or more.
+        let build = |tallied: bool| {
             let ns = Namespace::fsdax(SocketId(0), 8 << 20);
             let t = ChainedTable::with_capacity(&ns, 16).unwrap();
-            for k in 0..24u64 {
-                t.insert(k * 2, k).unwrap();
+            let nodes = t.inner.read().nodes.len();
+            let mut tally = ns.tally();
+            for k in 0..45u64 {
+                if tallied {
+                    t.insert_tallied(k * 2, k, &mut tally).unwrap();
+                } else {
+                    t.insert(k * 2, k).unwrap();
+                }
             }
-            assert_eq!(t.bucket_count(), 8);
+            drop(tally);
+            assert_eq!(t.bucket_count(), 16);
+            assert!(t.inner.read().nodes.len() > nodes, "node region grew");
             (ns, t)
         };
-        let (live_ns, live) = build();
-        let (sealed_ns, table) = build();
+        let bytes = |t: &ChainedTable| {
+            let inner = t.inner.read();
+            let heads = inner.heads.untracked_slice().to_vec();
+            (heads, inner.nodes.untracked_slice().to_vec())
+        };
+        let (live_ns, live) = build(false);
+        let (sealed_ns, table) = build(true);
+        assert_eq!(sealed_ns.tracker().snapshot(), live_ns.tracker().snapshot());
+        assert_eq!(bytes(&table), bytes(&live));
         let sealed = table.seal();
         assert_eq!(sealed.len(), live.len());
         let mut longest_walk = 0;
         // Even keys hit, odd keys miss.
-        for key in 0..48u64 {
+        for key in 0..90u64 {
             let (live0, sealed0) = (live_ns.tracker().snapshot(), sealed_ns.tracker().snapshot());
-            assert_eq!(sealed.get(key), live.get(key), "key {key}");
+            let mut tally = sealed_ns.tally();
+            assert_eq!(sealed.get(key, &mut tally), live.get(key), "key {key}");
+            drop(tally);
             let delta = live_ns.tracker().snapshot().since(&live0);
             assert_eq!(
                 sealed_ns.tracker().snapshot().since(&sealed0),

@@ -46,13 +46,25 @@ pub mod table;
 pub use chained::{ChainedTable, SealedChainedTable};
 pub use table::{DashRecovery, DashStats, DashTable, SealedDashTable};
 
+use pmem_store::Tally;
+
 /// Common interface over the PMEM-aware and PMEM-unaware tables so the SSB
 /// engine can swap them per execution mode.
+///
+/// The `*_tallied` calls count their accesses into a caller's [`Tally`] of
+/// the namespace the index was created in (any other tally panics);
+/// [`KvIndex::insert`] and [`KvIndex::get`] run the same bodies, each with
+/// a tally of its own that lands when the call returns.
 pub trait KvIndex {
     /// Insert or update a key. Errors only on resource exhaustion.
     fn insert(&self, key: u64, value: u64) -> pmem_store::Result<()>;
     /// Point lookup.
     fn get(&self, key: u64) -> Option<u64>;
+    /// [`KvIndex::insert`], counted into `tally`.
+    fn insert_tallied(&self, key: u64, value: u64, tally: &mut Tally<'_>)
+        -> pmem_store::Result<()>;
+    /// [`KvIndex::get`], counted into `tally`.
+    fn get_tallied(&self, key: u64, tally: &mut Tally<'_>) -> Option<u64>;
     /// Remove a key, returning its value.
     fn remove(&self, key: u64) -> Option<u64>;
     /// Number of live records.

@@ -9,6 +9,12 @@
 //! A table that takes no more writes can be [sealed](DashTable::seal) into
 //! a [`SealedDashTable`]: the same segments and directory, out of their
 //! locks, probed with exactly the same bucket reads.
+//!
+//! Inserts and lookups count their bucket accesses into the caller's
+//! [`Tally`] of the table's namespace; [`KvIndex::insert`] and
+//! [`KvIndex::get`] run the same bodies with a tally of their own. A split
+//! returns the bytes of the segment it replaces, and an allocation that
+//! fails part-way returns those of the segments it already took.
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -16,10 +22,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use pmem_store::{Namespace, Result};
+use pmem_store::{Namespace, Result, Tally};
 
 use crate::hash::{self, hash64};
-use crate::segment::{Segment, SegmentInner, SegmentInsert};
+use crate::segment::{Segment, SegmentInner, SegmentInsert, SEGMENT_BYTES};
 use crate::KvIndex;
 
 /// Directory state.
@@ -74,9 +80,26 @@ fn lookup<S: Deref<Target = SegmentInner>>(
     key: u64,
     global_depth: u8,
     segment: impl FnOnce(usize) -> S,
+    tally: &mut Tally<'_>,
 ) -> Option<u64> {
     let h = hash64(key);
-    segment(hash::dir_index(h, global_depth)).get(h, key)
+    segment(hash::dir_index(h, global_depth)).get(h, key, tally)
+}
+
+/// Allocate `count` empty segments of local depth `depth`, or none: when
+/// one fails, the bytes of those already allocated go back to `ns`.
+fn alloc_segments(ns: &Namespace, depth: u8, count: usize) -> Result<Vec<Segment>> {
+    let mut segments = Vec::with_capacity(count);
+    for _ in 0..count {
+        match Segment::new(ns, depth) {
+            Ok(segment) => segments.push(segment),
+            Err(e) => {
+                ns.release(segments.len() as u64 * SEGMENT_BYTES);
+                return Err(e);
+            }
+        }
+    }
+    Ok(segments)
 }
 
 /// A [`DashTable`] after its last write: the directory as segment indices
@@ -91,12 +114,16 @@ pub struct SealedDashTable {
 }
 
 impl SealedDashTable {
-    /// Point lookup.
+    /// Point lookup, counted into `tally` (a tally of the namespace the
+    /// table was built in).
     #[inline]
-    pub fn get(&self, key: u64) -> Option<u64> {
-        lookup(key, self.global_depth, |slot| {
-            &self.segments[self.dir[slot] as usize]
-        })
+    pub fn get(&self, key: u64, tally: &mut Tally<'_>) -> Option<u64> {
+        lookup(
+            key,
+            self.global_depth,
+            |slot| &self.segments[self.dir[slot] as usize],
+            tally,
+        )
     }
 
     /// Number of live records.
@@ -124,11 +151,10 @@ impl DashTable {
             depth <= 28,
             "directory of 2^{depth} entries is unreasonable"
         );
-        let count = 1usize << depth;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            entries.push(Arc::new(Segment::new(ns, depth)?));
-        }
+        let entries = alloc_segments(ns, depth, 1 << depth)?
+            .into_iter()
+            .map(Arc::new)
+            .collect();
         Ok(DashTable {
             ns: ns.clone(),
             dir: RwLock::new(Directory {
@@ -196,31 +222,9 @@ impl DashTable {
         }
     }
 
-    fn insert_inner(&self, key: u64, value: u64) -> Result<()> {
-        let h = hash64(key);
-        loop {
-            let full_segment = {
-                let dir = self.dir.read();
-                let idx = hash::dir_index(h, dir.global_depth);
-                let segment = Arc::clone(&dir.entries[idx]);
-                let mut inner = segment.write();
-                match inner.insert(h, key, value) {
-                    SegmentInsert::Inserted => {
-                        self.len.fetch_add(1, Ordering::Relaxed);
-                        return Ok(());
-                    }
-                    SegmentInsert::Updated => return Ok(()),
-                    SegmentInsert::NeedsSplit => Arc::as_ptr(&segment),
-                }
-            };
-            // Split outside of the read lock, then retry.
-            self.split(h, full_segment)?;
-        }
-    }
-
     /// Split the segment responsible for hash `h`, unless another thread
     /// already replaced it (`expected` no longer matches).
-    fn split(&self, h: u64, expected: *const Segment) -> Result<()> {
+    fn split(&self, h: u64, expected: *const Segment, tally: &mut Tally<'_>) -> Result<()> {
         let mut dir = self.dir.write();
         let idx = hash::dir_index(h, dir.global_depth);
         let old = Arc::clone(&dir.entries[idx]);
@@ -230,6 +234,13 @@ impl DashTable {
         let old_inner = old.write();
         let local = old_inner.local_depth;
 
+        // Both halves first: a split that cannot get them changes nothing
+        // and holds no bytes.
+        let [zero, one]: [Segment; 2] = alloc_segments(&self.ns, local + 1, 2)?
+            .try_into()
+            .expect("two segments");
+        let (zero, one) = (Arc::new(zero), Arc::new(one));
+
         if local == dir.global_depth {
             // Double the directory: entry i gains a twin at i + 2^depth.
             let entries = dir.entries.clone();
@@ -237,17 +248,14 @@ impl DashTable {
             dir.global_depth += 1;
         }
 
-        let new_depth = local + 1;
-        let zero = Arc::new(Segment::new(&self.ns, new_depth)?);
-        let one = Arc::new(Segment::new(&self.ns, new_depth)?);
         {
             let mut z = zero.write();
             let mut o = one.write();
-            for (k, v) in old_inner.records() {
+            for (k, v) in old_inner.records(tally) {
                 let kh = hash64(k);
                 let bit = (kh >> local) & 1;
                 let target = if bit == 0 { &mut *z } else { &mut *o };
-                match target.insert(kh, k, v) {
+                match target.insert(kh, k, v, tally) {
                     SegmentInsert::Inserted => {}
                     // A single split cannot overflow a fresh segment: the
                     // parent held ≤ capacity records.
@@ -269,6 +277,9 @@ impl DashTable {
             };
             slot += stride;
         }
+        // The replaced segment's bytes go back now; its memory goes with
+        // the last handle, `old`.
+        self.ns.release(SEGMENT_BYTES);
         Ok(())
     }
 
@@ -365,6 +376,7 @@ impl DashTable {
     /// build verification).
     pub fn iter_records(&self) -> Vec<(u64, u64)> {
         let dir = self.dir.read();
+        let tally = &mut self.ns.tally();
         let mut seen: Vec<*const Segment> = Vec::new();
         let mut out = Vec::new();
         for seg in &dir.entries {
@@ -373,7 +385,7 @@ impl DashTable {
                 continue;
             }
             seen.push(ptr);
-            out.extend(seg.read().records());
+            out.extend(seg.read().records(tally));
         }
         out
     }
@@ -381,13 +393,44 @@ impl DashTable {
 
 impl KvIndex for DashTable {
     fn insert(&self, key: u64, value: u64) -> Result<()> {
-        self.insert_inner(key, value)
+        self.insert_tallied(key, value, &mut self.ns.tally())
     }
 
     fn get(&self, key: u64) -> Option<u64> {
+        self.get_tallied(key, &mut self.ns.tally())
+    }
+
+    fn insert_tallied(&self, key: u64, value: u64, tally: &mut Tally<'_>) -> Result<()> {
+        let h = hash64(key);
+        loop {
+            let full_segment = {
+                let dir = self.dir.read();
+                let idx = hash::dir_index(h, dir.global_depth);
+                let segment = Arc::clone(&dir.entries[idx]);
+                let mut inner = segment.write();
+                match inner.insert(h, key, value, tally) {
+                    SegmentInsert::Inserted => {
+                        self.len.fetch_add(1, Ordering::Relaxed);
+                        return Ok(());
+                    }
+                    SegmentInsert::Updated => return Ok(()),
+                    SegmentInsert::NeedsSplit => Arc::as_ptr(&segment),
+                }
+            };
+            // Split outside of the read lock, then retry.
+            self.split(h, full_segment, tally)?;
+        }
+    }
+
+    fn get_tallied(&self, key: u64, tally: &mut Tally<'_>) -> Option<u64> {
         // Directory, then segment: the lock order inserts and splits use.
         let dir = self.dir.read();
-        lookup(key, dir.global_depth, |slot| dir.entries[slot].read())
+        lookup(
+            key,
+            dir.global_depth,
+            |slot| dir.entries[slot].read(),
+            tally,
+        )
     }
 
     fn remove(&self, key: u64) -> Option<u64> {
@@ -396,7 +439,7 @@ impl KvIndex for DashTable {
         let idx = hash::dir_index(h, dir.global_depth);
         let segment = Arc::clone(&dir.entries[idx]);
         let mut inner = segment.write();
-        let removed = inner.remove(h, key);
+        let removed = inner.remove(h, key, &mut self.ns.tally());
         if removed.is_some() {
             self.len.fetch_sub(1, Ordering::Relaxed);
         }
@@ -549,12 +592,13 @@ mod tests {
             let seg = Arc::clone(&dir.entries[idx]);
             drop(dir);
             let mut inner = seg.write();
-            assert_eq!(inner.insert(h, key, 1), SegmentInsert::Inserted);
+            let tally = &mut ns.tally();
+            assert_eq!(inner.insert(h, key, 1, tally), SegmentInsert::Inserted);
             let b = hash::bucket_index(h, crate::segment::BUCKETS);
             let n = (b + 1) % crate::segment::BUCKETS;
             let fp = hash::fingerprint(h);
             let off = |bkt: u32| bkt as u64 * crate::bucket::BUCKET_BYTES;
-            let to = if crate::bucket::load(&inner.region, off(b))
+            let to = if crate::bucket::load(&inner.region, off(b), tally)
                 .find(fp, key)
                 .is_some()
             {
@@ -562,10 +606,10 @@ mod tests {
             } else {
                 b
             };
-            let free = crate::bucket::load(&inner.region, off(to))
+            let free = crate::bucket::load(&inner.region, off(to), tally)
                 .free_slot()
                 .unwrap();
-            crate::bucket::publish(&mut inner.region, off(to), free, fp, key, 1);
+            crate::bucket::publish(&mut inner.region, off(to), free, fp, key, 1, tally);
         }
         let report = t.crash_recover();
         assert_eq!(report.duplicates_repaired, 1);
@@ -577,19 +621,36 @@ mod tests {
 
     #[test]
     fn sealed_lookup_reads_what_the_live_get_reads() {
-        // Two tables built alike on namespaces of their own; one is sealed.
-        // A small capacity hint makes them split.
-        let build = || {
+        // Two tables built alike on namespaces of their own: one through
+        // `KvIndex::insert`, the other through one tally, then sealed. A
+        // small capacity hint makes them split.
+        let build = |tallied: bool| {
             let ns = Namespace::fsdax(SocketId(0), 64 << 20);
             let t = DashTable::with_capacity(&ns, 16).unwrap();
+            let mut tally = ns.tally();
             for k in 0..7_500u64 {
-                t.insert(k * 3, k).unwrap();
+                if tallied {
+                    t.insert_tallied(k * 3, k, &mut tally).unwrap();
+                } else {
+                    t.insert(k * 3, k).unwrap();
+                }
             }
+            drop(tally);
             (ns, t)
         };
-        let (live_ns, live) = build();
-        let (sealed_ns, table) = build();
+        let segment_bytes = |t: &DashTable| -> Vec<Vec<u8>> {
+            let dir = t.dir.read();
+            let regions = dir.entries.iter().map(|s| s.read());
+            regions
+                .map(|s| s.region.untracked_slice().to_vec())
+                .collect()
+        };
+        let (live_ns, live) = build(false);
+        let (sealed_ns, table) = build(true);
+        assert_eq!(sealed_ns.tracker().snapshot(), live_ns.tracker().snapshot());
+        assert_eq!(segment_bytes(&table), segment_bytes(&live));
         let stats = table.stats();
+        assert_eq!(stats, live.stats());
         assert!(
             stats.directory_entries > stats.segments,
             "twin directory entries: {stats:?}"
@@ -600,13 +661,59 @@ mod tests {
         // Every third key is a hit, the others miss.
         for key in 0..22_500u64 {
             let (live0, sealed0) = (live_ns.tracker().snapshot(), sealed_ns.tracker().snapshot());
-            assert_eq!(sealed.get(key), live.get(key), "key {key}");
+            let mut tally = sealed_ns.tally();
+            assert_eq!(sealed.get(key, &mut tally), live.get(key), "key {key}");
+            drop(tally);
             assert_eq!(
                 sealed_ns.tracker().snapshot().since(&sealed0),
                 live_ns.tracker().snapshot().since(&live0),
                 "key {key}"
             );
         }
+    }
+
+    #[test]
+    fn namespace_bytes_follow_the_live_segments() {
+        use crate::segment::SEGMENT_BYTES;
+        // A run of splits returns the bytes of every segment it replaces.
+        let ns = ns(64);
+        let t = DashTable::new(&ns).unwrap();
+        for k in 0..20_000u64 {
+            t.insert(k, k).unwrap();
+        }
+        assert!(t.stats().segments > 8, "{:?}", t.stats());
+        assert_eq!(ns.used(), t.stats().bytes);
+
+        // Inserts until a split fails: with room for 2 or 4 segments the
+        // failing split gets its first half and not its second; with a
+        // region taking all the room but the table's, it gets neither.
+        for (room, taken) in [(2, 0), (4, 0), (3, 2)] {
+            let ns = Namespace::devdax(SocketId(0), room * SEGMENT_BYTES);
+            let t = DashTable::new(&ns).unwrap();
+            let _taken = ns.alloc_region(taken * SEGMENT_BYTES).unwrap();
+            let failed = (0..100_000u64).find_map(|k| t.insert(k, k).err());
+            assert!(
+                matches!(failed, Some(pmem_store::StoreError::OutOfSpace { .. })),
+                "{failed:?}"
+            );
+            let stats = t.stats();
+            assert_eq!(
+                ns.used(),
+                stats.bytes + taken * SEGMENT_BYTES,
+                "room {room}"
+            );
+            // The failed split changed nothing: every record still answers.
+            for (k, v) in t.iter_records() {
+                assert_eq!(t.get(k), Some(v));
+            }
+            assert_eq!(t.iter_records().len(), stats.records);
+        }
+
+        // A table whose segments do not all fit holds none of them.
+        let ns = Namespace::devdax(SocketId(0), 5 * SEGMENT_BYTES);
+        let per_segment = (SegmentInner::capacity() as f64 * 0.7) as usize;
+        assert!(DashTable::with_capacity(&ns, 8 * per_segment).is_err());
+        assert_eq!(ns.used(), 0);
     }
 
     #[test]

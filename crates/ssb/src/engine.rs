@@ -12,13 +12,18 @@
 //! without a lock or a reference-count bump, yet every probe reads exactly
 //! the buckets (Dash) or chain nodes (chained) a live table's `get` reads,
 //! so sealing moves host time and no tracked byte.
+//!
+//! Index accesses count into worker-local [`Tally`]s of the shard's index
+//! namespace: one per build and one per probing worker, each dropped, and
+//! so added into the namespace's tracker, before the snapshot that closes
+//! its phase.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pmem_dash::{ChainedTable, DashTable, KvIndex, SealedChainedTable, SealedDashTable};
-use pmem_store::{AccessHint, Namespace, Region, Result};
+use pmem_store::{AccessHint, Namespace, Region, Result, Tally};
 
 use crate::schema::{DateDim, GeoDim, Lineorder, PartDim, DIM_ROW, LINEORDER_ROW};
 use crate::storage::{EngineMode, Reservation, RESULT_ROW};
@@ -64,12 +69,13 @@ pub enum JoinIndex {
 }
 
 impl JoinIndex {
-    /// Probe for a key.
+    /// Probe for a key, counted into `tally` (a tally of the namespace the
+    /// index was built in).
     #[inline]
-    pub fn get(&self, key: u64) -> Option<u64> {
+    pub fn get(&self, key: u64, tally: &mut Tally<'_>) -> Option<u64> {
         match self {
-            JoinIndex::Dash(t) => t.get(key),
-            JoinIndex::Chained(t) => t.get(key),
+            JoinIndex::Dash(t) => t.get(key, tally),
+            JoinIndex::Chained(t) => t.get(key, tally),
         }
     }
 
@@ -105,6 +111,8 @@ where
     E: Fn(&T) -> Option<(u64, u64)>,
 {
     let fill = |index: &dyn KvIndex| -> Result<u64> {
+        // One tally for the whole build; it lands when `fill` returns.
+        let mut tally = ns.tally();
         let mut inserts = 0u64;
         let mut row = 0u64;
         while row < row_count {
@@ -113,7 +121,7 @@ where
             for i in 0..n as usize {
                 let t = decode(&bytes[i * DIM_ROW as usize..(i + 1) * DIM_ROW as usize]);
                 if let Some((key, value)) = entry(&t) {
-                    index.insert(key, value)?;
+                    index.insert_tallied(key, value, &mut tally)?;
                     inserts += 1;
                 }
             }

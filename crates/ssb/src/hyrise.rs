@@ -24,7 +24,9 @@
 //! * the buffers land, in worker order, as one non-temporal store of the
 //!   whole intermediate ([`Region::try_ntstore_gather`]) and one fence, so
 //!   the tracked traffic is that of one store however many workers ran;
-//! * the probes go to sealed indexes ([`JoinIndex`]), which take no lock;
+//! * the probes go to sealed indexes ([`JoinIndex`]), which take no lock,
+//!   and each probe-stage worker counts them into its own tally of the
+//!   index namespace, dropped before the stage's intermediate is written;
 //! * the final aggregation folds per-worker [`GroupAgg`]s, as the aware
 //!   engine does.
 
@@ -258,10 +260,10 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
         let outs = scan_intermediate(
             &current,
             threads,
-            || (Vec::new(), OpCounters::default()),
-            |(out, c): &mut (Vec<u8>, OpCounters), row| {
+            || (Vec::new(), OpCounters::default(), shard.index_ns.tally()),
+            |(out, c, tally), row| {
                 c.probes += 1;
-                if let Some(payload) = idx.get(u32_at(row, key_at) as u64) {
+                if let Some(payload) = idx.get(u32_at(row, key_at) as u64, tally) {
                     if pred(payload) {
                         let at = out.len() + payload_at;
                         out.extend_from_slice(row);
@@ -271,7 +273,8 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
             },
         );
         let mut parts = Vec::with_capacity(outs.len());
-        for (out, c) in outs {
+        for (out, c, tally) in outs {
+            drop(tally);
             counters.merge(&c);
             parts.push(out);
         }

@@ -9,7 +9,7 @@
 //! [`hyrise`](crate::hyrise)) materializes operator-at-a-time with chained
 //! indexes on one socket.
 
-use pmem_store::{Result, TrackerSnapshot};
+use pmem_store::{Result, Tally, TrackerSnapshot};
 
 use crate::engine::{
     build_index, date_payload, date_week, date_year, date_yearmonthnum, geo_city, geo_nation,
@@ -281,11 +281,12 @@ fn probe(
     pred: Option<fn(u64) -> bool>,
     key: u64,
     counters: &mut OpCounters,
+    tally: &mut Tally<'_>,
 ) -> Option<u64> {
     match (idx, pred) {
         (Some(idx), Some(pred)) => {
             counters.probes += 1;
-            let payload = idx.get(key)?;
+            let payload = idx.get(key, tally)?;
             pred(payload).then_some(payload)
         }
         _ => Some(0),
@@ -344,6 +345,9 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
     let index_bytes: u64 = index_budget.iter().map(Reservation::bytes).sum();
 
     // ---- Probe/scan phase (shards in parallel, threads per shard) ----
+    // Each scan worker probes through a tally of its shard's index
+    // namespace. The tallies drop in the shard threads, on the error path
+    // with their workers, so all land before the probe snapshot.
     let shard_results: Vec<(GroupAgg, OpCounters)> = std::thread::scope(|scope| {
         let handles: Vec<_> = store
             .shards
@@ -355,30 +359,28 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
                         &shard.fact,
                         shard.fact_rows,
                         per_shard_threads,
-                        || (GroupAgg::default(), OpCounters::default()),
-                        |(agg, counters), row| {
+                        || {
+                            let tally = shard.index_ns.tally();
+                            (GroupAgg::default(), OpCounters::default(), tally)
+                        },
+                        |(agg, counters, tally), row| {
                             counters.tuples_scanned += 1;
                             if !(plan.row)(row) {
                                 return;
                             }
-                            let Some(pp) =
-                                probe(&indexes.part, plan.part, row.partkey as u64, counters)
-                            else {
+                            let mut join = |idx, pred, key: u32| {
+                                probe(idx, pred, u64::from(key), counters, tally)
+                            };
+                            let Some(pp) = join(&indexes.part, plan.part, row.partkey) else {
                                 return;
                             };
-                            let Some(sp) =
-                                probe(&indexes.supp, plan.supp, row.suppkey as u64, counters)
-                            else {
+                            let Some(sp) = join(&indexes.supp, plan.supp, row.suppkey) else {
                                 return;
                             };
-                            let Some(cp) =
-                                probe(&indexes.cust, plan.cust, row.custkey as u64, counters)
-                            else {
+                            let Some(cp) = join(&indexes.cust, plan.cust, row.custkey) else {
                                 return;
                             };
-                            let Some(dp) =
-                                probe(&indexes.date, plan.date, row.orderdate as u64, counters)
-                            else {
+                            let Some(dp) = join(&indexes.date, plan.date, row.orderdate) else {
                                 return;
                             };
                             counters.tuples_selected += 1;
@@ -387,7 +389,8 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
                     )?;
                     let mut agg = GroupAgg::default();
                     let mut counters = OpCounters::default();
-                    for (a, c) in accs {
+                    for (a, c, tally) in accs {
+                        drop(tally);
                         agg.merge(a);
                         counters.merge(&c);
                     }

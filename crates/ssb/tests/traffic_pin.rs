@@ -6,11 +6,17 @@
 //! paper order on one store, so first-touch page faults are pinned too.
 //! The outcomes fold into one FNV-1a digest per engine; a mismatch prints
 //! every outcome.
+//!
+//! A query that fails is pinned too: with one XPLine of every fact
+//! partition poisoned, each query stops where its scan meets the poison,
+//! and what every namespace's tracker holds then is digested.
+
+use std::sync::Arc;
 
 use pmem_ssb::{
     run_query, EngineMode, OpCounters, PhaseTraffic, QueryId, QueryOutcome, SsbStore, StorageDevice,
 };
-use pmem_store::TrackerSnapshot;
+use pmem_store::{StoreError, TrackerSnapshot, XPLINE};
 
 const SF: f64 = 0.005;
 const SEED: u64 = 21;
@@ -19,6 +25,38 @@ const THREADS: u32 = 4;
 /// Digests of the 13 outcomes per engine.
 const AWARE_DIGEST: u64 = 0xcb43a2b8980ce786;
 const UNAWARE_DIGEST: u64 = 0x5e72325e0188b2e2;
+
+/// Digests of the trackers after each of the 13 failing queries.
+const AWARE_POISONED_DIGEST: u64 = 0x05bec733a679f430;
+const UNAWARE_POISONED_DIGEST: u64 = 0x18d86dad8d14a543;
+
+/// Every counter of a snapshot, in field order.
+fn snapshot_words(snapshot: TrackerSnapshot) -> [u64; 10] {
+    let TrackerSnapshot {
+        seq_read_bytes,
+        rand_read_bytes,
+        seq_write_bytes,
+        rand_write_bytes,
+        read_ops,
+        write_ops,
+        sfences,
+        page_faults,
+        crashes,
+        crash_lost_lines,
+    } = snapshot;
+    [
+        seq_read_bytes,
+        rand_read_bytes,
+        seq_write_bytes,
+        rand_write_bytes,
+        read_ops,
+        write_ops,
+        sfences,
+        page_faults,
+        crashes,
+        crash_lost_lines,
+    ]
+}
 
 /// Every number an outcome reports, in a fixed order. The destructuring
 /// names every field, so a new one cannot go unpinned.
@@ -50,30 +88,7 @@ fn words(outcome: &QueryOutcome) -> Vec<u64> {
         index_bytes_by_dim,
     } = outcome.traffic;
     for snapshot in [build, probe, fact, intermediate] {
-        let TrackerSnapshot {
-            seq_read_bytes,
-            rand_read_bytes,
-            seq_write_bytes,
-            rand_write_bytes,
-            read_ops,
-            write_ops,
-            sfences,
-            page_faults,
-            crashes,
-            crash_lost_lines,
-        } = snapshot;
-        words.extend([
-            seq_read_bytes,
-            rand_read_bytes,
-            seq_write_bytes,
-            rand_write_bytes,
-            read_ops,
-            write_ops,
-            sfences,
-            page_faults,
-            crashes,
-            crash_lost_lines,
-        ]);
+        words.extend(snapshot_words(snapshot));
     }
     words.push(index_bytes);
     words.extend(index_bytes_by_dim);
@@ -113,6 +128,47 @@ fn both_engines_report_the_pinned_traffic() {
                 );
             }
         }
+        assert_eq!(
+            digest, pinned,
+            "{mode:?} engine digest {digest:#018x}, pinned {pinned:#018x}"
+        );
+    }
+}
+
+#[test]
+fn failing_queries_leave_the_pinned_counts() {
+    for (mode, pinned) in [
+        (EngineMode::Aware, AWARE_POISONED_DIGEST),
+        (EngineMode::Unaware, UNAWARE_POISONED_DIGEST),
+    ] {
+        let mut store = SsbStore::generate_and_load(SF, SEED, mode, StorageDevice::PmemFsdax)
+            .expect("store loads");
+        // One XPLine in the middle of every fact partition.
+        for shard in &mut store.shards {
+            let fact = Arc::get_mut(&mut shard.fact).expect("no scan in flight");
+            let offset = fact.len() / 2 / XPLINE * XPLINE;
+            assert_eq!(fact.inject_poison(offset, XPLINE), 1);
+        }
+        // One thread: one scan worker per shard, so each scan stops at the
+        // same row on every run.
+        let mut words = Vec::new();
+        for q in QueryId::ALL {
+            match run_query(&store, q, 1) {
+                Err(StoreError::Poisoned { offset, len }) => words.extend([offset, len]),
+                other => panic!("{mode:?} {}: {other:?}", q.name()),
+            }
+            for shard in &store.shards {
+                for ns in [
+                    &shard.fact_ns,
+                    &shard.dim_ns,
+                    &shard.index_ns,
+                    &shard.intermediate_ns,
+                ] {
+                    words.extend(snapshot_words(ns.tracker().snapshot()));
+                }
+            }
+        }
+        let digest = fnv1a(words);
         assert_eq!(
             digest, pinned,
             "{mode:?} engine digest {digest:#018x}, pinned {pinned:#018x}"

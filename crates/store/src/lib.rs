@@ -61,7 +61,7 @@ pub use namespace::{Namespace, NamespaceMode};
 pub use region::{AccessHint, Region, XPLINE};
 pub use scrub::{BlockChecksums, ScrubReport};
 pub use trace::{PersistEvent, PersistenceTrace, TraceBuffer, TraceEntry};
-pub use tracker::{AccessTracker, TrackerSnapshot};
+pub use tracker::{AccessTracker, Tally, TrackerSnapshot};
 
 /// Result alias for store operations.
 pub type Result<T> = std::result::Result<T, StoreError>;

@@ -21,7 +21,7 @@ use pmem_sim::params::DeviceClass;
 use pmem_sim::topology::SocketId;
 
 use crate::region::{FaultModel, Region};
-use crate::tracker::AccessTracker;
+use crate::tracker::{AccessTracker, Tally};
 use crate::{Result, StoreError};
 
 /// Default fsdax page size when PMEM is configured with `ndctl` (§2.3).
@@ -155,6 +155,13 @@ impl Namespace {
     /// The shared access tracker all regions of this namespace report into.
     pub fn tracker(&self) -> &Arc<AccessTracker> {
         &self.inner.tracker
+    }
+
+    /// A worker's [`Tally`] of this namespace's tracker: the `*_tallied`
+    /// accesses of this namespace's regions count into it, and it adds its
+    /// counts into the tracker when it drops.
+    pub fn tally(&self) -> Tally<'_> {
+        self.inner.tracker.tally()
     }
 
     /// Allocate a region of `len` bytes.

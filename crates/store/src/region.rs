@@ -15,7 +15,9 @@
 //! Every access is tallied into the namespace's
 //! [`crate::tracker::AccessTracker`] so simulated device time
 //! can be derived, and fsdax regions charge first-touch page faults
-//! (the §2.3 devdax-vs-fsdax effect).
+//! (the §2.3 devdax-vs-fsdax effect). The `*_tallied` methods count into
+//! a worker's [`Tally`] of that tracker instead; they run the same body as
+//! their untallied twins, which count each access into the tracker.
 //!
 //! The bookkeeping around each access costs O(1) amortized and takes no
 //! shared lock (DESIGN.md, "Store hot path"): dirty, pending and poisoned
@@ -31,7 +33,7 @@ use parking_lot::Mutex;
 
 use crate::lineset::{word_masks, LineSet};
 use crate::trace::{PersistEvent, PersistenceTrace, TraceBuffer, TraceEntry};
-use crate::tracker::AccessTracker;
+use crate::tracker::{AccessTracker, OneAccess, Sink, Tally};
 use crate::{Result, StoreError};
 
 /// CPU cache-line size: the granularity of dirtiness and flushing.
@@ -147,8 +149,8 @@ fn copy_lines(dst: &mut [u8], src: &[u8], start: u64, end: u64) {
 /// per 256 B XPLine, in bitsets sized to the region: lines past the end
 /// are never dirty, pending or poisoned, and a line is never both dirty
 /// and pending. With no trace attached an access takes no lock. Its page
-/// faults and tracker counts are atomic, and exact once the accessing
-/// threads are joined.
+/// faults and tracker counts are atomic, and exact once every [`Tally`]
+/// has dropped and the accessing threads are joined.
 #[derive(Debug)]
 pub struct Region {
     data: Vec<u8>,
@@ -260,11 +262,11 @@ impl Region {
         Ok(())
     }
 
-    fn fault_pages(&self, offset: u64, len: u64) {
+    fn fault_pages(&self, offset: u64, len: u64, sink: &mut impl Sink) {
         if let Some(fm) = &self.fault_model {
             let fresh = fm.touch(offset, len);
             if fresh > 0 {
-                self.tracker.record_page_faults(fresh);
+                sink.page_faults(&self.tracker, fresh);
             }
         }
     }
@@ -273,7 +275,7 @@ impl Region {
     /// and devdax). Counts the faults now instead of during the measured
     /// access — call `tracker().reset()` afterwards to exclude them.
     pub fn prefault(&self) {
-        self.fault_pages(0, self.len());
+        self.fault_pages(0, self.len(), &mut OneAccess);
     }
 
     fn infer_read(&self, offset: u64, len: u64, hint: AccessHint) -> bool {
@@ -299,10 +301,17 @@ impl Region {
     }
 
     /// Account and return the bytes without a poison check — the raw load.
-    fn read_accounted(&self, offset: u64, len: u64, hint: AccessHint) -> &[u8] {
-        self.fault_pages(offset, len);
+    #[inline]
+    fn read_accounted(
+        &self,
+        offset: u64,
+        len: u64,
+        hint: AccessHint,
+        sink: &mut impl Sink,
+    ) -> &[u8] {
+        self.fault_pages(offset, len, sink);
         let sequential = self.infer_read(offset, len, hint);
-        self.tracker.record_read(len, sequential);
+        sink.read(&self.tracker, len, sequential);
         self.record_trace(offset, len, false);
         &self.data[offset as usize..(offset + len) as usize]
     }
@@ -317,6 +326,23 @@ impl Region {
     /// exactly the silent corruption the scrubber exists to prevent. Use
     /// [`Region::try_read`] to surface poison as a typed error instead.
     pub fn read(&self, offset: u64, len: u64, hint: AccessHint) -> &[u8] {
+        self.read_with(offset, len, hint, &mut OneAccess)
+    }
+
+    /// [`Region::read`], counted into `tally`.
+    #[inline]
+    pub fn read_tallied(
+        &self,
+        offset: u64,
+        len: u64,
+        hint: AccessHint,
+        tally: &mut Tally<'_>,
+    ) -> &[u8] {
+        self.read_with(offset, len, hint, tally.of(&self.tracker))
+    }
+
+    #[inline]
+    fn read_with(&self, offset: u64, len: u64, hint: AccessHint, sink: &mut impl Sink) -> &[u8] {
         if let Err(e) = self.check(offset, len) {
             panic!("region read out of bounds: {e}");
         }
@@ -329,18 +355,41 @@ impl Region {
             #[cfg(not(any(test, feature = "testing")))]
             let _ = line;
         }
-        self.read_accounted(offset, len, hint)
+        self.read_accounted(offset, len, hint, sink)
     }
 
     /// Fallible [`Region::read`]: out-of-bounds accesses return
     /// [`StoreError::OutOfBounds`] and accesses intersecting a poisoned
     /// XPLine return [`StoreError::Poisoned`] instead of bytes.
     pub fn try_read(&self, offset: u64, len: u64, hint: AccessHint) -> Result<&[u8]> {
+        self.try_read_with(offset, len, hint, &mut OneAccess)
+    }
+
+    /// [`Region::try_read`], counted into `tally`.
+    #[inline]
+    pub fn try_read_tallied(
+        &self,
+        offset: u64,
+        len: u64,
+        hint: AccessHint,
+        tally: &mut Tally<'_>,
+    ) -> Result<&[u8]> {
+        self.try_read_with(offset, len, hint, tally.of(&self.tracker))
+    }
+
+    #[inline]
+    fn try_read_with(
+        &self,
+        offset: u64,
+        len: u64,
+        hint: AccessHint,
+        sink: &mut impl Sink,
+    ) -> Result<&[u8]> {
         self.check(offset, len)?;
         if let Some(line) = self.first_poisoned(offset, len) {
             return Err(self.poison_error(line));
         }
-        Ok(self.read_accounted(offset, len, hint))
+        Ok(self.read_accounted(offset, len, hint, sink))
     }
 
     /// Read a little-endian `u64` (random-access accounted unless hinted).
@@ -498,10 +547,33 @@ impl Region {
 
     /// Fallible [`Region::write`] with an explicit hint.
     pub fn try_write(&mut self, offset: u64, bytes: &[u8], hint: AccessHint) -> Result<()> {
+        self.try_write_with(offset, bytes, hint, &mut OneAccess)
+    }
+
+    /// [`Region::try_write`], counted into `tally`.
+    #[inline]
+    pub fn try_write_tallied(
+        &mut self,
+        offset: u64,
+        bytes: &[u8],
+        hint: AccessHint,
+        tally: &mut Tally<'_>,
+    ) -> Result<()> {
+        self.try_write_with(offset, bytes, hint, tally.of(&self.tracker))
+    }
+
+    #[inline]
+    fn try_write_with(
+        &mut self,
+        offset: u64,
+        bytes: &[u8],
+        hint: AccessHint,
+        sink: &mut impl Sink,
+    ) -> Result<()> {
         self.check(offset, bytes.len() as u64)?;
-        self.fault_pages(offset, bytes.len() as u64);
+        self.fault_pages(offset, bytes.len() as u64, sink);
         let sequential = self.infer_write(offset, bytes.len() as u64, hint);
-        self.tracker.record_write(bytes.len() as u64, sequential);
+        sink.write(&self.tracker, bytes.len() as u64, sequential);
         self.record_trace(offset, bytes.len() as u64, true);
         self.record_persist(|| PersistEvent::Store {
             offset,
@@ -527,6 +599,18 @@ impl Region {
         self.try_ntstore_gather(offset, &[bytes], hint)
     }
 
+    /// [`Region::try_ntstore`], counted into `tally`.
+    #[inline]
+    pub fn try_ntstore_tallied(
+        &mut self,
+        offset: u64,
+        bytes: &[u8],
+        hint: AccessHint,
+        tally: &mut Tally<'_>,
+    ) -> Result<()> {
+        self.try_ntstore_gather_with(offset, &[bytes], hint, tally.of(&self.tracker))
+    }
+
     /// Gather form of [`Region::try_ntstore`]: `parts`, in order, land at
     /// `offset` as one non-temporal store. Bounds, accounting, the trace
     /// and persistence events, the lines and the poison cleared are those
@@ -538,11 +622,22 @@ impl Region {
         parts: &[B],
         hint: AccessHint,
     ) -> Result<()> {
+        self.try_ntstore_gather_with(offset, parts, hint, &mut OneAccess)
+    }
+
+    #[inline]
+    fn try_ntstore_gather_with<B: AsRef<[u8]>>(
+        &mut self,
+        offset: u64,
+        parts: &[B],
+        hint: AccessHint,
+        sink: &mut impl Sink,
+    ) -> Result<()> {
         let len: u64 = parts.iter().map(|p| p.as_ref().len() as u64).sum();
         self.check(offset, len)?;
-        self.fault_pages(offset, len);
+        self.fault_pages(offset, len, sink);
         let sequential = self.infer_write(offset, len, hint);
-        self.tracker.record_write(len, sequential);
+        sink.write(&self.tracker, len, sequential);
         self.record_trace(offset, len, true);
         self.record_persist(|| PersistEvent::NtStore {
             offset,
@@ -577,7 +672,18 @@ impl Region {
     /// Store fence: everything previously `ntstore`d or `clwb`ed is now in
     /// the WPQ and — by the ADR guarantee — persistent.
     pub fn sfence(&mut self) {
-        self.tracker.record_sfence();
+        self.sfence_with(&mut OneAccess);
+    }
+
+    /// [`Region::sfence`], counted into `tally`.
+    #[inline]
+    pub fn sfence_tallied(&mut self, tally: &mut Tally<'_>) {
+        self.sfence_with(tally.of(&self.tracker));
+    }
+
+    #[inline]
+    fn sfence_with(&mut self, sink: &mut impl Sink) {
+        sink.sfence(&self.tracker);
         self.record_persist(|| PersistEvent::Sfence);
         if !self.persistent {
             return; // Memory Mode: nothing actually persists (§2.1).
@@ -1047,6 +1153,56 @@ mod tests {
                 data: [[7; 300].as_slice(), &[9; 400]].concat()
             }
         );
+    }
+
+    #[test]
+    fn a_tally_dropped_on_an_early_err_lands_what_it_counted() {
+        let fm = FaultModel::new(1024, 4096);
+        let mut r = Region::new(4096, AccessTracker::shared(), true, Some(fm));
+        r.inject_poison(2048, 1);
+        let tracker = Arc::clone(r.tracker());
+        let read_until_poison = |r: &Region, tally: &mut Tally<'_>| -> Result<()> {
+            for offset in (0..4096).step_by(256) {
+                r.try_read_tallied(offset, 256, AccessHint::Auto, tally)?;
+            }
+            Ok(())
+        };
+        let result = read_until_poison(&r, &mut tracker.tally());
+        assert_eq!(
+            result,
+            Err(StoreError::Poisoned {
+                offset: 2048,
+                len: 256
+            })
+        );
+        let s = tracker.snapshot();
+        assert_eq!(
+            (s.read_ops, s.seq_read_bytes, s.rand_read_bytes),
+            (8, 1792, 256)
+        );
+        assert_eq!(
+            s.page_faults, 2,
+            "pages 0 and 1; the poisoned read faults none"
+        );
+        // Stores and a fence through a tally land the same way.
+        let mut tally = tracker.tally();
+        r.try_ntstore_tallied(0, &[1; 64], AccessHint::Random, &mut tally)
+            .unwrap();
+        r.try_write_tallied(64, &[2; 8], AccessHint::Random, &mut tally)
+            .unwrap();
+        r.sfence_tallied(&mut tally);
+        assert_eq!(tracker.snapshot(), s, "nothing lands before the drop");
+        drop(tally);
+        let s = tracker.snapshot().since(&s);
+        assert_eq!((s.write_ops, s.rand_write_bytes, s.sfences), (2, 72, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "its own tracker")]
+    fn a_tally_of_another_tracker_panics() {
+        let r = region(4096);
+        let other = AccessTracker::shared();
+        let _ = r.read_tallied(0, 8, AccessHint::Random, &mut other.tally());
     }
 
     #[test]

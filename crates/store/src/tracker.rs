@@ -4,6 +4,11 @@
 //! [`AccessTracker`]. Higher layers snapshot the tracker and feed the byte
 //! counts into the [`pmem-sim`](pmem_sim) bandwidth model to obtain the
 //! simulated device time a real Optane system would have spent.
+//!
+//! An access counts into the tracker's shared stripes as it happens, or,
+//! through a `Region` method that takes one, into a worker's [`Tally`]:
+//! plain counters the worker owns, added into the tracker when the tally
+//! drops.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -119,6 +124,15 @@ impl AccessTracker {
         self.add(CRASH_LOST_LINES, lost_lines);
     }
 
+    /// A tally of this tracker's counters, empty; it adds what it counted
+    /// into this tracker when it drops.
+    pub fn tally(&self) -> Tally<'_> {
+        Tally {
+            tracker: self,
+            counts: [0; COUNTERS],
+        }
+    }
+
     /// Snapshot of the counters: each is the sum of its stripes, read with
     /// relaxed loads. Once every thread that recorded into the tracker has
     /// been joined, the counts are exact; a snapshot taken while threads
@@ -131,18 +145,7 @@ impl AccessTracker {
                 *total += counter.load(Ordering::Relaxed);
             }
         }
-        TrackerSnapshot {
-            seq_read_bytes: sum[SEQ_READ_BYTES],
-            rand_read_bytes: sum[RAND_READ_BYTES],
-            seq_write_bytes: sum[SEQ_WRITE_BYTES],
-            rand_write_bytes: sum[RAND_WRITE_BYTES],
-            read_ops: sum[READ_OPS],
-            write_ops: sum[WRITE_OPS],
-            sfences: sum[SFENCES],
-            page_faults: sum[PAGE_FAULTS],
-            crashes: sum[CRASHES],
-            crash_lost_lines: sum[CRASH_LOST_LINES],
-        }
+        TrackerSnapshot::from_counts(&sum)
     }
 
     /// Reset all counters, in every stripe, to zero (e.g. after the load
@@ -150,6 +153,117 @@ impl AccessTracker {
     pub fn reset(&self) {
         for counter in self.stripes.iter().flat_map(|s| &s.0) {
             counter.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Where a [`Region`](crate::region::Region) access records its counts.
+/// Every access body is generic over it, so the one-access path and the
+/// tallied path run the same code.
+pub(crate) trait Sink {
+    /// One read of `bytes`.
+    fn read(&mut self, tracker: &AccessTracker, bytes: u64, sequential: bool);
+    /// One write (cached or non-temporal) of `bytes`.
+    fn write(&mut self, tracker: &AccessTracker, bytes: u64, sequential: bool);
+    /// One `sfence`.
+    fn sfence(&mut self, tracker: &AccessTracker);
+    /// `pages` first-touch page faults.
+    fn page_faults(&mut self, tracker: &AccessTracker, pages: u64);
+}
+
+/// The sink of the untallied `Region` methods: each access goes straight
+/// into the tracker's stripe for the calling thread.
+pub(crate) struct OneAccess;
+
+impl Sink for OneAccess {
+    #[inline]
+    fn read(&mut self, tracker: &AccessTracker, bytes: u64, sequential: bool) {
+        tracker.record_read(bytes, sequential);
+    }
+
+    #[inline]
+    fn write(&mut self, tracker: &AccessTracker, bytes: u64, sequential: bool) {
+        tracker.record_write(bytes, sequential);
+    }
+
+    #[inline]
+    fn sfence(&mut self, tracker: &AccessTracker) {
+        tracker.record_sfence();
+    }
+
+    #[inline]
+    fn page_faults(&mut self, tracker: &AccessTracker, pages: u64) {
+        tracker.record_page_faults(pages);
+    }
+}
+
+/// A worker's own copy of one [`AccessTracker`]'s counters.
+///
+/// The `Region` methods that take a tally count into it with plain adds
+/// instead of the tracker's atomic stripes. When the tally drops, on every
+/// return path an `?` included, it adds each nonzero count into the
+/// tracker, so the tracker's counts are exact once every tally of it has
+/// dropped and the threads that recorded are joined. A tally records only
+/// regions of its own tracker: recording a region of another one panics.
+#[derive(Debug)]
+pub struct Tally<'t> {
+    tracker: &'t AccessTracker,
+    counts: [u64; COUNTERS],
+}
+
+impl Tally<'_> {
+    /// This tally, after checking that it belongs to `tracker`.
+    #[inline]
+    pub(crate) fn of(&mut self, tracker: &AccessTracker) -> &mut Self {
+        assert!(
+            std::ptr::eq(self.tracker, tracker),
+            "a tally records only regions of its own tracker"
+        );
+        self
+    }
+}
+
+impl Sink for Tally<'_> {
+    #[inline]
+    fn read(&mut self, _: &AccessTracker, bytes: u64, sequential: bool) {
+        self.counts[READ_OPS] += 1;
+        let kind = if sequential {
+            SEQ_READ_BYTES
+        } else {
+            RAND_READ_BYTES
+        };
+        self.counts[kind] += bytes;
+    }
+
+    #[inline]
+    fn write(&mut self, _: &AccessTracker, bytes: u64, sequential: bool) {
+        self.counts[WRITE_OPS] += 1;
+        let kind = if sequential {
+            SEQ_WRITE_BYTES
+        } else {
+            RAND_WRITE_BYTES
+        };
+        self.counts[kind] += bytes;
+    }
+
+    #[inline]
+    fn sfence(&mut self, _: &AccessTracker) {
+        self.counts[SFENCES] += 1;
+    }
+
+    #[inline]
+    fn page_faults(&mut self, _: &AccessTracker, pages: u64) {
+        self.counts[PAGE_FAULTS] += pages;
+    }
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        let stripe = &self.tracker.stripes[stripe_index()].0;
+        for (counter, &n) in stripe.iter().zip(&self.counts) {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -180,6 +294,21 @@ pub struct TrackerSnapshot {
 }
 
 impl TrackerSnapshot {
+    fn from_counts(counts: &[u64; COUNTERS]) -> Self {
+        TrackerSnapshot {
+            seq_read_bytes: counts[SEQ_READ_BYTES],
+            rand_read_bytes: counts[RAND_READ_BYTES],
+            seq_write_bytes: counts[SEQ_WRITE_BYTES],
+            rand_write_bytes: counts[RAND_WRITE_BYTES],
+            read_ops: counts[READ_OPS],
+            write_ops: counts[WRITE_OPS],
+            sfences: counts[SFENCES],
+            page_faults: counts[PAGE_FAULTS],
+            crashes: counts[CRASHES],
+            crash_lost_lines: counts[CRASH_LOST_LINES],
+        }
+    }
+
     /// All bytes read.
     pub fn read_bytes(&self) -> u64 {
         self.seq_read_bytes + self.rand_read_bytes
@@ -300,6 +429,24 @@ mod tests {
         let s = t.snapshot();
         assert_eq!(s.mean_random_read_size(), 256);
         assert_eq!(TrackerSnapshot::default().mean_random_read_size(), 0);
+    }
+
+    #[test]
+    fn a_tally_lands_its_counts_when_it_drops() {
+        let t = AccessTracker::default();
+        let mut tally = t.tally();
+        Sink::read(&mut tally, &t, 256, false);
+        Sink::write(&mut tally, &t, 64, true);
+        Sink::sfence(&mut tally, &t);
+        Sink::page_faults(&mut tally, &t, 2);
+        assert_eq!(t.snapshot(), TrackerSnapshot::default(), "held until drop");
+        drop(tally);
+        let s = t.snapshot();
+        assert_eq!(
+            (s.rand_read_bytes, s.read_ops, s.seq_write_bytes),
+            (256, 1, 64)
+        );
+        assert_eq!((s.write_ops, s.sfences, s.page_faults), (1, 1, 2));
     }
 
     #[test]

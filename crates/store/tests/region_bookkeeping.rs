@@ -6,14 +6,21 @@
 //! operation line by line. Random operation sequences must leave both
 //! with the same bytes, the same poison, and the same answers — including
 //! the number of lines each crash loses.
+//!
+//! A twin region takes every operation through the tallied methods, with
+//! one `Tally` held across the sequence. Once that tally drops, the twin
+//! must equal the one-access region in everything: bytes, lines, poison,
+//! crash counts, both traces and the tracker snapshot.
 
 #![allow(clippy::unwrap_used)] // unwrap in tests is fine
 
 use std::collections::HashSet;
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 
 use pmem_sim::topology::SocketId;
-use pmem_store::{AccessHint, Namespace, Region, StoreError, XPLINE};
+use pmem_store::{
+    AccessHint, Namespace, PersistenceTrace, Region, StoreError, Tally, TraceBuffer, XPLINE,
+};
 use proptest::prelude::*;
 
 const LINE: u64 = 64;
@@ -241,18 +248,33 @@ impl Op {
     }
 }
 
-fn apply(region: &mut Region, model: &mut Model, op: Op) -> Result<(), TestCaseError> {
+/// Apply `op` to the region, to the model, and through `tally` to the
+/// twin region.
+fn apply(
+    region: &mut Region,
+    twin: &mut Region,
+    tally: &mut Tally<'_>,
+    model: &mut Model,
+    op: Op,
+) -> Result<(), TestCaseError> {
     let offset = op.offset(model.len());
     let len = op.len(model.len(), offset);
     match op.kind {
         0..=2 => {
             let bytes = vec![op.fill; len as usize];
             let nt = op.kind != 0;
-            let ok = if nt {
-                region.try_ntstore(offset, &bytes, AccessHint::Auto)
+            let (ok, twin_ok) = if nt {
+                (
+                    region.try_ntstore(offset, &bytes, AccessHint::Auto),
+                    twin.try_ntstore_tallied(offset, &bytes, AccessHint::Auto, tally),
+                )
             } else {
-                region.try_write(offset, &bytes, AccessHint::Auto)
+                (
+                    region.try_write(offset, &bytes, AccessHint::Auto),
+                    twin.try_write_tallied(offset, &bytes, AccessHint::Auto, tally),
+                )
             };
+            prop_assert_eq!(&ok, &twin_ok);
             prop_assert_eq!(
                 ok.is_ok(),
                 model.store(offset, &bytes, nt),
@@ -262,13 +284,19 @@ fn apply(region: &mut Region, model: &mut Model, op: Op) -> Result<(), TestCaseE
         }
         3 => {
             region.clwb(offset, len);
+            twin.clwb(offset, len);
             model.clwb(offset, len);
         }
         4 => {
             region.sfence();
+            twin.sfence_tallied(tally);
             model.sfence();
         }
-        5 => prop_assert_eq!(region.crash(), model.crash(), "crash-lost lines"),
+        5 => {
+            let lost = region.crash();
+            prop_assert_eq!(lost, twin.crash());
+            prop_assert_eq!(lost, model.crash(), "crash-lost lines");
+        }
         6 => prop_assert_eq!(
             region.is_persisted(offset, len),
             model.is_persisted(offset, len),
@@ -278,15 +306,21 @@ fn apply(region: &mut Region, model: &mut Model, op: Op) -> Result<(), TestCaseE
         ),
         7 => {
             let fresh = region.inject_poison(offset, len);
+            prop_assert_eq!(fresh, twin.inject_poison(offset, len));
             let scrambled = region.untracked_slice().to_vec();
             prop_assert_eq!(fresh, model.inject_poison(offset, len, &scrambled));
         }
-        8 => prop_assert_eq!(
-            region.clear_poison(offset, len),
-            model.clear_poison(offset, len)
-        ),
+        8 => {
+            let cleared = region.clear_poison(offset, len);
+            prop_assert_eq!(cleared, twin.clear_poison(offset, len));
+            prop_assert_eq!(cleared, model.clear_poison(offset, len));
+        }
         _ => {
             let got = region.try_read(offset, len, AccessHint::Auto);
+            prop_assert_eq!(
+                &got,
+                &twin.try_read_tallied(offset, len, AccessHint::Auto, tally)
+            );
             prop_assert_eq!(
                 format!("{got:?}"),
                 format!("{:?}", model.try_read(offset, len))
@@ -298,8 +332,17 @@ fn apply(region: &mut Region, model: &mut Model, op: Op) -> Result<(), TestCaseE
         "bytes differ after {:?}",
         op
     );
+    prop_assert!(twin.untracked_slice() == model.data, "twin bytes differ");
     prop_assert_eq!(region.poisoned_lines(), model.poisoned_lines());
+    prop_assert_eq!(twin.poisoned_lines(), model.poisoned_lines());
     Ok(())
+}
+
+/// Whether each cache line of the region would survive a crash now.
+fn line_state(region: &Region) -> Vec<bool> {
+    (0..region.len().div_ceil(LINE))
+        .map(|line| region.is_persisted(line * LINE, LINE))
+        .collect()
 }
 
 proptest! {
@@ -312,19 +355,37 @@ proptest! {
     ) {
         let (len, mode) = (LENS[shape.0], shape.1);
         // Persistent (devdax, fsdax) and volatile (Memory Mode) regions.
-        let ns = match mode {
+        let namespace = || match mode {
             0 => Namespace::devdax(S0, 1 << 20),
             1 => Namespace::fsdax(S0, 1 << 20),
             _ => Namespace::memory_mode(S0, 1 << 20),
         };
-        let mut region = ns.alloc_region(len).unwrap();
+        let (ns, twin_ns) = (namespace(), namespace());
+        let traced = |ns: &Namespace| {
+            let region = ns.alloc_region(len).unwrap();
+            let (accesses, persists) = (TraceBuffer::shared(256), PersistenceTrace::shared(256));
+            region.attach_trace(Arc::clone(&accesses));
+            region.attach_persist_trace(Arc::clone(&persists));
+            (region, accesses, persists)
+        };
+        let (mut region, accesses, persists) = traced(&ns);
+        let (mut twin, twin_accesses, twin_persists) = traced(&twin_ns);
         let mut model = Model::new(len, ns.is_persistent());
+        let mut tally = twin_ns.tally();
         for &op in &ops {
-            apply(&mut region, &mut model, op)?;
+            apply(&mut region, &mut twin, &mut tally, &mut model, op)?;
+            prop_assert_eq!(line_state(&twin), line_state(&region), "lines after {:?}", op);
         }
+        drop(tally);
+        prop_assert_eq!(twin_ns.tracker().snapshot(), ns.tracker().snapshot());
+        prop_assert_eq!(twin_accesses.take(), accesses.take());
+        prop_assert_eq!(twin_persists.take(), persists.take());
         // A closing crash shows the persisted images agree as well.
-        prop_assert_eq!(region.crash(), model.crash());
+        let lost = region.crash();
+        prop_assert_eq!(lost, model.crash());
+        prop_assert_eq!(lost, twin.crash());
         prop_assert!(region.untracked_slice() == model.data);
+        prop_assert!(twin.untracked_slice() == model.data);
     }
 }
 
