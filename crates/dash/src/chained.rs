@@ -81,12 +81,15 @@ impl ChainedTable {
         Self::with_capacity(ns, 1024)
     }
 
-    /// Table pre-sized for `records` entries.
+    /// Table pre-sized for `records` entries. When the node storage does
+    /// not fit, the bucket array's bytes go back before the error returns.
     pub fn with_capacity(ns: &Namespace, records: usize) -> Result<Self> {
         let bucket_count = (records.max(16) as u64 / 2).next_power_of_two();
         let heads = ns.alloc_region(bucket_count * 8)?;
         let node_bytes = (records.max(16) as u64 * 2) * NODE_SIZE;
-        let nodes = ns.alloc_region(node_bytes)?;
+        let nodes = ns
+            .alloc_region(node_bytes)
+            .inspect_err(|_| ns.release(heads.len()))?;
         Ok(ChainedTable {
             ns: ns.clone(),
             inner: RwLock::new(Inner {
@@ -330,6 +333,23 @@ mod tests {
 
     fn ns(mib: u64) -> Namespace {
         Namespace::devdax(SocketId(0), mib << 20)
+    }
+
+    #[test]
+    fn a_table_that_does_not_fit_returns_its_bucket_array() {
+        // 1,000 records: 512 buckets (4 KiB) and 2,000 nodes (48,000 B).
+        let ns = Namespace::devdax(SocketId(0), 4096 + 47_999);
+        assert!(matches!(
+            ChainedTable::with_capacity(&ns, 1000),
+            Err(pmem_store::StoreError::OutOfSpace {
+                requested: 48_000,
+                ..
+            })
+        ));
+        assert_eq!(ns.used(), 0);
+        let ns = Namespace::devdax(SocketId(0), 4096 + 48_000);
+        let table = ChainedTable::with_capacity(&ns, 1000).unwrap();
+        assert_eq!((ns.used(), table.bucket_count()), (4096 + 48_000, 512));
     }
 
     #[test]

@@ -136,14 +136,25 @@ pub struct ColumnarFact {
 impl ColumnarFact {
     /// Load all columns of `data` into `ns`, sealing per-block checksums
     /// over each column as it lands (from the staging buffer, so sealing
-    /// adds no device reads).
+    /// adds no device reads). On any error the column regions already
+    /// allocated in `ns` are released, so `ns.used()` is what it was
+    /// before the call.
     pub fn load(ns: &Namespace, data: &SsbData) -> Result<Self> {
+        let mut held = 0;
+        Self::load_columns(ns, data, &mut held).inspect_err(|_| ns.release(held))
+    }
+
+    /// [`ColumnarFact::load`]'s loop; `held` counts the bytes it has
+    /// allocated in `ns` so far.
+    fn load_columns(ns: &Namespace, data: &SsbData, held: &mut u64) -> Result<Self> {
         let rows = data.lineorder.len() as u64;
         let mut columns = Vec::with_capacity(Column::ALL.len());
         let mut checks = Vec::with_capacity(Column::ALL.len());
         for column in Column::ALL {
             let width = column.width();
-            let mut region = ns.alloc_region(rows.max(1) * width)?;
+            let len = rows.max(1) * width;
+            let mut region = ns.alloc_region(len)?;
+            *held += len;
             let mut buf = Vec::with_capacity((rows * width) as usize);
             for lo in &data.lineorder {
                 match column {
@@ -1127,6 +1138,25 @@ mod tests {
             Err(StoreError::Poisoned { .. })
         ));
         assert_eq!(peer.used(), 0);
+    }
+
+    #[test]
+    fn a_failed_load_returns_every_byte_it_allocated() {
+        let (data, fact, _ns) = setup();
+        // One byte short of all nine columns, 100 bytes of it already
+        // held: the last column's allocation fails after eight landed.
+        let short = Namespace::devdax(SocketId(1), 100 + fact.total_bytes() - 1);
+        let _other = short.alloc_region(100).unwrap();
+        let used0 = short.used();
+        assert!(matches!(
+            ColumnarFact::load(&short, &data),
+            Err(StoreError::OutOfSpace { .. })
+        ));
+        assert_eq!(short.used(), used0);
+        // Exactly enough room loads, holding exactly the table's bytes.
+        let fits = Namespace::devdax(SocketId(1), fact.total_bytes());
+        let loaded = ColumnarFact::load(&fits, &data).unwrap();
+        assert_eq!(fits.used(), loaded.total_bytes());
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! namespace: one per build and one per probing worker, each dropped, and
 //! so added into the namespace's tracker, before the snapshot that closes
 //! its phase.
+//!
+//! [`spill_result`], the last write of both engines' queries, allocates its
+//! region already holding the encoded rows
+//! ([`Namespace::alloc_region_stored`]): the traffic of one sequential
+//! non-temporal store and one fence, without zero-filling host memory the
+//! rows then overwrite.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -248,20 +254,20 @@ impl GroupAgg {
 
 /// Spill a result set to the intermediate namespace as the final
 /// materialization step (sequential 16 B rows), mirroring the paper's
-/// intermediate-result writes.
+/// intermediate-result writes: one region allocated already holding the
+/// rows, accounted as one non-temporal store and one fence.
 pub fn spill_result(ns: &Namespace, rows: &[(u64, i64)]) -> Result<()> {
     if rows.is_empty() {
         return Ok(());
     }
-    let len = rows.len() as u64 * RESULT_ROW;
-    let (mut region, _held) = Reservation::hold(ns, || ns.alloc_region(len))?;
-    let mut buf = Vec::with_capacity(len as usize);
+    let mut buf = Vec::with_capacity(rows.len() * RESULT_ROW as usize);
     for (k, v) in rows {
         buf.extend_from_slice(&k.to_le_bytes());
         buf.extend_from_slice(&v.to_le_bytes());
     }
-    region.try_ntstore(0, &buf, AccessHint::Sequential)?;
-    region.sfence();
+    Reservation::hold(ns, || {
+        ns.alloc_region_stored(&[buf], AccessHint::Sequential)
+    })?;
     Ok(())
 }
 

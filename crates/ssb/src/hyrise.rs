@@ -20,18 +20,34 @@
 //!
 //! * the stage's workers encode surviving tuples straight into byte
 //!   buffers of their own (a probe stage copies the row it read and writes
-//!   the probed payload into the copy);
-//! * the buffers land, in worker order, as one non-temporal store of the
-//!   whole intermediate ([`Region::try_ntstore_gather`]) and one fence, so
-//!   the tracked traffic is that of one store however many workers ran;
+//!   the probed payload into the copy), taken from the store's
+//!   `StageBuffers` with room for every input row, and given back once
+//!   the stage's intermediate has landed;
+//! * the buffers land, in worker order, as a region allocated already
+//!   holding them ([`alloc_region_stored`]): accounted as one
+//!   non-temporal store of the whole intermediate and one fence, so the
+//!   tracked traffic is that of one store however many workers ran;
 //! * the probes go to sealed indexes ([`JoinIndex`]), which take no lock,
 //!   and each probe-stage worker counts them into its own tally of the
 //!   index namespace, dropped before the stage's intermediate is written;
+//! * the stage's input intermediate drops once the workers have read it,
+//!   before the output lands;
 //! * the final aggregation folds per-worker [`GroupAgg`]s, as the aware
 //!   engine does.
+//!
+//! Both kinds of host memory a stage fills are recycled: the stage
+//! buffers through the store, and the intermediates' host images through
+//! the intermediate namespace's pool, where each output finds its input's
+//! image. After a store's first query the stages write into pages that
+//! are already faulted in on the host, and the unaware engine's host
+//! footprint peaks at stage 0: the buffers and one intermediate image.
+//!
+//! [`alloc_region_stored`]: pmem_store::Namespace::alloc_region_stored
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
+use pmem_store::namespace::POOL_MIN_BYTES;
 use pmem_store::{AccessHint, Region, Result};
 
 use crate::engine::{scan_fact, spill_result, GroupAgg, JoinIndex, OpCounters};
@@ -107,6 +123,66 @@ impl Rec {
     }
 }
 
+/// Stage buffers a store keeps at most: one per worker of stages run with
+/// up to this many threads.
+pub(crate) const STAGE_BUFFERS: usize = 16;
+
+/// The byte buffers the unaware engine's stage workers encode into, kept
+/// between stages and queries.
+#[derive(Debug, Default)]
+pub(crate) struct StageBuffers {
+    free: Mutex<Vec<Vec<u8>>>,
+    /// Buffers of at least `POOL_MIN_BYTES` handed out that no free buffer
+    /// had room for, so were allocated fresh.
+    fresh: AtomicU64,
+}
+
+impl StageBuffers {
+    /// An empty buffer with room for `bytes`: a free one if it has room
+    /// (the pages of the largest stage it served stay faulted in),
+    /// otherwise a fresh allocation. Room for every row a worker could
+    /// emit means it never reallocates while it fills.
+    fn take(&self, bytes: u64) -> Vec<u8> {
+        let buf = self.lock().pop().unwrap_or_default();
+        if buf.capacity() as u64 >= bytes {
+            return buf;
+        }
+        if bytes >= POOL_MIN_BYTES {
+            self.fresh.fetch_add(1, Ordering::Relaxed);
+        }
+        Vec::with_capacity(bytes as usize)
+    }
+
+    /// Keep `bufs`, emptied, up to [`STAGE_BUFFERS`].
+    fn give(&self, bufs: Vec<Vec<u8>>) {
+        let mut free = self.lock();
+        for mut buf in bufs {
+            if free.len() < STAGE_BUFFERS {
+                buf.clear();
+                free.push(buf);
+            }
+        }
+    }
+
+    /// The free list. A worker that panicked holding it left a valid list
+    /// (every update is one `push` or `pop`), so a poisoned lock is taken.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Vec<u8>>> {
+        self.free.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Buffers free now.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Fresh allocations of at least `POOL_MIN_BYTES` so far.
+    #[cfg(test)]
+    pub(crate) fn fresh(&self) -> u64 {
+        self.fresh.load(Ordering::Relaxed)
+    }
+}
+
 /// One materialized intermediate. It holds its namespace budget until it
 /// is dropped.
 struct Intermediate<'s> {
@@ -116,16 +192,21 @@ struct Intermediate<'s> {
 }
 
 /// Materialize the encoded rows of `parts`, in order, into a fresh
-/// intermediate region with one non-temporal store and one fence.
-fn materialize<'s>(store: &'s SsbStore, parts: &[Vec<u8>]) -> Result<Intermediate<'s>> {
+/// intermediate region: one non-temporal store and one fence, fused into
+/// the allocation. An empty stage output is one empty tuple's region,
+/// never stored to. The parts go back to the stage buffers.
+fn materialize<'s>(store: &'s SsbStore, parts: Vec<Vec<u8>>) -> Result<Intermediate<'s>> {
     let ns = &store.shards[0].intermediate_ns;
     let bytes: u64 = parts.iter().map(|p| p.len() as u64).sum();
-    let (mut region, held) =
-        Reservation::hold(ns, || ns.alloc_region(bytes.max(INTERMEDIATE_ROW)))?;
-    if bytes > 0 {
-        region.try_ntstore_gather(0, parts, AccessHint::Sequential)?;
-        region.sfence();
-    }
+    let landed = Reservation::hold(ns, || {
+        if bytes == 0 {
+            ns.alloc_region(INTERMEDIATE_ROW)
+        } else {
+            ns.alloc_region_stored(&parts, AccessHint::Sequential)
+        }
+    });
+    store.stage_buffers.give(parts);
+    let (region, held) = landed?;
     Ok(Intermediate {
         region,
         rows: bytes / INTERMEDIATE_ROW,
@@ -218,7 +299,7 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
         &shard.fact,
         shard.fact_rows,
         threads,
-        Vec::new,
+        || store.stage_buffers.take(shard.fact_rows * INTERMEDIATE_ROW),
         |out: &mut Vec<u8>, row| {
             if (plan.row)(row) {
                 let rec = Rec {
@@ -234,8 +315,7 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
         },
     )?;
     counters.tuples_scanned = shard.fact_rows;
-    let mut current = materialize(store, &scanned)?;
-    drop(scanned);
+    let mut current = materialize(store, scanned)?;
 
     // ---- One materializing probe stage per joined dimension ----
     // (index, predicate, key offset, payload offset)
@@ -257,10 +337,14 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
         let idx = select(&indexes)
             .as_ref()
             .expect("index built for joined dim");
+        let room = current.rows * INTERMEDIATE_ROW;
         let outs = scan_intermediate(
             &current,
             threads,
-            || (Vec::new(), OpCounters::default(), shard.index_ns.tally()),
+            || {
+                let out = store.stage_buffers.take(room);
+                (out, OpCounters::default(), shard.index_ns.tally())
+            },
             |(out, c, tally), row| {
                 c.probes += 1;
                 if let Some(payload) = idx.get(u32_at(row, key_at) as u64, tally) {
@@ -278,8 +362,11 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
             counters.merge(&c);
             parts.push(out);
         }
-        // The new intermediate replaces this one, whose budget returns.
-        current = materialize(store, &parts)?;
+        // The stage has read all of its input, and its output waits in
+        // the stage buffers: the input drops, returning its budget and its
+        // host image, before the output lands (in that image, if large).
+        drop(current);
+        current = materialize(store, parts)?;
     }
 
     // ---- Final aggregation over the last intermediate ----
@@ -363,6 +450,50 @@ mod tests {
             let u = run_query(&unaware, q, 4).unwrap();
             assert_eq!(a.rows, u.rows, "{} diverges", q.name());
         }
+    }
+
+    #[test]
+    fn a_repeated_query_allocates_no_fresh_host_memory() {
+        // SF 0.01: stage 0 of a Q2-Q4 query materializes 3.8 MB, above
+        // the pooling threshold, and Q4.1's part stage keeps 1.5 MB.
+        // Each query runs twice, and the second run must take every image
+        // and stage buffer of at least that size from a pool.
+        let store = crate::storage::SsbStore::generate_and_load(
+            0.01,
+            31,
+            EngineMode::Unaware,
+            StorageDevice::PmemFsdax,
+        )
+        .unwrap();
+        assert!(store.fact_rows() * INTERMEDIATE_ROW >= POOL_MIN_BYTES);
+        let shard = &store.shards[0];
+        let namespaces = [
+            &shard.fact_ns,
+            &shard.dim_ns,
+            &shard.index_ns,
+            &shard.intermediate_ns,
+        ];
+        let fresh = || {
+            let images = namespaces.map(|ns| ns.fresh_images());
+            (images, store.stage_buffers.fresh())
+        };
+        for q in [QueryId::Q2_1, QueryId::Q3_1, QueryId::Q4_1] {
+            let first = run_query(&store, q, 2).unwrap();
+            let before = fresh();
+            let again = run_query(&store, q, 2).unwrap();
+            assert_eq!(
+                fresh(),
+                before,
+                "{}: fresh images or stage buffers",
+                q.name()
+            );
+            assert_eq!(again, first, "{}", q.name());
+        }
+        // The first runs allocated both kinds, so the pools served the
+        // second ones: one intermediate image, which every stage since the
+        // first Q2.1's stage 0 has reused, and one stage buffer per worker.
+        assert_eq!(shard.intermediate_ns.fresh_images(), 1);
+        assert_eq!(store.stage_buffers.fresh(), 2);
     }
 
     #[test]

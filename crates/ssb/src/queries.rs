@@ -656,7 +656,9 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use crate::hyrise::STAGE_BUFFERS;
     use crate::storage::{SsbStore, StorageDevice};
+    use pmem_store::namespace::POOL_IMAGES;
     use pmem_store::{StoreError, XPLINE};
 
     fn store(mode: EngineMode) -> SsbStore {
@@ -806,21 +808,28 @@ mod tests {
         // run executes each distinct (query, threads) once and hands the
         // outcome to every job repeating it, so a repeat must also return
         // exactly the first outcome, whatever ran in between.
+        // Every namespace of every shard is checked, the intermediate one
+        // included, and the host-memory pools stay within their bounds.
         let data = crate::datagen::generate(0.002, 21);
         for mode in [EngineMode::Aware, EngineMode::Unaware] {
             let st = SsbStore::load(&data, 0.002, mode, StorageDevice::PmemFsdax).unwrap();
-            let index_used = || st.shards.iter().map(|s| s.index_ns.used()).sum::<u64>();
+            let namespaces = || {
+                st.shards
+                    .iter()
+                    .flat_map(|s| [&s.fact_ns, &s.dim_ns, &s.index_ns, &s.intermediate_ns])
+            };
+            let used = || namespaces().map(|ns| ns.used()).collect::<Vec<_>>();
             let used_after_first = {
                 run_query(&st, QueryId::Q2_1, 2).unwrap();
-                index_used()
+                used()
             };
             for _ in 0..30 {
                 run_query(&st, QueryId::Q2_1, 2).unwrap();
             }
             assert_eq!(
                 used_after_first,
-                index_used(),
-                "{mode:?}: index namespace budget leaked"
+                used(),
+                "{mode:?}: namespace budget leaked"
             );
 
             let first: Vec<QueryOutcome> = QueryId::ALL
@@ -839,9 +848,13 @@ mod tests {
             }
             assert_eq!(
                 used_after_first,
-                index_used(),
-                "{mode:?}: index namespace budget leaked"
+                used(),
+                "{mode:?}: namespace budget leaked"
             );
+            for ns in namespaces() {
+                assert!(ns.pooled_images() <= POOL_IMAGES, "{mode:?}");
+            }
+            assert!(st.stage_buffers.len() <= STAGE_BUFFERS, "{mode:?}");
         }
     }
 

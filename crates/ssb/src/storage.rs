@@ -19,7 +19,7 @@ use pmem_sim::topology::SocketId;
 use pmem_store::{AccessHint, Namespace, Region, Result};
 
 use crate::datagen::{cardinalities, Cardinalities, SsbData};
-use crate::hyrise::INTERMEDIATE_ROW;
+use crate::hyrise::{StageBuffers, INTERMEDIATE_ROW};
 use crate::schema::{DIM_ROW, LINEORDER_ROW};
 
 /// Execution mode (paper §6.1 vs §6.2).
@@ -104,6 +104,8 @@ pub struct SsbStore {
     pub card: Cardinalities,
     /// Scale factor.
     pub sf: f64,
+    /// The unaware engine's stage buffers, reused from query to query.
+    pub(crate) stage_buffers: StageBuffers,
 }
 
 /// Bytes of one spilled result row: the group key and its aggregate.
@@ -111,11 +113,12 @@ pub(crate) const RESULT_ROW: u64 = 16;
 
 /// Capacity of each partition's intermediate namespace, from the
 /// cardinalities alone. The unaware engine materializes up to one
-/// [`INTERMEDIATE_ROW`] tuple per fact row per stage and writes a stage's
-/// output while its input is still held, so two partition-sized
-/// intermediates are live at once; the query result, at most one
-/// [`RESULT_ROW`] per fact row, spills beside them. Plus the same 1 MiB
-/// of slack the fact and dimension namespaces get.
+/// [`INTERMEDIATE_ROW`] tuple per fact row per stage. A stage's output is
+/// encoded while its input is read, so room is kept for two
+/// partition-sized intermediates, although the engine drops the input
+/// before the output lands; the query result, at most one [`RESULT_ROW`]
+/// per fact row, spills beside them. Plus the same 1 MiB of slack the
+/// fact and dimension namespaces get.
 pub(crate) fn intermediate_capacity(card: &Cardinalities, partitions: u64) -> u64 {
     let rows = card.lineorder.div_ceil(partitions.max(1));
     rows * (2 * INTERMEDIATE_ROW + RESULT_ROW) + (1 << 20)
@@ -266,6 +269,7 @@ impl SsbStore {
             shards,
             card: cardinalities(sf),
             sf,
+            stage_buffers: StageBuffers::default(),
         })
     }
 
@@ -391,8 +395,8 @@ mod tests {
         for sf in [0.01, 0.05, 0.1, 0.2, 0.5, 1.0] {
             let card = cardinalities(sf);
             // Stage 0 of a query without a row filter (Q2.1) materializes
-            // every fact row, and the next stage's output is written while
-            // it is still held; result groups never outnumber fact rows.
+            // every fact row, and room is kept for the next stage's output
+            // beside it; result groups never outnumber fact rows.
             let intermediate = card.lineorder * INTERMEDIATE_ROW;
             let spill = card.lineorder * RESULT_ROW;
             let capacity = intermediate_capacity(&card, 1);

@@ -13,19 +13,94 @@
 //!   guarantee (dirty lines in the DRAM "L4" cache are lost on power loss).
 //! * **dram** — plain volatile DRAM, for the paper's PMEM-vs-DRAM contrast
 //!   experiments.
+//!
+//! A namespace recycles the host memory of its large regions. A dropped
+//! region of at least [`POOL_MIN_BYTES`] hands its two host buffers (its
+//! bytes and its persisted image) to the namespace's pool, which keeps at
+//! most [`POOL_IMAGES`] of them, the largest. [`Namespace::alloc_region`]
+//! of at least that size reuses the smallest pooled image that fits,
+//! zero-filled, and [`Namespace::alloc_region_stored`] builds its region's
+//! bytes straight into one. Reuse moves only host time: a recycled region
+//! is indistinguishable from a fresh one, its fsdax pages unfaulted in
+//! the model included.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use pmem_sim::params::DeviceClass;
 use pmem_sim::topology::SocketId;
 
-use crate::region::{FaultModel, Region};
+use crate::region::{AccessHint, FaultModel, Image, Region};
 use crate::tracker::{AccessTracker, Tally};
 use crate::{Result, StoreError};
 
 /// Default fsdax page size when PMEM is configured with `ndctl` (§2.3).
 pub const DEFAULT_FSDAX_PAGE: u64 = 2 << 20;
+
+/// Regions of at least this many bytes recycle their host images through
+/// their namespace's pool; smaller ones leave theirs to the allocator.
+pub const POOL_MIN_BYTES: u64 = 1 << 20;
+
+/// Host images a namespace's pool keeps at most: the two largest it was
+/// given. One carries the unaware engine's intermediates from stage to
+/// stage and from query to query (a stage's input drops before its output
+/// lands); the other keeps the next-largest region of a namespace that
+/// holds several, such as a chained index's bucket array beside its nodes.
+pub const POOL_IMAGES: usize = 2;
+
+/// The host images of a namespace's dropped regions, kept for reuse.
+#[derive(Debug, Default)]
+pub(crate) struct ImagePool {
+    images: Mutex<Vec<Image>>,
+    /// Allocations of at least [`POOL_MIN_BYTES`] no pooled image fitted.
+    fresh: AtomicU64,
+}
+
+impl ImagePool {
+    /// The smallest pooled image that holds `len` bytes, for an allocation
+    /// of at least [`POOL_MIN_BYTES`]; an empty one when none fits, or for
+    /// a smaller allocation.
+    fn take(&self, len: u64) -> Image {
+        if len < POOL_MIN_BYTES {
+            return Image::default();
+        }
+        let mut images = self.images.lock();
+        let best = (0..images.len())
+            .filter(|&at| images[at].capacity() >= len)
+            .min_by_key(|&at| images[at].capacity());
+        match best {
+            Some(at) => images.swap_remove(at),
+            None => {
+                self.fresh.fetch_add(1, Ordering::Relaxed);
+                Image::default()
+            }
+        }
+    }
+
+    /// Keep the image of a dropped region of at least [`POOL_MIN_BYTES`]
+    /// if the pool has room or holds a smaller one, which it frees instead.
+    pub(crate) fn give(&self, image: Image) {
+        if image.capacity() < POOL_MIN_BYTES {
+            return;
+        }
+        let mut images = self.images.lock();
+        let freed = if images.len() < POOL_IMAGES {
+            images.push(image);
+            None
+        } else {
+            let smallest = (0..images.len()).min_by_key(|&at| images[at].capacity());
+            match smallest {
+                Some(at) if images[at].capacity() < image.capacity() => {
+                    Some(std::mem::replace(&mut images[at], image))
+                }
+                _ => Some(image),
+            }
+        };
+        drop(images);
+        drop(freed); // freed outside the lock
+    }
+}
 
 /// Namespace operating mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,6 +151,9 @@ struct NamespaceInner {
     capacity: u64,
     used: AtomicU64,
     tracker: Arc<AccessTracker>,
+    /// Host images of dropped regions; regions hold it weakly, so the
+    /// images of regions that outlive the namespace are freed.
+    pool: Arc<ImagePool>,
 }
 
 impl Namespace {
@@ -87,6 +165,7 @@ impl Namespace {
                 capacity,
                 used: AtomicU64::new(0),
                 tracker: AccessTracker::shared(),
+                pool: Arc::default(),
             }),
         }
     }
@@ -164,9 +243,47 @@ impl Namespace {
         self.inner.tracker.tally()
     }
 
-    /// Allocate a region of `len` bytes.
+    /// Host images the pool holds now (at most [`POOL_IMAGES`]).
+    pub fn pooled_images(&self) -> usize {
+        self.inner.pool.images.lock().len()
+    }
+
+    /// Allocations of at least [`POOL_MIN_BYTES`] so far that found no
+    /// pooled image to reuse and allocated their host memory fresh.
+    pub fn fresh_images(&self) -> u64 {
+        self.inner.pool.fresh.load(Ordering::Relaxed)
+    }
+
+    /// Allocate a zeroed region of `len` bytes.
     pub fn alloc_region(&self, len: u64) -> Result<Region> {
-        // Reserve atomically so concurrent allocators cannot oversubscribe.
+        self.charge(len)?;
+        let image = Image::zeroed(self.inner.pool.take(len), len);
+        Ok(self.region(image))
+    }
+
+    /// Allocate a region of the parts' total length already holding
+    /// `parts`, in order, persisted: the region, the tracker counts and
+    /// the charge are exactly those of [`Namespace::alloc_region`], one
+    /// gather store of `parts` at offset 0 with `hint`, and one `sfence`
+    /// (the same bookkeeping bodies run). The bytes are copied once into
+    /// each host image, which is never zero-filled first unless it is a
+    /// volatile region's persisted image.
+    pub fn alloc_region_stored<B: AsRef<[u8]>>(
+        &self,
+        parts: &[B],
+        hint: AccessHint,
+    ) -> Result<Region> {
+        let len = parts.iter().map(|p| p.as_ref().len() as u64).sum();
+        self.charge(len)?;
+        let image = Image::holding(self.inner.pool.take(len), parts, self.is_persistent());
+        let mut region = self.region(image);
+        region.account_stored(parts, hint)?;
+        Ok(region)
+    }
+
+    /// Charge `len` bytes to the namespace's capacity, atomically so
+    /// concurrent allocators cannot oversubscribe.
+    fn charge(&self, len: u64) -> Result<()> {
         let mut current = self.inner.used.load(Ordering::Relaxed);
         loop {
             let Some(next) = current.checked_add(len) else {
@@ -187,20 +304,25 @@ impl Namespace {
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => break,
+                Ok(_) => return Ok(()),
                 Err(actual) => current = actual,
             }
         }
+    }
+
+    /// A fresh region of this namespace over `image`.
+    fn region(&self, image: Image) -> Region {
         let fault = match self.inner.mode {
-            NamespaceMode::FsDax { page_bytes } => Some(FaultModel::new(page_bytes, len)),
+            NamespaceMode::FsDax { page_bytes } => Some(FaultModel::new(page_bytes, image.len())),
             _ => None,
         };
-        Ok(Region::new(
-            len,
+        Region::from_image(
+            image,
             Arc::clone(&self.inner.tracker),
             self.is_persistent(),
             fault,
-        ))
+            Arc::downgrade(&self.inner.pool),
+        )
     }
 
     /// Return capacity from a dropped region (regions do not auto-return on
@@ -286,5 +408,131 @@ mod tests {
         let ns = Namespace::devdax(S0, u64::MAX);
         ns.alloc_region(10).unwrap();
         assert!(ns.alloc_region(u64::MAX).is_err());
+    }
+
+    /// Every namespace mode.
+    const MODES: [fn(SocketId, u64) -> Namespace; 4] = [
+        Namespace::devdax,
+        Namespace::fsdax,
+        Namespace::memory_mode,
+        Namespace::dram,
+    ];
+
+    #[test]
+    fn the_pool_keeps_the_largest_images_and_lends_the_tightest() {
+        const MIB: u64 = POOL_MIN_BYTES;
+        let ns = Namespace::devdax(S0, 64 << 20);
+        let live: Vec<Region> = [MIB - 1, 3 * MIB, 2 * MIB, 4 * MIB]
+            .map(|len| ns.alloc_region(len).unwrap())
+            .into();
+        drop(live);
+        // The image under the threshold never counted or pooled, and the
+        // 2 MiB one was freed to keep the 4 MiB one.
+        assert_eq!((ns.fresh_images(), ns.pooled_images()), (3, POOL_IMAGES));
+        // 2.5 MiB fits both pooled images and takes the tighter 3 MiB one,
+        // so 3.5 MiB still finds the 4 MiB one; 5 MiB fits none.
+        let a = ns.alloc_region(5 * MIB / 2).unwrap();
+        let b = ns.alloc_region(7 * MIB / 2).unwrap();
+        assert_eq!((ns.fresh_images(), ns.pooled_images()), (3, 0));
+        let c = ns.alloc_region(5 * MIB).unwrap();
+        let d = ns.alloc_region(MIB - 1).unwrap();
+        assert_eq!((ns.fresh_images(), ns.pooled_images()), (4, 0));
+        drop((a, b, c, d));
+        assert_eq!(ns.pooled_images(), POOL_IMAGES);
+        // A region that outlives its namespace frees its image.
+        let orphan = ns.alloc_region(MIB).unwrap();
+        drop(ns);
+        assert!(orphan.untracked_slice().iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn a_stored_allocation_equals_alloc_store_and_fence() {
+        use crate::region::CACHE_LINE;
+        let big = vec![0xB7; (POOL_MIN_BYTES + 100) as usize];
+        let shapes: [&[&[u8]]; 5] = [
+            &[],
+            &[&[]],
+            &[&[1; 10]],
+            &[&[2; 100], &[], &[3; 300]],
+            &[&big, &[4; 28]],
+        ];
+        let same = |a: &Region, b: &Region, what: &str| {
+            let lines = |r: &Region| -> Vec<bool> {
+                (0..r.len().div_ceil(CACHE_LINE))
+                    .map(|l| r.is_persisted(l * CACHE_LINE, CACHE_LINE))
+                    .collect()
+            };
+            assert_eq!(a.len(), b.len(), "{what}");
+            assert!(a.untracked_slice() == b.untracked_slice(), "{what}");
+            assert_eq!(a.poisoned_lines(), b.poisoned_lines(), "{what}");
+            assert_eq!(lines(a), lines(b), "{what}");
+            assert_eq!(a.tracker().snapshot(), b.tracker().snapshot(), "{what}");
+        };
+        for make in MODES {
+            for parts in shapes {
+                for hint in [AccessHint::Sequential, AccessHint::Random, AccessHint::Auto] {
+                    let (fused_ns, plain_ns) = (make(S0, 8 << 20), make(S0, 8 << 20));
+                    // A dirty, pending, partly fenced and poisoned image in
+                    // the fused namespace's pool, for the large shape.
+                    let mut old = fused_ns.alloc_region(2 << 20).unwrap();
+                    old.write(5, &[9; 5000]);
+                    old.ntstore(1 << 20, &[8; 4096]);
+                    old.sfence();
+                    old.ntstore(0, &[7; 64]);
+                    old.inject_poison(4096, 512);
+                    drop(old);
+                    fused_ns.release(2 << 20);
+                    fused_ns.tracker().reset();
+                    let fresh0 = fused_ns.fresh_images();
+
+                    let mut fused = fused_ns.alloc_region_stored(parts, hint).unwrap();
+                    let len = fused.len();
+                    let mut plain = plain_ns.alloc_region(len).unwrap();
+                    plain.try_ntstore_gather(0, parts, hint).unwrap();
+                    plain.sfence();
+                    let what = format!("{:?} {len} B {hint:?}", fused_ns.mode());
+                    same(&fused, &plain, &what);
+                    assert_eq!(fused_ns.used(), plain_ns.used(), "{what}");
+                    assert_eq!(fused_ns.fresh_images(), fresh0, "{what}: pooled");
+                    assert_eq!(fused_ns.pooled_images(), usize::from(len < POOL_MIN_BYTES));
+
+                    // The hint state carries over: an empty store at the
+                    // end continues the first one, and a read starts anew.
+                    for r in [&mut fused, &mut plain] {
+                        r.try_ntstore(len, &[], AccessHint::Auto).unwrap();
+                        r.read(0, len.min(64), AccessHint::Auto);
+                    }
+                    same(&fused, &plain, &what);
+                    // The persisted images: overwrite every byte through the
+                    // cache and lose it to a crash.
+                    let lost: Vec<u64> = [&mut fused, &mut plain]
+                        .map(|r| {
+                            r.try_write(0, &vec![0xEE; len as usize], AccessHint::Random)
+                                .unwrap();
+                            r.crash()
+                        })
+                        .into();
+                    assert_eq!(lost[0], lost[1], "{what}");
+                    same(&fused, &plain, &what);
+                    let persisted = if fused_ns.is_persistent() {
+                        parts.concat()
+                    } else {
+                        vec![0; len as usize]
+                    };
+                    assert!(fused.untracked_slice() == persisted, "{what}");
+                }
+            }
+        }
+        // Out of space: nothing charged, nothing counted.
+        let ns = Namespace::devdax(S0, 100);
+        assert!(matches!(
+            ns.alloc_region_stored(&[[0u8; 101]], AccessHint::Sequential),
+            Err(StoreError::OutOfSpace {
+                requested: 101,
+                available: 100
+            })
+        ));
+        assert_eq!(ns.used(), 0);
+        assert_eq!(ns.tracker().snapshot(), Default::default());
     }
 }

@@ -25,13 +25,21 @@
 //! the words made pending since the previous fence, the fsdax fault state
 //! is an atomic page bitmap, and the trace hooks take their mutex only
 //! while a trace is attached.
+//!
+//! A region's host memory, its bytes and its persisted image, is an
+//! `Image`. A region of at least
+//! [`POOL_MIN_BYTES`](crate::namespace::POOL_MIN_BYTES) hands its image
+//! back to its namespace's pool when it drops, and the namespace builds
+//! later regions from it (zero-filled, or already holding a first store's
+//! bytes), so a recycled region's pages are already faulted in on the host.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
 use crate::lineset::{word_masks, LineSet};
+use crate::namespace::ImagePool;
 use crate::trace::{PersistEvent, PersistenceTrace, TraceBuffer, TraceEntry};
 use crate::tracker::{AccessTracker, OneAccess, Sink, Tally};
 use crate::{Result, StoreError};
@@ -143,6 +151,86 @@ fn copy_lines(dst: &mut [u8], src: &[u8], start: u64, end: u64) {
     dst[from..to].copy_from_slice(&src[from..to]);
 }
 
+/// `bytes` emptied, keeping its allocation when it holds `len` bytes;
+/// otherwise a fresh allocation of `len`.
+fn emptied(mut bytes: Vec<u8>, len: usize) -> Vec<u8> {
+    if bytes.capacity() < len {
+        return Vec::with_capacity(len);
+    }
+    bytes.clear();
+    bytes
+}
+
+/// `len` zero bytes: written into `bytes`' allocation when it holds them,
+/// otherwise a fresh zeroed allocation, whose pages the host zeroes on
+/// first touch.
+fn zeros(mut bytes: Vec<u8>, len: usize) -> Vec<u8> {
+    if bytes.capacity() < len {
+        return vec![0; len];
+    }
+    bytes.clear();
+    bytes.resize(len, 0);
+    bytes
+}
+
+/// A region's host memory: its bytes and its last persisted image.
+#[derive(Debug, Default)]
+pub(crate) struct Image {
+    data: Vec<u8>,
+    shadow: Vec<u8>,
+}
+
+impl Image {
+    /// Bytes the region over this image holds.
+    pub(crate) fn len(&self) -> u64 {
+        self.data.len() as u64
+    }
+
+    /// Bytes both halves can hold without reallocating.
+    pub(crate) fn capacity(&self) -> u64 {
+        self.data.capacity().min(self.shadow.capacity()) as u64
+    }
+
+    /// `len` zero bytes in both halves, in `reuse`'s allocations where they
+    /// are large enough: what a fresh region holds.
+    pub(crate) fn zeroed(reuse: Image, len: u64) -> Image {
+        Image {
+            data: zeros(reuse.data, len as usize),
+            shadow: zeros(reuse.shadow, len as usize),
+        }
+    }
+
+    /// What a region of the parts' total length holds after one store of
+    /// `parts` at offset 0 and a fence: the concatenation, persisted too
+    /// when the region is persistent. Built in `reuse`'s allocations where
+    /// they are large enough, and zero-filled only where the result is
+    /// zero (a volatile region's persisted image).
+    pub(crate) fn holding<B: AsRef<[u8]>>(reuse: Image, parts: &[B], persistent: bool) -> Image {
+        let len = parts.iter().map(|p| p.as_ref().len()).sum();
+        let mut data = emptied(reuse.data, len);
+        for part in parts {
+            data.extend_from_slice(part.as_ref());
+        }
+        let shadow = if persistent {
+            let mut shadow = emptied(reuse.shadow, len);
+            shadow.extend_from_slice(&data);
+            shadow
+        } else {
+            zeros(reuse.shadow, len)
+        };
+        Image { data, shadow }
+    }
+}
+
+/// Whether an access body moves the bytes it accounts for, or finds them
+/// already in place: a region built from [`Image::holding`] runs the
+/// bookkeeping of its first store and fence without their copies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Bytes {
+    Copy,
+    InPlace,
+}
+
 /// A byte-addressable allocation on a (simulated) memory device.
 ///
 /// Persistence state is one bit per 64 B cache line and poison one bit
@@ -174,18 +262,26 @@ pub struct Region {
     trace: Hook<TraceBuffer>,
     /// Optional persistence-event sink for crash-state model checking.
     persist_trace: Hook<PersistenceTrace>,
+    /// The pool of the namespace that allocated this region, which takes
+    /// the image back when the region drops (if the namespace still
+    /// exists).
+    pool: Weak<ImagePool>,
 }
 
 impl Region {
-    pub(crate) fn new(
-        len: u64,
+    /// A region over `image`, every line clean and persisted, no poison,
+    /// no page touched and no trace attached.
+    pub(crate) fn from_image(
+        image: Image,
         tracker: Arc<AccessTracker>,
         persistent: bool,
         fault_model: Option<FaultModel>,
+        pool: Weak<ImagePool>,
     ) -> Self {
+        let len = image.len();
         Region {
-            data: vec![0; len as usize],
-            shadow: vec![0; len as usize],
+            data: image.data,
+            shadow: image.shadow,
             dirty: LineSet::new(len.div_ceil(CACHE_LINE)),
             pending: LineSet::new(len.div_ceil(CACHE_LINE)),
             poisoned: LineSet::new(len.div_ceil(XPLINE)),
@@ -196,7 +292,34 @@ impl Region {
             last_write_end: AtomicU64::new(u64::MAX),
             trace: Hook::new(),
             persist_trace: Hook::new(),
+            pool,
         }
+    }
+
+    /// A zeroed region of `len` bytes that belongs to no namespace.
+    #[cfg(test)]
+    pub(crate) fn new(
+        len: u64,
+        tracker: Arc<AccessTracker>,
+        persistent: bool,
+        fault_model: Option<FaultModel>,
+    ) -> Self {
+        let image = Image::zeroed(Image::default(), len);
+        Self::from_image(image, tracker, persistent, fault_model, Weak::new())
+    }
+
+    /// Account, on a region built from [`Image::holding`]`(_, parts, _)`,
+    /// for the one store of `parts` at offset 0 and the fence that image
+    /// already reflects: the bodies of [`Region::try_ntstore_gather`] and
+    /// [`Region::sfence`] run as they would, all but their copies.
+    pub(crate) fn account_stored<B: AsRef<[u8]>>(
+        &mut self,
+        parts: &[B],
+        hint: AccessHint,
+    ) -> Result<()> {
+        self.ntstore_with(0, parts, hint, &mut OneAccess, Bytes::InPlace)?;
+        self.fence_with(&mut OneAccess, Bytes::InPlace);
+        Ok(())
     }
 
     /// Attach a trace buffer: subsequent accesses are recorded into it.
@@ -616,7 +739,7 @@ impl Region {
     /// and persistence events, the lines and the poison cleared are those
     /// of one store of their concatenation, which is built only for an
     /// attached persistence trace.
-    pub fn try_ntstore_gather<B: AsRef<[u8]>>(
+    pub(crate) fn try_ntstore_gather<B: AsRef<[u8]>>(
         &mut self,
         offset: u64,
         parts: &[B],
@@ -633,6 +756,19 @@ impl Region {
         hint: AccessHint,
         sink: &mut impl Sink,
     ) -> Result<()> {
+        self.ntstore_with(offset, parts, hint, sink, Bytes::Copy)
+    }
+
+    /// The one body of every non-temporal store.
+    #[inline]
+    fn ntstore_with<B: AsRef<[u8]>>(
+        &mut self,
+        offset: u64,
+        parts: &[B],
+        hint: AccessHint,
+        sink: &mut impl Sink,
+        bytes: Bytes,
+    ) -> Result<()> {
         let len: u64 = parts.iter().map(|p| p.as_ref().len() as u64).sum();
         self.check(offset, len)?;
         self.fault_pages(offset, len, sink);
@@ -643,11 +779,13 @@ impl Region {
             offset,
             data: parts.iter().flat_map(|p| p.as_ref()).copied().collect(),
         });
-        let mut at = offset as usize;
-        for part in parts {
-            let part = part.as_ref();
-            self.data[at..at + part.len()].copy_from_slice(part);
-            at += part.len();
+        if bytes == Bytes::Copy {
+            let mut at = offset as usize;
+            for part in parts {
+                let part = part.as_ref();
+                self.data[at..at + part.len()].copy_from_slice(part);
+                at += part.len();
+            }
         }
         let (first, last) = Self::lines(offset, len);
         self.dirty.remove(first, last);
@@ -683,14 +821,23 @@ impl Region {
 
     #[inline]
     fn sfence_with(&mut self, sink: &mut impl Sink) {
+        self.fence_with(sink, Bytes::Copy);
+    }
+
+    /// The one body of every fence.
+    #[inline]
+    fn fence_with(&mut self, sink: &mut impl Sink, bytes: Bytes) {
         sink.sfence(&self.tracker);
         self.record_persist(|| PersistEvent::Sfence);
         if !self.persistent {
             return; // Memory Mode: nothing actually persists (§2.1).
         }
         let (shadow, data) = (&mut self.shadow, &self.data);
-        self.pending
-            .drain_runs(|start, end| copy_lines(shadow, data, start, end));
+        self.pending.drain_runs(|start, end| {
+            if bytes == Bytes::Copy {
+                copy_lines(shadow, data, start, end);
+            }
+        });
     }
 
     /// Convenience: `clwb` the range, then `sfence` (PMDK's
@@ -726,6 +873,19 @@ impl Region {
         self.last_write_end.store(u64::MAX, Ordering::Relaxed);
         self.tracker.record_crash(count);
         count
+    }
+}
+
+impl Drop for Region {
+    /// Hand the image to the namespace's pool, which keeps it if the
+    /// region is large enough and the pool has room.
+    fn drop(&mut self) {
+        if let Some(pool) = self.pool.upgrade() {
+            pool.give(Image {
+                data: std::mem::take(&mut self.data),
+                shadow: std::mem::take(&mut self.shadow),
+            });
+        }
     }
 }
 

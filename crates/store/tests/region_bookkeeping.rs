@@ -11,6 +11,10 @@
 //! one `Tally` held across the sequence. Once that tally drops, the twin
 //! must equal the one-access region in everything: bytes, lines, poison,
 //! crash counts, both traces and the tracker snapshot.
+//!
+//! A region recycled from a namespace's image pool must likewise equal a
+//! fresh one through the same operations, whatever the pooled images
+//! were left holding.
 
 #![allow(clippy::unwrap_used)] // unwrap in tests is fine
 
@@ -18,6 +22,7 @@ use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
 
 use pmem_sim::topology::SocketId;
+use pmem_store::namespace::{POOL_IMAGES, POOL_MIN_BYTES};
 use pmem_store::{
     AccessHint, Namespace, PersistenceTrace, Region, StoreError, Tally, TraceBuffer, XPLINE,
 };
@@ -386,6 +391,138 @@ proptest! {
         prop_assert_eq!(lost, twin.crash());
         prop_assert!(region.untracked_slice() == model.data);
         prop_assert!(twin.untracked_slice() == model.data);
+    }
+}
+
+/// What one operation returned, for comparing two regions that took it.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Stored(Result<(), StoreError>),
+    Done,
+    Lost(u64),
+    Persisted(bool),
+    Lines(u64),
+    Read(Result<Vec<u8>, StoreError>),
+}
+
+/// Apply `op` to one region through the one-access methods.
+fn answer(region: &mut Region, op: Op) -> Answer {
+    let offset = op.offset(region.len());
+    let len = op.len(region.len(), offset);
+    match op.kind {
+        0 => {
+            Answer::Stored(region.try_write(offset, &vec![op.fill; len as usize], AccessHint::Auto))
+        }
+        1 | 2 => Answer::Stored(region.try_ntstore(
+            offset,
+            &vec![op.fill; len as usize],
+            AccessHint::Auto,
+        )),
+        3 => {
+            region.clwb(offset, len);
+            Answer::Done
+        }
+        4 => {
+            region.sfence();
+            Answer::Done
+        }
+        5 => Answer::Lost(region.crash()),
+        6 => Answer::Persisted(region.is_persisted(offset, len)),
+        7 => Answer::Lines(region.inject_poison(offset, len)),
+        8 => Answer::Lines(region.clear_poison(offset, len)),
+        _ => Answer::Read(
+            region
+                .try_read(offset, len, AccessHint::Auto)
+                .map(<[u8]>::to_vec),
+        ),
+    }
+}
+
+/// Sizes of recycled regions: the pooling threshold, unaligned above it,
+/// and one fsdax page and a partial line.
+const POOLED_LENS: [u64; 3] = [POOL_MIN_BYTES, POOL_MIN_BYTES + 300, (2 << 20) + 40];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn a_recycled_region_is_indistinguishable_from_a_fresh_one(
+        shape in (0usize..POOLED_LENS.len(), 0u8..4),
+        dirt in prop::collection::vec(op(), 1..24),
+        ops in prop::collection::vec(op(), 1..60),
+    ) {
+        let (len, mode) = (POOLED_LENS[shape.0], shape.1);
+        let namespace = || match mode {
+            0 => Namespace::devdax(S0, 64 << 20),
+            1 => Namespace::fsdax(S0, 64 << 20),
+            2 => Namespace::memory_mode(S0, 64 << 20),
+            _ => Namespace::dram(S0, 64 << 20),
+        };
+        let (pooled_ns, fresh_ns) = (namespace(), namespace());
+        // Fill the pool with images of two larger sizes, traced and left
+        // dirty, pending, poisoned and partly fenced.
+        let (old_accesses, old_persists) = (TraceBuffer::shared(1 << 12), PersistenceTrace::shared(1 << 12));
+        let olds: Vec<Region> = [len + 4096, 2 * len]
+            .map(|old_len| {
+                let mut old = pooled_ns.alloc_region(old_len).unwrap();
+                old.ntstore(0, &vec![0xA5; old_len as usize]);
+                old.sfence();
+                old.attach_trace(Arc::clone(&old_accesses));
+                old.attach_persist_trace(Arc::clone(&old_persists));
+                for &op in &dirt {
+                    answer(&mut old, op);
+                }
+                old.write(old_len / 3, &[0x5A; 700]);
+                old.ntstore(old_len / 2, &[0x3C; 900]);
+                old.inject_poison(old_len - 1000, 10);
+                old
+            })
+            .into();
+        drop(olds);
+        prop_assert_eq!(pooled_ns.pooled_images(), POOL_IMAGES);
+        let fresh0 = pooled_ns.fresh_images();
+        let used0 = pooled_ns.used();
+        old_accesses.take();
+        old_persists.take();
+
+        let mut region = pooled_ns.alloc_region(len).unwrap();
+        let mut twin = fresh_ns.alloc_region(len).unwrap();
+        prop_assert_eq!(pooled_ns.pooled_images(), POOL_IMAGES - 1, "taken from the pool");
+        prop_assert_eq!(pooled_ns.fresh_images(), fresh0);
+        prop_assert_eq!(fresh_ns.fresh_images(), 1);
+        prop_assert_eq!(pooled_ns.used() - used0, fresh_ns.used());
+        pooled_ns.tracker().reset();
+        // The recycled region starts with no trace attached: its first
+        // accesses reach none of the old ones' sinks.
+        prop_assert_eq!(answer(&mut region, ops[0]), answer(&mut twin, ops[0]));
+        prop_assert!(old_accesses.take().is_empty());
+        prop_assert!(old_persists.take().is_empty());
+        let (accesses, persists) = (TraceBuffer::shared(1 << 12), PersistenceTrace::shared(1 << 12));
+        let (twin_accesses, twin_persists) = (TraceBuffer::shared(1 << 12), PersistenceTrace::shared(1 << 12));
+        region.attach_trace(Arc::clone(&accesses));
+        region.attach_persist_trace(Arc::clone(&persists));
+        twin.attach_trace(Arc::clone(&twin_accesses));
+        twin.attach_persist_trace(Arc::clone(&twin_persists));
+        for &op in &ops[1..] {
+            prop_assert_eq!(answer(&mut region, op), answer(&mut twin, op), "{:?}", op);
+            prop_assert!(region.untracked_slice() == twin.untracked_slice(), "bytes after {:?}", op);
+            prop_assert_eq!(region.poisoned_lines(), twin.poisoned_lines());
+        }
+        prop_assert_eq!(line_state(&region), line_state(&twin));
+        prop_assert_eq!(pooled_ns.tracker().snapshot(), fresh_ns.tracker().snapshot());
+        prop_assert_eq!(accesses.take(), twin_accesses.take());
+        prop_assert_eq!(persists.take(), twin_persists.take());
+        // Crash results, then the whole persisted images: overwrite every
+        // byte through the cache and lose it.
+        prop_assert_eq!(region.crash(), twin.crash());
+        prop_assert!(region.untracked_slice() == twin.untracked_slice());
+        for r in [&mut region, &mut twin] {
+            r.detach_persist_trace();
+            r.try_write(0, &vec![0xEE; len as usize], AccessHint::Random).unwrap();
+        }
+        prop_assert_eq!(region.crash(), twin.crash());
+        prop_assert!(region.untracked_slice() == twin.untracked_slice(), "persisted images");
+        prop_assert_eq!(pooled_ns.tracker().snapshot(), fresh_ns.tracker().snapshot());
     }
 }
 
