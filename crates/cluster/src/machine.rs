@@ -80,7 +80,7 @@ impl ShardMachine {
 
     /// Install (or refresh) the hosted replica of `source`'s partition.
     /// `copy` must have been replicated into [`Self::replica_ns`]; a
-    /// refresh releases the copy it replaces.
+    /// refresh drops the copy it replaces, which returns its bytes.
     pub fn host_replica(&mut self, source: u32, copy: ColumnarFact) {
         self.drop_replica(source);
         self.replicas.push((source, copy));
@@ -94,11 +94,8 @@ impl ShardMachine {
     pub fn drop_replica(&mut self, source: u32) -> Option<u64> {
         let index = self.replicas.iter().position(|(s, _)| *s == source)?;
         let (_, copy) = self.replicas.remove(index);
-        // Regions do not return their bytes on drop: give back exactly
-        // what `replicate_to` allocated for the copy.
-        let bytes = copy.total_bytes();
-        self.replica_ns.release(bytes);
-        Some(bytes)
+        // The copy's regions return their bytes as it drops.
+        Some(copy.total_bytes())
     }
 
     /// The hosted replica of shard `source`, if this machine carries one.

@@ -15,7 +15,9 @@
 //! A table that takes no more writes can be [sealed](ChainedTable::seal)
 //! into a [`SealedChainedTable`], which walks the same chains without the
 //! table lock. Lookups and inserts, node-region grows and rehashes
-//! included, count into the caller's [`Tally`], as Dash's do.
+//! included, count into the caller's [`Tally`], as Dash's do. The bucket
+//! array and the node storage are regions, which hold their namespace
+//! bytes until they drop: a grow or rehash returns the replaced region's.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -82,14 +84,13 @@ impl ChainedTable {
     }
 
     /// Table pre-sized for `records` entries. When the node storage does
-    /// not fit, the bucket array's bytes go back before the error returns.
+    /// not fit, the bucket array drops, and its bytes go back, before the
+    /// error returns.
     pub fn with_capacity(ns: &Namespace, records: usize) -> Result<Self> {
         let bucket_count = (records.max(16) as u64 / 2).next_power_of_two();
         let heads = ns.alloc_region(bucket_count * 8)?;
         let node_bytes = (records.max(16) as u64 * 2) * NODE_SIZE;
-        let nodes = ns
-            .alloc_region(node_bytes)
-            .inspect_err(|_| ns.release(heads.len()))?;
+        let nodes = ns.alloc_region(node_bytes)?;
         Ok(ChainedTable {
             ns: ns.clone(),
             inner: RwLock::new(Inner {
@@ -228,7 +229,6 @@ impl Inner {
         new_nodes.try_write_tallied(0, &bytes, AccessHint::Sequential, t)?;
         self.nodes = new_nodes;
         self.arena.grow(new_len);
-        ns.release(old_len);
         Ok(())
     }
 
@@ -250,7 +250,6 @@ impl Inner {
                 link = next;
             }
         }
-        ns.release(old_count * 8);
         Ok(())
     }
 }

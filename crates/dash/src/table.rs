@@ -12,9 +12,10 @@
 //!
 //! Inserts and lookups count their bucket accesses into the caller's
 //! [`Tally`] of the table's namespace; [`KvIndex::insert`] and
-//! [`KvIndex::get`] run the same bodies with a tally of their own. A split
-//! returns the bytes of the segment it replaces, and an allocation that
-//! fails part-way returns those of the segments it already took.
+//! [`KvIndex::get`] run the same bodies with a tally of their own. Each
+//! segment's region holds its bytes of the namespace: a split's replaced
+//! segment returns them when its last handle drops, and an allocation that
+//! fails part-way drops, and so returns, the segments it already took.
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -86,22 +87,6 @@ fn lookup<S: Deref<Target = SegmentInner>>(
     segment(hash::dir_index(h, global_depth)).get(h, key, tally)
 }
 
-/// Allocate `count` empty segments of local depth `depth`, or none: when
-/// one fails, the bytes of those already allocated go back to `ns`.
-fn alloc_segments(ns: &Namespace, depth: u8, count: usize) -> Result<Vec<Segment>> {
-    let mut segments = Vec::with_capacity(count);
-    for _ in 0..count {
-        match Segment::new(ns, depth) {
-            Ok(segment) => segments.push(segment),
-            Err(e) => {
-                ns.release(segments.len() as u64 * SEGMENT_BYTES);
-                return Err(e);
-            }
-        }
-    }
-    Ok(segments)
-}
-
 /// A [`DashTable`] after its last write: the directory as segment indices
 /// and the segments out of their locks. A probe takes no lock and clones
 /// nothing, and reads exactly the buckets [`DashTable::get`] reads.
@@ -151,10 +136,9 @@ impl DashTable {
             depth <= 28,
             "directory of 2^{depth} entries is unreasonable"
         );
-        let entries = alloc_segments(ns, depth, 1 << depth)?
-            .into_iter()
-            .map(Arc::new)
-            .collect();
+        let entries = (0..1usize << depth)
+            .map(|_| Segment::new(ns, depth).map(Arc::new))
+            .collect::<Result<_>>()?;
         Ok(DashTable {
             ns: ns.clone(),
             dir: RwLock::new(Directory {
@@ -236,10 +220,8 @@ impl DashTable {
 
         // Both halves first: a split that cannot get them changes nothing
         // and holds no bytes.
-        let [zero, one]: [Segment; 2] = alloc_segments(&self.ns, local + 1, 2)?
-            .try_into()
-            .expect("two segments");
-        let (zero, one) = (Arc::new(zero), Arc::new(one));
+        let zero = Arc::new(Segment::new(&self.ns, local + 1)?);
+        let one = Arc::new(Segment::new(&self.ns, local + 1)?);
 
         if local == dir.global_depth {
             // Double the directory: entry i gains a twin at i + 2^depth.
@@ -277,9 +259,7 @@ impl DashTable {
             };
             slot += stride;
         }
-        // The replaced segment's bytes go back now; its memory goes with
-        // the last handle, `old`.
-        self.ns.release(SEGMENT_BYTES);
+        // The replaced segment's bytes go back with its last handle, `old`.
         Ok(())
     }
 
@@ -311,7 +291,7 @@ impl DashTable {
             stash_records,
             load_factor: records as f64
                 / (segments * crate::segment::SegmentInner::capacity()).max(1) as f64,
-            bytes: segments as u64 * crate::segment::SEGMENT_BYTES,
+            bytes: segments as u64 * SEGMENT_BYTES,
         }
     }
 

@@ -137,24 +137,15 @@ impl ColumnarFact {
     /// Load all columns of `data` into `ns`, sealing per-block checksums
     /// over each column as it lands (from the staging buffer, so sealing
     /// adds no device reads). On any error the column regions already
-    /// allocated in `ns` are released, so `ns.used()` is what it was
-    /// before the call.
+    /// allocated in `ns` drop and return their bytes, so `ns.used()` is
+    /// what it was before the call.
     pub fn load(ns: &Namespace, data: &SsbData) -> Result<Self> {
-        let mut held = 0;
-        Self::load_columns(ns, data, &mut held).inspect_err(|_| ns.release(held))
-    }
-
-    /// [`ColumnarFact::load`]'s loop; `held` counts the bytes it has
-    /// allocated in `ns` so far.
-    fn load_columns(ns: &Namespace, data: &SsbData, held: &mut u64) -> Result<Self> {
         let rows = data.lineorder.len() as u64;
         let mut columns = Vec::with_capacity(Column::ALL.len());
         let mut checks = Vec::with_capacity(Column::ALL.len());
         for column in Column::ALL {
             let width = column.width();
-            let len = rows.max(1) * width;
-            let mut region = ns.alloc_region(len)?;
-            *held += len;
+            let mut region = ns.alloc_region(rows.max(1) * width)?;
             let mut buf = Vec::with_capacity((rows * width) as usize);
             for lo in &data.lineorder {
                 match column {
@@ -297,17 +288,9 @@ impl ColumnarFact {
     /// Fails with [`StoreError::Poisoned`] if any source column holds a
     /// poisoned or checksum-mismatched block — a dirty table must be
     /// repaired before it may serve as a replication source. On any error
-    /// the column regions already allocated in `ns` are released, so
-    /// `ns.used()` is what it was before the call.
+    /// the column regions already allocated in `ns` drop and return their
+    /// bytes, so `ns.used()` is what it was before the call.
     pub fn replicate_to(&self, ns: &Namespace) -> Result<ColumnarFact> {
-        let mut held = 0;
-        self.copy_columns(ns, &mut held)
-            .inspect_err(|_| ns.release(held))
-    }
-
-    /// [`ColumnarFact::replicate_to`]'s copy loop; `held` counts the bytes
-    /// it has allocated in `ns` so far.
-    fn copy_columns(&self, ns: &Namespace, held: &mut u64) -> Result<ColumnarFact> {
         let mut columns = Vec::with_capacity(self.columns.len());
         let mut checks = Vec::with_capacity(self.columns.len());
         for ((column, region), check) in self.columns.iter().zip(self.checks.iter()) {
@@ -317,7 +300,6 @@ impl ColumnarFact {
             let len = region.len();
             let bytes = region.try_read(0, len, AccessHint::Sequential)?.to_vec();
             let mut copy = ns.alloc_region(len)?;
-            *held += len;
             if !bytes.is_empty() {
                 copy.try_ntstore(0, &bytes, AccessHint::Sequential)?;
                 copy.sfence();

@@ -32,7 +32,7 @@ use pmem_dash::{ChainedTable, DashTable, KvIndex, SealedChainedTable, SealedDash
 use pmem_store::{AccessHint, Namespace, Region, Result, Tally};
 
 use crate::schema::{DateDim, GeoDim, Lineorder, PartDim, DIM_ROW, LINEORDER_ROW};
-use crate::storage::{EngineMode, Reservation, RESULT_ROW};
+use crate::storage::{EngineMode, RESULT_ROW};
 
 /// Rows per scan chunk: 512 × 128 B = 64 KB sequential reads, comfortably
 /// in the flat region of the read-bandwidth curves.
@@ -265,9 +265,7 @@ pub fn spill_result(ns: &Namespace, rows: &[(u64, i64)]) -> Result<()> {
         buf.extend_from_slice(&k.to_le_bytes());
         buf.extend_from_slice(&v.to_le_bytes());
     }
-    Reservation::hold(ns, || {
-        ns.alloc_region_stored(&[buf], AccessHint::Sequential)
-    })?;
+    ns.alloc_region_stored(&[buf], AccessHint::Sequential)?;
     Ok(())
 }
 

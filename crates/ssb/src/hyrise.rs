@@ -52,7 +52,7 @@ use pmem_store::{AccessHint, Region, Result};
 
 use crate::engine::{scan_fact, spill_result, GroupAgg, JoinIndex, OpCounters};
 use crate::queries::{build_for_plan, PhaseTraffic, Plan, QueryOutcome, ShardIndexes};
-use crate::storage::{Reservation, SsbStore};
+use crate::storage::SsbStore;
 
 /// Bytes per materialized intermediate tuple: the four join keys, the
 /// aggregate value, and the four dimension payloads.
@@ -183,34 +183,29 @@ impl StageBuffers {
     }
 }
 
-/// One materialized intermediate. It holds its namespace budget until it
-/// is dropped.
-struct Intermediate<'s> {
+/// One materialized intermediate. Its region holds its namespace budget
+/// until it is dropped.
+struct Intermediate {
     region: Region,
     rows: u64,
-    _held: Reservation<'s>,
 }
 
 /// Materialize the encoded rows of `parts`, in order, into a fresh
 /// intermediate region: one non-temporal store and one fence, fused into
 /// the allocation. An empty stage output is one empty tuple's region,
 /// never stored to. The parts go back to the stage buffers.
-fn materialize<'s>(store: &'s SsbStore, parts: Vec<Vec<u8>>) -> Result<Intermediate<'s>> {
+fn materialize(store: &SsbStore, parts: Vec<Vec<u8>>) -> Result<Intermediate> {
     let ns = &store.shards[0].intermediate_ns;
     let bytes: u64 = parts.iter().map(|p| p.len() as u64).sum();
-    let landed = Reservation::hold(ns, || {
-        if bytes == 0 {
-            ns.alloc_region(INTERMEDIATE_ROW)
-        } else {
-            ns.alloc_region_stored(&parts, AccessHint::Sequential)
-        }
-    });
+    let landed = if bytes == 0 {
+        ns.alloc_region(INTERMEDIATE_ROW)
+    } else {
+        ns.alloc_region_stored(&parts, AccessHint::Sequential)
+    };
     store.stage_buffers.give(parts);
-    let (region, held) = landed?;
     Ok(Intermediate {
-        region,
+        region: landed?,
         rows: bytes / INTERMEDIATE_ROW,
-        _held: held,
     })
 }
 
@@ -218,7 +213,7 @@ fn materialize<'s>(store: &'s SsbStore, parts: Vec<Vec<u8>>) -> Result<Intermedi
 /// of rows, reads each with one sequential access, and feeds every encoded
 /// row to its own accumulator.
 fn scan_intermediate<A: Send>(
-    input: &Intermediate<'_>,
+    input: &Intermediate,
     threads: u32,
     make_acc: impl Fn() -> A + Sync,
     visit: impl Fn(&mut A, &[u8]) + Sync,
@@ -274,10 +269,9 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
         .plus(&shard.index_ns.tracker().snapshot());
 
     // ---- Build phase: full (unfiltered) chained indexes ----
-    // The indexes are per-query structures: their budget returns when
-    // `index_budget` drops, on every return path.
-    let (indexes, index_budget) =
-        Reservation::hold(&shard.index_ns, || build_for_plan(store, shard, plan))?;
+    // The indexes are per-query structures: their regions return their
+    // bytes when they drop, on every return path.
+    let indexes = build_for_plan(store, shard, plan)?;
 
     let build = shard
         .dim_ns
@@ -286,7 +280,6 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
         .plus(&shard.index_ns.tracker().snapshot())
         .since(&dimidx0);
     let index1 = shard.index_ns.tracker().snapshot();
-    let index_bytes = index_budget.bytes();
     let inter0 = shard.intermediate_ns.tracker().snapshot();
 
     let mut counters = OpCounters {
@@ -397,7 +390,7 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
             probe,
             fact,
             intermediate,
-            index_bytes,
+            index_bytes: indexes.bytes_by_dim.iter().sum(),
             index_bytes_by_dim: indexes.bytes_by_dim,
         },
         threads,

@@ -32,8 +32,6 @@ struct ShardIntegrity {
     socket: SocketId,
     /// Per-block FNV sums sealed over the fact region at seal time.
     checks: BlockChecksums,
-    /// Namespace keeping the mirror alive.
-    _mirror_ns: Namespace,
     /// Byte-identical durable copy of the fact region.
     mirror: Region,
     /// Whole-mirror FNV manifest — the mirror proves itself before it is
@@ -82,8 +80,8 @@ impl StoreIntegrity {
         for shard in &store.shards {
             let bytes = shard.fact.untracked_slice();
             let checks = BlockChecksums::seal_bytes(bytes, SCRUB_BLOCK);
-            let mirror_ns = Namespace::fsdax(shard.socket, shard.fact.len() + (1 << 20));
-            let mut mirror = mirror_ns.alloc_region(shard.fact.len())?;
+            let mut mirror = Namespace::fsdax(shard.socket, shard.fact.len() + (1 << 20))
+                .alloc_region(shard.fact.len())?;
             if !bytes.is_empty() {
                 mirror.try_ntstore(0, bytes, AccessHint::Sequential)?;
                 mirror.sfence();
@@ -91,7 +89,6 @@ impl StoreIntegrity {
             shards.push(ShardIntegrity {
                 socket: shard.socket,
                 checks,
-                _mirror_ns: mirror_ns,
                 mirror,
                 mirror_sum: fnv64(FNV_OFFSET, bytes),
             });

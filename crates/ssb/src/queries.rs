@@ -20,7 +20,7 @@ use crate::schema::{
     city_of, DateDim, GeoDim, Lineorder, PartDim, Region, NATION_UNITED_KINGDOM,
     NATION_UNITED_STATES,
 };
-use crate::storage::{EngineMode, Reservation, SocketShard, SsbStore};
+use crate::storage::{EngineMode, SocketShard, SsbStore};
 
 /// Identifier of an SSB query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -313,26 +313,20 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
     });
 
     // ---- Build phase (per shard, in parallel) ----
-    // The indexes are per-query structures: their budget returns when
-    // `index_budget` drops, on every return path, so repeated executions
+    // The indexes are per-query structures: their regions return their
+    // bytes when they drop, on every return path, so repeated executions
     // (benchmark loops) and failed ones never exhaust the namespace.
-    let built = std::thread::scope(|scope| {
+    let shard_indexes: Vec<ShardIndexes> = std::thread::scope(|scope| {
         let handles: Vec<_> = store
             .shards
             .iter()
-            .map(|shard| {
-                scope.spawn(move || {
-                    Reservation::hold(&shard.index_ns, || build_for_plan(store, shard, plan))
-                })
-            })
+            .map(|shard| scope.spawn(move || build_for_plan(store, shard, plan)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("build worker"))
             .collect::<Result<Vec<_>>>()
     })?;
-    let (shard_indexes, index_budget): (Vec<ShardIndexes>, Vec<Reservation<'_>>) =
-        built.into_iter().unzip();
 
     let build_traffic = snap(&|s| {
         s.dim_ns
@@ -342,7 +336,6 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
     })
     .since(&dimidx0);
     let index1 = snap(&|s| s.index_ns.tracker().snapshot());
-    let index_bytes: u64 = index_budget.iter().map(Reservation::bytes).sum();
 
     // ---- Probe/scan phase (shards in parallel, threads per shard) ----
     // Each scan worker probes through a tally of its shard's index
@@ -436,7 +429,7 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
             probe: probe_traffic,
             fact: fact_traffic,
             intermediate,
-            index_bytes,
+            index_bytes: index_bytes_by_dim.iter().sum(),
             index_bytes_by_dim,
         },
         threads,

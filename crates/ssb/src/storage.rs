@@ -124,46 +124,6 @@ pub(crate) fn intermediate_capacity(card: &Cardinalities, partitions: u64) -> u6
     rows * (2 * INTERMEDIATE_ROW + RESULT_ROW) + (1 << 20)
 }
 
-/// Namespace capacity a query holds while it runs: its join indexes, a
-/// materialized intermediate, its spilled result. Dropping the
-/// reservation returns the capacity, so a query that fails part-way (a
-/// scan hitting poison returns early through `?`) leaks none of it.
-#[derive(Debug)]
-pub(crate) struct Reservation<'a> {
-    ns: &'a Namespace,
-    bytes: u64,
-}
-
-impl<'a> Reservation<'a> {
-    /// Run `alloc` and hold everything it allocates from `ns`, measured as
-    /// the growth of `ns.used()`: nothing else may allocate from `ns`
-    /// meanwhile, which holds because a query runs alone on its store.
-    /// When `alloc` fails, what it took is returned at once.
-    pub(crate) fn hold<T>(
-        ns: &'a Namespace,
-        alloc: impl FnOnce() -> Result<T>,
-    ) -> Result<(T, Self)> {
-        let used0 = ns.used();
-        let out = alloc();
-        let held = Reservation {
-            ns,
-            bytes: ns.used().saturating_sub(used0),
-        };
-        Ok((out?, held))
-    }
-
-    /// Bytes held.
-    pub(crate) fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl Drop for Reservation<'_> {
-    fn drop(&mut self) {
-        self.ns.release(self.bytes);
-    }
-}
-
 /// Rows per ingest chunk (512 × 128 B = 64 KB writes — well above the 4 KB
 /// best-practice minimum, and writers are few).
 const INGEST_CHUNK_ROWS: usize = 512;
@@ -410,24 +370,6 @@ mod tests {
         }
         // The 64 MiB the namespace used to get is short from SF 0.2 on.
         assert!(cardinalities(0.2).lineorder * INTERMEDIATE_ROW > 64 << 20);
-    }
-
-    #[test]
-    fn reservations_return_their_bytes_on_drop_and_on_failure() {
-        let ns = Namespace::devdax(SocketId(0), 1 << 20);
-        let (region, held) = Reservation::hold(&ns, || ns.alloc_region(4096)).unwrap();
-        assert_eq!((held.bytes(), ns.used()), (4096, 4096));
-        drop(held);
-        assert_eq!(ns.used(), 0);
-        drop(region);
-        // A failing allocation holds nothing afterwards, even when it took
-        // capacity before failing.
-        let failed = Reservation::hold(&ns, || {
-            ns.alloc_region(1000)?;
-            ns.alloc_region(2 << 20)
-        });
-        assert!(failed.is_err());
-        assert_eq!(ns.used(), 0);
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! * **dram** — plain volatile DRAM, for the paper's PMEM-vs-DRAM contrast
 //!   experiments.
 //!
+//! A region holds its bytes of its namespace's budget until it drops, so
+//! an error path that drops what it allocated gives every byte back; a
+//! region that outlives its namespace just frees its memory.
+//!
 //! A namespace recycles the host memory of its large regions. A dropped
 //! region of at least [`POOL_MIN_BYTES`] hands its two host buffers (its
 //! bytes and its persisted image) to the namespace's pool, which keeps at
@@ -51,7 +55,7 @@ pub const POOL_IMAGES: usize = 2;
 
 /// The host images of a namespace's dropped regions, kept for reuse.
 #[derive(Debug, Default)]
-pub(crate) struct ImagePool {
+struct ImagePool {
     images: Mutex<Vec<Image>>,
     /// Allocations of at least [`POOL_MIN_BYTES`] no pooled image fitted.
     fresh: AtomicU64,
@@ -80,7 +84,7 @@ impl ImagePool {
 
     /// Keep the image of a dropped region of at least [`POOL_MIN_BYTES`]
     /// if the pool has room or holds a smaller one, which it frees instead.
-    pub(crate) fn give(&self, image: Image) {
+    fn give(&self, image: Image) {
         if image.capacity() < POOL_MIN_BYTES {
             return;
         }
@@ -144,16 +148,26 @@ pub struct Namespace {
     inner: Arc<NamespaceInner>,
 }
 
+/// A namespace's shared state. Its regions hold it weakly, so a region
+/// that outlives the namespace keeps none of it alive.
 #[derive(Debug)]
-struct NamespaceInner {
+pub(crate) struct NamespaceInner {
     mode: NamespaceMode,
     socket: SocketId,
     capacity: u64,
     used: AtomicU64,
     tracker: Arc<AccessTracker>,
-    /// Host images of dropped regions; regions hold it weakly, so the
-    /// images of regions that outlive the namespace are freed.
-    pool: Arc<ImagePool>,
+    /// Host images of dropped regions.
+    pool: ImagePool,
+}
+
+impl NamespaceInner {
+    /// Take back a dropped region's image: its length leaves `used`, and
+    /// the pool may keep its host memory.
+    pub(crate) fn reclaim(&self, image: Image) {
+        self.used.fetch_sub(image.len(), Ordering::Relaxed);
+        self.pool.give(image);
+    }
 }
 
 impl Namespace {
@@ -165,7 +179,7 @@ impl Namespace {
                 capacity,
                 used: AtomicU64::new(0),
                 tracker: AccessTracker::shared(),
-                pool: Arc::default(),
+                pool: ImagePool::default(),
             }),
         }
     }
@@ -211,7 +225,7 @@ impl Namespace {
         self.inner.capacity
     }
 
-    /// Bytes handed out to regions.
+    /// Bytes held by this namespace's live regions.
     pub fn used(&self) -> u64 {
         self.inner.used.load(Ordering::Relaxed)
     }
@@ -254,7 +268,8 @@ impl Namespace {
         self.inner.pool.fresh.load(Ordering::Relaxed)
     }
 
-    /// Allocate a zeroed region of `len` bytes.
+    /// Allocate a zeroed region of `len` bytes. It holds `len` bytes of
+    /// the budget until it drops.
     pub fn alloc_region(&self, len: u64) -> Result<Region> {
         self.charge(len)?;
         let image = Image::zeroed(self.inner.pool.take(len), len);
@@ -321,16 +336,8 @@ impl Namespace {
             Arc::clone(&self.inner.tracker),
             self.is_persistent(),
             fault,
-            Arc::downgrade(&self.inner.pool),
+            Arc::downgrade(&self.inner),
         )
-    }
-
-    /// Return capacity from a dropped region (regions do not auto-return on
-    /// drop; OLAP workloads allocate once and hold).
-    pub fn release(&self, len: u64) {
-        self.inner
-            .used
-            .fetch_sub(len.min(self.used()), Ordering::Relaxed);
     }
 }
 
@@ -356,15 +363,70 @@ mod tests {
     #[test]
     fn capacity_accounting() {
         let ns = Namespace::devdax(S0, 1000);
-        let _a = ns.alloc_region(600).unwrap();
+        let a = ns.alloc_region(600).unwrap();
         assert_eq!(ns.used(), 600);
         assert_eq!(ns.available(), 400);
         assert!(matches!(
             ns.alloc_region(500),
             Err(StoreError::OutOfSpace { available: 400, .. })
         ));
-        ns.release(600);
+        drop(a);
         assert!(ns.alloc_region(500).is_ok());
+
+        const MIB: u64 = POOL_MIN_BYTES;
+        for make in MODES {
+            let ns = make(S0, 4 * MIB);
+            let what = format!("{:?}", ns.mode());
+            // Below the pool's threshold, at it, above it, and stored.
+            let regions = [
+                ns.alloc_region(600).unwrap(),
+                ns.alloc_region(MIB).unwrap(),
+                ns.alloc_region(MIB + 600).unwrap(),
+                ns.alloc_region_stored(&[[7u8; 100], [8; 100]], AccessHint::Sequential)
+                    .unwrap(),
+            ];
+            let held = 2 * MIB + 1400;
+            assert_eq!(
+                (ns.used(), ns.available()),
+                (held, 4 * MIB - held),
+                "{what}"
+            );
+
+            // Out of space: nothing charged.
+            let over = ns.available() + 1;
+            assert!(ns.alloc_region(over).is_err(), "{what}");
+            let parts = [vec![0u8; over as usize]];
+            assert!(matches!(
+                ns.alloc_region_stored(&parts, AccessHint::Sequential),
+                Err(StoreError::OutOfSpace { requested, .. }) if requested == over
+            ));
+            assert_eq!(ns.used(), held, "{what}");
+
+            // A dropped region returns exactly its length.
+            for region in regions {
+                let (used, len) = (ns.used(), region.len());
+                drop(region);
+                assert_eq!(ns.used(), used - len, "{what}: {len} B");
+            }
+            assert_eq!(ns.used(), 0, "{what}");
+            // So does one over a pooled image: the 1 MiB + 600 B image
+            // holds 1 MiB + 300 B, and the length charged, not the image's
+            // capacity, comes back.
+            let parts = [vec![1u8; (MIB + 300) as usize]];
+            let reused = ns.alloc_region_stored(&parts, AccessHint::Random).unwrap();
+            assert_eq!((ns.used(), ns.fresh_images()), (MIB + 300, 2), "{what}");
+            drop(reused);
+            assert_eq!(ns.used(), 0, "{what}");
+
+            // A region dropped after its namespace neither panics nor
+            // counts anything.
+            let orphans = [ns.alloc_region(600).unwrap(), ns.alloc_region(MIB).unwrap()];
+            let tracker = Arc::clone(ns.tracker());
+            let counts = tracker.snapshot();
+            drop(ns);
+            drop(orphans);
+            assert_eq!(tracker.snapshot(), counts, "{what}");
+        }
     }
 
     #[test]
@@ -406,7 +468,7 @@ mod tests {
     #[test]
     fn overflow_requests_are_rejected() {
         let ns = Namespace::devdax(S0, u64::MAX);
-        ns.alloc_region(10).unwrap();
+        let _held = ns.alloc_region(10).unwrap();
         assert!(ns.alloc_region(u64::MAX).is_err());
     }
 
@@ -481,7 +543,6 @@ mod tests {
                     old.ntstore(0, &[7; 64]);
                     old.inject_poison(4096, 512);
                     drop(old);
-                    fused_ns.release(2 << 20);
                     fused_ns.tracker().reset();
                     let fresh0 = fused_ns.fresh_images();
 

@@ -27,10 +27,11 @@
 //! while a trace is attached.
 //!
 //! A region's host memory, its bytes and its persisted image, is an
-//! `Image`. A region of at least
-//! [`POOL_MIN_BYTES`](crate::namespace::POOL_MIN_BYTES) hands its image
-//! back to its namespace's pool when it drops, and the namespace builds
-//! later regions from it (zero-filled, or already holding a first store's
+//! `Image`. A region returns its length to its namespace's budget when it
+//! drops. A region of at least
+//! [`POOL_MIN_BYTES`](crate::namespace::POOL_MIN_BYTES) also hands its
+//! image back to its namespace's pool, and the namespace builds later
+//! regions from it (zero-filled, or already holding a first store's
 //! bytes), so a recycled region's pages are already faulted in on the host.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,7 +40,7 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 
 use crate::lineset::{word_masks, LineSet};
-use crate::namespace::ImagePool;
+use crate::namespace::NamespaceInner;
 use crate::trace::{PersistEvent, PersistenceTrace, TraceBuffer, TraceEntry};
 use crate::tracker::{AccessTracker, OneAccess, Sink, Tally};
 use crate::{Result, StoreError};
@@ -231,7 +232,9 @@ enum Bytes {
     InPlace,
 }
 
-/// A byte-addressable allocation on a (simulated) memory device.
+/// A byte-addressable allocation on a (simulated) memory device. A region
+/// of a namespace holds its length of the namespace's budget until it
+/// drops.
 ///
 /// Persistence state is one bit per 64 B cache line and poison one bit
 /// per 256 B XPLine, in bitsets sized to the region: lines past the end
@@ -262,10 +265,10 @@ pub struct Region {
     trace: Hook<TraceBuffer>,
     /// Optional persistence-event sink for crash-state model checking.
     persist_trace: Hook<PersistenceTrace>,
-    /// The pool of the namespace that allocated this region, which takes
-    /// the image back when the region drops (if the namespace still
+    /// The namespace that allocated this region, which takes its bytes
+    /// and its image back when the region drops (if the namespace still
     /// exists).
-    pool: Weak<ImagePool>,
+    ns: Weak<NamespaceInner>,
 }
 
 impl Region {
@@ -276,7 +279,7 @@ impl Region {
         tracker: Arc<AccessTracker>,
         persistent: bool,
         fault_model: Option<FaultModel>,
-        pool: Weak<ImagePool>,
+        ns: Weak<NamespaceInner>,
     ) -> Self {
         let len = image.len();
         Region {
@@ -292,7 +295,7 @@ impl Region {
             last_write_end: AtomicU64::new(u64::MAX),
             trace: Hook::new(),
             persist_trace: Hook::new(),
-            pool,
+            ns,
         }
     }
 
@@ -877,11 +880,12 @@ impl Region {
 }
 
 impl Drop for Region {
-    /// Hand the image to the namespace's pool, which keeps it if the
-    /// region is large enough and the pool has room.
+    /// Return the region's bytes to its namespace and hand it the image,
+    /// which its pool keeps if the region is large enough and the pool has
+    /// room.
     fn drop(&mut self) {
-        if let Some(pool) = self.pool.upgrade() {
-            pool.give(Image {
+        if let Some(ns) = self.ns.upgrade() {
+            ns.reclaim(Image {
                 data: std::mem::take(&mut self.data),
                 shadow: std::mem::take(&mut self.shadow),
             });
