@@ -18,11 +18,10 @@
 //! so added into the namespace's tracker, before the snapshot that closes
 //! its phase.
 //!
-//! [`spill_result`], the last write of both engines' queries, allocates its
-//! region already holding the encoded rows
-//! ([`Namespace::alloc_region_stored`]): the traffic of one sequential
-//! non-temporal store and one fence, without zero-filling host memory the
-//! rows then overwrite.
+//! [`spill_result`], the last write of both engines' queries, lands the
+//! encoded rows as one sequential non-temporal store and one fence into a
+//! region allocated for them ([`Namespace::alloc_region_stored`]), which
+//! keeps no host copy beside its bytes.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -254,8 +253,8 @@ impl GroupAgg {
 
 /// Spill a result set to the intermediate namespace as the final
 /// materialization step (sequential 16 B rows), mirroring the paper's
-/// intermediate-result writes: one region allocated already holding the
-/// rows, accounted as one non-temporal store and one fence.
+/// intermediate-result writes: one region allocated for the rows, which
+/// land as one non-temporal store and one fence.
 pub fn spill_result(ns: &Namespace, rows: &[(u64, i64)]) -> Result<()> {
     if rows.is_empty() {
         return Ok(());

@@ -23,10 +23,10 @@
 //!   the probed payload into the copy), taken from the store's
 //!   `StageBuffers` with room for every input row, and given back once
 //!   the stage's intermediate has landed;
-//! * the buffers land, in worker order, as a region allocated already
-//!   holding them ([`alloc_region_stored`]): accounted as one
-//!   non-temporal store of the whole intermediate and one fence, so the
-//!   tracked traffic is that of one store however many workers ran;
+//! * the buffers land, in worker order, in a region allocated for them
+//!   ([`alloc_region_stored`]) as one non-temporal store of the whole
+//!   intermediate and one fence, so the tracked traffic is that of one
+//!   store however many workers ran;
 //! * the probes go to sealed indexes ([`JoinIndex`]), which take no lock,
 //!   and each probe-stage worker counts them into its own tally of the
 //!   index namespace, dropped before the stage's intermediate is written;
@@ -36,11 +36,13 @@
 //!   engine does.
 //!
 //! Both kinds of host memory a stage fills are recycled: the stage
-//! buffers through the store, and the intermediates' host images through
-//! the intermediate namespace's pool, where each output finds its input's
-//! image. After a store's first query the stages write into pages that
-//! are already faulted in on the host, and the unaware engine's host
-//! footprint peaks at stage 0: the buffers and one intermediate image.
+//! buffers through the store, and the intermediates' host images (one
+//! buffer of bytes each: an intermediate is never stored to after its
+//! one fence, so it saves no pre-image) through the intermediate
+//! namespace's pool, where each output finds its input's image. After a
+//! store's first query the stages write into pages that are already
+//! faulted in on the host, and the unaware engine's host footprint peaks
+//! at stage 0: the buffers and one intermediate image.
 //!
 //! [`alloc_region_stored`]: pmem_store::Namespace::alloc_region_stored
 
@@ -191,9 +193,9 @@ struct Intermediate {
 }
 
 /// Materialize the encoded rows of `parts`, in order, into a fresh
-/// intermediate region: one non-temporal store and one fence, fused into
-/// the allocation. An empty stage output is one empty tuple's region,
-/// never stored to. The parts go back to the stage buffers.
+/// intermediate region with one non-temporal store and one fence. An
+/// empty stage output is one empty tuple's region, never stored to. The
+/// parts go back to the stage buffers.
 fn materialize(store: &SsbStore, parts: Vec<Vec<u8>>) -> Result<Intermediate> {
     let ns = &store.shards[0].intermediate_ns;
     let bytes: u64 = parts.iter().map(|p| p.len() as u64).sum();

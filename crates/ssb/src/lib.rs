@@ -16,7 +16,6 @@ pub mod datagen;
 pub mod engine;
 pub mod hyrise;
 pub mod integrity;
-pub mod partition;
 pub mod queries;
 pub mod reference;
 pub mod report;

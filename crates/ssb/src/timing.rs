@@ -293,16 +293,9 @@ pub fn estimate(
     let scale = cfg.fact_scale().max(f64::MIN_POSITIVE);
     let dim_scales = cfg.dim_scales();
     let t = &outcome.traffic;
-    // SSD keeps only the base table on the device; indexes and
-    // intermediates live in DRAM (the paper's "traditional" setup, §6.2).
-    let (scan_dev, side_dev) = match cfg.device {
-        StorageDevice::Dram => (DeviceClass::Dram, DeviceClass::Dram),
-        StorageDevice::PmemDevdax | StorageDevice::PmemFsdax => {
-            (DeviceClass::Pmem, DeviceClass::Pmem)
-        }
-    };
-    let _ = side_dev;
-    let device = scan_dev;
+    // The base table, the indexes and the intermediates all live on the
+    // configured device (`estimate_ssd` prices §6.2's SSD setup).
+    let device = cfg.device.device_class();
 
     // ---- Fact scan ----
     let mut scan_seconds =

@@ -149,40 +149,68 @@ impl LineSet {
     /// Empty the set, calling `run(start, end)` once per maximal run of
     /// consecutive members `start..end`, ascending. Scans only the words
     /// touched since the last drain. Returns how many lines were drained.
-    pub(crate) fn drain_runs(&mut self, mut run: impl FnMut(u64, u64)) -> u64 {
+    pub(crate) fn drain_runs(&mut self, run: impl FnMut(u64, u64)) -> u64 {
         let drained = self.count;
-        let mut open: Option<(u64, u64)> = None;
-        for w in self.lo..self.hi.min(self.words.len()) {
-            let mut bits = std::mem::take(&mut self.words[w]);
-            while bits != 0 {
-                let bit = bits.trailing_zeros();
-                let stop = bit + (bits >> bit).trailing_ones();
-                // Clear bits `bit..stop`; a run reaching bit 63 ends the word
-                // (shifting by 64 would overflow).
-                bits = if stop == 64 {
-                    0
-                } else {
-                    bits & (u64::MAX << stop)
-                };
-                let start = w as u64 * 64 + u64::from(bit);
-                let end = w as u64 * 64 + u64::from(stop);
-                open = match open {
-                    Some((s, e)) if e == start => Some((s, end)),
-                    Some((s, e)) => {
-                        run(s, e);
-                        Some((start, end))
-                    }
-                    None => Some((start, end)),
-                };
-            }
-        }
-        if let Some((s, e)) = open {
-            run(s, e);
-        }
+        let words = &mut self.words;
+        let span = self.lo..self.hi.min(words.len());
+        for_each_run(span.map(|w| (w, std::mem::take(&mut words[w]))), run);
         self.count = 0;
         self.lo = usize::MAX;
         self.hi = 0;
         drained
+    }
+
+    /// Call `run(start, end)` once per maximal run `start..end` of the
+    /// lines among `first..=last` (clamped to the capacity) that are
+    /// members of neither this set nor `other`, ascending. An empty set's
+    /// words are not read.
+    pub(crate) fn runs_outside(
+        &self,
+        other: &LineSet,
+        first: u64,
+        last: u64,
+        run: impl FnMut(u64, u64),
+    ) {
+        let Some((first, last)) = self.clamp(first, last) else {
+            return;
+        };
+        let word = |set: &LineSet, w: usize| if set.is_empty() { 0 } else { set.words[w] };
+        let outside =
+            word_masks(first, last).map(|(w, mask)| (w, mask & !(word(self, w) | word(other, w))));
+        for_each_run(outside, run);
+    }
+}
+
+/// Call `run(start, end)` once per maximal run `start..end` of set bits in
+/// `words`, `(word index, bits)` pairs in ascending word order; a run
+/// spanning adjacent words is one run.
+fn for_each_run(words: impl Iterator<Item = (usize, u64)>, mut run: impl FnMut(u64, u64)) {
+    let mut open: Option<(u64, u64)> = None;
+    for (w, mut bits) in words {
+        while bits != 0 {
+            let bit = bits.trailing_zeros();
+            let stop = bit + (bits >> bit).trailing_ones();
+            // Clear bits `bit..stop`; a run reaching bit 63 ends the word
+            // (shifting by 64 would overflow).
+            bits = if stop == 64 {
+                0
+            } else {
+                bits & (u64::MAX << stop)
+            };
+            let start = w as u64 * 64 + u64::from(bit);
+            let end = w as u64 * 64 + u64::from(stop);
+            open = match open {
+                Some((s, e)) if e == start => Some((s, end)),
+                Some((s, e)) => {
+                    run(s, e);
+                    Some((start, end))
+                }
+                None => Some((start, end)),
+            };
+        }
+    }
+    if let Some((s, e)) = open {
+        run(s, e);
     }
 }
 
@@ -206,6 +234,19 @@ mod tests {
         assert!(!s.contains(131));
         assert_eq!(s.remove(63, 65), 3);
         assert_eq!(s.first_in(63, 299), Some(66));
+        let mut other = LineSet::new(300);
+        other.insert(140, 149);
+        let outside = |a: &LineSet, b: &LineSet, first, last| {
+            let mut out = Vec::new();
+            a.runs_outside(b, first, last, |s, e| out.push((s, e)));
+            out
+        };
+        let clamped = vec![(63, 66), (131, 140), (150, 300)];
+        assert_eq!(outside(&s, &other, 50, 400), clamped);
+        assert_eq!(
+            outside(&LineSet::new(300), &other, 130, 160),
+            vec![(130, 140), (150, 161)]
+        );
         assert_eq!(runs(&mut s), vec![(0, 63), (66, 131)]);
         assert!(s.is_empty());
         assert_eq!(runs(&mut s), vec![]);

@@ -19,14 +19,13 @@
 //! region that outlives its namespace just frees its memory.
 //!
 //! A namespace recycles the host memory of its large regions. A dropped
-//! region of at least [`POOL_MIN_BYTES`] hands its two host buffers (its
-//! bytes and its persisted image) to the namespace's pool, which keeps at
-//! most [`POOL_IMAGES`] of them, the largest. [`Namespace::alloc_region`]
-//! of at least that size reuses the smallest pooled image that fits,
-//! zero-filled, and [`Namespace::alloc_region_stored`] builds its region's
-//! bytes straight into one. Reuse moves only host time: a recycled region
-//! is indistinguishable from a fresh one, its fsdax pages unfaulted in
-//! the model included.
+//! region of at least [`POOL_MIN_BYTES`] hands its host buffer (its
+//! bytes) to the namespace's pool, which keeps at most [`POOL_IMAGES`] of
+//! them, the largest. [`Namespace::alloc_region`] of at least that size,
+//! and so [`Namespace::alloc_region_stored`], reuses the smallest pooled
+//! image that fits, zero-filled. Reuse moves only host time: a recycled
+//! region is indistinguishable from a fresh one, its fsdax pages
+//! unfaulted in the model included.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,7 +34,7 @@ use parking_lot::Mutex;
 use pmem_sim::params::DeviceClass;
 use pmem_sim::topology::SocketId;
 
-use crate::region::{AccessHint, FaultModel, Image, Region};
+use crate::region::{AccessHint, FaultModel, Region};
 use crate::tracker::{AccessTracker, Tally};
 use crate::{Result, StoreError};
 
@@ -53,39 +52,47 @@ pub const POOL_MIN_BYTES: u64 = 1 << 20;
 /// holds several, such as a chained index's bucket array beside its nodes.
 pub const POOL_IMAGES: usize = 2;
 
-/// The host images of a namespace's dropped regions, kept for reuse.
+/// The host images (byte buffers) of a namespace's dropped regions, kept
+/// for reuse.
 #[derive(Debug, Default)]
 struct ImagePool {
-    images: Mutex<Vec<Image>>,
+    images: Mutex<Vec<Vec<u8>>>,
     /// Allocations of at least [`POOL_MIN_BYTES`] no pooled image fitted.
     fresh: AtomicU64,
 }
 
 impl ImagePool {
-    /// The smallest pooled image that holds `len` bytes, for an allocation
-    /// of at least [`POOL_MIN_BYTES`]; an empty one when none fits, or for
-    /// a smaller allocation.
-    fn take(&self, len: u64) -> Image {
-        if len < POOL_MIN_BYTES {
-            return Image::default();
-        }
-        let mut images = self.images.lock();
-        let best = (0..images.len())
-            .filter(|&at| images[at].capacity() >= len)
-            .min_by_key(|&at| images[at].capacity());
-        match best {
-            Some(at) => images.swap_remove(at),
-            None => {
+    /// `len` zero bytes: in the smallest pooled image that holds them, for
+    /// an allocation of at least [`POOL_MIN_BYTES`]; otherwise in a fresh
+    /// zeroed allocation, whose pages the host zeroes on first touch.
+    fn take(&self, len: u64) -> Vec<u8> {
+        let pooled = if len < POOL_MIN_BYTES {
+            None
+        } else {
+            let mut images = self.images.lock();
+            let best = (0..images.len())
+                .filter(|&at| images[at].capacity() as u64 >= len)
+                .min_by_key(|&at| images[at].capacity());
+            if best.is_none() {
                 self.fresh.fetch_add(1, Ordering::Relaxed);
-                Image::default()
             }
+            best.map(|at| images.swap_remove(at))
+        };
+        match pooled {
+            // Zero-filled outside the lock.
+            Some(mut image) => {
+                image.clear();
+                image.resize(len as usize, 0);
+                image
+            }
+            None => vec![0; len as usize],
         }
     }
 
     /// Keep the image of a dropped region of at least [`POOL_MIN_BYTES`]
     /// if the pool has room or holds a smaller one, which it frees instead.
-    fn give(&self, image: Image) {
-        if image.capacity() < POOL_MIN_BYTES {
+    fn give(&self, image: Vec<u8>) {
+        if (image.capacity() as u64) < POOL_MIN_BYTES {
             return;
         }
         let mut images = self.images.lock();
@@ -162,11 +169,11 @@ pub(crate) struct NamespaceInner {
 }
 
 impl NamespaceInner {
-    /// Take back a dropped region's image: its length leaves `used`, and
-    /// the pool may keep its host memory.
-    pub(crate) fn reclaim(&self, image: Image) {
-        self.used.fetch_sub(image.len(), Ordering::Relaxed);
-        self.pool.give(image);
+    /// Take back a dropped region's bytes: their length leaves `used`, and
+    /// the pool may keep their host buffer.
+    pub(crate) fn reclaim(&self, bytes: Vec<u8>) {
+        self.used.fetch_sub(bytes.len() as u64, Ordering::Relaxed);
+        self.pool.give(bytes);
     }
 }
 
@@ -272,27 +279,34 @@ impl Namespace {
     /// the budget until it drops.
     pub fn alloc_region(&self, len: u64) -> Result<Region> {
         self.charge(len)?;
-        let image = Image::zeroed(self.inner.pool.take(len), len);
-        Ok(self.region(image))
+        let data = self.inner.pool.take(len);
+        let fault = match self.inner.mode {
+            NamespaceMode::FsDax { page_bytes } => Some(FaultModel::new(page_bytes, len)),
+            _ => None,
+        };
+        Ok(Region::from_zeros(
+            data,
+            Arc::clone(&self.inner.tracker),
+            self.is_persistent(),
+            fault,
+            Arc::downgrade(&self.inner),
+        ))
     }
 
     /// Allocate a region of the parts' total length already holding
-    /// `parts`, in order, persisted: the region, the tracker counts and
-    /// the charge are exactly those of [`Namespace::alloc_region`], one
-    /// gather store of `parts` at offset 0 with `hint`, and one `sfence`
-    /// (the same bookkeeping bodies run). The bytes are copied once into
-    /// each host image, which is never zero-filled first unless it is a
-    /// volatile region's persisted image.
+    /// `parts`, in order, persisted: exactly [`Namespace::alloc_region`],
+    /// one gather store of `parts` at offset 0 with `hint`, and one
+    /// `sfence`. The store saves no pre-image, since nothing was fenced
+    /// before it, so the region's only host memory is its bytes.
     pub fn alloc_region_stored<B: AsRef<[u8]>>(
         &self,
         parts: &[B],
         hint: AccessHint,
     ) -> Result<Region> {
         let len = parts.iter().map(|p| p.as_ref().len() as u64).sum();
-        self.charge(len)?;
-        let image = Image::holding(self.inner.pool.take(len), parts, self.is_persistent());
-        let mut region = self.region(image);
-        region.account_stored(parts, hint)?;
+        let mut region = self.alloc_region(len)?;
+        region.try_ntstore_gather(0, parts, hint)?;
+        region.sfence();
         Ok(region)
     }
 
@@ -323,21 +337,6 @@ impl Namespace {
                 Err(actual) => current = actual,
             }
         }
-    }
-
-    /// A fresh region of this namespace over `image`.
-    fn region(&self, image: Image) -> Region {
-        let fault = match self.inner.mode {
-            NamespaceMode::FsDax { page_bytes } => Some(FaultModel::new(page_bytes, image.len())),
-            _ => None,
-        };
-        Region::from_image(
-            image,
-            Arc::clone(&self.inner.tracker),
-            self.is_persistent(),
-            fault,
-            Arc::downgrade(&self.inner),
-        )
     }
 }
 

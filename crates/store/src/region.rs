@@ -26,14 +26,16 @@
 //! is an atomic page bitmap, and the trace hooks take their mutex only
 //! while a trace is attached.
 //!
-//! A region's host memory, its bytes and its persisted image, is an
-//! `Image`. A region returns its length to its namespace's budget when it
-//! drops. A region of at least
+//! A region's host memory is one buffer of its bytes, plus the saved
+//! persisted images of the lines a store took out of the clean state
+//! (see [`Region`]); the fence copies nothing. A region returns its
+//! length to its namespace's budget when it drops. A region of at least
 //! [`POOL_MIN_BYTES`](crate::namespace::POOL_MIN_BYTES) also hands its
-//! image back to its namespace's pool, and the namespace builds later
-//! regions from it (zero-filled, or already holding a first store's
-//! bytes), so a recycled region's pages are already faulted in on the host.
+//! bytes' buffer back to its namespace's pool, and the namespace builds
+//! later regions in it, zero-filled, so a recycled region's pages are
+//! already faulted in on the host.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -144,92 +146,10 @@ impl<T> Hook<T> {
     }
 }
 
-/// Copy the cache lines `start..end` from `src` to `dst`, clamped to the
-/// region's end.
-fn copy_lines(dst: &mut [u8], src: &[u8], start: u64, end: u64) {
-    let from = (start * CACHE_LINE) as usize;
-    let to = ((end * CACHE_LINE) as usize).min(src.len());
-    dst[from..to].copy_from_slice(&src[from..to]);
-}
-
-/// `bytes` emptied, keeping its allocation when it holds `len` bytes;
-/// otherwise a fresh allocation of `len`.
-fn emptied(mut bytes: Vec<u8>, len: usize) -> Vec<u8> {
-    if bytes.capacity() < len {
-        return Vec::with_capacity(len);
-    }
-    bytes.clear();
-    bytes
-}
-
-/// `len` zero bytes: written into `bytes`' allocation when it holds them,
-/// otherwise a fresh zeroed allocation, whose pages the host zeroes on
-/// first touch.
-fn zeros(mut bytes: Vec<u8>, len: usize) -> Vec<u8> {
-    if bytes.capacity() < len {
-        return vec![0; len];
-    }
-    bytes.clear();
-    bytes.resize(len, 0);
-    bytes
-}
-
-/// A region's host memory: its bytes and its last persisted image.
-#[derive(Debug, Default)]
-pub(crate) struct Image {
-    data: Vec<u8>,
-    shadow: Vec<u8>,
-}
-
-impl Image {
-    /// Bytes the region over this image holds.
-    pub(crate) fn len(&self) -> u64 {
-        self.data.len() as u64
-    }
-
-    /// Bytes both halves can hold without reallocating.
-    pub(crate) fn capacity(&self) -> u64 {
-        self.data.capacity().min(self.shadow.capacity()) as u64
-    }
-
-    /// `len` zero bytes in both halves, in `reuse`'s allocations where they
-    /// are large enough: what a fresh region holds.
-    pub(crate) fn zeroed(reuse: Image, len: u64) -> Image {
-        Image {
-            data: zeros(reuse.data, len as usize),
-            shadow: zeros(reuse.shadow, len as usize),
-        }
-    }
-
-    /// What a region of the parts' total length holds after one store of
-    /// `parts` at offset 0 and a fence: the concatenation, persisted too
-    /// when the region is persistent. Built in `reuse`'s allocations where
-    /// they are large enough, and zero-filled only where the result is
-    /// zero (a volatile region's persisted image).
-    pub(crate) fn holding<B: AsRef<[u8]>>(reuse: Image, parts: &[B], persistent: bool) -> Image {
-        let len = parts.iter().map(|p| p.as_ref().len()).sum();
-        let mut data = emptied(reuse.data, len);
-        for part in parts {
-            data.extend_from_slice(part.as_ref());
-        }
-        let shadow = if persistent {
-            let mut shadow = emptied(reuse.shadow, len);
-            shadow.extend_from_slice(&data);
-            shadow
-        } else {
-            zeros(reuse.shadow, len)
-        };
-        Image { data, shadow }
-    }
-}
-
-/// Whether an access body moves the bytes it accounts for, or finds them
-/// already in place: a region built from [`Image::holding`] runs the
-/// bookkeeping of its first store and fence without their copies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Bytes {
-    Copy,
-    InPlace,
+/// The bytes of the cache lines `start..end` of a region of `len` bytes
+/// (its tail line may be short).
+fn line_bytes(start: u64, end: u64, len: usize) -> Range<usize> {
+    (start * CACHE_LINE) as usize..((end * CACHE_LINE) as usize).min(len)
 }
 
 /// A byte-addressable allocation on a (simulated) memory device. A region
@@ -242,11 +162,30 @@ enum Bytes {
 /// and pending. With no trace attached an access takes no lock. Its page
 /// faults and tracker counts are atomic, and exact once every [`Tally`]
 /// has dropped and the accessing threads are joined.
+///
+/// A line that is neither dirty nor pending holds its persisted image: a
+/// fenced line is durable (ADR), so the fence copies nothing. A store
+/// first saves the persisted image of each clean line it takes out of
+/// that state, and a crash reverts each dirty or pending line to its
+/// saved image. Until a fence drains some line or poison scrambles one,
+/// every persisted image is zeros and a store saves nothing: a region
+/// that is loaded with ntstores and one fence, or that only takes cached
+/// writes, never allocates the pre-image buffer.
 #[derive(Debug)]
 pub struct Region {
     data: Vec<u8>,
-    /// Last persisted image (what survives a crash).
-    shadow: Vec<u8>,
+    /// Whether some line may have persisted other bytes than zeros: set
+    /// by the first fence that drains a line and by poison.
+    persisted_any: bool,
+    /// The persisted image of each dirty or pending line, at the line's
+    /// offset: saved by the store that took the line out of the clean
+    /// state (once `persisted_any` was set), or written by poison. A line
+    /// dirtied before `persisted_any` was set persisted zeros and still
+    /// reads zeros here; clean lines hold stale bytes. Empty until its
+    /// first save, then the region's length, zero-filled, so its untouched
+    /// pages cost no host memory; while it is empty every dirty or pending
+    /// line persisted zeros.
+    preimages: Vec<u8>,
     /// Lines written through the cache and not yet flushed.
     dirty: LineSet,
     /// Lines on their way to the WPQ (ntstore / clwb), not yet fenced.
@@ -272,19 +211,20 @@ pub struct Region {
 }
 
 impl Region {
-    /// A region over `image`, every line clean and persisted, no poison,
-    /// no page touched and no trace attached.
-    pub(crate) fn from_image(
-        image: Image,
+    /// A region over `data`, which must be zeros: every line clean and
+    /// persisted, no poison, no page touched and no trace attached.
+    pub(crate) fn from_zeros(
+        data: Vec<u8>,
         tracker: Arc<AccessTracker>,
         persistent: bool,
         fault_model: Option<FaultModel>,
         ns: Weak<NamespaceInner>,
     ) -> Self {
-        let len = image.len();
+        let len = data.len() as u64;
         Region {
-            data: image.data,
-            shadow: image.shadow,
+            data,
+            persisted_any: false,
+            preimages: Vec::new(),
             dirty: LineSet::new(len.div_ceil(CACHE_LINE)),
             pending: LineSet::new(len.div_ceil(CACHE_LINE)),
             poisoned: LineSet::new(len.div_ceil(XPLINE)),
@@ -307,22 +247,14 @@ impl Region {
         persistent: bool,
         fault_model: Option<FaultModel>,
     ) -> Self {
-        let image = Image::zeroed(Image::default(), len);
-        Self::from_image(image, tracker, persistent, fault_model, Weak::new())
+        let data = vec![0; len as usize];
+        Self::from_zeros(data, tracker, persistent, fault_model, Weak::new())
     }
 
-    /// Account, on a region built from [`Image::holding`]`(_, parts, _)`,
-    /// for the one store of `parts` at offset 0 and the fence that image
-    /// already reflects: the bodies of [`Region::try_ntstore_gather`] and
-    /// [`Region::sfence`] run as they would, all but their copies.
-    pub(crate) fn account_stored<B: AsRef<[u8]>>(
-        &mut self,
-        parts: &[B],
-        hint: AccessHint,
-    ) -> Result<()> {
-        self.ntstore_with(0, parts, hint, &mut OneAccess, Bytes::InPlace)?;
-        self.fence_with(&mut OneAccess, Bytes::InPlace);
-        Ok(())
+    /// Whether the region has allocated its pre-image buffer.
+    #[cfg(test)]
+    pub(crate) fn has_preimages(&self) -> bool {
+        !self.preimages.is_empty()
     }
 
     /// Attach a trace buffer: subsequent accesses are recorded into it.
@@ -587,6 +519,12 @@ impl Region {
         let end = offset.saturating_add(len).min(self.len());
         let first = offset / XPLINE;
         let last = (end - 1) / XPLINE;
+        // The scramble is the lines' persisted image too, in every mode:
+        // a crash restores it to the lines that are dirty or pending.
+        self.persisted_any = true;
+        if self.preimages.is_empty() {
+            self.preimages = vec![0; self.data.len()];
+        }
         let mut fresh = 0;
         for line in first..=last {
             fresh += self.poisoned.insert(line, line);
@@ -604,8 +542,7 @@ impl Region {
                 let bytes = z.to_le_bytes();
                 chunk.copy_from_slice(&bytes[..chunk.len()]);
             }
-            let width = stop - start;
-            self.shadow[start..stop].copy_from_slice(&self.data[start..start + width]);
+            self.preimages[start..stop].copy_from_slice(&self.data[start..stop]);
         }
         fresh
     }
@@ -664,6 +601,25 @@ impl Region {
         (offset / CACHE_LINE, last / CACHE_LINE)
     }
 
+    /// Save the persisted image of each line among `first..=last` that is
+    /// neither dirty nor pending, before a store takes it out of that
+    /// state: one copy per run of such lines. Nothing needs saving while
+    /// every persisted image is zeros.
+    fn save_preimages(&mut self, first: u64, last: u64) {
+        if !self.persisted_any {
+            return;
+        }
+        let (preimages, data) = (&mut self.preimages, &self.data);
+        self.dirty
+            .runs_outside(&self.pending, first, last, |start, end| {
+                if preimages.is_empty() {
+                    *preimages = vec![0; data.len()];
+                }
+                let at = line_bytes(start, end, data.len());
+                preimages[at.clone()].copy_from_slice(&data[at]);
+            });
+    }
+
     /// Regular (cached) store. Volatile until `clwb` + `sfence` or a
     /// subsequent cache eviction — crashes lose it.
     pub fn write(&mut self, offset: u64, bytes: &[u8]) {
@@ -705,8 +661,9 @@ impl Region {
             offset,
             data: bytes.to_vec(),
         });
-        self.data[offset as usize..offset as usize + bytes.len()].copy_from_slice(bytes);
         let (first, last) = Self::lines(offset, bytes.len() as u64);
+        self.save_preimages(first, last);
+        self.data[offset as usize..offset as usize + bytes.len()].copy_from_slice(bytes);
         self.pending.remove(first, last);
         self.dirty.insert(first, last);
         self.clear_poison_covered(offset, bytes.len() as u64);
@@ -751,6 +708,7 @@ impl Region {
         self.try_ntstore_gather_with(offset, parts, hint, &mut OneAccess)
     }
 
+    /// The one body of every non-temporal store.
     #[inline]
     fn try_ntstore_gather_with<B: AsRef<[u8]>>(
         &mut self,
@@ -758,19 +716,6 @@ impl Region {
         parts: &[B],
         hint: AccessHint,
         sink: &mut impl Sink,
-    ) -> Result<()> {
-        self.ntstore_with(offset, parts, hint, sink, Bytes::Copy)
-    }
-
-    /// The one body of every non-temporal store.
-    #[inline]
-    fn ntstore_with<B: AsRef<[u8]>>(
-        &mut self,
-        offset: u64,
-        parts: &[B],
-        hint: AccessHint,
-        sink: &mut impl Sink,
-        bytes: Bytes,
     ) -> Result<()> {
         let len: u64 = parts.iter().map(|p| p.as_ref().len() as u64).sum();
         self.check(offset, len)?;
@@ -782,15 +727,14 @@ impl Region {
             offset,
             data: parts.iter().flat_map(|p| p.as_ref()).copied().collect(),
         });
-        if bytes == Bytes::Copy {
-            let mut at = offset as usize;
-            for part in parts {
-                let part = part.as_ref();
-                self.data[at..at + part.len()].copy_from_slice(part);
-                at += part.len();
-            }
-        }
         let (first, last) = Self::lines(offset, len);
+        self.save_preimages(first, last);
+        let mut at = offset as usize;
+        for part in parts {
+            let part = part.as_ref();
+            self.data[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
         self.dirty.remove(first, last);
         self.pending.insert(first, last);
         self.clear_poison_covered(offset, len);
@@ -811,7 +755,8 @@ impl Region {
     }
 
     /// Store fence: everything previously `ntstore`d or `clwb`ed is now in
-    /// the WPQ and — by the ADR guarantee — persistent.
+    /// the WPQ and — by the ADR guarantee — persistent. It drains the
+    /// pending lines and copies no byte.
     pub fn sfence(&mut self) {
         self.sfence_with(&mut OneAccess);
     }
@@ -824,23 +769,14 @@ impl Region {
 
     #[inline]
     fn sfence_with(&mut self, sink: &mut impl Sink) {
-        self.fence_with(sink, Bytes::Copy);
-    }
-
-    /// The one body of every fence.
-    #[inline]
-    fn fence_with(&mut self, sink: &mut impl Sink, bytes: Bytes) {
         sink.sfence(&self.tracker);
         self.record_persist(|| PersistEvent::Sfence);
         if !self.persistent {
             return; // Memory Mode: nothing actually persists (§2.1).
         }
-        let (shadow, data) = (&mut self.shadow, &self.data);
-        self.pending.drain_runs(|start, end| {
-            if bytes == Bytes::Copy {
-                copy_lines(shadow, data, start, end);
-            }
-        });
+        if self.pending.drain_runs(|_, _| {}) > 0 {
+            self.persisted_any = true;
+        }
     }
 
     /// Convenience: `clwb` the range, then `sfence` (PMDK's
@@ -862,14 +798,21 @@ impl Region {
     /// Simulate a power loss: all lines not yet accepted into the WPQ revert
     /// to their last persisted image. Returns the number of lines lost.
     pub fn crash(&mut self) -> u64 {
-        let (data, shadow) = (&mut self.data, &self.shadow);
-        let mut revert = |start, end| copy_lines(data, shadow, start, end);
+        let (data, preimages) = (&mut self.data, &self.preimages);
+        let mut revert = |start, end| {
+            let at = line_bytes(start, end, data.len());
+            if preimages.is_empty() {
+                data[at].fill(0);
+            } else {
+                data[at.clone()].copy_from_slice(&preimages[at]);
+            }
+        };
         // Dirty and pending are disjoint, so the two drains count each
         // lost line once.
         let mut count = self.dirty.drain_runs(&mut revert) + self.pending.drain_runs(&mut revert);
         if !self.persistent {
-            // Volatile region: everything reverts.
-            self.data.copy_from_slice(&self.shadow);
+            // Volatile region: everything reverts, and the lines that were
+            // neither dirty nor pending already hold their persisted image.
             count = self.len().div_ceil(CACHE_LINE);
         }
         self.last_read_end.store(u64::MAX, Ordering::Relaxed);
@@ -880,15 +823,12 @@ impl Region {
 }
 
 impl Drop for Region {
-    /// Return the region's bytes to its namespace and hand it the image,
-    /// which its pool keeps if the region is large enough and the pool has
-    /// room.
+    /// Return the region's bytes to its namespace and hand it their host
+    /// buffer, which its pool keeps if the region is large enough and the
+    /// pool has room.
     fn drop(&mut self) {
         if let Some(ns) = self.ns.upgrade() {
-            ns.reclaim(Image {
-                data: std::mem::take(&mut self.data),
-                shadow: std::mem::take(&mut self.shadow),
-            });
+            ns.reclaim(std::mem::take(&mut self.data));
         }
     }
 }
@@ -1123,6 +1063,21 @@ mod tests {
             &r.untracked_slice()[256..512],
             &r2.untracked_slice()[256..512]
         );
+        // A line dirty over an already-fenced image when the poison lands
+        // (a partial write, so the poison stays) reverts to the scramble,
+        // not to the bytes fenced before the poison: in a persistent and
+        // in a volatile (Memory Mode) region.
+        for persistent in [true, false] {
+            let mut r = Region::new(4096, AccessTracker::shared(), persistent, None);
+            r.ntstore(256, &[0xAB; 256]);
+            r.sfence();
+            r.write(300, &[0xCD; 8]);
+            r.inject_poison(256, 256);
+            let scrambled = r.untracked_slice()[256..512].to_vec();
+            r.crash();
+            assert_eq!(&r.untracked_slice()[256..512], &scrambled[..]);
+            assert!(r.is_poisoned(256, 256));
+        }
     }
 
     #[test]
@@ -1172,6 +1127,34 @@ mod tests {
         r.try_ntstore(256, &[9u8; 44], AccessHint::Sequential)
             .unwrap();
         assert!(!r.is_poisoned(0, 300));
+    }
+
+    #[test]
+    fn only_a_store_over_a_fenced_line_saves_a_preimage() {
+        // Stored from fresh, fenced, then read (a load): nothing to save.
+        let mut r = region(1 << 16);
+        r.ntstore(0, &[1; 1 << 16]);
+        r.sfence();
+        r.read(0, 1 << 16, AccessHint::Sequential);
+        assert!(!r.has_preimages());
+        // Cached writes never fenced (a chained table): nothing either,
+        // and a crash still loses them to zeros.
+        let mut r = region(4096);
+        r.write(0, &[2; 100]);
+        r.write(1000, &[3; 8]);
+        r.clwb(0, 64);
+        assert!(!r.has_preimages());
+        assert_eq!(r.crash(), 3);
+        assert!(r.untracked_slice().iter().all(|&b| b == 0));
+        // The fence copies nothing; the first store over a fenced line
+        // saves that line's image, which a crash restores.
+        r.ntstore(0, &[4; 64]);
+        r.sfence();
+        assert!(!r.has_preimages());
+        r.write(8, &[5; 8]);
+        assert!(r.has_preimages());
+        r.crash();
+        assert_eq!(r.read(0, 64, AccessHint::Sequential), &[4; 64]);
     }
 
     #[test]

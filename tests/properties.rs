@@ -400,25 +400,6 @@ proptest! {
         prop_assert_eq!(tail.as_deref(), Some(&b"tail"[..]));
     }
 
-    /// Partitioning schemes conserve rows and bound imbalance by the hot
-    /// fraction they were fed.
-    #[test]
-    fn partitioning_conserves_rows(hot_pct in 0u32..60, sockets in 2u32..5) {
-        use pmem_olap::ssb::partition::{evaluate_scheme, inject_customer_skew, Scheme};
-        let mut rows = pmem_olap::ssb::datagen::generate(0.003, 9).lineorder;
-        if hot_pct > 0 {
-            inject_customer_skew(&mut rows, hot_pct as f64 / 100.0);
-        }
-        let sim = pmem_olap::sim::Simulation::paper_default();
-        for scheme in Scheme::ALL {
-            let report = evaluate_scheme(&sim, &rows, scheme, sockets, 18);
-            prop_assert_eq!(report.rows.iter().sum::<u64>(), rows.len() as u64);
-            prop_assert!(report.imbalance >= 1.0 - 1e-9);
-            prop_assert!(report.imbalance <= sockets as f64 + 1e-9);
-            prop_assert!(report.skew_penalty() >= 1.0 - 1e-9);
-        }
-    }
-
     /// Traffic patterns conserve volume for any thread/size combination.
     #[test]
     fn traffic_conserves_volume(
