@@ -569,8 +569,8 @@ fn cache_section(seed: u64) -> Option<bool> {
 
 /// Sharded serving across N simulated machines: a healthy 8-shard fleet
 /// against the same fleet losing one machine a quarter into the run
-/// (key range failed over to the ring replica), plus the 1→N scaling
-/// curve, written to `BENCH_cluster.json` for machine consumption. Uses
+/// (key range failed over to the ring replica), written to
+/// `BENCH_cluster.json` for machine consumption. Uses
 /// its own tiny stores so it runs even with `--skip-ssb`. Gate: the
 /// failover keeps the committed data and more than half the goodput.
 fn cluster_section(seed: u64) -> Option<bool> {
@@ -636,32 +636,6 @@ fn cluster_section(seed: u64) -> Option<bool> {
         },
     );
 
-    println!("scaling 1 -> N (healthy fleets, same per-shard load):");
-    println!("{:>7} {:>11} {:>9}", "shards", "good GiB/s", "speedup");
-    let mut curve: Vec<(u32, f64)> = Vec::new();
-    for n in [1u32, 2, 4, 8] {
-        let report = if n == shards {
-            healthy.clone()
-        } else {
-            match Cluster::build(ClusterConfig::demo(n, seed)).and_then(|mut c| c.run_healthy()) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("  {n}-shard run failed: {e}");
-                    continue;
-                }
-            }
-        };
-        curve.push((n, report.goodput_bytes_per_sec));
-        let base = curve[0].1.max(1e-9);
-        println!(
-            "{:>7} {:>11.2} {:>9.2}",
-            n,
-            report.goodput_gib_s(),
-            report.goodput_bytes_per_sec / base
-        );
-    }
-
-    let base = curve.first().map(|(_, g)| g.max(1e-9)).unwrap_or(1.0);
     let written = Json::new()
         .int("seed", seed)
         .int("shards", shards)
@@ -689,15 +663,6 @@ fn cluster_section(seed: u64) -> Option<bool> {
                 .int("lost_rows", lost.query.lost_rows)
                 .int("replica_served_rows", lost.query.replica_served_rows)
                 .int("rereplicated_bytes", lost.rereplicated_bytes),
-        )
-        .rows(
-            "scaling",
-            curve.iter().map(|&(n, g)| {
-                Json::new()
-                    .int("shards", n)
-                    .fixed("goodput_gib_s", g / (1u64 << 30) as f64)
-                    .fixed("speedup", g / base)
-            }),
         )
         .write("BENCH_cluster.json");
     println!("replication turns a lost machine into a re-route, not a data loss");
@@ -1634,8 +1599,8 @@ fn main() {
         record(&mut verdicts, "cache", cache_section(seed));
     }
 
-    // ---- Cluster: sharded serving, failover, scaling (cheap; runs even
-    // with --skip-ssb so CI can smoke it) ----
+    // ---- Cluster: sharded serving and failover (cheap; runs even with
+    // --skip-ssb so CI can smoke it) ----
     if let Some(seed) = args.cluster {
         record(&mut verdicts, "cluster", cluster_section(seed));
     }

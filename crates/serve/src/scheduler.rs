@@ -10,12 +10,22 @@
 //! the admission controller decides who may join the mix. Queue waits,
 //! execution times, and bandwidth figures all come from the virtual plane;
 //! rows and counters from the real one.
+//!
+//! The virtual plane's state is one `EventLoop`, and each unit transition
+//! has one implementation on it: `arrive` (the ingress bound and the
+//! media-quarantine wait), `note` (a queue or admission verdict, recorded
+//! when it changes), `admit`, `requeue` (cancel-and-retry after a blown
+//! deadline, a power loss or a media error, on the socket the unit can be
+//! admitted on soonest) and `end`. Every exit — completion, failure and
+//! every typed shed — goes through `end`, which also hands a retried
+//! unit's retry-budget slot back.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use pmem_olap::planner::{AccessPlanner, ConcurrencyBudget};
-use pmem_sim::faults::FaultPlan;
+use pmem_sim::faults::{FaultPlan, MachineFaultState};
+use pmem_sim::params::DeviceClass;
 use pmem_sim::sched::Pinning;
 use pmem_sim::stats::SimStats;
 use pmem_sim::topology::{Machine, SocketId};
@@ -24,7 +34,9 @@ use pmem_sim::{tiered_rate, Bandwidth};
 use pmem_ssb::{run_query, QueryId, QueryOutcome, SsbStore};
 use pmem_store::Result;
 
-use crate::admission::{AdmissionController, AdmissionPolicy, QueueReason, ShedReason, Verdict};
+use crate::admission::{
+    AdmissionController, AdmissionPolicy, QueueReason, ShedReason, SocketLoad, Verdict,
+};
 use crate::batch::{ScanBatcher, ScanJobInfo};
 use crate::fairness::{FairnessPolicy, TenantBuckets};
 use crate::job::{JobId, JobKind, JobSpec, OpenLoopPlan, Side};
@@ -35,7 +47,7 @@ use crate::report::{
 };
 use crate::resilience::ResiliencePolicy;
 use crate::slo::{SloClass, SloPolicy};
-use crate::tier::{self, HotTierPolicy, SocketDemand};
+use crate::tier::{self, HotTierPolicy, SocketDemand, TierAssignment};
 
 /// Bytes below which a unit counts as finished (float-remainder guard).
 const DONE_EPSILON: f64 = 0.5;
@@ -296,22 +308,13 @@ impl<'s> QueryServer<'s> {
         let sockets = self.planner.sockets().max(1);
         let rr = SocketId((self.route_rr % u64::from(sockets)) as u8);
         self.route_rr += 1;
-        if self.config.resilience.enabled && !self.config.faults.is_empty() {
-            let machine = self.planner.simulation().params().machine.clone();
-            let state = self.config.faults.state_at(&machine, spec.arrival);
-            let side = spec.kind.side();
-            let mut best = rr;
-            let mut best_scale = side_scale(state.socket(rr), side);
-            for s in 0..sockets {
-                let scale = side_scale(state.socket(SocketId(s)), side);
-                if scale > best_scale + 1e-9 {
-                    best = SocketId(s);
-                    best_scale = scale;
-                }
-            }
-            return best;
+        if !self.config.resilience.enabled || self.config.faults.is_empty() {
+            return rr;
         }
-        rr
+        let machine = &self.planner.simulation().params().machine;
+        let state = self.config.faults.state_at(machine, spec.arrival);
+        let side = spec.kind.side();
+        soonest_socket(&state, &HashMap::new(), side, rr, spec.arrival, sockets)
     }
 
     /// Run every pending job to completion and report. The server stays
@@ -496,10 +499,7 @@ impl<'s> QueryServer<'s> {
             let demands = self.socket_demands(&scan_infos);
             let full = tier::assign(&demands, tier_cfg.zipf_theta, tier_cfg.dram_budget);
             let shrunk = tier::assign(&demands, tier_cfg.zipf_theta, tier_cfg.shrunken_budget());
-            for unit in units.iter_mut().filter(|u| u.side == Side::Read) {
-                unit.hit_rate = full.hit(unit.socket.0);
-                unit.hit_rate_browned = shrunk.hit(unit.socket.0);
-            }
+            price_hits(&mut units, &full, &shrunk);
             // Pristine copies replay the loop at scaled budgets for the
             // hit-rate-vs-latency curve.
             (demands, full, units.clone())
@@ -509,8 +509,10 @@ impl<'s> QueryServer<'s> {
         let loop_out = self.event_loop(&mut units);
 
         // ---- Hot-tier report: observed hits plus the budget curve ----
+        // Each point below the full budget replays the loop; the full
+        // budget's point is the run itself.
         let hot_tier = tier_state.map(|(demands, assignment, pristine)| {
-            let curve = [0.0, 0.25, 0.5, 0.75, 1.0]
+            let mut curve: Vec<TierCurvePoint> = [0.0, 0.25, 0.5, 0.75]
                 .iter()
                 .map(|&scale| {
                     let budget = (tier_cfg.dram_budget as f64 * scale) as u64;
@@ -521,37 +523,17 @@ impl<'s> QueryServer<'s> {
                         (budget as f64 * tier_cfg.brownout_shrink.clamp(0.0, 1.0)) as u64,
                     );
                     let mut probe = pristine.clone();
-                    for unit in probe.iter_mut().filter(|u| u.side == Side::Read) {
-                        unit.hit_rate = point.hit(unit.socket.0);
-                        unit.hit_rate_browned = browned.hit(unit.socket.0);
-                    }
+                    price_hits(&mut probe, &point, &browned);
                     let o = self.event_loop(&mut probe);
-                    let e2e: Vec<f64> = probe
-                        .iter()
-                        .filter(|u| u.outcome.is_completed())
-                        .map(|u| (u.finished_at - u.arrival).max(0.0))
-                        .collect();
-                    let p = Percentiles::of(&e2e);
-                    let moved = o.read_bytes_moved + o.write_bytes_moved;
-                    TierCurvePoint {
-                        budget_scale: scale,
-                        budget_bytes: budget,
-                        hit_rate: o.tier_hit_bytes as f64 / o.read_bytes_moved.max(1) as f64,
-                        goodput_gib_s: if o.makespan > 0.0 {
-                            moved as f64 / ((1u64 << 30) as f64) / o.makespan
-                        } else {
-                            0.0
-                        },
-                        e2e_p50: p.p50,
-                        e2e_p99: p.p99,
-                    }
+                    curve_point(scale, budget, &o, &probe)
                 })
                 .collect();
+            curve.push(curve_point(1.0, tier_cfg.dram_budget, &loop_out, &units));
             HotTierReport {
                 dram_budget: tier_cfg.dram_budget,
                 admitted_bytes: assignment.admitted_bytes,
                 hit_bytes: loop_out.tier_hit_bytes,
-                hit_rate: loop_out.tier_hit_bytes as f64 / loop_out.read_bytes_moved.max(1) as f64,
+                hit_rate: loop_out.tier_hit_rate(),
                 shrunk_seconds: loop_out.tier_shrunk_seconds,
                 curve,
             }
@@ -713,27 +695,110 @@ impl<'s> QueryServer<'s> {
     }
 
     fn event_loop(&self, units: &mut [Unit]) -> LoopOutput {
-        let sim = self.planner.simulation();
-        let device = self.store.device.device_class();
-        let controller = AdmissionController::new(self.config.admission);
-        let machine = sim.params().machine.clone();
-        let faults = &self.config.faults;
-        let res = self.config.resilience;
-        let overload = self.config.overload;
-        let slo = self.config.slo;
-        let sockets = self.planner.sockets().max(1);
-        // With no re-planning in force the effective caps are exactly the
-        // policy caps (decide_with_caps takes the min of the two).
-        let policy_caps = ConcurrencyBudget {
-            reader_threads: self.config.admission.reader_cap,
-            writer_threads: self.config.admission.writer_cap,
-        };
+        EventLoop::new(self, units).run()
+    }
+}
 
+/// Point the read units' hit rates at a tier assignment: `full` in
+/// force normally, `browned` while the brownout ladder shrinks the tier.
+fn price_hits(units: &mut [Unit], full: &TierAssignment, browned: &TierAssignment) {
+    for unit in units.iter_mut().filter(|u| u.side == Side::Read) {
+        unit.hit_rate = full.hit(unit.socket.0);
+        unit.hit_rate_browned = browned.hit(unit.socket.0);
+    }
+}
+
+/// One point of the hot tier's budget curve, read off a finished loop.
+fn curve_point(
+    budget_scale: f64,
+    budget_bytes: u64,
+    o: &LoopOutput,
+    units: &[Unit],
+) -> TierCurvePoint {
+    let e2e: Vec<f64> = units
+        .iter()
+        .filter(|u| u.outcome.is_completed())
+        .map(|u| (u.finished_at - u.arrival).max(0.0))
+        .collect();
+    let p = Percentiles::of(&e2e);
+    let moved = o.read_bytes_moved + o.write_bytes_moved;
+    TierCurvePoint {
+        budget_scale,
+        budget_bytes,
+        hit_rate: o.tier_hit_rate(),
+        goodput_gib_s: if o.makespan > 0.0 {
+            moved as f64 / ((1u64 << 30) as f64) / o.makespan
+        } else {
+            0.0
+        },
+        e2e_p50: p.p50,
+        e2e_p99: p.p99,
+    }
+}
+
+/// The socket a unit of `side` can be admitted on soonest from `at`: the
+/// earliest quarantine lift wins, and the side's fault scale in `state`
+/// breaks ties, in favour of `from` and then of the lower socket.
+fn soonest_socket(
+    state: &MachineFaultState,
+    quarantine: &HashMap<u8, f64>,
+    side: Side,
+    from: SocketId,
+    at: f64,
+    sockets: u8,
+) -> SocketId {
+    let ready = |s: SocketId| quarantine.get(&s.0).copied().unwrap_or(0.0).max(at);
+    let scale = |s: SocketId| match side {
+        Side::Read => state.socket(s).read_scale,
+        Side::Write => state.socket(s).write_scale,
+    };
+    let (mut best, mut best_ready, mut best_scale) = (from, ready(from), scale(from));
+    for cand in (0..sockets).map(SocketId) {
+        let sooner = ready(cand) - best_ready;
+        if sooner < -1e-12 || (sooner < 1e-12 && scale(cand) > best_scale + 1e-9) {
+            (best, best_ready, best_scale) = (cand, ready(cand), scale(cand));
+        }
+    }
+    best
+}
+
+/// One pass of the virtual plane over a run's units. The loop's mutable
+/// state lives here, and every unit transition is one method: `arrive`
+/// (the ingress bound and the quarantine wait), `note` (a queue or
+/// admission verdict), `admit`, `requeue` (cancel-and-retry) and `end`,
+/// the one exit every completion, failure and shed goes through.
+struct EventLoop<'a> {
+    config: &'a ServeConfig,
+    planner: &'a AccessPlanner,
+    machine: &'a Machine,
+    device: DeviceClass,
+    sockets: u8,
+    units: &'a mut [Unit],
+    /// Units waiting for admission, in queue order.
+    waiting: Vec<usize>,
+    /// Units holding device time.
+    active: Vec<ActiveRun>,
+    ledger: RetryLedger,
+    /// One deadline-miss circuit breaker per socket; empty when off.
+    breakers: Vec<CircuitBreaker>,
+    /// Weighted-fair tenant token buckets, when fairness is on.
+    buckets: Option<TenantBuckets>,
+    /// Socket -> virtual time its media-error quarantine lifts.
+    quarantine: HashMap<u8, f64>,
+    out: LoopOutput,
+    now: f64,
+}
+
+impl<'a> EventLoop<'a> {
+    fn new(server: &'a QueryServer<'_>, units: &'a mut [Unit]) -> Self {
+        let config = &server.config;
+        let planner = &server.planner;
+        let sockets = planner.sockets().max(1);
         // Weighted-fair tenant buckets over every tenant in the workload,
         // with open-loop plan weights folded in under explicit ones.
-        let mut buckets: Option<TenantBuckets> = if self.config.fairness.enabled {
-            let mut policy = self.config.fairness.clone();
-            if let Some(plan) = &self.config.open_loop {
+        let buckets = config.fairness.enabled.then(|| {
+            let mut policy = config.fairness.clone();
+            if let Some(plan) = &config.open_loop {
                 for (t, w) in plan.weights() {
                     if !policy.weights.iter().any(|&(pt, _)| pt == t) {
                         policy = policy.weight(t, w);
@@ -746,18 +811,49 @@ impl<'s> QueryServer<'s> {
                 .collect();
             tenants.sort_unstable();
             tenants.dedup();
-            Some(TenantBuckets::new(&policy, &self.planner, &tenants))
+            TenantBuckets::new(&policy, planner, &tenants)
+        });
+        let overload = config.overload;
+        let breakers = if overload.enabled && overload.breaker.enabled {
+            (0..sockets)
+                .map(|_| CircuitBreaker::new(overload.breaker))
+                .collect()
         } else {
-            None
+            Vec::new()
         };
-        // One deadline-miss circuit breaker per socket.
-        let mut breakers: HashMap<u8, CircuitBreaker> = HashMap::new();
-        if overload.enabled && overload.breaker.enabled {
-            for s in 0..sockets {
-                breakers.insert(s, CircuitBreaker::new(overload.breaker));
-            }
+        EventLoop {
+            config,
+            planner,
+            machine: &planner.simulation().params().machine,
+            device: server.store.device.device_class(),
+            sockets,
+            units,
+            waiting: Vec::new(),
+            active: Vec::new(),
+            ledger: RetryLedger::default(),
+            breakers,
+            buckets,
+            quarantine: HashMap::new(),
+            out: LoopOutput::default(),
+            now: 0.0,
         }
-        let mut ledger = RetryLedger::default();
+    }
+
+    fn run(mut self) -> LoopOutput {
+        let config = self.config;
+        let (res, overload, slo, faults) = (
+            config.resilience,
+            config.overload,
+            config.slo,
+            &config.faults,
+        );
+        let controller = AdmissionController::new(config.admission);
+        // With no re-planning in force the effective caps are exactly the
+        // policy caps (decide_with_caps takes the min of the two).
+        let policy_caps = ConcurrencyBudget {
+            reader_threads: config.admission.reader_cap,
+            writer_threads: config.admission.writer_cap,
+        };
         // Reader budget in force while browned out.
         let browned_caps = (overload.enabled && overload.brownout.enabled).then(|| {
             self.planner
@@ -767,14 +863,15 @@ impl<'s> QueryServer<'s> {
         // Optimistic solo execution time per unit on a healthy machine:
         // prices the "can this still make its deadline at all?" shed check.
         let min_exec: Vec<f64> = if res.enabled && res.shed_hopeless {
-            units
+            let sim = self.planner.simulation();
+            self.units
                 .iter()
                 .map(|u| {
                     let mut spec = match u.side {
-                        Side::Read => MixedSpec::paper(device, 0, u.threads),
-                        Side::Write => MixedSpec::paper(device, u.threads, 0),
+                        Side::Read => MixedSpec::paper(self.device, 0, u.threads),
+                        Side::Write => MixedSpec::paper(self.device, u.threads, 0),
                     };
-                    spec.pinning = self.config.pinning;
+                    spec.pinning = config.pinning;
                     let eval = sim.evaluate_mixed(&spec);
                     let rate = match u.side {
                         Side::Read => eval.read.bytes_per_sec(),
@@ -791,140 +888,44 @@ impl<'s> QueryServer<'s> {
             Vec::new()
         };
 
-        let mut order: Vec<usize> = (0..units.len()).collect();
+        let mut order: Vec<usize> = (0..self.units.len()).collect();
         order.sort_by(|&a, &b| {
-            units[a]
+            self.units[a]
                 .arrival
-                .total_cmp(&units[b].arrival)
+                .total_cmp(&self.units[b].arrival)
                 .then(a.cmp(&b))
         });
-
-        let mut out = LoopOutput::default();
-        let mut waiting: Vec<usize> = Vec::new();
-        let mut active: Vec<ActiveRun> = Vec::new();
         let mut ptr = 0usize;
-        let mut now = 0.0f64;
-        let mut last_caps: HashMap<u8, ConcurrencyBudget> = HashMap::new();
-        // Socket -> virtual time its media-error quarantine lifts.
-        let mut quarantine: HashMap<u8, f64> = HashMap::new();
+        let mut last_caps = vec![policy_caps; usize::from(self.sockets)];
 
         loop {
-            while ptr < order.len() && units[order[ptr]].arrival <= now + 1e-12 {
-                let u = order[ptr];
+            while ptr < order.len() && self.units[order[ptr]].arrival <= self.now + 1e-12 {
+                self.arrive(order[ptr]);
                 ptr += 1;
-                // Bounded ingress: an arrival past its tenant's queue cap
-                // is refused here, before it costs queue space or device
-                // time — the typed [`ShedReason::QueueFull`] refusal. With
-                // SLO classes on, a full line evicts its worst queued unit
-                // of a strictly lower class instead of refusing a
-                // higher-class arrival: the shed lands on best-effort
-                // headroom first.
-                if overload.enabled && overload.queue_cap > 0 {
-                    let depth = waiting
-                        .iter()
-                        .filter(|&&w| units[w].tenant == units[u].tenant)
-                        .count();
-                    if depth as u32 >= overload.queue_cap {
-                        let victim = if slo.enabled {
-                            waiting
-                                .iter()
-                                .copied()
-                                .enumerate()
-                                .filter(|&(_, w)| {
-                                    units[w].tenant == units[u].tenant
-                                        && units[w].class > units[u].class
-                                })
-                                .max_by(|&(pa, a), &(pb, b)| {
-                                    // Worst class first; most slack (latest
-                                    // deadline, None = infinite) breaks
-                                    // ties; queue position last.
-                                    units[a]
-                                        .class
-                                        .cmp(&units[b].class)
-                                        .then(
-                                            units[a]
-                                                .deadline_at
-                                                .unwrap_or(f64::INFINITY)
-                                                .total_cmp(
-                                                    &units[b].deadline_at.unwrap_or(f64::INFINITY),
-                                                ),
-                                        )
-                                        .then(pa.cmp(&pb))
-                                })
-                        } else {
-                            None
-                        };
-                        let reason = ShedReason::QueueFull;
-                        if let Some((pos, w)) = victim {
-                            units[w].verdicts.push((now, Verdict::Shed { reason }));
-                            units[w].outcome = JobOutcome::Shed(reason);
-                            if units[w].admitted_at.is_nan() {
-                                units[w].admitted_at = now;
-                            }
-                            units[w].finished_at = now;
-                            if units[w].retries > 0 {
-                                ledger.release();
-                            }
-                            waiting.remove(pos);
-                        } else {
-                            units[u].verdicts.push((now, Verdict::Shed { reason }));
-                            units[u].outcome = JobOutcome::Shed(reason);
-                            units[u].admitted_at = units[u].arrival;
-                            units[u].finished_at = units[u].arrival;
-                            continue;
-                        }
-                    }
-                }
-                // Arrivals routed to a quarantined socket sit out the
-                // repair window before they become admissible.
-                if res.enabled && res.repair_media {
-                    if let Some(&lift) = quarantine.get(&units[u].socket.0) {
-                        if lift > units[u].ready_at {
-                            units[u].ready_at = lift;
-                        }
-                    }
-                }
-                waiting.push(u);
             }
 
-            let fstate = faults.state_at(&machine, now);
-            for s in 0..sockets {
-                if let Some(b) = breakers.get_mut(&s) {
-                    b.poll(now);
-                }
+            let now = self.now;
+            let fstate = faults.state_at(self.machine, now);
+            for b in &mut self.breakers {
+                b.poll(now);
             }
             // Brownout: tighten the reader budget while the waiting line
             // is deep — quality degrades before anything is shed.
             let brownout_active = overload.enabled
                 && overload.brownout.enabled
-                && waiting.len() >= overload.brownout.queue_high;
+                && self.waiting.len() >= overload.brownout.queue_high;
 
             // Deadline enforcement (resilient only): cancel active units
-            // that blew their working deadline; retry with backoff on the
-            // healthiest socket, or fail once retries are exhausted. Every
-            // blown deadline feeds the socket's circuit breaker, and a
-            // fresh unit's first retry must clear the global retry budget.
+            // that blew their working deadline and requeue them. Every
+            // blown deadline feeds the socket's circuit breaker.
             if res.enabled {
-                let mut k = 0;
-                while k < active.len() {
-                    let u = active[k].unit;
-                    let blown = units[u].deadline_at.is_some_and(|d| now >= d - 1e-9);
-                    if !blown {
-                        k += 1;
-                        continue;
-                    }
-                    active.swap_remove(k);
-                    if let Some(b) = breakers.get_mut(&units[u].socket.0) {
+                while let Some(u) =
+                    self.take_active(|_, unit| unit.deadline_at.is_some_and(|d| now >= d - 1e-9))
+                {
+                    if let Some(b) = self.breakers.get_mut(usize::from(self.units[u].socket.0)) {
                         b.record(true, now);
                     }
-                    let fresh = fresh_in_flight(units, &waiting, &active);
-                    if deny_first_retry(units, &mut ledger, &overload, &res, u, now, fresh) {
-                        continue;
-                    }
-                    retry_or_fail(units, &mut waiting, u, now, &res, faults, &machine, sockets);
-                    if !units[u].finished_at.is_nan() && units[u].retries > 0 {
-                        ledger.release();
-                    }
+                    self.requeue(u, JobOutcome::Failed);
                 }
             }
 
@@ -933,30 +934,27 @@ impl<'s> QueryServer<'s> {
             // queueing into certain failure.
             if res.enabled && res.shed_hopeless {
                 let mut i = 0;
-                while i < waiting.len() {
-                    let u = waiting[i];
-                    let eligible = units[u].ready_at <= now + 1e-12;
-                    let hopeless = eligible
-                        && units[u]
+                while i < self.waiting.len() {
+                    let u = self.waiting[i];
+                    let unit = &self.units[u];
+                    let hopeless = unit.ready_at <= now + 1e-12
+                        && unit
                             .deadline_at
                             .is_some_and(|d| now + min_exec[u] > d + 1e-9);
                     if !hopeless {
                         i += 1;
                         continue;
                     }
-                    let reason = if fstate.socket(units[u].socket).is_degraded() {
+                    let reason = if fstate.socket(unit.socket).is_degraded() {
                         ShedReason::Degraded
                     } else {
                         ShedReason::Overloaded
                     };
-                    units[u].verdicts.push((now, Verdict::Shed { reason }));
-                    units[u].outcome = JobOutcome::Shed(reason);
-                    units[u].admitted_at = now;
-                    units[u].finished_at = now;
-                    if units[u].retries > 0 {
-                        ledger.release();
-                    }
-                    waiting.remove(i);
+                    self.waiting.remove(i);
+                    // The shed re-stamps admission, over a retried unit's
+                    // earlier one too.
+                    self.units[u].admitted_at = now;
+                    self.end(u, JobOutcome::Shed(reason), now);
                 }
             }
 
@@ -968,29 +966,26 @@ impl<'s> QueryServer<'s> {
             // plain caps, and the brownout-tightened caps. Which one an
             // admission sees depends on the unit's class: shielded classes
             // keep the plain budget, everyone else browns out.
-            let mut caps_by_socket: HashMap<u8, (ConcurrencyBudget, ConcurrencyBudget)> =
-                HashMap::new();
-            for s in 0..sockets {
-                let sf = fstate.socket(SocketId(s));
+            let mut caps_by_socket: Vec<(ConcurrencyBudget, ConcurrencyBudget)> = Vec::new();
+            for (s, last) in last_caps.iter_mut().enumerate() {
+                let sf = fstate.socket(SocketId(s as u8));
                 let drift = (1.0 - sf.read_scale).max(1.0 - sf.write_scale);
                 let caps = if res.enabled && drift > res.replan_drift {
                     self.planner.degraded_budget(sf.read_scale, sf.write_scale)
                 } else {
                     policy_caps
                 };
-                let prev = last_caps.insert(s, caps);
-                if res.enabled && prev.unwrap_or(policy_caps) != caps {
-                    out.replan_events += 1;
+                let prev = std::mem::replace(last, caps);
+                if res.enabled && prev != caps {
+                    self.out.replan_events += 1;
                 }
                 // Brownout tightening stacks on top of fault re-planning
                 // but is not a replan event — it lifts with the queue.
                 let mut browned = caps;
-                if brownout_active {
-                    if let Some(b) = browned_caps {
-                        browned.reader_threads = browned.reader_threads.min(b.reader_threads);
-                    }
+                if let Some(b) = browned_caps.filter(|_| brownout_active) {
+                    browned.reader_threads = browned.reader_threads.min(b.reader_threads);
                 }
-                caps_by_socket.insert(s, (caps, browned));
+                caps_by_socket.push((caps, browned));
             }
 
             // Admission pass: FIFO with bypass — a queued unit does not
@@ -1000,7 +995,8 @@ impl<'s> QueryServer<'s> {
             // within class bands before the pass: every interactive unit
             // is considered before any standard one, EDF inside each band.
             if slo.enabled {
-                waiting.sort_by(|&a, &b| {
+                let units = &*self.units;
+                self.waiting.sort_by(|&a, &b| {
                     units[a]
                         .class
                         .cmp(&units[b].class)
@@ -1015,67 +1011,23 @@ impl<'s> QueryServer<'s> {
                 });
             }
             let mut i = 0;
-            while i < waiting.len() {
-                let u = waiting[i];
-                if units[u].ready_at > now + 1e-12 {
+            while i < self.waiting.len() {
+                let u = self.waiting[i];
+                if self.units[u].ready_at > now + 1e-12 {
                     i += 1;
                     continue;
                 }
-                // Circuit breakers: an Open socket admits nothing —
-                // unpinned units re-route to the first non-open socket,
-                // pinned ones queue. A Half-Open socket takes exactly one
-                // probe at a time; its outcome decides re-open vs close.
-                if !breakers.is_empty() {
-                    let state = |s: u8| breakers.get(&s).map(|b| b.state());
-                    if state(units[u].socket.0) == Some(BreakerState::Open) {
-                        let alt = (0..sockets).find(|&s| state(s) != Some(BreakerState::Open));
-                        match (units[u].pinned, alt) {
-                            (false, Some(s)) => units[u].socket = SocketId(s),
-                            _ => {
-                                let verdict = Verdict::Queued {
-                                    reason: QueueReason::CircuitOpen,
-                                };
-                                if units[u].verdicts.last().map(|(_, v)| *v) != Some(verdict) {
-                                    units[u].verdicts.push((now, verdict));
-                                }
-                                i += 1;
-                                continue;
-                            }
-                        }
-                    }
-                    let socket = units[u].socket;
-                    if state(socket.0) == Some(BreakerState::HalfOpen)
-                        && active.iter().any(|a| units[a.unit].socket == socket)
-                    {
-                        let verdict = Verdict::Queued {
-                            reason: QueueReason::CircuitOpen,
-                        };
-                        if units[u].verdicts.last().map(|(_, v)| *v) != Some(verdict) {
-                            units[u].verdicts.push((now, verdict));
-                        }
-                        i += 1;
-                        continue;
-                    }
+                if let Some(reason) = self.held(u) {
+                    self.note(u, Verdict::Queued { reason });
+                    i += 1;
+                    continue;
                 }
-                // Tenant fairness: every member tenant must hold tokens.
-                if let Some(bk) = buckets.as_ref() {
-                    if !bk.ready(&units[u].charges, units[u].side) {
-                        let verdict = Verdict::Queued {
-                            reason: QueueReason::TenantThrottle,
-                        };
-                        if units[u].verdicts.last().map(|(_, v)| *v) != Some(verdict) {
-                            units[u].verdicts.push((now, verdict));
-                        }
-                        i += 1;
-                        continue;
-                    }
-                }
-                let socket = units[u].socket;
-                let load = socket_load(units, &active, socket);
+                let unit = &self.units[u];
+                let socket = unit.socket;
                 let caps = caps_by_socket
-                    .get(&socket.0)
+                    .get(usize::from(socket.0))
                     .map(|&(plain, browned)| {
-                        if slo.shielded(units[u].class) {
+                        if slo.shielded(unit.class) {
                             plain
                         } else {
                             browned
@@ -1083,224 +1035,156 @@ impl<'s> QueryServer<'s> {
                     })
                     .unwrap_or(policy_caps);
                 let verdict = controller.decide_with_caps(
-                    &self.planner,
-                    units[u].side,
-                    units[u].threads,
-                    units[u].bytes,
-                    &load,
+                    self.planner,
+                    unit.side,
+                    unit.threads,
+                    unit.bytes,
+                    &self.load(socket),
                     caps,
                 );
-                if units[u].verdicts.last().map(|(_, v)| *v) != Some(verdict) {
-                    units[u].verdicts.push((now, verdict));
-                }
+                self.note(u, verdict);
                 if verdict.is_admitted() {
-                    units[u].admitted_at = now;
-                    if let Some(bk) = buckets.as_mut() {
-                        bk.charge(&units[u].charges, units[u].side);
-                    }
-                    active.push(ActiveRun {
-                        unit: u,
-                        remaining: units[u].bytes as f64,
-                        rate: 0.0,
-                    });
-                    waiting.remove(i);
-                    let after = socket_load(units, &active, socket);
-                    out.peak_readers = out.peak_readers.max(after.reader_threads);
-                    out.peak_writers = out.peak_writers.max(after.writer_threads);
+                    self.admit(i);
+                    let after = self.load(socket);
+                    self.out.peak_readers = self.out.peak_readers.max(after.reader_threads);
+                    self.out.peak_writers = self.out.peak_writers.max(after.writer_threads);
                 } else {
                     i += 1;
                 }
             }
 
-            if active.is_empty() {
-                let next_ready = waiting
+            if self.active.is_empty() {
+                let eligible = |u: usize| self.units[u].ready_at <= now + 1e-12;
+                let next_ready = self
+                    .waiting
                     .iter()
-                    .map(|&u| units[u].ready_at)
+                    .map(|&u| self.units[u].ready_at)
                     .filter(|&r| r > now + 1e-12)
                     .fold(f64::INFINITY, f64::min);
                 // Token refills and breaker cooldowns lift on their own —
                 // both are wake events an idle machine must sleep toward.
-                let next_token = buckets.as_ref().map_or(f64::INFINITY, |bk| {
-                    waiting
+                let next_token = self.buckets.as_ref().map_or(f64::INFINITY, |bk| {
+                    self.waiting
                         .iter()
-                        .filter(|&&u| units[u].ready_at <= now + 1e-12)
-                        .map(|&u| bk.seconds_until_ready(&units[u].charges, units[u].side))
+                        .filter(|&&u| eligible(u))
+                        .map(|&u| {
+                            bk.seconds_until_ready(&self.units[u].charges, self.units[u].side)
+                        })
                         .filter(|&d| d > 1e-12)
                         .map(|d| now + d)
                         .fold(f64::INFINITY, f64::min)
                 });
-                let next_breaker = (0..sockets)
-                    .filter_map(|s| breakers.get(&s).and_then(|b| b.next_transition()))
+                let next_breaker = self
+                    .breakers
+                    .iter()
+                    .filter_map(CircuitBreaker::next_transition)
                     .filter(|&t| t > now + 1e-12)
                     .fold(f64::INFINITY, f64::min);
                 let wake = next_ready.min(next_token).min(next_breaker);
-                if ptr < order.len() {
-                    let target = units[order[ptr]].arrival.min(wake);
-                    if let Some(bk) = buckets.as_mut() {
+                let target = if ptr < order.len() {
+                    self.units[order[ptr]].arrival.min(wake)
+                } else {
+                    wake
+                };
+                if target.is_finite() {
+                    if let Some(bk) = self.buckets.as_mut() {
                         bk.refill((target - now).max(0.0));
                     }
-                    now = target;
+                    self.now = target;
                     continue;
                 }
-                if wake.is_finite() {
-                    if let Some(bk) = buckets.as_mut() {
-                        bk.refill((wake - now).max(0.0));
-                    }
-                    now = wake;
-                    continue;
-                }
-                if let Some(pos) = waiting
-                    .iter()
-                    .position(|&u| units[u].ready_at <= now + 1e-12)
-                {
+                if let Some(pos) = self.waiting.iter().position(|&u| eligible(u)) {
                     // Defensive: an idle machine always admits the head of
                     // the eligible queue; reaching here means a policy with
                     // caps below the (clamped) demand — run it alone anyway.
-                    let u = waiting[pos];
-                    units[u].verdicts.push((
-                        now,
-                        Verdict::Admitted {
-                            readers: if units[u].side == Side::Read {
-                                units[u].threads
-                            } else {
-                                0
-                            },
-                            writers: if units[u].side == Side::Write {
-                                units[u].threads
-                            } else {
-                                0
-                            },
-                        },
-                    ));
-                    units[u].admitted_at = now;
-                    if let Some(bk) = buckets.as_mut() {
-                        bk.charge(&units[u].charges, units[u].side);
-                    }
-                    active.push(ActiveRun {
-                        unit: u,
-                        remaining: units[u].bytes as f64,
-                        rate: 0.0,
-                    });
-                    waiting.remove(pos);
+                    let unit = &mut self.units[self.waiting[pos]];
+                    let threads = |side| if unit.side == side { unit.threads } else { 0 };
+                    let verdict = Verdict::Admitted {
+                        readers: threads(Side::Read),
+                        writers: threads(Side::Write),
+                    };
+                    unit.verdicts.push((now, verdict));
+                    self.admit(pos);
                     continue;
                 }
                 break;
             }
 
             // Rates: per socket, the admitted mix prices both sides; the
-            // fault state scales each side's achievable bandwidth. A
-            // degraded UPI link additionally taxes unpinned threads, whose
-            // placement makes roughly half their traffic cross the link.
-            // With a hot tier, the same mix is priced once more against
-            // DRAM — each read unit's rate is then the harmonic blend of
-            // the two lanes at its hit rate.
-            let tier_on = self.config.hot_tier.enabled;
-            let mut socket_rates: HashMap<u8, (f64, f64, f64)> = HashMap::new();
-            for socket in active
-                .iter()
-                .map(|a| units[a.unit].socket)
-                .collect::<std::collections::BTreeSet<_>>()
-            {
-                let load = socket_load(units, &active, socket);
-                let mut spec = MixedSpec::paper(device, load.writer_threads, load.reader_threads);
-                spec.pinning = self.config.pinning;
-                let mut eval = sim.evaluate_mixed_degraded(&spec, &fstate.socket(socket));
-                if self.config.pinning == Pinning::None && fstate.upi_scale < 1.0 {
-                    let haircut = 0.5 + 0.5 * fstate.upi_scale;
-                    eval.read = eval.read.degrade(haircut);
-                    eval.write = eval.write.degrade(haircut);
+            // fault state scales each side's achievable bandwidth. With a
+            // hot tier, each read unit's rate is the harmonic blend of the
+            // PMEM and DRAM lanes at its hit rate — shielded classes keep
+            // the full tier even while the brownout ladder shrinks it.
+            let hit = |unit: &Unit| {
+                if brownout_active && !slo.shielded(unit.class) {
+                    unit.hit_rate_browned
+                } else {
+                    unit.hit_rate
                 }
-                let per_reader = if load.reader_threads > 0 {
-                    eval.read.bytes_per_sec() / load.reader_threads as f64
-                } else {
-                    0.0
-                };
-                let per_writer = if load.writer_threads > 0 {
-                    eval.write.bytes_per_sec() / load.writer_threads as f64
-                } else {
-                    0.0
-                };
-                let per_reader_dram = if tier_on && load.reader_threads > 0 {
-                    let mut dram_spec = MixedSpec::paper(
-                        pmem_sim::params::DeviceClass::Dram,
-                        load.writer_threads,
-                        load.reader_threads,
-                    );
-                    dram_spec.pinning = self.config.pinning;
-                    let mut dram = sim.evaluate_mixed_degraded(&dram_spec, &fstate.socket(socket));
-                    if self.config.pinning == Pinning::None && fstate.upi_scale < 1.0 {
-                        dram.read = dram.read.degrade(0.5 + 0.5 * fstate.upi_scale);
-                    }
-                    dram.read.bytes_per_sec() / load.reader_threads as f64
-                } else {
-                    0.0
-                };
-                socket_rates.insert(socket.0, (per_reader, per_writer, per_reader_dram));
-            }
-            for run in &mut active {
-                let unit = &units[run.unit];
-                let (per_reader, per_writer, per_reader_dram) = socket_rates[&unit.socket.0];
-                run.rate = unit.threads as f64
+            };
+            let mut lanes: HashMap<u8, (f64, f64, f64)> = HashMap::new();
+            for k in 0..self.active.len() {
+                let unit = &self.units[self.active[k].unit];
+                let (per_reader, per_writer, per_reader_dram) = *lanes
+                    .entry(unit.socket.0)
+                    .or_insert_with(|| self.price(unit.socket, &fstate));
+                let rate = f64::from(unit.threads)
                     * match unit.side {
-                        Side::Read => {
-                            // Shielded classes keep the full tier even
-                            // while the brownout ladder shrinks it.
-                            let hit = if brownout_active && !slo.shielded(unit.class) {
-                                unit.hit_rate_browned
-                            } else {
-                                unit.hit_rate
-                            };
-                            tiered_rate(
-                                Bandwidth::from_bytes_per_sec(per_reader),
-                                Bandwidth::from_bytes_per_sec(per_reader_dram),
-                                hit,
-                            )
-                            .bytes_per_sec()
-                        }
+                        Side::Read => tiered_rate(
+                            Bandwidth::from_bytes_per_sec(per_reader),
+                            Bandwidth::from_bytes_per_sec(per_reader_dram),
+                            hit(unit),
+                        )
+                        .bytes_per_sec(),
                         Side::Write => per_writer,
                     };
+                self.active[k].rate = rate;
             }
 
             // Advance to the next event: a completion, an arrival, a fault
             // transition (rates are piecewise-constant between them), a
             // backoff expiry, or a deadline the resilient path must enforce.
-            let dt_done = active
+            let dt_done = self
+                .active
                 .iter()
                 .map(|a| a.remaining / a.rate.max(1.0))
                 .fold(f64::INFINITY, f64::min);
             let dt_arrival = if ptr < order.len() {
-                (units[order[ptr]].arrival - now).max(0.0)
+                (self.units[order[ptr]].arrival - now).max(0.0)
             } else {
                 f64::INFINITY
             };
             let dt_fault = faults
                 .next_transition_after(now)
                 .map_or(f64::INFINITY, |t| (t - now).max(0.0));
-            let dt_ready = waiting
+            let dt_ready = self
+                .waiting
                 .iter()
-                .map(|&u| units[u].ready_at - now)
+                .map(|&u| self.units[u].ready_at - now)
                 .filter(|&d| d > 1e-12)
                 .fold(f64::INFINITY, f64::min);
             let dt_deadline = if res.enabled {
-                active
+                self.active
                     .iter()
-                    .filter_map(|a| units[a.unit].deadline_at)
+                    .filter_map(|a| self.units[a.unit].deadline_at)
                     .map(|d| d - now)
                     .filter(|&d| d > 1e-9)
                     .fold(f64::INFINITY, f64::min)
             } else {
                 f64::INFINITY
             };
-            let dt_token = buckets.as_ref().map_or(f64::INFINITY, |bk| {
-                waiting
+            let dt_token = self.buckets.as_ref().map_or(f64::INFINITY, |bk| {
+                self.waiting
                     .iter()
-                    .filter(|&&u| units[u].ready_at <= now + 1e-12)
-                    .map(|&u| bk.seconds_until_ready(&units[u].charges, units[u].side))
+                    .filter(|&&u| self.units[u].ready_at <= now + 1e-12)
+                    .map(|&u| bk.seconds_until_ready(&self.units[u].charges, self.units[u].side))
                     .filter(|&d| d > 1e-12)
                     .fold(f64::INFINITY, f64::min)
             });
-            let dt_breaker = (0..sockets)
-                .filter_map(|s| breakers.get(&s).and_then(|b| b.next_transition()))
+            let dt_breaker = self
+                .breakers
+                .iter()
+                .filter_map(CircuitBreaker::next_transition)
                 .map(|t| t - now)
                 .filter(|&d| d > 1e-12)
                 .fold(f64::INFINITY, f64::min);
@@ -1324,92 +1208,69 @@ impl<'s> QueryServer<'s> {
                 dt = (m.at - now).max(0.0);
             }
 
-            let any_reader = active.iter().any(|a| units[a.unit].side == Side::Read);
-            let any_writer = active.iter().any(|a| units[a.unit].side == Side::Write);
-            if any_reader {
+            let busy = |side| self.active.iter().any(|a| self.units[a.unit].side == side);
+            let (reading, writing) = (busy(Side::Read), busy(Side::Write));
+            let out = &mut self.out;
+            if reading {
                 out.read_busy += dt;
             }
-            if any_writer {
+            if writing {
                 out.write_busy += dt;
             }
-            if fstate.is_degraded() && !active.is_empty() {
+            if fstate.is_degraded() && !self.active.is_empty() {
                 out.degraded_seconds += dt;
             }
             if brownout_active {
                 out.brownout_seconds += dt;
-                if tier_on && !active.is_empty() {
+                if config.hot_tier.enabled && !self.active.is_empty() {
                     out.tier_shrunk_seconds += dt;
                 }
             }
-            now += dt;
-            if let Some(bk) = buckets.as_mut() {
+            self.now += dt;
+            let now = self.now;
+            if let Some(bk) = self.buckets.as_mut() {
                 bk.refill(dt);
             }
-            for run in &mut active {
+            for run in &mut self.active {
                 let progressed = run.rate * dt;
                 run.remaining -= progressed;
-                let unit = &units[run.unit];
+                let unit = &self.units[run.unit];
                 if unit.side == Side::Read {
-                    let hit = if brownout_active && !slo.shielded(unit.class) {
-                        unit.hit_rate_browned
-                    } else {
-                        unit.hit_rate
-                    };
-                    out.tier_hit_bytes += (progressed * hit) as u64;
+                    self.out.tier_hit_bytes += (progressed * hit(unit)) as u64;
                 }
             }
-            let mut k = 0;
-            while k < active.len() {
-                if active[k].remaining <= DONE_EPSILON {
-                    let u = active[k].unit;
-                    units[u].finished_at = now;
-                    match units[u].side {
-                        Side::Read => out.read_bytes_moved += units[u].bytes,
-                        Side::Write => out.write_bytes_moved += units[u].bytes,
-                    }
-                    // A completion is a deadline outcome the socket's
-                    // breaker learns from; a retried unit leaving the
-                    // system hands its retry-budget slot back.
-                    if let Some(d) = units[u].deadline_at {
-                        if let Some(b) = breakers.get_mut(&units[u].socket.0) {
-                            b.record(now > d + 1e-9, now);
-                        }
-                    }
-                    if units[u].retries > 0 {
-                        ledger.release();
-                    }
-                    active.swap_remove(k);
-                } else {
-                    k += 1;
+            while let Some(u) = self.take_active(|run, _| run.remaining <= DONE_EPSILON) {
+                let unit = &self.units[u];
+                match unit.side {
+                    Side::Read => self.out.read_bytes_moved += unit.bytes,
+                    Side::Write => self.out.write_bytes_moved += unit.bytes,
                 }
+                // A completion is a deadline outcome the socket's breaker
+                // learns from.
+                if let Some(d) = unit.deadline_at {
+                    if let Some(b) = self.breakers.get_mut(usize::from(unit.socket.0)) {
+                        b.record(now > d + 1e-9, now);
+                    }
+                }
+                self.end(u, JobOutcome::Completed, now);
             }
 
             // The power loss lands exactly at `now`: everything mid-flight
             // on that socket loses its progress. The resilient path retries
             // (usually onto the healthy peer); the baseline grinds the job
             // from scratch at whatever rate the faults leave it.
-            if let Some((_, lost_socket)) = loss.filter(|&(t, _)| t <= now + 1e-9) {
-                out.power_loss_events += 1;
-                let mut k = 0;
-                while k < active.len() {
-                    let u = active[k].unit;
-                    if units[u].socket != lost_socket {
-                        k += 1;
-                        continue;
+            if let Some((_, lost)) = loss.filter(|&(t, _)| t <= now + 1e-9) {
+                self.out.power_loss_events += 1;
+                if res.enabled {
+                    while let Some(u) = self.take_active(|_, unit| unit.socket == lost) {
+                        self.requeue(u, JobOutcome::Failed);
                     }
-                    if res.enabled {
-                        active.swap_remove(k);
-                        let fresh = fresh_in_flight(units, &waiting, &active);
-                        if deny_first_retry(units, &mut ledger, &overload, &res, u, now, fresh) {
-                            continue;
+                } else {
+                    for run in &mut self.active {
+                        let unit = &self.units[run.unit];
+                        if unit.socket == lost {
+                            run.remaining = unit.bytes as f64;
                         }
-                        retry_or_fail(units, &mut waiting, u, now, &res, faults, &machine, sockets);
-                        if !units[u].finished_at.is_nan() && units[u].retries > 0 {
-                            ledger.release();
-                        }
-                    } else {
-                        active[k].remaining = units[u].bytes as f64;
-                        k += 1;
                     }
                 }
             }
@@ -1418,227 +1279,310 @@ impl<'s> QueryServer<'s> {
             // poisoned XPLine range on one socket. The protected path
             // quarantines the socket for one repair window (the scrubber
             // rebuilds the poisoned blocks from the durable mirror) and
-            // re-queues whatever was running there with backoff; the
-            // baseline's scans consume the poison and die on the spot.
+            // requeues whatever was running there; the baseline's scans
+            // consume the poison and die on the spot.
             if let Some(m) = media.filter(|m| m.at <= now + 1e-9) {
                 let protect = res.enabled && res.repair_media;
                 if protect {
                     let lift = now + res.media_repair_seconds.max(0.0);
-                    let q = quarantine.entry(m.socket.0).or_insert(0.0);
-                    if lift > *q {
-                        *q = lift;
-                    }
-                    out.repaired += 1;
+                    let q = self.quarantine.entry(m.socket.0).or_insert(0.0);
+                    *q = q.max(lift);
+                    self.out.repaired += 1;
                     // Jobs already queued for this socket sit out the
                     // repair window too.
-                    for &w in &waiting {
-                        if units[w].socket == m.socket && units[w].ready_at < lift {
-                            units[w].ready_at = lift;
+                    for &w in &self.waiting {
+                        let unit = &mut self.units[w];
+                        if unit.socket == m.socket && unit.ready_at < lift {
+                            unit.ready_at = lift;
                         }
                     }
                 }
-                let mut k = 0;
-                while k < active.len() {
-                    let u = active[k].unit;
-                    if units[u].socket != m.socket {
-                        k += 1;
-                        continue;
-                    }
-                    active.swap_remove(k);
+                while let Some(u) = self.take_active(|_, unit| unit.socket == m.socket) {
                     if protect {
-                        out.quarantined += 1;
-                        let fresh = fresh_in_flight(units, &waiting, &active);
-                        if deny_first_retry(units, &mut ledger, &overload, &res, u, now, fresh) {
-                            continue;
-                        }
-                        media_retry_or_shed(
-                            units,
-                            &mut waiting,
-                            u,
-                            now,
-                            &res,
-                            &quarantine,
-                            faults,
-                            &machine,
-                            sockets,
-                        );
-                        if !units[u].finished_at.is_nan() && units[u].retries > 0 {
-                            ledger.release();
-                        }
+                        self.out.quarantined += 1;
+                        self.requeue(u, JobOutcome::Shed(ShedReason::Unrepairable));
                     } else {
-                        units[u].outcome = JobOutcome::Failed;
-                        units[u].finished_at = now;
-                        if units[u].admitted_at.is_nan() {
-                            units[u].admitted_at = now;
-                        }
-                        if units[u].retries > 0 {
-                            ledger.release();
-                        }
+                        self.end(u, JobOutcome::Failed, now);
                     }
                 }
             }
         }
 
-        out.makespan = now;
-        // Every terminal path — completion, failure, every typed shed
-        // (including class-aware ingress eviction) — must hand its
+        self.out.makespan = self.now;
+        // Every exit goes through `end`, which hands a retried unit's
         // retry-budget slot back; a leak here starves later retries.
         debug_assert_eq!(
-            ledger.outstanding(),
+            self.ledger.outstanding(),
             0,
             "retry ledger must drain by loop exit"
         );
-        out.breaker_trips = (0..sockets)
-            .filter_map(|s| breakers.get(&s))
-            .map(|b| b.trips)
-            .sum();
-        out.retry_budget_denied = ledger.denied;
-        out
+        self.out.breaker_trips = self.breakers.iter().map(|b| b.trips).sum();
+        self.out.retry_budget_denied = self.ledger.denied;
+        self.out
     }
-}
 
-/// Fresh (never-retried) units still in flight — the denominator the
-/// retry budget scales with.
-fn fresh_in_flight(units: &[Unit], waiting: &[usize], active: &[ActiveRun]) -> u32 {
-    waiting
-        .iter()
-        .copied()
-        .chain(active.iter().map(|a| a.unit))
-        .filter(|&u| units[u].retries == 0)
-        .count() as u32
-}
+    /// Unit `u` arrives at the door. Bounded ingress: an arrival past its
+    /// tenant's queue cap is refused here, before it costs queue space or
+    /// device time — the typed [`ShedReason::QueueFull`] refusal, stamped
+    /// at its arrival. With SLO classes on, a full line evicts its worst
+    /// queued unit of a strictly lower class instead of refusing a
+    /// higher-class arrival: the shed lands on best-effort headroom first.
+    /// An arrival routed to a quarantined socket sits out the repair
+    /// window before it becomes admissible.
+    fn arrive(&mut self, u: usize) {
+        let (overload, slo, res) = (
+            self.config.overload,
+            self.config.slo,
+            self.config.resilience,
+        );
+        let units = &*self.units;
+        let tenant = units[u].tenant;
+        let depth = || {
+            self.waiting
+                .iter()
+                .filter(|&&w| units[w].tenant == tenant)
+                .count() as u32
+        };
+        if overload.enabled && overload.queue_cap > 0 && depth() >= overload.queue_cap {
+            let victim = self
+                .waiting
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|&(_, w)| {
+                    slo.enabled && units[w].tenant == tenant && units[w].class > units[u].class
+                })
+                .max_by(|&(pa, a), &(pb, b)| {
+                    // Worst class first; most slack (latest deadline, None
+                    // = infinite) breaks ties; queue position last.
+                    units[a]
+                        .class
+                        .cmp(&units[b].class)
+                        .then(
+                            units[a]
+                                .deadline_at
+                                .unwrap_or(f64::INFINITY)
+                                .total_cmp(&units[b].deadline_at.unwrap_or(f64::INFINITY)),
+                        )
+                        .then(pa.cmp(&pb))
+                });
+            let full = JobOutcome::Shed(ShedReason::QueueFull);
+            let Some((pos, w)) = victim else {
+                return self.end(u, full, units[u].arrival);
+            };
+            self.waiting.remove(pos);
+            self.end(w, full, self.now);
+        }
+        if res.enabled && res.repair_media {
+            let unit = &mut self.units[u];
+            if let Some(&lift) = self.quarantine.get(&unit.socket.0) {
+                unit.ready_at = unit.ready_at.max(lift);
+            }
+        }
+        self.waiting.push(u);
+    }
 
-/// Gate a fresh unit's first retry behind the global retry budget.
-/// Returns true when the budget refused and the unit was shed with the
-/// typed [`ShedReason::RetryBudget`] instead of re-queueing. Units
-/// already holding a retry slot (retries > 0) and units whose retries are
-/// exhausted anyway pass straight through.
-fn deny_first_retry(
-    units: &mut [Unit],
-    ledger: &mut RetryLedger,
-    overload: &OverloadPolicy,
-    res: &ResiliencePolicy,
-    u: usize,
-    now: f64,
-    fresh: u32,
-) -> bool {
-    if !overload.enabled || units[u].retries > 0 || units[u].retries >= res.max_retries {
-        return false;
+    /// Why unit `u` must wait before it is even priced for admission.
+    /// Circuit breakers: an Open socket admits nothing — an unpinned unit
+    /// re-routes to the first non-open socket, a pinned one queues — and a
+    /// Half-Open socket takes exactly one probe at a time, whose outcome
+    /// decides re-open vs close. Tenant fairness: every member tenant must
+    /// hold tokens.
+    fn held(&mut self, u: usize) -> Option<QueueReason> {
+        let state = |s: SocketId| {
+            self.breakers
+                .get(usize::from(s.0))
+                .map(CircuitBreaker::state)
+        };
+        let unit = &mut self.units[u];
+        if state(unit.socket) == Some(BreakerState::Open) {
+            let alt = (0..self.sockets)
+                .map(SocketId)
+                .find(|&s| state(s) != Some(BreakerState::Open));
+            match alt.filter(|_| !unit.pinned) {
+                Some(s) => unit.socket = s,
+                None => return Some(QueueReason::CircuitOpen),
+            }
+        }
+        let units = &*self.units;
+        let socket = units[u].socket;
+        if state(socket) == Some(BreakerState::HalfOpen)
+            && self.active.iter().any(|a| units[a.unit].socket == socket)
+        {
+            return Some(QueueReason::CircuitOpen);
+        }
+        let throttled = self
+            .buckets
+            .as_ref()
+            .is_some_and(|bk| !bk.ready(&units[u].charges, units[u].side));
+        throttled.then_some(QueueReason::TenantThrottle)
     }
-    if ledger.try_start(overload, fresh) {
-        return false;
-    }
-    let reason = ShedReason::RetryBudget;
-    units[u].verdicts.push((now, Verdict::Shed { reason }));
-    units[u].outcome = JobOutcome::Shed(reason);
-    units[u].finished_at = now;
-    if units[u].admitted_at.is_nan() {
-        units[u].admitted_at = now;
-    }
-    true
-}
 
-/// Cancel a unit whose socket took a media error at `now`: schedule a
-/// backed-off retry on the healthiest socket whose quarantine lifts
-/// soonest (pinned units wait out their own socket's repair), or shed it
-/// with the typed [`ShedReason::Unrepairable`] once retries are exhausted.
-#[allow(clippy::too_many_arguments)]
-fn media_retry_or_shed(
-    units: &mut [Unit],
-    waiting: &mut Vec<usize>,
-    u: usize,
-    now: f64,
-    res: &ResiliencePolicy,
-    quarantine: &HashMap<u8, f64>,
-    faults: &FaultPlan,
-    machine: &Machine,
-    sockets: u8,
-) {
-    if units[u].retries < res.max_retries {
-        units[u].retries += 1;
-        let backoff_end = now + res.jittered_backoff_before(units[u].retries, u as u64);
-        let lift = |s: u8| quarantine.get(&s).copied().unwrap_or(0.0);
-        if !units[u].pinned {
-            // Earliest admissible instant wins; the side's fault scale at
-            // that instant breaks ties.
-            let state = faults.state_at(machine, backoff_end);
-            let mut best = units[u].socket;
-            let mut best_ready = lift(best.0).max(backoff_end);
-            let mut best_scale = side_scale(state.socket(best), units[u].side);
-            for s in 0..sockets {
-                let cand = SocketId(s);
-                let ready = lift(s).max(backoff_end);
-                let scale = side_scale(state.socket(cand), units[u].side);
-                if ready < best_ready - 1e-12
-                    || (ready < best_ready + 1e-12 && scale > best_scale + 1e-9)
-                {
-                    best = cand;
-                    best_ready = ready;
-                    best_scale = scale;
+    /// Record `verdict` for unit `u` now, unless it repeats the unit's
+    /// last one.
+    fn note(&mut self, u: usize, verdict: Verdict) {
+        let verdicts = &mut self.units[u].verdicts;
+        if verdicts.last().map(|&(_, v)| v) != Some(verdict) {
+            verdicts.push((self.now, verdict));
+        }
+    }
+
+    /// Admit the unit at queue position `pos` now: charge its tenants'
+    /// buckets and put it on the device.
+    fn admit(&mut self, pos: usize) {
+        let u = self.waiting.remove(pos);
+        let unit = &mut self.units[u];
+        unit.admitted_at = self.now;
+        if let Some(bk) = self.buckets.as_mut() {
+            bk.charge(&unit.charges, unit.side);
+        }
+        self.active.push(ActiveRun {
+            unit: u,
+            remaining: unit.bytes as f64,
+            rate: 0.0,
+        });
+    }
+
+    /// Cancel-and-retry for a unit just taken off the device: it retries
+    /// after a jittered backoff, with a re-armed working deadline, on the
+    /// socket it can be admitted on soonest — every retry waits out a
+    /// media quarantine, whatever cancelled it; pinned units keep their
+    /// socket. A fresh unit's first retry must clear the global retry
+    /// budget ([`ShedReason::RetryBudget`] otherwise), and a unit whose
+    /// retries are exhausted ends with `exhausted`.
+    fn requeue(&mut self, u: usize, exhausted: JobOutcome) {
+        let (res, overload, now) = (self.config.resilience, self.config.overload, self.now);
+        let retries = self.units[u].retries;
+        if retries >= res.max_retries {
+            return self.end(u, exhausted, now);
+        }
+        if overload.enabled
+            && retries == 0
+            && !self.ledger.try_start(&overload, self.fresh_in_flight())
+        {
+            return self.end(u, JobOutcome::Shed(ShedReason::RetryBudget), now);
+        }
+        let unit = &mut self.units[u];
+        unit.retries += 1;
+        let backoff_end = now + res.jittered_backoff_before(unit.retries, u as u64);
+        if !unit.pinned {
+            let state = self.config.faults.state_at(self.machine, backoff_end);
+            unit.socket = soonest_socket(
+                &state,
+                &self.quarantine,
+                unit.side,
+                unit.socket,
+                backoff_end,
+                self.sockets,
+            );
+        }
+        let lift = self.quarantine.get(&unit.socket.0).copied().unwrap_or(0.0);
+        unit.ready_at = lift.max(backoff_end);
+        unit.deadline_at = unit.deadline_rel.map(|d| unit.ready_at + d);
+        self.waiting.push(u);
+    }
+
+    /// Unit `u` leaves the loop with `outcome`, finishing at `at`: the one
+    /// exit every completion, failure and shed goes through. A shed
+    /// records its verdict now; a never-admitted unit counts as admitted
+    /// at `at`; a retried unit hands its retry-budget slot back.
+    fn end(&mut self, u: usize, outcome: JobOutcome, at: f64) {
+        let unit = &mut self.units[u];
+        if let JobOutcome::Shed(reason) = outcome {
+            unit.verdicts.push((self.now, Verdict::Shed { reason }));
+        }
+        unit.outcome = outcome;
+        if unit.admitted_at.is_nan() {
+            unit.admitted_at = at;
+        }
+        unit.finished_at = at;
+        if unit.retries > 0 {
+            self.ledger.release();
+        }
+    }
+
+    /// Take the first running unit `hit` selects off the device.
+    fn take_active(&mut self, hit: impl Fn(&ActiveRun, &Unit) -> bool) -> Option<usize> {
+        let k = self
+            .active
+            .iter()
+            .position(|run| hit(run, &self.units[run.unit]))?;
+        Some(self.active.swap_remove(k).unit)
+    }
+
+    /// Fresh (never-retried) units still in flight — the denominator the
+    /// retry budget scales with.
+    fn fresh_in_flight(&self) -> u32 {
+        self.waiting
+            .iter()
+            .copied()
+            .chain(self.active.iter().map(|a| a.unit))
+            .filter(|&u| self.units[u].retries == 0)
+            .count() as u32
+    }
+
+    /// The active reader/writer threads and outstanding bytes on a socket.
+    fn load(&self, socket: SocketId) -> SocketLoad {
+        let mut load = SocketLoad::default();
+        for run in &self.active {
+            let unit = &self.units[run.unit];
+            if unit.socket != socket {
+                continue;
+            }
+            match unit.side {
+                Side::Read => {
+                    load.reader_threads += unit.threads;
+                    load.read_bytes += run.remaining as u64;
+                }
+                Side::Write => {
+                    load.writer_threads += unit.threads;
+                    load.write_bytes += run.remaining as u64;
                 }
             }
-            units[u].socket = best;
         }
-        units[u].ready_at = lift(units[u].socket.0).max(backoff_end);
-        units[u].deadline_at = units[u].deadline_rel.map(|d| units[u].ready_at + d);
-        waiting.push(u);
-    } else {
-        let reason = ShedReason::Unrepairable;
-        units[u].verdicts.push((now, Verdict::Shed { reason }));
-        units[u].outcome = JobOutcome::Shed(reason);
-        units[u].finished_at = now;
-        if units[u].admitted_at.is_nan() {
-            units[u].admitted_at = now;
-        }
+        load
     }
-}
 
-/// Cancel a unit at `now`: schedule a backed-off retry — re-routed to the
-/// healthiest socket for its side unless pinned, with a re-armed working
-/// deadline — or mark it failed once retries are exhausted.
-#[allow(clippy::too_many_arguments)]
-fn retry_or_fail(
-    units: &mut [Unit],
-    waiting: &mut Vec<usize>,
-    u: usize,
-    now: f64,
-    res: &ResiliencePolicy,
-    faults: &FaultPlan,
-    machine: &Machine,
-    sockets: u8,
-) {
-    if units[u].retries < res.max_retries {
-        units[u].retries += 1;
-        units[u].ready_at = now + res.jittered_backoff_before(units[u].retries, u as u64);
-        units[u].deadline_at = units[u].deadline_rel.map(|d| units[u].ready_at + d);
-        if !units[u].pinned {
-            let state = faults.state_at(machine, units[u].ready_at);
-            let mut best = units[u].socket;
-            let mut best_scale = side_scale(state.socket(best), units[u].side);
-            for s in 0..sockets {
-                let scale = side_scale(state.socket(SocketId(s)), units[u].side);
-                if scale > best_scale + 1e-9 {
-                    best = SocketId(s);
-                    best_scale = scale;
-                }
+    /// Per-thread `(read, write, DRAM read)` rates of `socket`'s admitted
+    /// mix. Each lane prices the mix on the Figure 11 surface under the
+    /// socket's fault state; a degraded UPI link additionally taxes
+    /// unpinned threads, whose placement makes roughly half their traffic
+    /// cross the link. The DRAM lane is priced only with a hot tier on.
+    fn price(&self, socket: SocketId, fstate: &MachineFaultState) -> (f64, f64, f64) {
+        let load = self.load(socket);
+        let pinning = self.config.pinning;
+        let lane = |device| {
+            let mut spec = MixedSpec::paper(device, load.writer_threads, load.reader_threads);
+            spec.pinning = pinning;
+            let mut eval = self
+                .planner
+                .simulation()
+                .evaluate_mixed_degraded(&spec, &fstate.socket(socket));
+            if pinning == Pinning::None && fstate.upi_scale < 1.0 {
+                let haircut = 0.5 + 0.5 * fstate.upi_scale;
+                eval.read = eval.read.degrade(haircut);
+                eval.write = eval.write.degrade(haircut);
             }
-            units[u].socket = best;
-        }
-        waiting.push(u);
-    } else {
-        units[u].outcome = JobOutcome::Failed;
-        units[u].finished_at = now;
-        if units[u].admitted_at.is_nan() {
-            units[u].admitted_at = now;
-        }
-    }
-}
-
-/// The fault scale relevant to a job's side.
-fn side_scale(state: pmem_sim::faults::SocketFaultState, side: Side) -> f64 {
-    match side {
-        Side::Read => state.read_scale,
-        Side::Write => state.write_scale,
+            eval
+        };
+        let per_thread = |bw: Bandwidth, threads: u32| {
+            if threads > 0 {
+                bw.bytes_per_sec() / threads as f64
+            } else {
+                0.0
+            }
+        };
+        let pmem = lane(self.device);
+        let dram_read = if self.config.hot_tier.enabled && load.reader_threads > 0 {
+            per_thread(lane(DeviceClass::Dram).read, load.reader_threads)
+        } else {
+            0.0
+        };
+        (
+            per_thread(pmem.read, load.reader_threads),
+            per_thread(pmem.write, load.writer_threads),
+            dram_read,
+        )
     }
 }
 
@@ -1665,30 +1609,11 @@ struct LoopOutput {
     tier_shrunk_seconds: f64,
 }
 
-/// Sum the active reader/writer threads and outstanding bytes on a socket.
-fn socket_load(
-    units: &[Unit],
-    active: &[ActiveRun],
-    socket: SocketId,
-) -> crate::admission::SocketLoad {
-    let mut load = crate::admission::SocketLoad::default();
-    for run in active {
-        let unit = &units[run.unit];
-        if unit.socket != socket {
-            continue;
-        }
-        match unit.side {
-            Side::Read => {
-                load.reader_threads += unit.threads;
-                load.read_bytes += run.remaining as u64;
-            }
-            Side::Write => {
-                load.writer_threads += unit.threads;
-                load.write_bytes += run.remaining as u64;
-            }
-        }
+impl LoopOutput {
+    /// Share of the read bytes the hot tier served.
+    fn tier_hit_rate(&self) -> f64 {
+        self.tier_hit_bytes as f64 / self.read_bytes_moved.max(1) as f64
     }
-    load
 }
 
 #[cfg(test)]
@@ -1844,6 +1769,44 @@ mod tests {
             victim.finished_at >= 0.0005 + ResiliencePolicy::paper().media_repair_seconds - 1e-9,
             "retry cannot land before the quarantine lifts"
         );
+    }
+
+    #[test]
+    fn every_retry_waits_out_the_media_quarantine() {
+        // Socket 1 write-throttles to 5%, so the ingest routed there blows
+        // its deadline while socket 0 is under repair; the deadline retry
+        // must not be re-routed onto socket 0 before the repair ends.
+        let (media_at, repair) = (0.001, 0.5);
+        let mut events = media_plan(media_at, 0).events().to_vec();
+        events.push(pmem_sim::faults::FaultEvent {
+            start: 0.0005,
+            end: 1.0,
+            kind: pmem_sim::faults::FaultKind::WriteThrottle {
+                socket: SocketId(1),
+                factor: 0.05,
+            },
+        });
+        let config = ServeConfig::scheduled(server_planner())
+            .with_faults(FaultPlan::from_events(events))
+            .with_resilience(ResiliencePolicy {
+                media_repair_seconds: repair,
+                ..ResiliencePolicy::paper()
+            });
+        let store = store();
+        let mut server = QueryServer::new(&store, config);
+        server.submit_all([JobSpec::ingest(32 << 20).threads(2).deadline(0.03); 2]);
+        let report = server.run().expect("run");
+        assert!(report.jobs.iter().any(|j| j.retries > 0), "a job retried");
+        for job in &report.jobs {
+            if job.socket == SocketId(0) && job.finished_at > media_at {
+                assert!(
+                    job.finished_at >= media_at + repair - 1e-9,
+                    "{} ran on socket 0 inside its repair window, finishing at {}",
+                    job.id,
+                    job.finished_at
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! at 2× per-shard load must not dent fleet goodput below 85% of the
 //! healthy fleet, must keep the tail bounded, and must lose zero
 //! committed data — while the replication-off baseline demonstrably
-//! loses the dead shard's rows. Scaling 1 → N must stay near-linear,
-//! and every counter must be seed-deterministic.
+//! loses the dead shard's rows, and every counter must be
+//! seed-deterministic.
 //!
 //! Like the overload suite, the serving workload is ingest-only so the
 //! whole fleet prices in the virtual plane and the suite stays cheap.
@@ -166,37 +166,6 @@ fn poisoned_shard_repairs_from_its_remote_replica() {
     let fact = &cluster.machines()[victim].fact;
     assert!(fact.scrub().iter().all(|(_, r)| r.is_clean()));
     assert_eq!(ShardMachine::q11_partial(fact), before);
-}
-
-#[test]
-fn scaling_out_is_near_linear() {
-    let goodput: Vec<f64> = [1u32, 2, 4]
-        .iter()
-        .map(|&n| {
-            let report = fleet(n).run_healthy().expect("healthy run");
-            assert_eq!(report.lost_shard, None);
-            assert_eq!(report.rerouted_jobs, 0);
-            println!(
-                "{n} shard(s): {:.2} GiB/s over {} jobs",
-                report.goodput_gib_s(),
-                report.jobs
-            );
-            report.goodput_bytes_per_sec
-        })
-        .collect();
-    assert!(goodput[0] > 0.0);
-    assert!(
-        goodput[1] >= 1.6 * goodput[0],
-        "2 shards {:.3e} < 1.6x one shard {:.3e}",
-        goodput[1],
-        goodput[0]
-    );
-    assert!(
-        goodput[2] >= 3.2 * goodput[0],
-        "4 shards {:.3e} < 3.2x one shard {:.3e}",
-        goodput[2],
-        goodput[0]
-    );
 }
 
 #[test]
