@@ -248,8 +248,8 @@ fn throttle(start: f64, end: f64, socket: u8, factor: f64) -> FaultEvent {
     )
 }
 
-/// Work on both sockets when two media errors land, one of them on a
-/// socket whose retries are still queued.
+/// Media errors on socket 0 at 0.5 ms and on socket 1 at 4 ms, while the
+/// media jobs run on both sockets.
 fn media_faults() -> FaultPlan {
     FaultPlan::from_events(vec![media_error(0.0005, 0), media_error(0.004, 1)])
 }
