@@ -29,8 +29,8 @@ use pmem_sim::des::arrivals::ArrivalProcess;
 use pmem_sim::faults::FaultPlan;
 use pmem_sim::fleet::{machine_seed, FleetFaultPlans, Interconnect, LinkPlan};
 use pmem_sim::topology::Machine;
-use pmem_ssb::columnar::{ColumnarFact, ColumnarRepair};
-use pmem_ssb::datagen;
+use pmem_ssb::columnar::ColumnarFact;
+use pmem_ssb::{datagen, IntegrityRepair};
 use pmem_store::{Result, StoreError};
 
 use crate::detector::{DetectorConfig, DetectorMode, HealthState, HealthTimeline, Observation};
@@ -253,7 +253,7 @@ impl Cluster {
     /// its ring successor hosts. Errors if replication is off (no
     /// replica exists) — mirroring an operator pointing repair at a
     /// source that is not there.
-    pub fn repair_shard_from_replica(&mut self, shard: u32) -> Result<ColumnarRepair> {
+    pub fn repair_shard_from_replica(&mut self, shard: u32) -> Result<IntegrityRepair> {
         self.with_replica(shard, |target, replica| {
             target.fact.repair_from_replica(replica)
         })

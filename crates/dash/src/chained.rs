@@ -66,6 +66,13 @@ impl SealedChainedTable {
         self.inner.get(key, tally)
     }
 
+    /// Bytes the table holds in its namespace: its bucket array and its
+    /// nodes. The arrays a rehash or a node growth replaced have already
+    /// given theirs back.
+    pub fn bytes(&self) -> u64 {
+        self.inner.heads.len() + self.inner.nodes.len()
+    }
+
     /// Number of live records.
     pub fn len(&self) -> usize {
         self.len
@@ -380,6 +387,7 @@ mod tests {
         for k in 0..20_000u64 {
             assert_eq!(t.get(k), Some(k * 7), "key {k}");
         }
+        assert_eq!(t.seal().bytes(), ns.used());
     }
 
     #[test]

@@ -120,6 +120,12 @@ impl SealedDashTable {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// Bytes the table holds in its namespace: its segments' regions. The
+    /// segments a split replaced have already given theirs back.
+    pub fn bytes(&self) -> u64 {
+        self.segments.iter().map(|s| s.region.len()).sum()
+    }
 }
 
 impl DashTable {
@@ -663,6 +669,7 @@ mod tests {
         }
         assert!(t.stats().segments > 8, "{:?}", t.stats());
         assert_eq!(ns.used(), t.stats().bytes);
+        assert_eq!(t.seal().bytes(), ns.used());
 
         // Inserts until a split fails: with room for 2 or 4 segments the
         // failing split gets its first half and not its second; with a

@@ -18,7 +18,8 @@
 //!    PR-2 backoff machinery from amplifying a surge into a retry storm.
 //! 3. **Circuit breakers** — one per socket, tripping on a sustained
 //!    deadline-miss rate ([`BreakerConfig`]): an Open breaker stops
-//!    admission to its socket (unpinned work re-routes), then Half-Open
+//!    admission to its socket (unpinned work re-routes, never onto a
+//!    socket under media repair), then Half-Open
 //!    lets a single probe through before re-admitting the world.
 //! 4. **Brownout** — before shedding anything already queued, degrade
 //!    batch *quality*: widen the shared-scan coalescing window under

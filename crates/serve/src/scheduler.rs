@@ -1384,7 +1384,8 @@ impl<'a> EventLoop<'a> {
 
     /// Why unit `u` must wait before it is even priced for admission.
     /// Circuit breakers: an Open socket admits nothing — an unpinned unit
-    /// re-routes to the first non-open socket, a pinned one queues — and a
+    /// re-routes to the first socket neither open nor under a media
+    /// quarantine that has yet to lift, a pinned one queues — and a
     /// Half-Open socket takes exactly one probe at a time, whose outcome
     /// decides re-open vs close. Tenant fairness: every member tenant must
     /// hold tokens.
@@ -1394,11 +1395,12 @@ impl<'a> EventLoop<'a> {
                 .get(usize::from(s.0))
                 .map(CircuitBreaker::state)
         };
+        let repairing = |s: SocketId| self.quarantine.get(&s.0).is_some_and(|&l| l > self.now);
         let unit = &mut self.units[u];
         if state(unit.socket) == Some(BreakerState::Open) {
             let alt = (0..self.sockets)
                 .map(SocketId)
-                .find(|&s| state(s) != Some(BreakerState::Open));
+                .find(|&s| state(s) != Some(BreakerState::Open) && !repairing(s));
             match alt.filter(|_| !unit.pinned) {
                 Some(s) => unit.socket = s,
                 None => return Some(QueueReason::CircuitOpen),
@@ -1620,6 +1622,7 @@ impl LoopOutput {
 mod tests {
     use super::*;
     use crate::job::JobSpec;
+    use crate::overload::BreakerConfig;
     use pmem_ssb::{EngineMode, QueryId, StorageDevice};
 
     fn store() -> SsbStore {
@@ -1806,6 +1809,59 @@ mod tests {
                     job.finished_at
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_breaker_reroute_waits_out_the_media_quarantine() {
+        // Socket 0 write-throttles to 5%, so its pinned ingests blow their
+        // deadlines and trip its breaker while socket 1 is under repair;
+        // the unpinned ingests the Open breaker turns away must not be
+        // re-routed onto socket 1 before its repair ends.
+        let (media_at, repair) = (0.001, 0.5);
+        let mut events = media_plan(media_at, 1).events().to_vec();
+        events.push(pmem_sim::faults::FaultEvent {
+            start: 0.0005,
+            end: 1.0,
+            kind: pmem_sim::faults::FaultKind::WriteThrottle {
+                socket: SocketId(0),
+                factor: 0.05,
+            },
+        });
+        let overload = OverloadPolicy {
+            breaker: BreakerConfig {
+                window: 4,
+                min_samples: 2,
+                ..BreakerConfig::default_on()
+            },
+            ..OverloadPolicy::surge()
+        };
+        let config = ServeConfig::scheduled(server_planner())
+            .with_faults(FaultPlan::from_events(events))
+            .with_overload(overload)
+            .with_resilience(ResiliencePolicy {
+                media_repair_seconds: repair,
+                ..ResiliencePolicy::paper()
+            });
+        let store = store();
+        let mut server = QueryServer::new(&store, config);
+        let pinned = JobSpec::ingest(64 << 20)
+            .threads(2)
+            .socket(SocketId(0))
+            .deadline(0.03);
+        server.submit_all([pinned; 3]);
+        server.submit_all([JobSpec::ingest(16 << 20).threads(2); 2]);
+        let report = server.run().expect("run");
+        assert!(report.breaker_trips > 0, "socket 0's breaker tripped");
+        for job in &report.jobs {
+            let inside = |t: f64| t > media_at && t < media_at + repair - 1e-9;
+            assert!(
+                job.socket != SocketId(1) || !inside(job.finished_at),
+                "{} ran on socket 1 inside its repair window ({} -> {})",
+                job.id,
+                job.admitted_at,
+                job.finished_at
+            );
         }
     }
 

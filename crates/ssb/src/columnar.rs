@@ -9,7 +9,7 @@
 //! for `lineorder`, a column-projected parallel scan, and the per-query
 //! scan-byte comparison.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use pmem_store::scrub::{BlockChecksums, ScrubReport, SCRUB_BLOCK};
@@ -17,8 +17,14 @@ use pmem_store::{AccessHint, Namespace, Region, Result, StoreError};
 
 use crate::checkpoint::CheckpointStore;
 use crate::datagen::SsbData;
+use crate::engine::par_chunks;
+use crate::integrity::{repair_region, IntegrityRepair};
 use crate::queries::QueryId;
 use crate::schema::LINEORDER_ROW;
+
+/// Rows per scan chunk: 16 KB per `u32` column, and 4 KB-aligned byte
+/// offsets in every column.
+const CHUNK: u64 = 4096;
 
 /// The `lineorder` columns the SSB queries reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -218,7 +224,7 @@ impl ColumnarFact {
     /// poisoned over the needed rows (nothing left to rebuild from), and
     /// with [`StoreError::OutOfBounds`] if the checkpoint holds fewer rows
     /// than this table.
-    pub fn repair_from_checkpoint(&mut self, ckpt: &CheckpointStore) -> Result<ColumnarRepair> {
+    pub fn repair_from_checkpoint(&mut self, ckpt: &CheckpointStore) -> Result<IntegrityRepair> {
         if ckpt.rows() < self.rows {
             return Err(StoreError::OutOfBounds {
                 offset: 0,
@@ -231,7 +237,7 @@ impl ColumnarFact {
             // cannot be trusted as a rebuild source.
             return Err(StoreError::Poisoned { offset: 0, len: 0 });
         }
-        let mut repair = ColumnarRepair::default();
+        let mut repair = IntegrityRepair::default();
         for ((column, region), checks) in self.columns.iter_mut().zip(self.checks.iter()) {
             let width = column.width();
             let bad = checks.scrub(region).bad_blocks();
@@ -331,7 +337,7 @@ impl ColumnarFact {
     ///
     /// Fails with [`StoreError::OutOfBounds`] if the replica holds fewer
     /// rows than this table.
-    pub fn repair_from_replica(&mut self, replica: &ColumnarFact) -> Result<ColumnarRepair> {
+    pub fn repair_from_replica(&mut self, replica: &ColumnarFact) -> Result<IntegrityRepair> {
         if replica.rows() < self.rows {
             return Err(StoreError::OutOfBounds {
                 offset: 0,
@@ -343,26 +349,19 @@ impl ColumnarFact {
             // The rebuild source itself is dirty: refuse loudly.
             return Err(StoreError::Poisoned { offset: 0, len: 0 });
         }
-        let mut repair = ColumnarRepair::default();
+        let mut repair = IntegrityRepair::default();
         for ((column, region), checks) in self.columns.iter_mut().zip(self.checks.iter()) {
             let bad = checks.scrub(region).bad_blocks();
             if bad.is_empty() {
                 continue;
             }
-            let source = replica.region(*column);
             let region = Arc::get_mut(region).expect("no scan in flight during repair");
-            for block in bad {
-                let (offset, blen) = checks.block_range(block);
-                let good = source.try_read(offset, blen, AccessHint::Sequential)?;
-                region.try_ntstore(offset, good, AccessHint::Sequential)?;
-                repair.bytes_rewritten += blen;
-                if checks.verify_block(region, block)? {
-                    repair.blocks_repaired += 1;
-                } else {
-                    repair.unrepairable += 1;
-                }
-            }
-            region.sfence();
+            repair.absorb(repair_region(
+                region,
+                checks,
+                replica.region(*column),
+                &bad,
+            )?);
         }
         Ok(repair)
     }
@@ -581,49 +580,37 @@ impl ColumnarFact {
         A: Send,
         F: Fn(&mut A, &ColTuple) + Sync,
     {
-        const CHUNK: u64 = 4096; // rows per chunk: 16 KB per u32 column
-        let cursor = AtomicU64::new(0);
-        let chunks = self.rows.div_ceil(CHUNK);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads.max(1))
-                .map(|_| {
-                    let cursor = &cursor;
-                    let make_acc = &make_acc;
-                    let visit = &visit;
-                    scope.spawn(move || {
-                        let mut acc = make_acc();
-                        let mut tuples: Vec<ColTuple> = Vec::new();
-                        loop {
-                            let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                            if chunk >= chunks {
-                                break;
-                            }
-                            let start = chunk * CHUNK;
-                            let n = CHUNK.min(self.rows - start);
-                            tuples.clear();
-                            tuples.resize(n as usize, ColTuple::default());
-                            for &column in projection {
-                                let width = column.width();
-                                let bytes = self.region(column).read(
-                                    start * width,
-                                    n * width,
-                                    AccessHint::Sequential,
-                                );
-                                fill_column(column, bytes, &mut tuples);
-                            }
-                            for t in &tuples {
-                                visit(&mut acc, t);
-                            }
-                        }
-                        acc
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker"))
-                .collect()
-        })
+        let workers = par_chunks::<_, Infallible>(
+            self.rows.div_ceil(CHUNK),
+            threads,
+            || (make_acc(), Vec::new()),
+            |(acc, tuples), chunk| {
+                let (start, n) = self.chunk_rows(chunk, tuples);
+                for &column in projection {
+                    let width = column.width();
+                    let bytes =
+                        self.region(column)
+                            .read(start * width, n * width, AccessHint::Sequential);
+                    fill_column(column, bytes, tuples);
+                }
+                for t in tuples.iter() {
+                    visit(acc, t);
+                }
+                Ok(())
+            },
+        );
+        let workers = workers.unwrap_or_else(|never| match never {});
+        workers.into_iter().map(|(acc, _)| acc).collect()
+    }
+
+    /// The first row and the row count of scan chunk `chunk`, with
+    /// `tuples` reset to that many default tuples.
+    fn chunk_rows(&self, chunk: u64, tuples: &mut Vec<ColTuple>) -> (u64, u64) {
+        let start = chunk * CHUNK;
+        let n = CHUNK.min(self.rows - start);
+        tuples.clear();
+        tuples.resize(n as usize, ColTuple::default());
+        (start, n)
     }
 
     /// Bytes one column occupies.
@@ -653,87 +640,46 @@ impl ColumnarFact {
         A: Send,
         F: Fn(&mut A, &ColTuple) + Sync,
     {
-        const CHUNK: u64 = 4096; // rows per chunk, as in `scan`
         for &column in projection {
             let bytes = self.column_bytes(column);
             pool.observe(column.object_id(), bytes, bytes);
         }
         pool.replan();
-        let cursor = AtomicU64::new(0);
-        let chunks = self.rows.div_ceil(CHUNK);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads.max(1))
-                .map(|_| {
-                    let cursor = &cursor;
-                    let make_acc = &make_acc;
-                    let visit = &visit;
-                    scope.spawn(move || -> Result<A> {
-                        let mut acc = make_acc();
-                        let mut tuples: Vec<ColTuple> = Vec::new();
-                        let mut buf: Vec<u8> = Vec::new();
-                        loop {
-                            let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                            if chunk >= chunks {
-                                break;
-                            }
-                            let start = chunk * CHUNK;
-                            let n = CHUNK.min(self.rows - start);
-                            tuples.clear();
-                            tuples.resize(n as usize, ColTuple::default());
-                            for &column in projection {
-                                let width = column.width();
-                                let region = self.region(column);
-                                let mut off = start * width;
-                                let end = off + n * width;
-                                buf.clear();
-                                while off < end {
-                                    let page_len = (end - off).min(pmem_buffer::FRAME_BYTES);
-                                    pool.read_through(
-                                        pmem_buffer::PageKey {
-                                            object: column.object_id(),
-                                            page: off / pmem_buffer::FRAME_BYTES,
-                                        },
-                                        region,
-                                        off,
-                                        page_len,
-                                        &mut buf,
-                                    )?;
-                                    off += page_len;
-                                }
-                                fill_column(column, &buf, &mut tuples);
-                            }
-                            for t in &tuples {
-                                visit(&mut acc, t);
-                            }
-                        }
-                        Ok(acc)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker"))
-                .collect()
-        })
-    }
-}
-
-/// What one [`ColumnarFact::repair_from_checkpoint`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ColumnarRepair {
-    /// Blocks rebuilt from the checkpoint and verified against their
-    /// sealed checksum.
-    pub blocks_repaired: u64,
-    /// Bytes rewritten (ntstore traffic the repair cost).
-    pub bytes_rewritten: u64,
-    /// Blocks that could not be restored to a checksum-valid state.
-    pub unrepairable: u64,
-}
-
-impl ColumnarRepair {
-    /// Whether every bad block was restored.
-    pub fn is_fully_repaired(&self) -> bool {
-        self.unrepairable == 0
+        let workers = par_chunks(
+            self.rows.div_ceil(CHUNK),
+            threads,
+            || (make_acc(), Vec::new(), Vec::new()),
+            |(acc, tuples, buf), chunk| {
+                let (start, n) = self.chunk_rows(chunk, tuples);
+                for &column in projection {
+                    let width = column.width();
+                    let region = self.region(column);
+                    let mut off = start * width;
+                    let end = off + n * width;
+                    buf.clear();
+                    while off < end {
+                        let page_len = (end - off).min(pmem_buffer::FRAME_BYTES);
+                        pool.read_through(
+                            pmem_buffer::PageKey {
+                                object: column.object_id(),
+                                page: off / pmem_buffer::FRAME_BYTES,
+                            },
+                            region,
+                            off,
+                            page_len,
+                            buf,
+                        )?;
+                        off += page_len;
+                    }
+                    fill_column(column, buf, tuples);
+                }
+                for t in tuples.iter() {
+                    visit(acc, t);
+                }
+                Ok(())
+            },
+        )?;
+        Ok(workers.into_iter().map(|(acc, _, _)| acc).collect())
     }
 }
 
@@ -981,7 +927,7 @@ mod tests {
 
         // Repair is idempotent: a second pass finds nothing to do.
         let again = fact.repair_from_checkpoint(&ckpt).unwrap();
-        assert_eq!(again, ColumnarRepair::default());
+        assert_eq!(again, IntegrityRepair::default());
     }
 
     #[test]
@@ -1067,7 +1013,7 @@ mod tests {
 
         // Idempotent: a clean table has nothing left to repair.
         let again = fact.repair_from_replica(&replica).unwrap();
-        assert_eq!(again, ColumnarRepair::default());
+        assert_eq!(again, IntegrityRepair::default());
     }
 
     #[test]

@@ -13,10 +13,14 @@
 //! the buckets (Dash) or chain nodes (chained) a live table's `get` reads,
 //! so sealing moves host time and no tracked byte.
 //!
-//! Index accesses count into worker-local [`Tally`]s of the shard's index
-//! namespace: one per build and one per probing worker, each dropped, and
-//! so added into the namespace's tracker, before the snapshot that closes
-//! its phase.
+//! A query counts its own traffic. Every access it makes counts into a
+//! [`Tally`] the query owns: one per build for the dimension reads and one
+//! for the index writes, one per scan worker for its reads and one for its
+//! probes, one for the unaware engine's intermediate stores, one for the
+//! spill. The query reports the tallies' counts, so two queries on one
+//! store never see each other's traffic, and each tally adds its counts
+//! into its namespace's tracker when it drops, so the store-wide totals
+//! stay whole.
 //!
 //! [`spill_result`], the last write of both engines' queries, lands the
 //! encoded rows as one sequential non-temporal store and one fence into a
@@ -25,10 +29,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use pmem_dash::{ChainedTable, DashTable, KvIndex, SealedChainedTable, SealedDashTable};
-use pmem_store::{AccessHint, Namespace, Region, Result, Tally};
+use pmem_store::{AccessHint, Namespace, Region, Result, Tally, TrackerSnapshot};
 
 use crate::schema::{DateDim, GeoDim, Lineorder, PartDim, DIM_ROW, LINEORDER_ROW};
 use crate::storage::{EngineMode, RESULT_ROW};
@@ -92,41 +95,49 @@ impl JoinIndex {
         }
     }
 
+    /// Bytes the index holds in its namespace.
+    pub fn bytes(&self) -> u64 {
+        match self {
+            JoinIndex::Dash(t) => t.bytes(),
+            JoinIndex::Chained(t) => t.bytes(),
+        }
+    }
+
     /// Whether the index holds no records.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
 
-/// Build a join index over a dimension region and seal it. `decode` parses
-/// one row; `entry` maps it to `Some((key, payload))` if it passes the
+/// Build a join index over the `rows` rows of a dimension region and seal
+/// it. `entry` maps a row to `Some((key, payload))` if it passes the
 /// build-side filter (the paper's aware engine pushes dimension predicates
-/// into the build so probe misses filter fact rows).
-pub fn build_index<T, D, E>(
+/// into the build so probe misses filter fact rows). Returns the index, its
+/// inserts, and the build's traffic: the dimension reads and the index
+/// writes.
+pub fn build_index(
     ns: &Namespace,
     dim: &Region,
-    row_count: u64,
-    capacity_hint: usize,
+    rows: u64,
     mode: EngineMode,
-    decode: D,
-    entry: E,
-) -> Result<(JoinIndex, u64)>
-where
-    D: Fn(&[u8]) -> T,
-    E: Fn(&T) -> Option<(u64, u64)>,
-{
-    let fill = |index: &dyn KvIndex| -> Result<u64> {
-        // One tally for the whole build; it lands when `fill` returns.
-        let mut tally = ns.tally();
+    entry: impl Fn(&[u8; DIM_ROW as usize]) -> Option<(u64, u64)>,
+) -> Result<(JoinIndex, u64, TrackerSnapshot)> {
+    let mut reads = dim.tracker().tally();
+    let mut writes = ns.tally();
+    let mut fill = |index: &dyn KvIndex| -> Result<u64> {
         let mut inserts = 0u64;
         let mut row = 0u64;
-        while row < row_count {
-            let n = SCAN_CHUNK_ROWS.min(row_count - row);
-            let bytes = dim.read(row * DIM_ROW, n * DIM_ROW, AccessHint::Sequential);
-            for i in 0..n as usize {
-                let t = decode(&bytes[i * DIM_ROW as usize..(i + 1) * DIM_ROW as usize]);
-                if let Some((key, value)) = entry(&t) {
-                    index.insert_tallied(key, value, &mut tally)?;
+        while row < rows {
+            let n = SCAN_CHUNK_ROWS.min(rows - row);
+            let bytes = dim.read_tallied(
+                row * DIM_ROW,
+                n * DIM_ROW,
+                AccessHint::Sequential,
+                &mut reads,
+            );
+            for row in rows_of(bytes) {
+                if let Some((key, value)) = entry(row) {
+                    index.insert_tallied(key, value, &mut writes)?;
                     inserts += 1;
                 }
             }
@@ -134,79 +145,134 @@ where
         }
         Ok(inserts)
     };
-    Ok(match mode {
+    let (index, inserts) = match mode {
         EngineMode::Aware => {
-            let table = DashTable::with_capacity(ns, capacity_hint)?;
+            let table = DashTable::with_capacity(ns, rows as usize)?;
             let inserts = fill(&table)?;
             (JoinIndex::Dash(table.seal()), inserts)
         }
         EngineMode::Unaware => {
-            let table = ChainedTable::with_capacity(ns, capacity_hint)?;
+            let table = ChainedTable::with_capacity(ns, rows as usize)?;
             let inserts = fill(&table)?;
             (JoinIndex::Chained(table.seal()), inserts)
         }
+    };
+    Ok((index, inserts, reads.counts().plus(&writes.counts())))
+}
+
+/// The whole `ROW`-byte rows of `bytes`, each as a fixed-width array, so
+/// a decoder's field reads need no bounds checks.
+#[inline]
+fn rows_of<const ROW: usize>(bytes: &[u8]) -> impl Iterator<Item = &[u8; ROW]> {
+    bytes
+        .chunks_exact(ROW)
+        .map(|row| row.try_into().expect("a whole row"))
+}
+
+/// Run `threads` workers (at least one) over chunks `0..chunks`. Each
+/// worker claims the next unclaimed chunk from a shared cursor and hands
+/// it to `visit` with its own state, which starts as `init()`, until the
+/// chunks run out or `visit` fails. Returns the workers' states in spawn
+/// order, or the first error in that order.
+pub(crate) fn par_chunks<S: Send, E: Send>(
+    chunks: u64,
+    threads: u32,
+    init: impl Fn() -> S + Sync,
+    visit: impl Fn(&mut S, u64) -> std::result::Result<(), E> + Sync,
+) -> std::result::Result<Vec<S>, E> {
+    let cursor = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.max(1))
+            .map(|_| {
+                let (cursor, init, visit) = (&cursor, &init, &visit);
+                scope.spawn(move || {
+                    let mut state = init();
+                    loop {
+                        let chunk = cursor.fetch_add(1, Ordering::Relaxed);
+                        if chunk >= chunks {
+                            return Ok(state);
+                        }
+                        visit(&mut state, chunk)?;
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("scan worker"))
+            .collect()
     })
+}
+
+/// Scan the `rows` rows of `region`, `ROW` bytes each, with `threads`
+/// workers claiming chunks of `chunk_rows` rows ([`par_chunks`]). A chunk
+/// is one checked sequential read, counted into its worker's own tally,
+/// and each of its rows goes to the worker's accumulator. Returns the
+/// accumulators and the sum of the workers' read counts.
+pub(crate) fn scan_rows<const ROW: usize, A: Send>(
+    region: &Region,
+    rows: u64,
+    chunk_rows: u64,
+    threads: u32,
+    init: impl Fn() -> A + Sync,
+    visit: impl Fn(&mut A, &[u8; ROW]) + Sync,
+) -> Result<(Vec<A>, TrackerSnapshot)> {
+    let row_bytes = ROW as u64;
+    let workers = par_chunks(
+        rows.div_ceil(chunk_rows),
+        threads,
+        || (init(), region.tracker().tally()),
+        |(acc, reads), chunk| {
+            let start = chunk * chunk_rows;
+            let n = chunk_rows.min(rows - start);
+            let bytes = region.try_read_tallied(
+                start * row_bytes,
+                n * row_bytes,
+                AccessHint::Sequential,
+                reads,
+            )?;
+            for row in rows_of(bytes) {
+                visit(acc, row);
+            }
+            Ok(())
+        },
+    )?;
+    let mut reads = TrackerSnapshot::default();
+    let accs = workers
+        .into_iter()
+        .map(|(acc, tally)| {
+            reads = reads.plus(&tally.counts());
+            acc
+        })
+        .collect();
+    Ok((accs, reads))
 }
 
 /// Scan a fact partition with `threads` workers. Each worker claims 64 KB
 /// chunks from a shared cursor (individual sequential streams), decodes the
-/// rows, and feeds them to its own accumulator.
+/// rows, and feeds them to its own accumulator. Returns the accumulators
+/// and the scan's reads.
 ///
 /// Reads are checked: a chunk that intersects a poisoned XPLine aborts the
 /// scan with [`StoreError::Poisoned`](pmem_store::StoreError) instead of
 /// consuming corrupt rows, so query results are never silently wrong. The
 /// serving layer catches the typed error, quarantines and repairs the
 /// range, and retries the query.
-pub fn scan_fact<A, F>(
-    fact: &Arc<Region>,
+pub fn scan_fact<A: Send>(
+    fact: &Region,
     rows: u64,
     threads: u32,
     make_acc: impl Fn() -> A + Sync,
-    visit: F,
-) -> Result<Vec<A>>
-where
-    A: Send,
-    F: Fn(&mut A, &Lineorder) + Sync,
-{
-    let threads = threads.max(1);
-    let cursor = AtomicU64::new(0);
-    let total_chunks = rows.div_ceil(SCAN_CHUNK_ROWS);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads as usize);
-        for _ in 0..threads {
-            let fact = Arc::clone(fact);
-            let cursor = &cursor;
-            let make_acc = &make_acc;
-            let visit = &visit;
-            handles.push(scope.spawn(move || {
-                let mut acc = make_acc();
-                loop {
-                    let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= total_chunks {
-                        break;
-                    }
-                    let start_row = chunk * SCAN_CHUNK_ROWS;
-                    let n = SCAN_CHUNK_ROWS.min(rows - start_row);
-                    let bytes = fact.try_read(
-                        start_row * LINEORDER_ROW,
-                        n * LINEORDER_ROW,
-                        AccessHint::Sequential,
-                    )?;
-                    for i in 0..n as usize {
-                        let row = Lineorder::decode(
-                            &bytes[i * LINEORDER_ROW as usize..(i + 1) * LINEORDER_ROW as usize],
-                        );
-                        visit(&mut acc, &row);
-                    }
-                }
-                Ok(acc)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan worker"))
-            .collect()
-    })
+    visit: impl Fn(&mut A, &Lineorder) + Sync,
+) -> Result<(Vec<A>, TrackerSnapshot)> {
+    scan_rows::<{ LINEORDER_ROW as usize }, A>(
+        fact,
+        rows,
+        SCAN_CHUNK_ROWS,
+        threads,
+        make_acc,
+        |acc, row| visit(acc, &Lineorder::decode(row)),
+    )
 }
 
 /// A per-thread grouped aggregation accumulator.
@@ -254,18 +320,18 @@ impl GroupAgg {
 /// Spill a result set to the intermediate namespace as the final
 /// materialization step (sequential 16 B rows), mirroring the paper's
 /// intermediate-result writes: one region allocated for the rows, which
-/// land as one non-temporal store and one fence.
-pub fn spill_result(ns: &Namespace, rows: &[(u64, i64)]) -> Result<()> {
-    if rows.is_empty() {
-        return Ok(());
+/// land as one non-temporal store and one fence. Returns that traffic.
+pub fn spill_result(ns: &Namespace, rows: &[(u64, i64)]) -> Result<TrackerSnapshot> {
+    let mut tally = ns.tally();
+    if !rows.is_empty() {
+        let mut buf = Vec::with_capacity(rows.len() * RESULT_ROW as usize);
+        for (k, v) in rows {
+            buf.extend_from_slice(&k.to_le_bytes());
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        ns.alloc_region_stored(&[buf], AccessHint::Sequential, &mut tally)?;
     }
-    let mut buf = Vec::with_capacity(rows.len() * RESULT_ROW as usize);
-    for (k, v) in rows {
-        buf.extend_from_slice(&k.to_le_bytes());
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    ns.alloc_region_stored(&[buf], AccessHint::Sequential)?;
-    Ok(())
+    Ok(tally.counts())
 }
 
 // ---- Join payload packing -------------------------------------------------
@@ -383,17 +449,22 @@ mod tests {
             SsbStore::generate_and_load(0.002, 5, EngineMode::Aware, StorageDevice::PmemDevdax)
                 .unwrap();
         let shard = &store.shards[0];
-        let (index, inserts) = build_index(
+        let (index, inserts, traffic) = build_index(
             &shard.index_ns,
             &shard.parts,
             store.card.part as u64,
-            store.card.part as usize,
             EngineMode::Aware,
-            PartDim::decode,
-            |p| (p.category == 12).then(|| (p.partkey as u64, part_payload(p))),
+            |row| {
+                let p = PartDim::decode(row);
+                (p.category == 12).then(|| (p.partkey as u64, part_payload(&p)))
+            },
         )
         .unwrap();
         assert_eq!(index.len() as u64, inserts);
+        // The build read every row, and the index holds its namespace's
+        // bytes.
+        assert_eq!(traffic.seq_read_bytes, store.card.part as u64 * DIM_ROW);
+        assert_eq!(index.bytes(), shard.index_ns.used());
         // Roughly 1/25 of parts have a given category.
         let frac = inserts as f64 / store.card.part as f64;
         assert!((0.01..0.1).contains(&frac), "category selectivity {frac}");
@@ -405,7 +476,7 @@ mod tests {
             SsbStore::generate_and_load(0.002, 5, EngineMode::Aware, StorageDevice::PmemDevdax)
                 .unwrap();
         let shard = &store.shards[0];
-        let counts = scan_fact(
+        let (counts, reads) = scan_fact(
             &shard.fact,
             shard.fact_rows,
             4,
@@ -415,6 +486,7 @@ mod tests {
         .unwrap();
         let total: u64 = counts.iter().sum();
         assert_eq!(total, shard.fact_rows);
+        assert_eq!(reads.seq_read_bytes, shard.fact_rows * LINEORDER_ROW);
     }
 
     #[test]
@@ -423,7 +495,7 @@ mod tests {
         let store =
             SsbStore::load(&data, 0.002, EngineMode::Unaware, StorageDevice::PmemDevdax).unwrap();
         let shard = &store.shards[0];
-        let sums = scan_fact(
+        let (sums, _) = scan_fact(
             &shard.fact,
             shard.fact_rows,
             3,
@@ -452,10 +524,12 @@ mod tests {
     #[test]
     fn spill_result_accounts_sequential_writes() {
         let ns = pmem_store::Namespace::devdax(SocketId(0), 1 << 20);
-        spill_result(&ns, &[(1, 2), (3, 4)]).unwrap();
+        let spilled = spill_result(&ns, &[(1, 2), (3, 4)]).unwrap();
         let snap = ns.tracker().snapshot();
         assert_eq!(snap.seq_write_bytes, 32);
-        spill_result(&ns, &[]).unwrap(); // no-op
+        assert_eq!(spilled, snap);
+        let nothing = spill_result(&ns, &[]).unwrap(); // no-op
+        assert_eq!(nothing, pmem_store::TrackerSnapshot::default());
         assert_eq!(ns.tracker().snapshot().seq_write_bytes, 32);
     }
 }

@@ -26,10 +26,12 @@
 //! * the buffers land, in worker order, in a region allocated for them
 //!   ([`alloc_region_stored`]) as one non-temporal store of the whole
 //!   intermediate and one fence, so the tracked traffic is that of one
-//!   store however many workers ran;
-//! * the probes go to sealed indexes ([`JoinIndex`]), which take no lock,
-//!   and each probe-stage worker counts them into its own tally of the
-//!   index namespace, dropped before the stage's intermediate is written;
+//!   store however many workers ran; every intermediate of a query counts
+//!   its store and fence into one tally the query owns;
+//! * each stage worker reads its chunks of the input intermediate through
+//!   its own tally of the intermediate namespace, and probes sealed
+//!   indexes ([`JoinIndex`]), which take no lock, through its own tally
+//!   of the index namespace; the query adds up the tallies' counts;
 //! * the stage's input intermediate drops once the workers have read it,
 //!   before the output lands;
 //! * the final aggregation folds per-worker [`GroupAgg`]s, as the aware
@@ -50,15 +52,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use pmem_store::namespace::POOL_MIN_BYTES;
-use pmem_store::{AccessHint, Region, Result};
+use pmem_store::{AccessHint, Region, Result, Tally};
 
-use crate::engine::{scan_fact, spill_result, GroupAgg, JoinIndex, OpCounters};
+use crate::engine::{scan_fact, scan_rows, spill_result, GroupAgg, JoinIndex, OpCounters};
 use crate::queries::{build_for_plan, PhaseTraffic, Plan, QueryOutcome, ShardIndexes};
 use crate::storage::SsbStore;
 
 /// Bytes per materialized intermediate tuple: the four join keys, the
 /// aggregate value, and the four dimension payloads.
 pub const INTERMEDIATE_ROW: u64 = 64;
+
+/// Rows per chunk a stage worker claims of its input intermediate.
+const STAGE_CHUNK_ROWS: u64 = 1024;
 
 // Byte offsets of the fields of an encoded intermediate tuple. Keys are
 // `u32`, the value `i64` and payloads `u64`, all little-endian; bytes
@@ -193,67 +198,26 @@ struct Intermediate {
 }
 
 /// Materialize the encoded rows of `parts`, in order, into a fresh
-/// intermediate region with one non-temporal store and one fence. An
-/// empty stage output is one empty tuple's region, never stored to. The
-/// parts go back to the stage buffers.
-fn materialize(store: &SsbStore, parts: Vec<Vec<u8>>) -> Result<Intermediate> {
+/// intermediate region with one non-temporal store and one fence, counted
+/// into `stores` (a tally of the intermediate namespace). An empty stage
+/// output is one empty tuple's region, never stored to. The parts go back
+/// to the stage buffers.
+fn materialize(
+    store: &SsbStore,
+    parts: Vec<Vec<u8>>,
+    stores: &mut Tally<'_>,
+) -> Result<Intermediate> {
     let ns = &store.shards[0].intermediate_ns;
     let bytes: u64 = parts.iter().map(|p| p.len() as u64).sum();
     let landed = if bytes == 0 {
         ns.alloc_region(INTERMEDIATE_ROW)
     } else {
-        ns.alloc_region_stored(&parts, AccessHint::Sequential)
+        ns.alloc_region_stored(&parts, AccessHint::Sequential, stores)
     };
     store.stage_buffers.give(parts);
     Ok(Intermediate {
         region: landed?,
         rows: bytes / INTERMEDIATE_ROW,
-    })
-}
-
-/// Parallel chunked pass over an intermediate: each worker claims chunks
-/// of rows, reads each with one sequential access, and feeds every encoded
-/// row to its own accumulator.
-fn scan_intermediate<A: Send>(
-    input: &Intermediate,
-    threads: u32,
-    make_acc: impl Fn() -> A + Sync,
-    visit: impl Fn(&mut A, &[u8]) + Sync,
-) -> Vec<A> {
-    const CHUNK: u64 = 1024;
-    let (region, count) = (&input.region, input.rows);
-    let cursor = AtomicU64::new(0);
-    let chunks = count.div_ceil(CHUNK);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.max(1))
-            .map(|_| {
-                let (cursor, make_acc, visit) = (&cursor, &make_acc, &visit);
-                scope.spawn(move || {
-                    let mut acc = make_acc();
-                    loop {
-                        let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= chunks {
-                            break;
-                        }
-                        let start = chunk * CHUNK;
-                        let n = CHUNK.min(count - start);
-                        let bytes = region.read(
-                            start * INTERMEDIATE_ROW,
-                            n * INTERMEDIATE_ROW,
-                            AccessHint::Sequential,
-                        );
-                        for row in bytes.chunks_exact(INTERMEDIATE_ROW as usize) {
-                            visit(&mut acc, row);
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("stage worker"))
-            .collect()
     })
 }
 
@@ -263,34 +227,26 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
     let shard = &store.shards[0];
     let threads = threads.max(1);
 
-    let fact0 = shard.fact_ns.tracker().snapshot();
-    let dimidx0 = shard
-        .dim_ns
-        .tracker()
-        .snapshot()
-        .plus(&shard.index_ns.tracker().snapshot());
-
     // ---- Build phase: full (unfiltered) chained indexes ----
     // The indexes are per-query structures: their regions return their
     // bytes when they drop, on every return path.
     let indexes = build_for_plan(store, shard, plan)?;
 
-    let build = shard
-        .dim_ns
-        .tracker()
-        .snapshot()
-        .plus(&shard.index_ns.tracker().snapshot())
-        .since(&dimidx0);
-    let index1 = shard.index_ns.tracker().snapshot();
-    let inter0 = shard.intermediate_ns.tracker().snapshot();
-
     let mut counters = OpCounters {
         build_inserts: indexes.inserts,
         ..OpCounters::default()
     };
+    let mut traffic = PhaseTraffic {
+        build: indexes.traffic,
+        index_bytes_by_dim: indexes.bytes_by_dim(),
+        ..PhaseTraffic::default()
+    };
+    traffic.index_bytes = traffic.index_bytes_by_dim.iter().sum();
+    // Every intermediate's store and fence.
+    let mut stores = shard.intermediate_ns.tally();
 
     // ---- Stage 0: table scan, materialize survivors ----
-    let scanned: Vec<Vec<u8>> = scan_fact(
+    let (scanned, fact) = scan_fact(
         &shard.fact,
         shard.fact_rows,
         threads,
@@ -309,8 +265,9 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
             }
         },
     )?;
+    traffic.fact = fact;
     counters.tuples_scanned = shard.fact_rows;
-    let mut current = materialize(store, scanned)?;
+    let mut current = materialize(store, scanned, &mut stores)?;
 
     // ---- One materializing probe stage per joined dimension ----
     // (index, predicate, key offset, payload offset)
@@ -333,16 +290,18 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
             .as_ref()
             .expect("index built for joined dim");
         let room = current.rows * INTERMEDIATE_ROW;
-        let outs = scan_intermediate(
-            &current,
+        let (outs, reads) = scan_rows::<{ INTERMEDIATE_ROW as usize }, _>(
+            &current.region,
+            current.rows,
+            STAGE_CHUNK_ROWS,
             threads,
             || {
                 let out = store.stage_buffers.take(room);
                 (out, OpCounters::default(), shard.index_ns.tally())
             },
-            |(out, c, tally), row| {
+            |(out, c, probes), row| {
                 c.probes += 1;
-                if let Some(payload) = idx.get(u32_at(row, key_at) as u64, tally) {
+                if let Some(payload) = idx.get(u32_at(row, key_at) as u64, probes) {
                     if pred(payload) {
                         let at = out.len() + payload_at;
                         out.extend_from_slice(row);
@@ -350,51 +309,54 @@ pub(crate) fn execute_unaware(store: &SsbStore, plan: &Plan, threads: u32) -> Re
                     }
                 }
             },
-        );
+        )?;
+        traffic.intermediate = traffic.intermediate.plus(&reads);
         let mut parts = Vec::with_capacity(outs.len());
-        for (out, c, tally) in outs {
-            drop(tally);
+        for (out, c, probes) in outs {
             counters.merge(&c);
+            traffic.probe = traffic.probe.plus(&probes.counts());
             parts.push(out);
         }
         // The stage has read all of its input, and its output waits in
         // the stage buffers: the input drops, returning its budget and its
         // host image, before the output lands (in that image, if large).
         drop(current);
-        current = materialize(store, parts)?;
+        current = materialize(store, parts, &mut stores)?;
     }
 
     // ---- Final aggregation over the last intermediate ----
+    let (parts, reads) = scan_rows::<{ INTERMEDIATE_ROW as usize }, _>(
+        &current.region,
+        current.rows,
+        STAGE_CHUNK_ROWS,
+        threads,
+        GroupAgg::default,
+        |agg, row| {
+            let rec = Rec::decode(row);
+            agg.add((plan.group)(rec.dp, rec.cp, rec.sp, rec.pp), rec.value);
+        },
+    )?;
     let mut agg = GroupAgg::default();
-    for part in scan_intermediate(&current, threads, GroupAgg::default, |agg, row| {
-        let rec = Rec::decode(row);
-        agg.add((plan.group)(rec.dp, rec.cp, rec.sp, rec.pp), rec.value);
-    }) {
+    for part in parts {
         agg.merge(part);
     }
     counters.tuples_selected = current.rows;
     counters.agg_updates = agg.updates;
     drop(current);
 
-    let probe = shard.index_ns.tracker().snapshot().since(&index1);
-    let fact = shard.fact_ns.tracker().snapshot().since(&fact0);
-
     let rows = agg.into_sorted();
-    spill_result(&shard.intermediate_ns, &rows)?;
-    let intermediate = shard.intermediate_ns.tracker().snapshot().since(&inter0);
+    let spilled = spill_result(&shard.intermediate_ns, &rows)?;
+    traffic.intermediate = traffic
+        .intermediate
+        .plus(&reads)
+        .plus(&stores.counts())
+        .plus(&spilled);
 
     Ok(QueryOutcome {
         query: crate::queries::QueryId::Q1_1, // overwritten by caller
         rows,
         counters,
-        traffic: PhaseTraffic {
-            build,
-            probe,
-            fact,
-            intermediate,
-            index_bytes: indexes.bytes_by_dim.iter().sum(),
-            index_bytes_by_dim: indexes.bytes_by_dim,
-        },
+        traffic,
         threads,
     })
 }

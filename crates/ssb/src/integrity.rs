@@ -62,7 +62,7 @@ impl IntegrityRepair {
         self.unrepairable == 0
     }
 
-    fn absorb(&mut self, other: IntegrityRepair) {
+    pub(crate) fn absorb(&mut self, other: IntegrityRepair) {
         self.blocks_repaired += other.blocks_repaired;
         self.bytes_rewritten += other.bytes_rewritten;
         self.unrepairable += other.unrepairable;
@@ -163,10 +163,8 @@ pub fn repair_region(
     let mut repair = IntegrityRepair::default();
     for &block in bad {
         let (offset, len) = checks.block_range(block);
-        let good = source
-            .try_read(offset, len, AccessHint::Sequential)?
-            .to_vec();
-        region.try_ntstore(offset, &good, AccessHint::Sequential)?;
+        let good = source.try_read(offset, len, AccessHint::Sequential)?;
+        region.try_ntstore(offset, good, AccessHint::Sequential)?;
         repair.bytes_rewritten += len;
         if checks.verify_block(region, block)? {
             repair.blocks_repaired += 1;

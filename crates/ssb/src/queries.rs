@@ -17,7 +17,7 @@ use crate::engine::{
     spill_result, GroupAgg, JoinIndex, OpCounters,
 };
 use crate::schema::{
-    city_of, DateDim, GeoDim, Lineorder, PartDim, Region, NATION_UNITED_KINGDOM,
+    city_of, DateDim, GeoDim, Lineorder, PartDim, Region, DIM_ROW, NATION_UNITED_KINGDOM,
     NATION_UNITED_STATES,
 };
 use crate::storage::{EngineMode, SocketShard, SsbStore};
@@ -171,9 +171,37 @@ pub(crate) struct ShardIndexes {
     pub(crate) supp: Option<JoinIndex>,
     pub(crate) part: Option<JoinIndex>,
     pub(crate) inserts: u64,
-    /// Index bytes per dimension (date, cust, supp, part) — the timing
-    /// model scales each by its own cardinality growth.
-    pub(crate) bytes_by_dim: [u64; 4],
+    /// The builds' dimension reads and index writes.
+    pub(crate) traffic: TrackerSnapshot,
+}
+
+impl ShardIndexes {
+    /// Index bytes per dimension (date, cust, supp, part), 0 where the
+    /// plan joins none: the timing model scales each by its own
+    /// cardinality growth.
+    pub(crate) fn bytes_by_dim(&self) -> [u64; 4] {
+        [&self.date, &self.cust, &self.supp, &self.part]
+            .map(|index| index.as_ref().map_or(0, JoinIndex::bytes))
+    }
+
+    /// The full index (key → payload) of a dimension's `rows` rows, its
+    /// inserts and traffic added to this set's.
+    fn build(
+        &mut self,
+        shard: &SocketShard,
+        mode: EngineMode,
+        dim: &pmem_store::Region,
+        rows: u32,
+        entry: impl Fn(&[u8; DIM_ROW as usize]) -> (u64, u64),
+    ) -> Result<JoinIndex> {
+        let (index, inserts, traffic) =
+            build_index(&shard.index_ns, dim, rows.into(), mode, |row| {
+                Some(entry(row))
+            })?;
+        self.inserts += inserts;
+        self.traffic = self.traffic.plus(&traffic);
+        Ok(index)
+    }
 }
 
 /// What one query needs, expressed as payload predicates. `None` means the
@@ -208,70 +236,39 @@ pub(crate) fn build_for_plan(
     shard: &SocketShard,
     plan: &Plan,
 ) -> Result<ShardIndexes> {
-    let mode = store.mode;
+    let (card, mode) = (&store.card, store.mode);
     let mut out = ShardIndexes::default();
-
     if plan.date.is_some() {
-        let used0 = shard.index_ns.used();
-        let (idx, n) = build_index(
-            &shard.index_ns,
-            &shard.dates,
-            store.card.date as u64,
-            store.card.date as usize,
-            mode,
-            DateDim::decode,
-            |d| Some((d.datekey as u64, date_payload(d))),
-        )?;
-        out.date = Some(idx);
-        out.inserts += n;
-        out.bytes_by_dim[0] = shard.index_ns.used() - used0;
+        out.date = Some(out.build(shard, mode, &shard.dates, card.date, date_entry)?);
     }
     if plan.cust.is_some() {
-        let used0 = shard.index_ns.used();
-        let (idx, n) = build_index(
-            &shard.index_ns,
-            &shard.customers,
-            store.card.customer as u64,
-            store.card.customer as usize,
-            mode,
-            GeoDim::decode,
-            |g| Some((g.key as u64, geo_payload(g))),
-        )?;
-        out.cust = Some(idx);
-        out.inserts += n;
-        out.bytes_by_dim[1] = shard.index_ns.used() - used0;
+        out.cust = Some(out.build(shard, mode, &shard.customers, card.customer, geo_entry)?);
     }
     if plan.supp.is_some() {
-        let used0 = shard.index_ns.used();
-        let (idx, n) = build_index(
-            &shard.index_ns,
-            &shard.suppliers,
-            store.card.supplier as u64,
-            store.card.supplier as usize,
-            mode,
-            GeoDim::decode,
-            |g| Some((g.key as u64, geo_payload(g))),
-        )?;
-        out.supp = Some(idx);
-        out.inserts += n;
-        out.bytes_by_dim[2] = shard.index_ns.used() - used0;
+        out.supp = Some(out.build(shard, mode, &shard.suppliers, card.supplier, geo_entry)?);
     }
     if plan.part.is_some() {
-        let used0 = shard.index_ns.used();
-        let (idx, n) = build_index(
-            &shard.index_ns,
-            &shard.parts,
-            store.card.part as u64,
-            store.card.part as usize,
-            mode,
-            PartDim::decode,
-            |p| Some((p.partkey as u64, part_payload(p))),
-        )?;
-        out.part = Some(idx);
-        out.inserts += n;
-        out.bytes_by_dim[3] = shard.index_ns.used() - used0;
+        out.part = Some(out.build(shard, mode, &shard.parts, card.part, part_entry)?);
     }
     Ok(out)
+}
+
+/// A `date` row's index entry: its key and payload.
+fn date_entry(row: &[u8; DIM_ROW as usize]) -> (u64, u64) {
+    let d = DateDim::decode(row);
+    (u64::from(d.datekey), date_payload(&d))
+}
+
+/// A `customer` or `supplier` row's index entry.
+fn geo_entry(row: &[u8; DIM_ROW as usize]) -> (u64, u64) {
+    let g = GeoDim::decode(row);
+    (u64::from(g.key), geo_payload(&g))
+}
+
+/// A `part` row's index entry.
+fn part_entry(row: &[u8; DIM_ROW as usize]) -> (u64, u64) {
+    let p = PartDim::decode(row);
+    (u64::from(p.partkey), part_payload(&p))
 }
 
 /// Probe an optional index, returning `Some(payload)` if the row survives.
@@ -297,21 +294,6 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
     let threads = threads.max(1);
     let per_shard_threads = (threads / store.shards.len() as u32).max(1);
 
-    let snap = |f: &dyn Fn(&SocketShard) -> TrackerSnapshot| -> TrackerSnapshot {
-        store
-            .shards
-            .iter()
-            .map(f)
-            .fold(TrackerSnapshot::default(), |a, b| a.plus(&b))
-    };
-    let fact0 = snap(&|s| s.fact_ns.tracker().snapshot());
-    let dimidx0 = snap(&|s| {
-        s.dim_ns
-            .tracker()
-            .snapshot()
-            .plus(&s.index_ns.tracker().snapshot())
-    });
-
     // ---- Build phase (per shard, in parallel) ----
     // The indexes are per-query structures: their regions return their
     // bytes when they drop, on every return path, so repeated executions
@@ -328,27 +310,17 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
             .collect::<Result<Vec<_>>>()
     })?;
 
-    let build_traffic = snap(&|s| {
-        s.dim_ns
-            .tracker()
-            .snapshot()
-            .plus(&s.index_ns.tracker().snapshot())
-    })
-    .since(&dimidx0);
-    let index1 = snap(&|s| s.index_ns.tracker().snapshot());
-
     // ---- Probe/scan phase (shards in parallel, threads per shard) ----
-    // Each scan worker probes through a tally of its shard's index
-    // namespace. The tallies drop in the shard threads, on the error path
-    // with their workers, so all land before the probe snapshot.
-    let shard_results: Vec<(GroupAgg, OpCounters)> = std::thread::scope(|scope| {
+    // Each scan worker probes through its own tally of its shard's index
+    // namespace.
+    let shard_scans = std::thread::scope(|scope| {
         let handles: Vec<_> = store
             .shards
             .iter()
             .zip(shard_indexes.iter())
             .map(|(shard, indexes)| {
-                scope.spawn(move || -> Result<(GroupAgg, OpCounters)> {
-                    let accs = scan_fact(
+                scope.spawn(move || {
+                    scan_fact(
                         &shard.fact,
                         shard.fact_rows,
                         per_shard_threads,
@@ -379,15 +351,7 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
                             counters.tuples_selected += 1;
                             agg.add((plan.group)(dp, cp, sp, pp), (plan.value)(row));
                         },
-                    )?;
-                    let mut agg = GroupAgg::default();
-                    let mut counters = OpCounters::default();
-                    for (a, c, tally) in accs {
-                        drop(tally);
-                        agg.merge(a);
-                        counters.merge(&c);
-                    }
-                    Ok((agg, counters))
+                    )
                 })
             })
             .collect();
@@ -399,39 +363,33 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
 
     let mut agg = GroupAgg::default();
     let mut counters = OpCounters::default();
-    for (a, c) in shard_results {
-        agg.merge(a);
-        counters.merge(&c);
+    let mut traffic = PhaseTraffic::default();
+    for (workers, fact) in shard_scans {
+        traffic.fact = traffic.fact.plus(&fact);
+        for (a, c, probes) in workers {
+            agg.merge(a);
+            counters.merge(&c);
+            traffic.probe = traffic.probe.plus(&probes.counts());
+        }
     }
     counters.agg_updates = agg.updates;
-    counters.build_inserts = shard_indexes.iter().map(|s| s.inserts).sum();
-    let mut index_bytes_by_dim = [0u64; 4];
     for si in &shard_indexes {
-        for (total, bytes) in index_bytes_by_dim.iter_mut().zip(si.bytes_by_dim) {
+        counters.build_inserts += si.inserts;
+        traffic.build = traffic.build.plus(&si.traffic);
+        for (total, bytes) in traffic.index_bytes_by_dim.iter_mut().zip(si.bytes_by_dim()) {
             *total += bytes;
         }
     }
+    traffic.index_bytes = traffic.index_bytes_by_dim.iter().sum();
 
-    let probe_traffic = snap(&|s| s.index_ns.tracker().snapshot()).since(&index1);
-    let fact_traffic = snap(&|s| s.fact_ns.tracker().snapshot()).since(&fact0);
-
-    let inter0 = snap(&|s| s.intermediate_ns.tracker().snapshot());
     let rows = agg.into_sorted();
-    spill_result(&store.shards[0].intermediate_ns, &rows)?;
-    let intermediate = snap(&|s| s.intermediate_ns.tracker().snapshot()).since(&inter0);
+    traffic.intermediate = spill_result(&store.shards[0].intermediate_ns, &rows)?;
 
     Ok(QueryOutcome {
         query: QueryId::Q1_1, // overwritten by caller
         rows,
         counters,
-        traffic: PhaseTraffic {
-            build: build_traffic,
-            probe: probe_traffic,
-            fact: fact_traffic,
-            intermediate,
-            index_bytes: index_bytes_by_dim.iter().sum(),
-            index_bytes_by_dim,
-        },
+        traffic,
         threads,
     })
 }

@@ -135,7 +135,6 @@ fn ssb_figure(
 
     let mut rows = Vec::with_capacity(13);
     for q in QueryId::ALL {
-        store.reset_trackers();
         let outcome = run_query(&store, q, run_threads)?;
         let pmem = estimate(&outcome, mode, &pmem_cfg, &sim, &params).total_seconds;
         let dram = estimate(&outcome, mode, &dram_cfg, &sim, &params).total_seconds;
@@ -183,7 +182,6 @@ pub struct LadderStep {
 pub fn table1_ladder(run_sf: f64, run_threads: u32) -> Result<(Vec<LadderStep>, f64)> {
     let store =
         SsbStore::generate_and_load(run_sf, 414, EngineMode::Aware, StorageDevice::PmemFsdax)?;
-    store.reset_trackers();
     let outcome = run_query(&store, QueryId::Q2_1, run_threads)?;
     let sim = Simulation::paper_default();
     let params = TimingParams::default();

@@ -249,8 +249,9 @@ impl SsbStore {
         self.shards.iter().map(|s| s.fact_rows).sum()
     }
 
-    /// Reset every tracker (call after load so query accounting starts
-    /// clean).
+    /// Reset every tracker, so the store-wide counts start from zero
+    /// (e.g. after the load). A query's reported traffic is its own and
+    /// does not depend on the trackers.
     pub fn reset_trackers(&self) {
         for shard in &self.shards {
             shard.fact_ns.tracker().reset();

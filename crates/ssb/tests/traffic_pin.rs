@@ -10,8 +10,11 @@
 //! A query that fails is pinned too: with one XPLine of every fact
 //! partition poisoned, each query stops where its scan meets the poison,
 //! and what every namespace's tracker holds then is digested.
+//!
+//! A query counts only its own traffic, so two queries run at once on one
+//! store must each report exactly their solo outcome.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use pmem_ssb::{
     run_query, EngineMode, OpCounters, PhaseTraffic, QueryId, QueryOutcome, SsbStore, StorageDevice,
@@ -173,5 +176,44 @@ fn failing_queries_leave_the_pinned_counts() {
             digest, pinned,
             "{mode:?} engine digest {digest:#018x}, pinned {pinned:#018x}"
         );
+    }
+}
+
+#[test]
+fn concurrent_queries_report_their_solo_outcomes() {
+    use QueryId::*;
+    // Devdax: no first-touch faults, so a query's counts do not depend on
+    // what ran before it.
+    for (mode, pairs) in [
+        (EngineMode::Aware, [[Q2_1, Q4_3], [Q1_1, Q3_2]]),
+        (EngineMode::Unaware, [[Q1_1, Q3_2], [Q2_1, Q4_1]]),
+    ] {
+        let store = SsbStore::generate_and_load(SF, SEED, mode, StorageDevice::PmemDevdax)
+            .expect("store loads");
+        for pair in pairs {
+            let solo = pair.map(|q| run_query(&store, q, THREADS).expect("query runs"));
+            for _ in 0..5 {
+                // Both queries start together and run side by side.
+                let (store, start) = (&store, &Barrier::new(2));
+                let together = std::thread::scope(|scope| {
+                    pair.map(|q| {
+                        scope.spawn(move || {
+                            start.wait();
+                            run_query(store, q, THREADS)
+                        })
+                    })
+                    .map(|run| run.join().expect("query thread"))
+                });
+                for (i, outcome) in together.into_iter().enumerate() {
+                    assert_eq!(
+                        outcome.expect("query runs"),
+                        solo[i],
+                        "{mode:?} {} beside {}",
+                        pair[i].name(),
+                        pair[1 - i].name()
+                    );
+                }
+            }
+        }
     }
 }

@@ -296,17 +296,19 @@ impl Namespace {
     /// Allocate a region of the parts' total length already holding
     /// `parts`, in order, persisted: exactly [`Namespace::alloc_region`],
     /// one gather store of `parts` at offset 0 with `hint`, and one
-    /// `sfence`. The store saves no pre-image, since nothing was fenced
-    /// before it, so the region's only host memory is its bytes.
+    /// `sfence`, both counted into `tally` (a tally of this namespace).
+    /// The store saves no pre-image, since nothing was fenced before it,
+    /// so the region's only host memory is its bytes.
     pub fn alloc_region_stored<B: AsRef<[u8]>>(
         &self,
         parts: &[B],
         hint: AccessHint,
+        tally: &mut Tally<'_>,
     ) -> Result<Region> {
         let len = parts.iter().map(|p| p.as_ref().len() as u64).sum();
         let mut region = self.alloc_region(len)?;
-        region.try_ntstore_gather(0, parts, hint)?;
-        region.sfence();
+        region.try_ntstore_gather(0, parts, hint, tally)?;
+        region.sfence_tallied(tally);
         Ok(region)
     }
 
@@ -381,8 +383,12 @@ mod tests {
                 ns.alloc_region(600).unwrap(),
                 ns.alloc_region(MIB).unwrap(),
                 ns.alloc_region(MIB + 600).unwrap(),
-                ns.alloc_region_stored(&[[7u8; 100], [8; 100]], AccessHint::Sequential)
-                    .unwrap(),
+                ns.alloc_region_stored(
+                    &[[7u8; 100], [8; 100]],
+                    AccessHint::Sequential,
+                    &mut ns.tally(),
+                )
+                .unwrap(),
             ];
             let held = 2 * MIB + 1400;
             assert_eq!(
@@ -396,7 +402,7 @@ mod tests {
             assert!(ns.alloc_region(over).is_err(), "{what}");
             let parts = [vec![0u8; over as usize]];
             assert!(matches!(
-                ns.alloc_region_stored(&parts, AccessHint::Sequential),
+                ns.alloc_region_stored(&parts, AccessHint::Sequential, &mut ns.tally()),
                 Err(StoreError::OutOfSpace { requested, .. }) if requested == over
             ));
             assert_eq!(ns.used(), held, "{what}");
@@ -412,7 +418,9 @@ mod tests {
             // holds 1 MiB + 300 B, and the length charged, not the image's
             // capacity, comes back.
             let parts = [vec![1u8; (MIB + 300) as usize]];
-            let reused = ns.alloc_region_stored(&parts, AccessHint::Random).unwrap();
+            let reused = ns
+                .alloc_region_stored(&parts, AccessHint::Random, &mut ns.tally())
+                .unwrap();
             assert_eq!((ns.used(), ns.fresh_images()), (MIB + 300, 2), "{what}");
             drop(reused);
             assert_eq!(ns.used(), 0, "{what}");
@@ -545,10 +553,14 @@ mod tests {
                     fused_ns.tracker().reset();
                     let fresh0 = fused_ns.fresh_images();
 
-                    let mut fused = fused_ns.alloc_region_stored(parts, hint).unwrap();
+                    let mut fused = fused_ns
+                        .alloc_region_stored(parts, hint, &mut fused_ns.tally())
+                        .unwrap();
                     let len = fused.len();
                     let mut plain = plain_ns.alloc_region(len).unwrap();
-                    plain.try_ntstore_gather(0, parts, hint).unwrap();
+                    plain
+                        .try_ntstore_gather(0, parts, hint, &mut plain_ns.tally())
+                        .unwrap();
                     plain.sfence();
                     let what = format!("{:?} {len} B {hint:?}", fused_ns.mode());
                     same(&fused, &plain, &what);
@@ -586,7 +598,7 @@ mod tests {
         // Out of space: nothing charged, nothing counted.
         let ns = Namespace::devdax(S0, 100);
         assert!(matches!(
-            ns.alloc_region_stored(&[[0u8; 101]], AccessHint::Sequential),
+            ns.alloc_region_stored(&[[0u8; 101]], AccessHint::Sequential, &mut ns.tally()),
             Err(StoreError::OutOfSpace {
                 requested: 101,
                 available: 100

@@ -679,7 +679,7 @@ impl Region {
 
     /// Fallible [`Region::ntstore`] with an explicit hint.
     pub fn try_ntstore(&mut self, offset: u64, bytes: &[u8], hint: AccessHint) -> Result<()> {
-        self.try_ntstore_gather(offset, &[bytes], hint)
+        self.try_ntstore_gather_with(offset, &[bytes], hint, &mut OneAccess)
     }
 
     /// [`Region::try_ntstore`], counted into `tally`.
@@ -694,18 +694,19 @@ impl Region {
         self.try_ntstore_gather_with(offset, &[bytes], hint, tally.of(&self.tracker))
     }
 
-    /// Gather form of [`Region::try_ntstore`]: `parts`, in order, land at
-    /// `offset` as one non-temporal store. Bounds, accounting, the trace
-    /// and persistence events, the lines and the poison cleared are those
-    /// of one store of their concatenation, which is built only for an
-    /// attached persistence trace.
+    /// Gather form of [`Region::try_ntstore_tallied`]: `parts`, in order,
+    /// land at `offset` as one non-temporal store counted into `tally`.
+    /// Bounds, accounting, the trace and persistence events, the lines and
+    /// the poison cleared are those of one store of their concatenation,
+    /// which is built only for an attached persistence trace.
     pub(crate) fn try_ntstore_gather<B: AsRef<[u8]>>(
         &mut self,
         offset: u64,
         parts: &[B],
         hint: AccessHint,
+        tally: &mut Tally<'_>,
     ) -> Result<()> {
-        self.try_ntstore_gather_with(offset, parts, hint, &mut OneAccess)
+        self.try_ntstore_gather_with(offset, parts, hint, tally.of(&self.tracker))
     }
 
     /// The one body of every non-temporal store.
@@ -1237,8 +1238,9 @@ mod tests {
         // falls inside the poisoned XPLine 512..768, which the store covers.
         let parts: [&[u8]; 3] = [&[7; 300], &[], &[9; 400]];
         let writes0 = gathered.tracker().snapshot().write_ops;
+        let tracker = Arc::clone(gathered.tracker());
         gathered
-            .try_ntstore_gather(300, &parts, AccessHint::Auto)
+            .try_ntstore_gather(300, &parts, AccessHint::Auto, &mut tracker.tally())
             .unwrap();
         single
             .try_ntstore(300, &parts.concat(), AccessHint::Auto)
@@ -1258,7 +1260,7 @@ mod tests {
         // An unfenced gather store is lost to a crash exactly as one store.
         let parts: [&[u8]; 2] = [&[3; 100], &[4; 200]];
         gathered
-            .try_ntstore_gather(2000, &parts, AccessHint::Auto)
+            .try_ntstore_gather(2000, &parts, AccessHint::Auto, &mut tracker.tally())
             .unwrap();
         single
             .try_ntstore(2000, &parts.concat(), AccessHint::Auto)
@@ -1270,7 +1272,7 @@ mod tests {
         // Bounds hold on the total: parts that each fit but together run
         // past the end fail as their concatenation does, and record nothing.
         let parts: [&[u8]; 2] = [&[5; 64], &[6; 64]];
-        let err = gathered.try_ntstore_gather(4000, &parts, AccessHint::Auto);
+        let err = gathered.try_ntstore_gather(4000, &parts, AccessHint::Auto, &mut tracker.tally());
         assert_eq!(
             err,
             Err(StoreError::OutOfBounds {

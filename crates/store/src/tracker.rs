@@ -212,6 +212,12 @@ pub struct Tally<'t> {
 }
 
 impl Tally<'_> {
+    /// What this tally has counted so far; none of it has reached the
+    /// tracker yet.
+    pub fn counts(&self) -> TrackerSnapshot {
+        TrackerSnapshot::from_counts(&self.counts)
+    }
+
     /// This tally, after checking that it belongs to `tracker`.
     #[inline]
     pub(crate) fn of(&mut self, tracker: &AccessTracker) -> &mut Self {
@@ -440,8 +446,10 @@ mod tests {
         Sink::sfence(&mut tally, &t);
         Sink::page_faults(&mut tally, &t, 2);
         assert_eq!(t.snapshot(), TrackerSnapshot::default(), "held until drop");
+        let counted = tally.counts();
         drop(tally);
         let s = t.snapshot();
+        assert_eq!(s, counted, "lands what it counted");
         assert_eq!(
             (s.rand_read_bytes, s.read_ops, s.seq_write_bytes),
             (256, 1, 64)

@@ -53,7 +53,6 @@ fn main() {
     );
     let mut ratios = Vec::new();
     for q in QueryId::ALL {
-        store.reset_trackers();
         let outcome = run_query(&store, q, threads).expect("query");
         // Answers must match the direct reference evaluation.
         assert_eq!(
