@@ -2,11 +2,46 @@
 //! message — never a panic, and never after running half the figures. A
 //! failed output write fails its section's verdict, and the outputs it
 //! does write are the checked-in `BENCH_*.json` files and one CSV per
-//! figure.
+//! figure. What a run prints and each CSV it writes are pinned by their
+//! FNV-1a digests, so a change that moves any figure, table or gate line
+//! names the output it moved.
 
 use std::fs;
 use std::path::Path;
 use std::process::Command;
+
+use pmem_store::scrub::{fnv64, FNV_OFFSET};
+
+/// FNV-1a digests of the stdout and of every CSV of
+/// `repro --skip-ssb --csv figs --cache 7 --cluster 7 --slo 7 --gray 7
+/// --recover 7`, the same in debug and release. A deliberate change to a
+/// printed or written number re-records the digests it moves.
+const STDOUT_DIGEST: u64 = 0x6880_5e41_dab5_d86a;
+const CSV_DIGESTS: [(&str, u64); 23] = [
+    ("abl_interleave.csv", 0xeb95_0a62_2542_f79d),
+    ("abl_latency.csv", 0x2bdf_eaa2_1e49_85bd),
+    ("abl_prefetcher.csv", 0xd1c7_7354_2e7f_d5cf),
+    ("abl_upi.csv", 0xd1ef_6ff6_a1b5_1943),
+    ("abl_wc_buffer.csv", 0x884a_6058_7a49_c0d3),
+    ("fig10.csv", 0x7c70_2772_42a9_7b58),
+    ("fig11.csv", 0x5f72_97d7_77fe_416e),
+    ("fig12a.csv", 0x5574_91df_91d9_43c3),
+    ("fig12b.csv", 0xcfdb_29bf_48ff_9f90),
+    ("fig13a.csv", 0xb409_ad2c_40da_60bb),
+    ("fig13b.csv", 0xf1ea_c01a_aefa_185f),
+    ("fig3a.csv", 0x08f0_a7b2_c64e_50d1),
+    ("fig3b.csv", 0xd059_3ec9_b2f7_02a8),
+    ("fig4.csv", 0xabe3_2000_b82f_41e7),
+    ("fig5.csv", 0x9d65_266e_99a4_1a81),
+    ("fig6a.csv", 0xed76_18fc_c643_0329),
+    ("fig6b.csv", 0x529e_ba37_bb83_b499),
+    ("fig7a.csv", 0xa7fe_d7b9_a3d1_f52f),
+    ("fig7b.csv", 0xdec9_7ad0_c295_48cb),
+    ("fig8a.csv", 0x4d59_93ef_480e_3642),
+    ("fig8b.csv", 0x49b4_30cb_2d34_f1c7),
+    ("fig9.csv", 0x135d_54d2_a7b9_9d94),
+    ("fig_dax.csv", 0x08af_3d26_db0b_948a),
+];
 
 #[test]
 fn bad_arguments_exit_2_without_panicking() {
@@ -111,30 +146,26 @@ fn bench_files_match_the_checked_in_ones_and_every_figure_has_a_csv() {
         .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
         .collect();
     csvs.sort();
-    let expected = [
-        "abl_interleave.csv",
-        "abl_latency.csv",
-        "abl_prefetcher.csv",
-        "abl_upi.csv",
-        "abl_wc_buffer.csv",
-        "fig10.csv",
-        "fig11.csv",
-        "fig12a.csv",
-        "fig12b.csv",
-        "fig13a.csv",
-        "fig13b.csv",
-        "fig3a.csv",
-        "fig3b.csv",
-        "fig4.csv",
-        "fig5.csv",
-        "fig6a.csv",
-        "fig6b.csv",
-        "fig7a.csv",
-        "fig7b.csv",
-        "fig8a.csv",
-        "fig8b.csv",
-        "fig9.csv",
-        "fig_dax.csv",
-    ];
+    let expected: Vec<&str> = CSV_DIGESTS.iter().map(|&(name, _)| name).collect();
     assert_eq!(csvs, expected);
+
+    let mut moved = Vec::new();
+    let stdout = fnv64(FNV_OFFSET, &out.stdout);
+    if stdout != STDOUT_DIGEST {
+        moved.push(format!(
+            "stdout: {stdout:#018x} (pinned {STDOUT_DIGEST:#018x})"
+        ));
+    }
+    for (name, pinned) in CSV_DIGESTS {
+        let bytes = fs::read(dir.join("figs").join(name)).expect("repro wrote it");
+        let digest = fnv64(FNV_OFFSET, &bytes);
+        if digest != pinned {
+            moved.push(format!("{name}: {digest:#018x} (pinned {pinned:#018x})"));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "repro outputs moved:\n{}",
+        moved.join("\n")
+    );
 }
