@@ -1,15 +1,12 @@
 //! Heat-driven admission: which objects earn DRAM residency.
 //!
 //! The pool does not cache whatever happens to be touched — admission is a
-//! *planned* decision, driven by per-object read traffic (heat) observed by
-//! the access planner. The greedy policy mirrors
-//! `pmem_olap::hybrid::HybridAdvisor::place`: rank objects by heat per byte
-//! (the marginal benefit of a DRAM byte), then admit densest-first while
-//! the budget lasts. An object that does not fit is skipped and the scan
-//! continues with smaller, colder candidates — same stable-sort, same
-//! skip-and-continue shape as the advisor, so placement advice and buffer
-//! admission agree under the same heat profile (property-tested in
-//! `crates/core/src/hybrid.rs`).
+//! *planned* decision, driven by per-object read traffic (heat). The
+//! greedy policy ranks objects by heat per byte (the marginal benefit of a
+//! DRAM byte), then admits densest-first while the budget lasts. An object
+//! that does not fit is skipped and the scan continues with smaller,
+//! colder candidates. The sort is stable, so objects of equal density are
+//! considered in input order.
 
 /// One cacheable object (a column, a partition, an index) with its
 /// observed read heat.
@@ -67,8 +64,8 @@ impl AdmissionPlan {
 
     fn plan_inner(objects: &[HeatObject], budget: u64, partial: bool) -> Self {
         let mut scored: Vec<&HeatObject> = objects.iter().collect();
-        // Stable descending sort — ties keep input order, matching the
-        // advisor's ranking exactly.
+        // Stable descending sort: objects of equal density keep their
+        // input order.
         scored.sort_by(|a, b| b.density().total_cmp(&a.density()));
         let mut plan = AdmissionPlan::default();
         for o in scored {
@@ -183,6 +180,33 @@ mod tests {
         let p = plan.partial.unwrap();
         assert_eq!(p.id, 1);
         assert_eq!(p.bytes, 50);
+    }
+
+    #[test]
+    fn equal_densities_keep_input_order() {
+        // Four objects of one density, listed out of id and size order:
+        // admission takes them in input order until the budget runs out,
+        // and the leftover goes to the first of them that did not fit.
+        let objects = [
+            obj(3, 100, 200.0),
+            obj(1, 50, 100.0),
+            obj(2, 100, 200.0),
+            obj(0, 50, 100.0),
+        ];
+        let plan = AdmissionPlan::plan(&objects, 170);
+        assert_eq!(plan.admitted, vec![3, 1]);
+        assert_eq!(plan.admitted_bytes, 150);
+        assert_eq!(plan.partial, None);
+        let plan = AdmissionPlan::plan_with_partial(&objects, 170);
+        assert_eq!(plan.admitted, vec![3, 1]);
+        assert_eq!(plan.partial, Some(PartialAdmission { id: 2, bytes: 20 }));
+
+        // The same objects in reverse: the order follows the input.
+        let reversed: Vec<HeatObject> = objects.iter().rev().copied().collect();
+        let plan = AdmissionPlan::plan_with_partial(&reversed, 170);
+        assert_eq!(plan.admitted, vec![0, 2]);
+        assert_eq!(plan.admitted_bytes, 150);
+        assert_eq!(plan.partial, Some(PartialAdmission { id: 1, bytes: 20 }));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   second-chance mark, and a brownout pressure hook that shrinks the
 //!   tier before the serving layer sheds load.
 //! * [`heat`] — planned admission: objects earn residency by observed
-//!   heat density, with the same greedy ranking as
-//!   `pmem_olap::hybrid::HybridAdvisor`, plus the Zipfian top-mass
-//!   closed form used to model partial-residency hit rates.
+//!   heat density, densest first while the budget lasts, plus the
+//!   Zipfian top-mass closed form used to model partial-residency hit
+//!   rates.
 //! * [`zipf`] — deterministic seeded Zipfian sampling for skewed
 //!   workload generation in tests and the repro harness.
 //!

@@ -206,9 +206,7 @@ impl BufferPool {
 
     /// Evictions suffered per object since construction, sorted by object
     /// id. Objects that churn through the clock without sticking are
-    /// fighting for frames they keep losing — the placement advisor feeds
-    /// this back to demote them from DRAM (see
-    /// `HybridAdvisor::heat_profile_with_pressure` in `pmem-olap`).
+    /// fighting for frames they keep losing.
     pub fn eviction_pressure(&self) -> Vec<(u64, u64)> {
         let mut v: Vec<(u64, u64)> = self
             .evicted_objects

@@ -33,7 +33,9 @@ use pmem_ssb::columnar::ColumnarFact;
 use pmem_ssb::{datagen, IntegrityRepair};
 use pmem_store::{Result, StoreError};
 
-use crate::detector::{DetectorConfig, DetectorMode, HealthState, HealthTimeline, Observation};
+use crate::detector::{
+    DetectorConfig, DetectorMode, HealthState, HealthTimeline, Observation, PROBE_INTERVAL,
+};
 use crate::gray::GrayConfig;
 use crate::machine::{scrubs_clean, ShardMachine};
 use crate::partition::ShardMap;
@@ -409,9 +411,9 @@ impl Cluster {
             let stream = completion_stream(&self.serve_shard(s, plan.clone(), &jobs, planner)?);
             let (baseline, probe) = self.probe_pricing(s, &plan, link, bytes_per_row, planner);
             let horizon = lost.map_or(self.cfg.horizon, |b| {
-                self.cfg.horizon.max(b.at + 10.0 * det.probe_interval)
+                self.cfg.horizon.max(b.at + 10.0 * PROBE_INTERVAL)
             });
-            let replayed = HealthTimeline::replay(det, horizon, baseline, probe, &stream);
+            let replayed = HealthTimeline::replay(horizon, baseline, probe, &stream);
             timelines.push(if lost.is_some() && replayed.dead_at().is_none() {
                 oracle
             } else {
@@ -432,7 +434,6 @@ impl Cluster {
         planner: &AccessPlanner,
     ) -> Result<ClusterReport> {
         let cfg = self.cfg;
-        let det = cfg.detector;
         let shards = cfg.shards as usize;
 
         // Route. A job stays home while its shard is at full weight or
@@ -453,7 +454,7 @@ impl Cluster {
             let timeline = &timelines[s];
             let peer = self.map.replica_of(s as u32).filter(|_| cfg.replicate);
             for (i, mut job) in jobs.into_iter().enumerate() {
-                let weight = timeline.weight_at(job.arrival, &det);
+                let weight = timeline.weight_at(job.arrival);
                 let home = weight >= 1.0
                     || ShardMap::rebalance_draw(cfg.seed, s as u32, i as u64) < weight;
                 let Some(p) = peer.filter(|_| !home).map(|p| p as usize) else {
@@ -503,7 +504,7 @@ impl Cluster {
                 routed_jobs: owned[s],
                 rerouted_jobs: moved_in[s],
                 rebalanced_jobs: if written_off { 0 } else { moved_out[s] },
-                router_weight: timeline.weight_at(cfg.horizon, &det),
+                router_weight: timeline.weight_at(cfg.horizon),
                 transfer_seconds: transfer_in[s],
             });
             let mut breaker = CircuitBreaker::new(BreakerConfig::default_on());

@@ -19,11 +19,11 @@
 //! * **Score.** The windowed median probe inflation (observed latency ÷
 //!   healthy baseline) is the primary score; a deadline-miss fraction
 //!   over the recent completion window is a fast secondary trigger.
-//! * **Thresholds.** `suspect → demote` at [`DetectorConfig::suspect_inflation`],
-//!   `dead` at [`DetectorConfig::dead_inflation`]; a suspected shard
-//!   keeps serving at [`DetectorConfig::demoted_weight`] router weight
-//!   (graded demotion, not a write-off) and re-earns full weight when
-//!   its probe score clears below [`DetectorConfig::clear_inflation`].
+//! * **Thresholds.** `suspect → demote` at [`SUSPECT_INFLATION`],
+//!   `dead` at [`DEAD_INFLATION`]; a suspected shard keeps serving at
+//!   [`DEMOTED_WEIGHT`] router weight (graded demotion, not a
+//!   write-off) and re-earns full weight when its probe score clears
+//!   below [`CLEAR_INFLATION`].
 //!   Once a shard is suspected its completion stream is frozen out of
 //!   the score: the backlog the fault built (and the demotion itself)
 //!   confound it, so health is re-earned through probes alone. Death is
@@ -51,9 +51,40 @@ pub enum DetectorMode {
     Accrual,
 }
 
-/// Detector tuning. Lives in `ClusterConfig` so experiments can sweep
-/// detection latency and thresholds; [`Self::oracle`] reproduces the
-/// PR-7 behavior byte for byte.
+/// Virtual seconds between health probes.
+pub const PROBE_INTERVAL: f64 = 0.001;
+/// Probes in the windowed median score.
+pub const PROBE_WINDOW: usize = 3;
+/// Median probe inflation at which a shard becomes `Suspect`.
+pub const SUSPECT_INFLATION: f64 = 3.0;
+/// Median probe inflation at which a shard is declared `Dead`.
+pub const DEAD_INFLATION: f64 = 50.0;
+/// Median probe inflation a `Suspect` shard must clear to re-earn full
+/// weight.
+pub const CLEAR_INFLATION: f64 = 1.5;
+/// Minimum probes observed *while suspected* before the score may clear
+/// — a deterministic demotion dwell that stops flapping.
+pub const CLEAR_PROBES: u32 = 3;
+/// Deadline-miss fraction over a full completion window that suspects a
+/// shard even while its probes still look healthy.
+pub const MISS_SUSPECT: f64 = 0.95;
+/// Completion outcomes in the miss-fraction window.
+pub const TERMINAL_WINDOW: usize = 16;
+/// Router weight of a `Suspect` shard (graded demotion: it keeps
+/// serving, most new arrivals rebalance to its replica).
+pub const DEMOTED_WEIGHT: f64 = 0.1;
+/// Quantile of observed scatter-gather partial latencies past which a
+/// straggler triggers a reactive backup request.
+pub const HEDGE_QUANTILE: f64 = 0.95;
+/// Multiplier on that quantile before the hedge fires.
+pub const HEDGE_SCALE: f64 = 1.5;
+/// Observed-latency window the hedge quantile is computed over.
+pub const HEDGE_WINDOW: usize = 64;
+
+/// How the router detects failures. Lives in `ClusterConfig` so
+/// experiments can sweep the oracle's detection latency;
+/// [`Self::oracle`] reproduces the PR-7 behavior byte for byte. The
+/// accrual detector's tuning is the constants above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
     /// Scoring mode.
@@ -61,42 +92,12 @@ pub struct DetectorConfig {
     /// Oracle-mode detection delay in virtual seconds after a blackout
     /// (the old hard-coded `DETECT_DELAY`).
     pub oracle_delay: f64,
-    /// Virtual seconds between health probes.
-    pub probe_interval: f64,
-    /// Probes in the windowed median score.
-    pub probe_window: usize,
-    /// Median probe inflation at which a shard becomes `Suspect`.
-    pub suspect_inflation: f64,
-    /// Median probe inflation at which a shard is declared `Dead`.
-    pub dead_inflation: f64,
-    /// Median probe inflation a `Suspect` shard must clear to re-earn
-    /// full weight.
-    pub clear_inflation: f64,
-    /// Minimum probes observed *while suspected* before the score may
-    /// clear — a deterministic demotion dwell that stops flapping.
-    pub clear_probes: u32,
-    /// Deadline-miss fraction over a full completion window that
-    /// suspects a shard even while its probes still look healthy.
-    pub miss_suspect: f64,
-    /// Completion outcomes in the miss-fraction window.
-    pub terminal_window: usize,
-    /// Router weight of a `Suspect` shard (graded demotion: it keeps
-    /// serving, most new arrivals rebalance to its replica).
-    pub demoted_weight: f64,
-    /// Quantile of observed scatter-gather partial latencies past which
-    /// a straggler triggers a reactive backup request.
-    pub hedge_quantile: f64,
-    /// Multiplier on that quantile before the hedge fires.
-    pub hedge_scale: f64,
-    /// Observed-latency window the hedge quantile is computed over.
-    pub hedge_window: usize,
 }
 
 impl DetectorConfig {
     /// The PR-7 oracle, byte for byte: fixed 5 ms blackout detection,
-    /// no gray-failure awareness. Hedge/demotion parameters are carried
-    /// (the gray plane can hedge under either mode) but nothing ever
-    /// becomes `Suspect`.
+    /// no gray-failure awareness. The gray plane hedges under either
+    /// mode, but nothing ever becomes `Suspect`.
     pub fn oracle() -> Self {
         DetectorConfig {
             mode: DetectorMode::Oracle,
@@ -104,25 +105,13 @@ impl DetectorConfig {
         }
     }
 
-    /// The accrual detector with the acceptance-suite tuning: 1 ms
-    /// probes, median-of-3 scoring, suspect at 3× inflation, dead at
-    /// 50×, clear below 1.5×, 10% demoted weight.
+    /// The accrual detector: 1 ms probes, median-of-3 scoring, suspect
+    /// at 3× inflation, dead at 50×, clear below 1.5×, 10% demoted
+    /// weight.
     pub fn accrual() -> Self {
         DetectorConfig {
             mode: DetectorMode::Accrual,
             oracle_delay: 0.005,
-            probe_interval: 0.001,
-            probe_window: 3,
-            suspect_inflation: 3.0,
-            dead_inflation: 50.0,
-            clear_inflation: 1.5,
-            clear_probes: 3,
-            miss_suspect: 0.95,
-            terminal_window: 16,
-            demoted_weight: 0.1,
-            hedge_quantile: 0.95,
-            hedge_scale: 1.5,
-            hedge_window: 64,
         }
     }
 }
@@ -175,14 +164,12 @@ impl HealthTimeline {
     /// completion stream. Fully deterministic: same inputs, same
     /// timeline, bit for bit.
     pub fn replay(
-        cfg: &DetectorConfig,
         horizon: f64,
         baseline: f64,
         probe_latency: impl Fn(f64) -> f64,
         terminals: &[Observation],
     ) -> Self {
         Self::replay_from(
-            cfg,
             0.0,
             HealthState::Healthy,
             horizon,
@@ -196,12 +183,11 @@ impl HealthTimeline {
     /// begins at virtual time `start` in state `initial` and probes
     /// forward from there. This is the rejoin path — a machine back
     /// from a blackout re-enters the fleet `Suspect` and must re-earn
-    /// full weight through `clear_probes` clean probes, exactly like a
-    /// demoted gray machine. `replay` is `replay_from(cfg, 0, Healthy,
+    /// full weight through [`CLEAR_PROBES`] clean probes, exactly like a
+    /// demoted gray machine. `replay` is `replay_from(0, Healthy,
     /// ..)`, byte for byte. Completion outcomes before `start` are
     /// ignored (they predate the detector's view of this incarnation).
     pub fn replay_from(
-        cfg: &DetectorConfig,
         start: f64,
         initial: HealthState,
         horizon: f64,
@@ -210,7 +196,6 @@ impl HealthTimeline {
         terminals: &[Observation],
     ) -> Self {
         let baseline = baseline.max(1e-12);
-        let interval = cfg.probe_interval.max(1e-6);
         let mut terms: Vec<Observation> = terminals
             .iter()
             .copied()
@@ -220,8 +205,8 @@ impl HealthTimeline {
 
         let mut transitions = vec![(start, initial)];
         let mut state = initial;
-        let mut probes: VecDeque<f64> = VecDeque::with_capacity(cfg.probe_window.max(1));
-        let mut misses: VecDeque<bool> = VecDeque::with_capacity(cfg.terminal_window.max(1));
+        let mut probes: VecDeque<f64> = VecDeque::with_capacity(PROBE_WINDOW);
+        let mut misses: VecDeque<bool> = VecDeque::with_capacity(TERMINAL_WINDOW);
         // Frozen after the first suspicion: see the module docs.
         let mut terminals_live = state == HealthState::Healthy;
         let mut probes_since_suspect = 0u32;
@@ -233,9 +218,9 @@ impl HealthTimeline {
         };
 
         let mut ti = 0usize;
-        let probe_count = ((horizon - start).max(0.0) / interval).floor() as u64;
+        let probe_count = ((horizon - start).max(0.0) / PROBE_INTERVAL).floor() as u64;
         for k in 1..=probe_count {
-            let t = start + k as f64 * interval;
+            let t = start + k as f64 * PROBE_INTERVAL;
             // Completion outcomes that landed since the last probe are
             // scored first, at their own timestamps.
             while ti < terms.len() && terms[ti].at <= t {
@@ -244,13 +229,13 @@ impl HealthTimeline {
                 if !terminals_live || state != HealthState::Healthy {
                     continue;
                 }
-                if misses.len() == cfg.terminal_window.max(1) {
+                if misses.len() == TERMINAL_WINDOW {
                     misses.pop_front();
                 }
                 misses.push_back(term.miss);
-                if misses.len() == cfg.terminal_window.max(1) {
+                if misses.len() == TERMINAL_WINDOW {
                     let frac = misses.iter().filter(|m| **m).count() as f64 / misses.len() as f64;
-                    if frac >= cfg.miss_suspect {
+                    if frac >= MISS_SUSPECT {
                         state = HealthState::Suspect;
                         terminals_live = false;
                         probes_since_suspect = 0;
@@ -259,22 +244,22 @@ impl HealthTimeline {
                 }
             }
 
-            if probes.len() == cfg.probe_window.max(1) {
+            if probes.len() == PROBE_WINDOW {
                 probes.pop_front();
             }
             probes.push_back(probe_latency(t) / baseline);
             if state == HealthState::Suspect {
                 probes_since_suspect += 1;
             }
-            if probes.len() < cfg.probe_window.max(1) {
+            if probes.len() < PROBE_WINDOW {
                 continue;
             }
             let score = median(&probes);
             match state {
                 HealthState::Healthy => {
-                    if score >= cfg.dead_inflation {
+                    if score >= DEAD_INFLATION {
                         state = HealthState::Dead;
-                    } else if score >= cfg.suspect_inflation {
+                    } else if score >= SUSPECT_INFLATION {
                         state = HealthState::Suspect;
                         terminals_live = false;
                         probes_since_suspect = 0;
@@ -284,12 +269,10 @@ impl HealthTimeline {
                     }
                 }
                 HealthState::Suspect => {
-                    if score >= cfg.dead_inflation {
+                    if score >= DEAD_INFLATION {
                         state = HealthState::Dead;
                         transitions.push((t, state));
-                    } else if probes_since_suspect >= cfg.clear_probes
-                        && score <= cfg.clear_inflation
-                    {
+                    } else if probes_since_suspect >= CLEAR_PROBES && score <= CLEAR_INFLATION {
                         state = HealthState::Healthy;
                         transitions.push((t, state));
                     }
@@ -334,11 +317,12 @@ impl HealthTimeline {
             .unwrap_or(HealthState::Healthy)
     }
 
-    /// The shard's router weight at `t` under `cfg`'s demotion grading.
-    pub fn weight_at(&self, t: f64, cfg: &DetectorConfig) -> f64 {
+    /// The shard's router weight at `t` ([`DEMOTED_WEIGHT`] while
+    /// suspected).
+    pub fn weight_at(&self, t: f64) -> f64 {
         match self.state_at(t) {
             HealthState::Healthy => 1.0,
-            HealthState::Suspect => cfg.demoted_weight.clamp(0.0, 1.0),
+            HealthState::Suspect => DEMOTED_WEIGHT,
             HealthState::Dead => 0.0,
         }
     }
@@ -383,10 +367,6 @@ mod tests {
 
     const BASE: f64 = 3.2e-4;
 
-    fn cfg() -> DetectorConfig {
-        DetectorConfig::accrual()
-    }
-
     /// Probe pricing for a machine that serves at `scale(t)` of its
     /// healthy rate: the probe's scan dilates, its round trip does not.
     fn probe(scale: impl Fn(f64) -> f64) -> impl Fn(f64) -> f64 {
@@ -395,10 +375,10 @@ mod tests {
 
     #[test]
     fn healthy_stream_never_transitions() {
-        let tl = HealthTimeline::replay(&cfg(), 0.2, BASE, probe(|_| 1.0), &[]);
+        let tl = HealthTimeline::replay(0.2, BASE, probe(|_| 1.0), &[]);
         assert_eq!(tl.transitions(), &[(0.0, HealthState::Healthy)]);
         assert!(!tl.ever_degraded());
-        assert_eq!(tl.weight_at(0.1, &cfg()), 1.0);
+        assert_eq!(tl.weight_at(0.1), 1.0);
         assert_eq!(tl.suspected_at(), None);
         assert_eq!(tl.cleared_at(), None);
     }
@@ -407,8 +387,7 @@ mod tests {
     fn fail_slow_suspects_demotes_and_recovers() {
         // 10x service degradation over [0.04, 0.16): gray, never dead.
         let scale = |t: f64| if (0.04..0.16).contains(&t) { 0.1 } else { 1.0 };
-        let c = cfg();
-        let tl = HealthTimeline::replay(&c, 0.2, BASE, probe(scale), &[]);
+        let tl = HealthTimeline::replay(0.2, BASE, probe(scale), &[]);
         let suspected = tl.suspected_at().expect("fail-slow must be noticed");
         assert!(
             suspected > 0.04 && suspected < 0.045,
@@ -416,50 +395,48 @@ mod tests {
         );
         assert_eq!(tl.dead_at(), None, "10x slow is demoted, never killed");
         assert_eq!(tl.state_at(0.1), HealthState::Suspect);
-        assert!((tl.weight_at(0.1, &c) - c.demoted_weight).abs() < 1e-12);
+        assert!((tl.weight_at(0.1) - DEMOTED_WEIGHT).abs() < 1e-12);
         let cleared = tl.cleared_at().expect("weight re-earned");
         assert!(
             cleared > 0.16 && cleared < 0.165,
             "cleared within a few probes of recovery: {cleared}"
         );
         assert_eq!(tl.state_at(0.19), HealthState::Healthy);
-        assert_eq!(tl.weight_at(0.19, &c), 1.0);
+        assert_eq!(tl.weight_at(0.19), 1.0);
     }
 
     #[test]
     fn blackout_inflation_is_declared_dead_and_stays_dead() {
         let scale = |t: f64| if t >= 0.05 { 1e-3 } else { 1.0 };
-        let c = cfg();
-        let tl = HealthTimeline::replay(&c, 0.2, BASE, probe(scale), &[]);
+        let tl = HealthTimeline::replay(0.2, BASE, probe(scale), &[]);
         let dead = tl.dead_at().expect("a 1000x-inflated machine is dead");
         assert!(dead > 0.05 && dead < 0.055, "dead fast: {dead}");
         assert!(
-            dead < 0.05 + c.oracle_delay,
+            dead < 0.05 + DetectorConfig::accrual().oracle_delay,
             "accrual beats the 5 ms oracle it replaces"
         );
         assert_eq!(tl.state_at(0.19), HealthState::Dead, "death is terminal");
-        assert_eq!(tl.weight_at(0.19, &c), 0.0);
+        assert_eq!(tl.weight_at(0.19), 0.0);
     }
 
     #[test]
     fn deadline_miss_burst_suspects_even_with_healthy_probes() {
-        let c = cfg();
         // A full window of misses lands early; probes never inflate.
-        let terminals: Vec<Observation> = (0..c.terminal_window)
+        let terminals: Vec<Observation> = (0..TERMINAL_WINDOW)
             .map(|i| Observation {
                 at: 0.05 + i as f64 * 1e-4,
                 latency: 0.3,
                 miss: true,
             })
             .collect();
-        let tl = HealthTimeline::replay(&c, 0.2, BASE, probe(|_| 1.0), &terminals);
+        let tl = HealthTimeline::replay(0.2, BASE, probe(|_| 1.0), &terminals);
         let suspected = tl.suspected_at().expect("miss burst suspects");
         assert!(suspected < 0.055);
         // With probes healthy the demotion dwell is the floor: the shard
         // re-earns weight after `clear_probes` clean probes.
         let cleared = tl.cleared_at().expect("healthy probes clear it");
         assert!(cleared > suspected);
-        assert!(cleared <= suspected + (c.clear_probes as f64 + 1.0) * c.probe_interval);
+        assert!(cleared <= suspected + (CLEAR_PROBES as f64 + 1.0) * PROBE_INTERVAL);
     }
 
     #[test]
@@ -474,14 +451,13 @@ mod tests {
                 1.0
             }
         };
-        let tl = HealthTimeline::replay(&cfg(), 0.2, BASE, probe(scale), &[]);
+        let tl = HealthTimeline::replay(0.2, BASE, probe(scale), &[]);
         assert!(!tl.ever_degraded(), "one outlier is not a gray failure");
     }
 
     #[test]
     fn sub_threshold_misses_never_suspect() {
-        let c = cfg();
-        // Alternating hit/miss stays far below the miss_suspect fraction.
+        // Alternating hit/miss stays far below the MISS_SUSPECT fraction.
         let terminals: Vec<Observation> = (0..64)
             .map(|i| Observation {
                 at: 0.01 + i as f64 * 2e-3,
@@ -489,7 +465,7 @@ mod tests {
                 miss: i % 2 == 0,
             })
             .collect();
-        let tl = HealthTimeline::replay(&c, 0.2, BASE, probe(|_| 1.0), &terminals);
+        let tl = HealthTimeline::replay(0.2, BASE, probe(|_| 1.0), &terminals);
         assert!(!tl.ever_degraded());
     }
 
@@ -504,43 +480,28 @@ mod tests {
             };
             8
         ];
-        let run = || HealthTimeline::replay(&cfg(), 0.2, BASE, probe(scale), &terminals);
+        let run = || HealthTimeline::replay(0.2, BASE, probe(scale), &terminals);
         assert_eq!(run(), run());
     }
 
     #[test]
     fn rejoin_starts_suspect_and_earns_weight_back_through_probes() {
-        let c = cfg();
         // A machine back from a blackout re-enters at 0.1 `Suspect` with
         // its hardware healthy again: the dwell is the only barrier.
-        let tl = HealthTimeline::replay_from(
-            &c,
-            0.1,
-            HealthState::Suspect,
-            0.2,
-            BASE,
-            probe(|_| 1.0),
-            &[],
-        );
+        let tl =
+            HealthTimeline::replay_from(0.1, HealthState::Suspect, 0.2, BASE, probe(|_| 1.0), &[]);
         assert_eq!(tl.transitions()[0], (0.1, HealthState::Suspect));
         assert_eq!(tl.state_at(0.1), HealthState::Suspect);
         let cleared = tl.cleared_at().expect("clean probes re-earn weight");
         assert!(
-            cleared > 0.1 && cleared <= 0.1 + (c.clear_probes as f64 + 1.0) * c.probe_interval,
+            cleared > 0.1 && cleared <= 0.1 + (CLEAR_PROBES as f64 + 1.0) * PROBE_INTERVAL,
             "cleared after the dwell: {cleared}"
         );
         assert_eq!(tl.state_at(0.19), HealthState::Healthy);
 
         // Still-degraded hardware keeps the rejoiner demoted.
-        let slow = HealthTimeline::replay_from(
-            &c,
-            0.1,
-            HealthState::Suspect,
-            0.2,
-            BASE,
-            probe(|_| 0.1),
-            &[],
-        );
+        let slow =
+            HealthTimeline::replay_from(0.1, HealthState::Suspect, 0.2, BASE, probe(|_| 0.1), &[]);
         assert_eq!(slow.cleared_at(), None, "10x slow stays demoted");
         assert_eq!(slow.state_at(0.19), HealthState::Suspect);
     }
@@ -548,17 +509,9 @@ mod tests {
     #[test]
     fn replay_is_replay_from_time_zero_healthy() {
         let scale = |t: f64| if (0.04..0.16).contains(&t) { 0.1 } else { 1.0 };
-        let c = cfg();
-        let a = HealthTimeline::replay(&c, 0.2, BASE, probe(scale), &[]);
-        let b = HealthTimeline::replay_from(
-            &c,
-            0.0,
-            HealthState::Healthy,
-            0.2,
-            BASE,
-            probe(scale),
-            &[],
-        );
+        let a = HealthTimeline::replay(0.2, BASE, probe(scale), &[]);
+        let b =
+            HealthTimeline::replay_from(0.0, HealthState::Healthy, 0.2, BASE, probe(scale), &[]);
         assert_eq!(a, b, "delegation is byte-identical");
     }
 

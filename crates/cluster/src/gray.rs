@@ -49,7 +49,7 @@ use pmem_sim::topology::Machine;
 use pmem_store::Result;
 
 use crate::cluster::Cluster;
-use crate::detector::{HealthState, HealthTimeline};
+use crate::detector::{HealthState, HealthTimeline, HEDGE_QUANTILE, HEDGE_SCALE, HEDGE_WINDOW};
 use crate::machine::ShardMachine;
 use crate::report::GrayReport;
 
@@ -186,7 +186,6 @@ impl Cluster {
     /// bit from `(ClusterConfig, GrayConfig)`.
     pub fn run_gray(&mut self, gray: &GrayConfig) -> Result<GrayReport> {
         let cfg = self.cfg;
-        let det = cfg.detector;
         let planner = AccessPlanner::paper_default();
         let machine = Machine::paper_default();
         let shards = cfg.shards as usize;
@@ -258,7 +257,7 @@ impl Cluster {
 
         let mut own_lane = vec![0.0_f64; shards];
         let mut replica_lane = vec![0.0_f64; shards];
-        let mut observed: VecDeque<f64> = VecDeque::with_capacity(det.hedge_window.max(1));
+        let mut observed: VecDeque<f64> = VecDeque::with_capacity(HEDGE_WINDOW);
         let mut latencies = Vec::new();
         let mut queries = 0u64;
         let mut queries_met = 0u64;
@@ -305,8 +304,8 @@ impl Cluster {
                         let hedge_at = if tied {
                             q_t
                         } else {
-                            q_t + det.hedge_scale
-                                * hedge_quantile(&observed, det.hedge_quantile, fanout_estimate)
+                            q_t + HEDGE_SCALE
+                                * hedge_quantile(&observed, HEDGE_QUANTILE, fanout_estimate)
                         };
                         if tied || primary_resp > hedge_at {
                             let host = host as usize;
@@ -367,7 +366,7 @@ impl Cluster {
                     }
                 };
                 completion = completion.max(winner_resp);
-                if observed.len() == det.hedge_window.max(1) {
+                if observed.len() == HEDGE_WINDOW {
                     observed.pop_front();
                 }
                 observed.push_back((winner_resp - q_t).max(0.0));
@@ -387,7 +386,7 @@ impl Cluster {
         // The victim's router weight at the end of the run, and the lowest
         // it served at.
         let victim_timeline = gray.fail_slow.and_then(|w| timelines.get(w.machine));
-        let weight_at = |t| victim_timeline.map_or(1.0, |tl| tl.weight_at(t, &det));
+        let weight_at = |t| victim_timeline.map_or(1.0, |tl| tl.weight_at(t));
         let victim_weight_end = weight_at(cfg.horizon);
         let victim_weight_min = victim_timeline
             .map_or(&[][..], HealthTimeline::transitions)
@@ -398,7 +397,7 @@ impl Cluster {
         Ok(GrayReport {
             shards: cfg.shards,
             fault: gray.fail_slow,
-            mode: det.mode,
+            mode: cfg.detector.mode,
             hedging: gray.hedging,
             horizon: cfg.horizon,
             suspected_at: victim_timeline.and_then(HealthTimeline::suspected_at),

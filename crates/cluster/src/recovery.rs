@@ -59,7 +59,7 @@ use pmem_store::scrub::SCRUB_BLOCK;
 use pmem_store::Result;
 
 use crate::cluster::Cluster;
-use crate::detector::{DetectorMode, HealthState, HealthTimeline};
+use crate::detector::{DetectorMode, HealthState, HealthTimeline, PROBE_INTERVAL};
 use crate::gray::GrayConfig;
 use crate::machine::scrubs_clean;
 use crate::report::{ChaosReport, RecoveryReport};
@@ -235,10 +235,9 @@ impl Cluster {
             let (baseline, probe) =
                 self.probe_pricing(v, &plan, &link, rcfg.bytes_per_row, &planner);
             let back = HealthTimeline::replay_from(
-                &det,
                 ready_at,
                 HealthState::Suspect,
-                cfg.horizon.max(ready_at + 10.0 * det.probe_interval),
+                cfg.horizon.max(ready_at + 10.0 * PROBE_INTERVAL),
                 baseline,
                 probe,
                 &[],

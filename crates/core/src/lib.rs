@@ -13,14 +13,13 @@
 //!   executable access plans (thread counts, access sizes, pinning,
 //!   placement) and validates them against the simulator.
 //! * [`cost`] — the §7 price/performance model.
-//! * [`hybrid`] — the paper's stated future work: a PMEM–DRAM placement
-//!   advisor that promotes random-access structures into a DRAM budget.
 //! * [`verify`] — every insight as a falsifiable, machine-checked claim.
 //! * Re-exports: [`sim`] (the simulated dual-socket Optane server),
 //!   [`store`] (namespaces, regions, persistence primitives), [`dash`]
 //!   (the Dash hash index), [`membench`] (the characterization figures),
 //!   [`ssb`] (the Star Schema Benchmark engines), and [`buffer`] (the
-//!   DRAM hot-tier buffer manager the advisor's placements execute on).
+//!   DRAM hot tier in front of PMEM, the paper's stated future work of a
+//!   hybrid PMEM–DRAM design).
 //!
 //! ## Quickstart
 //!
@@ -44,12 +43,10 @@
 
 pub mod best_practices;
 pub mod cost;
-pub mod hybrid;
 pub mod planner;
 pub mod verify;
 
 pub use best_practices::{BestPractice, Insight};
-pub use hybrid::{AccessProfile, DataObject, HybridAdvisor, HybridPlan, Tier};
 pub use planner::{AccessPlanner, Intent, PlannedAccess};
 pub use verify::{verify_all, verify_insight, InsightCheck};
 

@@ -317,20 +317,6 @@ impl AccessPlanner {
             + write_bytes as f64 / solo_write.bytes_per_sec();
         serial_time < mixed_time
     }
-
-    /// Feed observed per-object heat into a DRAM hot-tier admission plan
-    /// (the planner side of the buffer manager): objects earn residency by
-    /// heat density under `dram_budget`, with the same greedy ranking the
-    /// hybrid placement advisor uses. The returned plan is what a
-    /// [`pmem_buffer::BufferPool`] enforces via
-    /// [`pmem_buffer::BufferPool::replan`].
-    pub fn plan_hot_tier(
-        &self,
-        objects: &[pmem_buffer::HeatObject],
-        dram_budget: u64,
-    ) -> pmem_buffer::AdmissionPlan {
-        pmem_buffer::AdmissionPlan::plan(objects, dram_budget)
-    }
 }
 
 #[cfg(test)]

@@ -364,10 +364,6 @@ pub fn fig13_random_write(sim: &Simulation) -> (Figure, Figure) {
 /// establishment, no zeroing). Produces the paper's consistent 5–10 %
 /// devdax advantage on reads.
 pub const FSDAX_MINOR_FAULT_SECS: f64 = 4e-6;
-/// Zeroing fault on first-ever touch of an empty fsdax file: ~0.5 ms per
-/// 2 MB page, i.e. "pre-faulting 1 GB of PMEM takes at least 0.25 seconds"
-/// (§2.3).
-pub const FSDAX_ZERO_FAULT_SECS: f64 = 0.5e-3;
 /// fsdax fault granularity.
 pub const FSDAX_PAGE: u64 = 2 << 20;
 

@@ -497,8 +497,8 @@ impl<'s> QueryServer<'s> {
         let tier_cfg = self.config.hot_tier;
         let tier_state = tier_cfg.enabled.then(|| {
             let demands = self.socket_demands(&scan_infos);
-            let full = tier::assign(&demands, tier_cfg.zipf_theta, tier_cfg.dram_budget);
-            let shrunk = tier::assign(&demands, tier_cfg.zipf_theta, tier_cfg.shrunken_budget());
+            let full = tier::assign(&demands, tier_cfg.dram_budget);
+            let shrunk = tier::assign(&demands, tier_cfg.shrunken_budget());
             price_hits(&mut units, &full, &shrunk);
             // Pristine copies replay the loop at scaled budgets for the
             // hit-rate-vs-latency curve.
@@ -516,10 +516,9 @@ impl<'s> QueryServer<'s> {
                 .iter()
                 .map(|&scale| {
                     let budget = (tier_cfg.dram_budget as f64 * scale) as u64;
-                    let point = tier::assign(&demands, tier_cfg.zipf_theta, budget);
+                    let point = tier::assign(&demands, budget);
                     let browned = tier::assign(
                         &demands,
-                        tier_cfg.zipf_theta,
                         (budget as f64 * tier_cfg.brownout_shrink.clamp(0.0, 1.0)) as u64,
                     );
                     let mut probe = pristine.clone();

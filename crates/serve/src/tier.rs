@@ -22,6 +22,10 @@ use pmem_buffer::{zipf_top_mass, AdmissionPlan, HeatObject};
 /// Page granularity of the analytic model — the pool's frame size.
 const PAGE: u64 = pmem_buffer::FRAME_BYTES;
 
+/// Zipf exponent of the page-popularity model pricing partial
+/// admissions.
+const ZIPF_THETA: f64 = 0.99;
+
 /// DRAM hot-tier configuration for the serving plane.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotTierPolicy {
@@ -29,9 +33,6 @@ pub struct HotTierPolicy {
     pub enabled: bool,
     /// DRAM bytes the tier may hold across all sockets.
     pub dram_budget: u64,
-    /// Zipf exponent of the page-popularity model pricing partial
-    /// admissions.
-    pub zipf_theta: f64,
     /// Fraction of the budget kept while browned out (memory pressure
     /// shrinks the hot tier before load is shed).
     pub brownout_shrink: f64,
@@ -43,7 +44,6 @@ impl HotTierPolicy {
         HotTierPolicy {
             enabled: false,
             dram_budget: 0,
-            zipf_theta: 0.99,
             brownout_shrink: 0.5,
         }
     }
@@ -55,12 +55,6 @@ impl HotTierPolicy {
             dram_budget: bytes,
             ..Self::disabled()
         }
-    }
-
-    /// Override the Zipf exponent of the page-popularity model.
-    pub fn theta(mut self, theta: f64) -> Self {
-        self.zipf_theta = theta.max(0.0);
-        self
     }
 
     /// Override the brownout shrink fraction (clamped to `[0, 1]`).
@@ -107,7 +101,7 @@ impl TierAssignment {
 /// buffer pool runs decides which sockets' working sets earn residency;
 /// hit rates come from the Zipfian page mass of the cached fraction,
 /// discounted by the compulsory misses that first fetch each byte.
-pub fn assign(demands: &[SocketDemand], theta: f64, budget: u64) -> TierAssignment {
+pub fn assign(demands: &[SocketDemand], budget: u64) -> TierAssignment {
     let objects: Vec<HeatObject> = demands
         .iter()
         .map(|d| HeatObject {
@@ -136,7 +130,7 @@ pub fn assign(demands: &[SocketDemand], theta: f64, budget: u64) -> TierAssignme
         };
         let total_pages = d.footprint_bytes.div_ceil(PAGE).max(1);
         let cached_pages = cached / PAGE;
-        let mass = zipf_top_mass(cached_pages, total_pages, theta);
+        let mass = zipf_top_mass(cached_pages, total_pages, ZIPF_THETA);
         // Compulsory misses: each of the footprint's bytes rides PMEM once
         // before it can hit, so the warm fraction of the demand bounds the
         // achievable hit rate.
@@ -167,7 +161,7 @@ mod tests {
         let off = HotTierPolicy::disabled();
         assert!(!off.enabled);
         assert_eq!(HotTierPolicy::with_budget(0), off);
-        let on = HotTierPolicy::with_budget(1 << 20).theta(0.8).shrink(0.25);
+        let on = HotTierPolicy::with_budget(1 << 20).shrink(0.25);
         assert!(on.enabled);
         assert_eq!(on.shrunken_budget(), 1 << 18);
     }
@@ -175,7 +169,7 @@ mod tests {
     #[test]
     fn full_admission_hits_at_the_warm_fraction() {
         let d = [demand(0, 1 << 20, 10 << 20)];
-        let a = assign(&d, 0.99, 1 << 20);
+        let a = assign(&d, 1 << 20);
         assert_eq!(a.admitted_bytes, 1 << 20);
         // Fully cached: mass = 1, hit = warm fraction = 0.9.
         assert!((a.hit(0) - 0.9).abs() < 1e-12, "hit {}", a.hit(0));
@@ -185,7 +179,7 @@ mod tests {
     #[test]
     fn partial_budget_hits_more_than_zipf_uniform_share() {
         let d = [demand(0, 64 << 20, 640 << 20)];
-        let a = assign(&d, 0.99, 16 << 20);
+        let a = assign(&d, 16 << 20);
         // A quarter of the pages under theta ~ 1 carries well over a
         // quarter of the accesses.
         let hit = a.hit(0);
@@ -201,7 +195,7 @@ mod tests {
         ];
         let mut prev = -1.0;
         for scale in [0u64, 16, 32, 64, 128] {
-            let a = assign(&d, 0.99, scale << 20);
+            let a = assign(&d, scale << 20);
             let blended = a.hit(0) + a.hit(1);
             assert!(
                 blended >= prev - 1e-12,
@@ -219,7 +213,7 @@ mod tests {
             demand(0, 32 << 20, 64 << 20),
             demand(1, 32 << 20, 256 << 20),
         ];
-        let a = assign(&d, 0.99, 32 << 20);
+        let a = assign(&d, 32 << 20);
         assert!(a.hit(1) > a.hit(0), "{} vs {}", a.hit(1), a.hit(0));
     }
 
@@ -228,7 +222,7 @@ mod tests {
         // Demand no larger than the footprint: every access is a compulsory
         // miss regardless of budget.
         let d = [demand(0, 8 << 20, 8 << 20)];
-        let a = assign(&d, 0.99, 64 << 20);
+        let a = assign(&d, 64 << 20);
         assert_eq!(a.hit(0), 0.0);
     }
 }

@@ -263,42 +263,6 @@ pub(crate) fn layout_demand(
     thread_demand(per_thread, threads, phys, ht_weight)
 }
 
-/// Effective bandwidth in **Memory Mode** (§2.1): DRAM becomes an
-/// inaccessible "L4" cache in front of PMEM. Accesses to a working set that
-/// fits the DRAM cache run at DRAM speed; beyond it, the miss fraction runs
-/// at PMEM speed (writes additionally pay the write-back of evicted dirty
-/// lines). Persistence is *not* guaranteed in this mode.
-pub fn memory_mode_bandwidth(
-    model: &BandwidthModel,
-    spec: &WorkloadSpec,
-    working_set_bytes: u64,
-) -> Bandwidth {
-    let params = model.params();
-    let dram_cache = params.machine.channels_per_socket() as u64
-        * params.machine.dram_dimm_capacity
-        * spec.placement.issuing_sockets() as u64;
-    let hit = (dram_cache as f64 / working_set_bytes.max(1) as f64).min(1.0);
-
-    let dram_spec = WorkloadSpec {
-        device: DeviceClass::Dram,
-        ..spec.clone()
-    };
-    let pmem_spec = WorkloadSpec {
-        device: DeviceClass::Pmem,
-        ..spec.clone()
-    };
-    let dram_bw = model.bandwidth(&dram_spec, CoherenceView::WARM);
-    let mut pmem_bw = model.bandwidth(&pmem_spec, CoherenceView::WARM);
-    if spec.kind == AccessKind::Write {
-        // A missed write evicts a dirty cache line: one PMEM write-back plus
-        // the demand fill — roughly halving the miss-path bandwidth.
-        pmem_bw = pmem_bw.scale(0.5);
-    }
-    // Harmonic blend: time per byte is hit/dram + miss/pmem.
-    let time_per_byte = hit / dram_bw.bytes_per_sec() + (1.0 - hit) / pmem_bw.bytes_per_sec();
-    Bandwidth::from_bytes_per_sec(1.0 / time_per_byte)
-}
-
 /// Estimated internal write amplification for far (cross-UPI) PMEM writes —
 /// the ntstore read-modify-write effect of §4.4 (up to ~10×).
 pub fn far_write_amplification_estimate(params: &SystemParams, threads: u32) -> f64 {
@@ -408,35 +372,5 @@ mod tests {
                 .gib_s();
             assert!((b - near).abs() < 1e-9, "{placement:?} {b} vs near {near}");
         }
-    }
-
-    #[test]
-    fn memory_mode_interpolates_between_dram_and_pmem() {
-        let m = model();
-        let spec = WorkloadSpec::seq_read(DeviceClass::Pmem, 4096, 18);
-        // Working set far below the 96 GB DRAM cache: DRAM speed.
-        let cached = memory_mode_bandwidth(&m, &spec, 1 << 30).gib_s();
-        assert!((92.0..108.0).contains(&cached), "cached {cached}");
-        // Working set far above: approaches PMEM speed.
-        let spilled = memory_mode_bandwidth(&m, &spec, 768 << 30).gib_s();
-        assert!((38.0..55.0).contains(&spilled), "spilled {spilled}");
-        // Monotone in working-set size.
-        let mid = memory_mode_bandwidth(&m, &spec, 192 << 30).gib_s();
-        assert!(
-            cached > mid && mid > spilled,
-            "{cached} > {mid} > {spilled}"
-        );
-    }
-
-    #[test]
-    fn memory_mode_writes_pay_dirty_evictions() {
-        let m = model();
-        let spec = WorkloadSpec::seq_write(DeviceClass::Pmem, 4096, 6);
-        let spilled = memory_mode_bandwidth(&m, &spec, 768 << 30).gib_s();
-        let pmem_direct = m.bandwidth(&spec, CoherenceView::WARM).gib_s();
-        assert!(
-            spilled < pmem_direct,
-            "Memory-Mode write spill ({spilled}) must trail App Direct ({pmem_direct})"
-        );
     }
 }

@@ -267,6 +267,16 @@ mod tests {
         let p = rr(DeviceClass::Pmem, 512, 36, REGION_90G);
         let ratio = d / p;
         assert!((2.8..5.5).contains(&ratio), "DRAM/PMEM at 512 B {ratio}");
+        // §5.2: DRAM's random advantage is severalfold for 256 B probes of
+        // a 1 GiB index from both sockets, too.
+        let probe = |device| {
+            bw(
+                &WorkloadSpec::random(device, AccessKind::Read, 256, 18, 1 << 30)
+                    .placement(crate::workload::Placement::BothNear),
+            )
+        };
+        let ratio = probe(DeviceClass::Dram) / probe(DeviceClass::Pmem);
+        assert!((1.5..8.0).contains(&ratio), "DRAM/PMEM at 256 B {ratio}");
     }
 
     #[test]

@@ -15,9 +15,6 @@ pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 /// 2^20 bytes.
 pub const MIB: f64 = 1024.0 * 1024.0;
 
-/// 2^10 bytes.
-pub const KIB: f64 = 1024.0;
-
 /// A data rate in bytes per second.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Bandwidth(f64);

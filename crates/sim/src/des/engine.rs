@@ -211,10 +211,7 @@ impl<'a> Engine<'a> {
             threads,
             dimms,
             grouped_next: 0,
-            grouped_total: match &cfg.trace {
-                Some(ops) => ops.len() as u64,
-                None => volume / cfg.spec.access_size.max(line),
-            },
+            grouped_total: volume / cfg.spec.access_size.max(line),
             upi_busy_until: 0.0,
             cold_pages_touched: std::collections::HashSet::new(),
             stats: SimStats::default(),
@@ -303,17 +300,6 @@ impl<'a> Engine<'a> {
         let threads = self.threads.len() as u64;
         let st = &mut self.threads[t];
         if st.lines_left > 0 {
-            return true;
-        }
-        if let Some(ops) = &self.cfg.trace {
-            if self.grouped_next >= self.grouped_total {
-                return false;
-            }
-            let op = ops[self.grouped_next as usize];
-            self.grouped_next += 1;
-            st.cursor = op.offset;
-            st.lines_left = op.len.div_ceil(self.line);
-            st.is_reader = !op.write;
             return true;
         }
         match self.cfg.spec.pattern {

@@ -65,21 +65,6 @@ pub struct DesConfig {
     /// writes while the rest read (Figure 11's x writers / y readers).
     /// Zero = all threads follow `spec.kind`.
     pub write_threads: u32,
-    /// Replay mode: when set, threads pull these recorded accesses from a
-    /// shared cursor instead of generating a synthetic pattern. Offsets are
-    /// interpreted on the socket's interleave set.
-    pub trace: Option<std::sync::Arc<Vec<ReplayOp>>>,
-}
-
-/// One access of a replayed trace (see `pmem_store::trace`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayOp {
-    /// Device byte offset.
-    pub offset: u64,
-    /// Length in bytes.
-    pub len: u64,
-    /// Write vs read.
-    pub write: bool,
 }
 
 impl DesConfig {
@@ -102,21 +87,7 @@ impl DesConfig {
             wpq_depth: 24,
             seed: 0xD5_AA5E,
             write_threads: 0,
-            trace: None,
         }
-    }
-
-    /// Replay a recorded access trace with `threads` workers sharing the
-    /// stream (each worker claims the next op from a common cursor —
-    /// the closed-loop equivalent of the recorded concurrency).
-    pub fn replay(params: SystemParams, ops: Vec<ReplayOp>, threads: u32) -> Self {
-        let volume: u64 = ops.iter().map(|o| o.len).sum();
-        let spec = WorkloadSpec::seq_read(crate::params::DeviceClass::Pmem, 4096, threads.max(1));
-        let mut cfg = DesConfig::new(spec);
-        cfg.params = params;
-        cfg.volume_bytes = volume.max(64);
-        cfg.trace = Some(std::sync::Arc::new(ops));
-        cfg
     }
 
     /// A mixed run: `write_threads` writers and `read_threads` readers on
@@ -357,74 +328,6 @@ mod tests {
             (0.4..2.5).contains(&ratio),
             "read-side DES/analytic {ratio}"
         );
-    }
-
-    #[test]
-    fn replay_reproduces_synthetic_pattern_bandwidth() {
-        // A hand-built trace of 4 KB sequential reads must behave like the
-        // equivalent synthetic individual-read workload.
-        let params = SystemParams::paper_default();
-        let per_thread = 1u64 << 20;
-        let mut ops = Vec::new();
-        for t in 0..8u64 {
-            for i in 0..(per_thread / 4096) {
-                ops.push(ReplayOp {
-                    offset: t * per_thread + i * 4096,
-                    len: 4096,
-                    write: false,
-                });
-            }
-        }
-        // Interleave the per-thread streams the way 8 workers would issue
-        // them (round-robin), so the shared cursor hands them out faithfully.
-        let streams = 8;
-        let per = ops.len() / streams;
-        let mut interleaved = Vec::with_capacity(ops.len());
-        for i in 0..per {
-            for s in 0..streams {
-                interleaved.push(ops[s * per + i]);
-            }
-        }
-        let replayed = run(&DesConfig::replay(params.clone(), interleaved, 8));
-        let synthetic = run(&DesConfig::new(WorkloadSpec::seq_read(
-            DeviceClass::Pmem,
-            4096,
-            8,
-        )));
-        let rel = (replayed.bandwidth.gib_s() - synthetic.bandwidth.gib_s()).abs()
-            / synthetic.bandwidth.gib_s();
-        assert!(
-            rel < 0.3,
-            "replay {} vs synthetic {} (rel {rel:.2})",
-            replayed.bandwidth.gib_s(),
-            synthetic.bandwidth.gib_s()
-        );
-    }
-
-    #[test]
-    fn replay_handles_mixed_kinds_and_odd_sizes() {
-        let params = SystemParams::paper_default();
-        let ops = vec![
-            ReplayOp {
-                offset: 0,
-                len: 100,
-                write: false,
-            },
-            ReplayOp {
-                offset: 4096,
-                len: 256,
-                write: true,
-            },
-            ReplayOp {
-                offset: 1 << 20,
-                len: 64,
-                write: false,
-            },
-        ];
-        let r = run(&DesConfig::replay(params, ops, 2));
-        assert!(r.stats.app_read_bytes >= 164, "reads counted");
-        assert!(r.stats.app_write_bytes >= 256, "writes counted");
-        assert!(r.elapsed_seconds > 0.0);
     }
 
     #[test]

@@ -75,12 +75,6 @@ impl Simulation {
         &self.model
     }
 
-    /// Mutable access to the coherence directory (for scripted experiments
-    /// such as the single-thread pre-touch trick of §3.4).
-    pub fn coherence_mut(&mut self) -> &mut CoherenceDirectory {
-        &mut self.directory
-    }
-
     /// The default region id of a socket's PMEM interleave set.
     pub fn socket_region(&self, socket: SocketId) -> RegionId {
         self.socket_regions[socket.0 as usize]

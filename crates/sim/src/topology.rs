@@ -43,19 +43,6 @@ impl NumaNodeId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CoreId(pub u16);
 
-/// Identifier of a memory channel within a socket (0..6 on the paper system).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ChannelId(pub u8);
-
-/// Identifier of a DIMM, global across the system. On the paper system the
-/// PMEM DIMMs are `#0..#5` on socket 0 and `#6..#11` on socket 1 (Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DimmId(pub u8);
-
-/// Which iMC of a socket a channel belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ImcId(pub u8);
-
 /// Static description of the machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Machine {

@@ -20,7 +20,7 @@ use pmem_store::{AccessHint, Namespace, Region, Result};
 
 use crate::datagen::{cardinalities, Cardinalities, SsbData};
 use crate::hyrise::{StageBuffers, INTERMEDIATE_ROW};
-use crate::schema::{DIM_ROW, LINEORDER_ROW};
+use crate::schema::{DateDim, GeoDim, Lineorder, PartDim, DIM_ROW, LINEORDER_ROW};
 
 /// Execution mode (paper §6.1 vs §6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,46 +128,32 @@ pub(crate) fn intermediate_capacity(card: &Cardinalities, partitions: u64) -> u6
 /// best-practice minimum, and writers are few).
 const INGEST_CHUNK_ROWS: usize = 512;
 
-fn load_fact(ns: &Namespace, rows: &[crate::schema::Lineorder]) -> Result<Region> {
-    let mut region = ns.alloc_region(rows.len() as u64 * LINEORDER_ROW)?;
-    let mut buf = vec![0u8; INGEST_CHUNK_ROWS * LINEORDER_ROW as usize];
+/// Load `rows` into a fresh region of `row` bytes per row, sized for at
+/// least `min_rows` rows: each chunk of [`INGEST_CHUNK_ROWS`] rows is
+/// encoded into one buffer and lands as one sequential ntstore, and one
+/// fence ends the load.
+fn load_table<T>(
+    ns: &Namespace,
+    rows: &[T],
+    row: u64,
+    min_rows: u64,
+    encode: impl Fn(&T, &mut [u8]),
+) -> Result<Arc<Region>> {
+    let mut region = ns.alloc_region((rows.len() as u64).max(min_rows) * row)?;
+    let mut buf = vec![0u8; INGEST_CHUNK_ROWS * row as usize];
     for (chunk_idx, chunk) in rows.chunks(INGEST_CHUNK_ROWS).enumerate() {
-        for (i, row) in chunk.iter().enumerate() {
-            row.encode(&mut buf[i * LINEORDER_ROW as usize..(i + 1) * LINEORDER_ROW as usize]);
+        for (r, bytes) in chunk.iter().zip(buf.chunks_exact_mut(row as usize)) {
+            encode(r, bytes);
         }
-        let offset = chunk_idx as u64 * (INGEST_CHUNK_ROWS as u64 * LINEORDER_ROW);
+        let offset = chunk_idx as u64 * (INGEST_CHUNK_ROWS as u64 * row);
         region.try_ntstore(
             offset,
-            &buf[..chunk.len() * LINEORDER_ROW as usize],
+            &buf[..chunk.len() * row as usize],
             AccessHint::Sequential,
         )?;
     }
     region.sfence();
-    Ok(region)
-}
-
-fn load_dim<T, F>(ns: &Namespace, rows: &[T], encode: F) -> Result<Region>
-where
-    F: Fn(&T, &mut [u8]),
-{
-    let mut region = ns.alloc_region((rows.len() as u64).max(1) * DIM_ROW)?;
-    let mut buf = vec![0u8; INGEST_CHUNK_ROWS * DIM_ROW as usize];
-    for (chunk_idx, chunk) in rows.chunks(INGEST_CHUNK_ROWS).enumerate() {
-        for (i, row) in chunk.iter().enumerate() {
-            encode(
-                row,
-                &mut buf[i * DIM_ROW as usize..(i + 1) * DIM_ROW as usize],
-            );
-        }
-        let offset = chunk_idx as u64 * (INGEST_CHUNK_ROWS as u64 * DIM_ROW);
-        region.try_ntstore(
-            offset,
-            &buf[..chunk.len() * DIM_ROW as usize],
-            AccessHint::Sequential,
-        )?;
-    }
-    region.sfence();
-    Ok(region)
+    Ok(Arc::new(region))
 }
 
 impl SsbStore {
@@ -202,11 +188,13 @@ impl SsbStore {
                 intermediate_capacity(&cardinalities(sf), partitions as u64),
             );
 
-            let fact = Arc::new(load_fact(&fact_ns, part_rows)?);
-            let dates = Arc::new(load_dim(&dim_ns, &data.dates, |d, b| d.encode(b))?);
-            let customers = Arc::new(load_dim(&dim_ns, &data.customers, |d, b| d.encode(b))?);
-            let suppliers = Arc::new(load_dim(&dim_ns, &data.suppliers, |d, b| d.encode(b))?);
-            let parts = Arc::new(load_dim(&dim_ns, &data.parts, |d, b| d.encode(b))?);
+            // A dimension region holds at least one row; a fact region
+            // may be empty.
+            let fact = load_table(&fact_ns, part_rows, LINEORDER_ROW, 0, Lineorder::encode)?;
+            let dates = load_table(&dim_ns, &data.dates, DIM_ROW, 1, DateDim::encode)?;
+            let customers = load_table(&dim_ns, &data.customers, DIM_ROW, 1, GeoDim::encode)?;
+            let suppliers = load_table(&dim_ns, &data.suppliers, DIM_ROW, 1, GeoDim::encode)?;
+            let parts = load_table(&dim_ns, &data.parts, DIM_ROW, 1, PartDim::encode)?;
 
             shards.push(SocketShard {
                 socket,

@@ -60,7 +60,7 @@ pub use log::WorkerLog;
 pub use namespace::{Namespace, NamespaceMode};
 pub use region::{AccessHint, Region, XPLINE};
 pub use scrub::{BlockChecksums, ScrubReport};
-pub use trace::{PersistEvent, PersistenceTrace, TraceBuffer, TraceEntry};
+pub use trace::{PersistEvent, PersistenceTrace};
 pub use tracker::{AccessTracker, Tally, TrackerSnapshot};
 
 /// Result alias for store operations.

@@ -460,6 +460,9 @@ mod tests {
         r.ntstore(0, b"x");
         r.sfence();
         assert!(!r.is_persisted(0, 1));
+        // A fenced store is lost to a crash.
+        r.crash();
+        assert_ne!(r.read(0, 1, AccessHint::Sequential), b"x");
     }
 
     #[test]

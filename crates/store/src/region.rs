@@ -23,8 +23,8 @@
 //! shared lock (DESIGN.md, "Store hot path"): dirty, pending and poisoned
 //! lines are bitsets updated a 64-bit word at a time, `sfence` visits only
 //! the words made pending since the previous fence, the fsdax fault state
-//! is an atomic page bitmap, and the trace hooks take their mutex only
-//! while a trace is attached.
+//! is an atomic page bitmap, and the persistence-trace hook takes its
+//! mutex only while a trace is attached.
 //!
 //! A region's host memory is one buffer of its bytes, plus the saved
 //! persisted images of the lines a store took out of the clean state
@@ -43,7 +43,7 @@ use parking_lot::Mutex;
 
 use crate::lineset::{word_masks, LineSet};
 use crate::namespace::NamespaceInner;
-use crate::trace::{PersistEvent, PersistenceTrace, TraceBuffer, TraceEntry};
+use crate::trace::{PersistEvent, PersistenceTrace};
 use crate::tracker::{AccessTracker, OneAccess, Sink, Tally};
 use crate::{Result, StoreError};
 
@@ -108,9 +108,8 @@ impl FaultModel {
     }
 }
 
-/// An optional sink accesses report into (an access trace or a
-/// persistence trace). The `attached` flag lets an access with no sink
-/// attached skip the mutex.
+/// An optional sink accesses report into (the persistence trace). The
+/// `attached` flag lets an access with no sink attached skip the mutex.
 #[derive(Debug)]
 struct Hook<T> {
     /// Mirrors `sink.is_some()`. Stored with `Release` under the `sink`
@@ -200,9 +199,8 @@ pub struct Region {
     fault_model: Option<FaultModel>,
     last_read_end: AtomicU64,
     last_write_end: AtomicU64,
-    /// Optional access-trace sink (see [`crate::trace`]).
-    trace: Hook<TraceBuffer>,
-    /// Optional persistence-event sink for crash-state model checking.
+    /// Optional persistence-event sink for crash-state model checking
+    /// (see [`crate::trace`]).
     persist_trace: Hook<PersistenceTrace>,
     /// The namespace that allocated this region, which takes its bytes
     /// and its image back when the region drops (if the namespace still
@@ -233,7 +231,6 @@ impl Region {
             fault_model,
             last_read_end: AtomicU64::new(u64::MAX),
             last_write_end: AtomicU64::new(u64::MAX),
-            trace: Hook::new(),
             persist_trace: Hook::new(),
             ns,
         }
@@ -257,16 +254,6 @@ impl Region {
         !self.preimages.is_empty()
     }
 
-    /// Attach a trace buffer: subsequent accesses are recorded into it.
-    pub fn attach_trace(&self, buffer: Arc<TraceBuffer>) {
-        self.trace.set(Some(buffer));
-    }
-
-    /// Stop tracing.
-    pub fn detach_trace(&self) {
-        self.trace.set(None);
-    }
-
     /// Attach a persistence trace: subsequent stores, `clwb`s, and
     /// `sfence`s are recorded in order for crash-state model checking.
     pub fn attach_persist_trace(&self, trace: Arc<PersistenceTrace>) {
@@ -276,12 +263,6 @@ impl Region {
     /// Stop recording persistence events.
     pub fn detach_persist_trace(&self) {
         self.persist_trace.set(None);
-    }
-
-    #[inline]
-    fn record_trace(&self, offset: u64, len: u64, write: bool) {
-        self.trace
-            .with(|buffer| buffer.record(TraceEntry { offset, len, write }));
     }
 
     #[inline]
@@ -370,7 +351,6 @@ impl Region {
         self.fault_pages(offset, len, sink);
         let sequential = self.infer_read(offset, len, hint);
         sink.read(&self.tracker, len, sequential);
-        self.record_trace(offset, len, false);
         &self.data[offset as usize..(offset + len) as usize]
     }
 
@@ -656,7 +636,6 @@ impl Region {
         self.fault_pages(offset, bytes.len() as u64, sink);
         let sequential = self.infer_write(offset, bytes.len() as u64, hint);
         sink.write(&self.tracker, bytes.len() as u64, sequential);
-        self.record_trace(offset, bytes.len() as u64, true);
         self.record_persist(|| PersistEvent::Store {
             offset,
             data: bytes.to_vec(),
@@ -696,8 +675,8 @@ impl Region {
 
     /// Gather form of [`Region::try_ntstore_tallied`]: `parts`, in order,
     /// land at `offset` as one non-temporal store counted into `tally`.
-    /// Bounds, accounting, the trace and persistence events, the lines and
-    /// the poison cleared are those of one store of their concatenation,
+    /// Bounds, accounting, the persistence event, the lines and the poison
+    /// cleared are those of one store of their concatenation,
     /// which is built only for an attached persistence trace.
     pub(crate) fn try_ntstore_gather<B: AsRef<[u8]>>(
         &mut self,
@@ -723,7 +702,6 @@ impl Region {
         self.fault_pages(offset, len, sink);
         let sequential = self.infer_write(offset, len, hint);
         sink.write(&self.tracker, len, sequential);
-        self.record_trace(offset, len, true);
         self.record_persist(|| PersistEvent::NtStore {
             offset,
             data: parts.iter().flat_map(|p| p.as_ref()).copied().collect(),
@@ -1201,9 +1179,10 @@ mod tests {
 
     #[test]
     fn gather_store_equals_one_store_of_the_concatenation() {
-        use crate::trace::{PersistEvent, PersistenceTrace, TraceBuffer};
-        // Two identical regions (fsdax faults, poison, both traces): one
-        // takes the parts as a gather store, the other their concatenation.
+        use crate::trace::{PersistEvent, PersistenceTrace};
+        // Two identical regions (fsdax faults, poison, a persistence
+        // trace): one takes the parts as a gather store, the other their
+        // concatenation.
         let make = || {
             let mut r = Region::new(
                 4096,
@@ -1211,15 +1190,14 @@ mod tests {
                 true,
                 Some(FaultModel::new(1024, 4096)),
             );
-            let (accesses, persists) = (TraceBuffer::shared(64), PersistenceTrace::shared(64));
-            r.attach_trace(Arc::clone(&accesses));
+            let persists = PersistenceTrace::shared(64);
             r.attach_persist_trace(Arc::clone(&persists));
             r.ntstore(0, &[1; 64]);
             r.inject_poison(512, 256);
-            (r, accesses, persists)
+            (r, persists)
         };
-        let (mut gathered, g_accesses, g_persists) = make();
-        let (mut single, s_accesses, s_persists) = make();
+        let (mut gathered, g_persists) = make();
+        let (mut single, s_persists) = make();
         let lines = |r: &Region| {
             let line_set = |set: &LineSet| set.iter().collect::<Vec<_>>();
             let persisted: Vec<bool> = (0..4096 / CACHE_LINE)
@@ -1287,7 +1265,6 @@ mod tests {
         );
         same(&gathered, &single);
 
-        assert_eq!(g_accesses.take(), s_accesses.take());
         let events = g_persists.take();
         assert_eq!(events, s_persists.take());
         let stores: Vec<_> = events

@@ -1,11 +1,4 @@
-//! Access-trace and persistence-trace recording.
-//!
-//! A [`TraceBuffer`] attached to a [`Region`](crate::region::Region)
-//! captures every read/write as `(offset, len, kind)`. Traces bridge the
-//! *executed* layer to the *simulated* layer: a trace recorded from a real
-//! Dash probe storm or an SSB scan can be replayed through the
-//! discrete-event engine (`pmem_sim::des`) to obtain loaded latencies and
-//! queue behaviour for exactly the access stream the code produced.
+//! Persistence-trace recording.
 //!
 //! A [`PersistenceTrace`] captures the *ordered* stream of persistence
 //! events — stores with their data, `clwb`s, and `sfence`s — that a
@@ -20,63 +13,6 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-
-/// One recorded access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Byte offset within the region.
-    pub offset: u64,
-    /// Length in bytes.
-    pub len: u64,
-    /// Write (store/ntstore) vs read.
-    pub write: bool,
-}
-
-/// A bounded, shared trace sink.
-#[derive(Debug)]
-pub struct TraceBuffer {
-    entries: Mutex<Vec<TraceEntry>>,
-    capacity: usize,
-}
-
-impl TraceBuffer {
-    /// A buffer that keeps at most `capacity` entries (later accesses are
-    /// dropped once full — traces are for steady-state sampling).
-    pub fn shared(capacity: usize) -> Arc<Self> {
-        Arc::new(TraceBuffer {
-            entries: Mutex::new(Vec::with_capacity(capacity.min(4096))),
-            capacity,
-        })
-    }
-
-    /// Record one access (no-op when full).
-    pub fn record(&self, entry: TraceEntry) {
-        let mut entries = self.entries.lock();
-        if entries.len() < self.capacity {
-            entries.push(entry);
-        }
-    }
-
-    /// Entries recorded so far.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether the buffer stopped recording.
-    pub fn is_full(&self) -> bool {
-        self.len() >= self.capacity
-    }
-
-    /// Drain the recorded entries.
-    pub fn take(&self) -> Vec<TraceEntry> {
-        std::mem::take(&mut self.entries.lock())
-    }
-}
 
 /// One event of a persistence trace (see [`PersistenceTrace`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,8 +49,7 @@ pub enum PersistEvent {
 
 /// An ordered, shared persistence-event sink for checked runs.
 ///
-/// Unlike [`TraceBuffer`] (a sampling aid), a persistence trace must be
-/// complete to be meaningful: recording stops once `capacity` events are
+/// A persistence trace must be complete to be meaningful: recording stops once `capacity` events are
 /// reached and [`PersistenceTrace::truncated`] reports it, so a checker can
 /// refuse to draw conclusions from a partial stream.
 #[derive(Debug)]
@@ -178,24 +113,6 @@ impl PersistenceTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn records_until_capacity() {
-        let buf = TraceBuffer::shared(2);
-        for i in 0..5 {
-            buf.record(TraceEntry {
-                offset: i,
-                len: 64,
-                write: false,
-            });
-        }
-        assert!(buf.is_full());
-        let taken = buf.take();
-        assert_eq!(taken.len(), 2);
-        assert_eq!(taken[0].offset, 0);
-        assert_eq!(taken[1].offset, 1);
-        assert!(buf.is_empty());
-    }
 
     #[test]
     fn persistence_trace_keeps_order_and_flags_truncation() {

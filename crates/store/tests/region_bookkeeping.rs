@@ -10,7 +10,7 @@
 //! A twin region takes every operation through the tallied methods, with
 //! one `Tally` held across the sequence. Once that tally drops, the twin
 //! must equal the one-access region in everything: bytes, lines, poison,
-//! crash counts, both traces and the tracker snapshot.
+//! crash counts, the persistence trace and the tracker snapshot.
 //!
 //! A region recycled from a namespace's image pool must likewise equal a
 //! fresh one through the same operations, whatever the pooled images
@@ -23,9 +23,7 @@ use std::sync::{Arc, Barrier};
 
 use pmem_sim::topology::SocketId;
 use pmem_store::namespace::{POOL_IMAGES, POOL_MIN_BYTES};
-use pmem_store::{
-    AccessHint, Namespace, PersistenceTrace, Region, StoreError, Tally, TraceBuffer, XPLINE,
-};
+use pmem_store::{AccessHint, Namespace, PersistenceTrace, Region, StoreError, Tally, XPLINE};
 use proptest::prelude::*;
 
 const LINE: u64 = 64;
@@ -368,13 +366,12 @@ proptest! {
         let (ns, twin_ns) = (namespace(), namespace());
         let traced = |ns: &Namespace| {
             let region = ns.alloc_region(len).unwrap();
-            let (accesses, persists) = (TraceBuffer::shared(256), PersistenceTrace::shared(256));
-            region.attach_trace(Arc::clone(&accesses));
+            let persists = PersistenceTrace::shared(256);
             region.attach_persist_trace(Arc::clone(&persists));
-            (region, accesses, persists)
+            (region, persists)
         };
-        let (mut region, accesses, persists) = traced(&ns);
-        let (mut twin, twin_accesses, twin_persists) = traced(&twin_ns);
+        let (mut region, persists) = traced(&ns);
+        let (mut twin, twin_persists) = traced(&twin_ns);
         let mut model = Model::new(len, ns.is_persistent());
         let mut tally = twin_ns.tally();
         for &op in &ops {
@@ -383,7 +380,6 @@ proptest! {
         }
         drop(tally);
         prop_assert_eq!(twin_ns.tracker().snapshot(), ns.tracker().snapshot());
-        prop_assert_eq!(twin_accesses.take(), accesses.take());
         prop_assert_eq!(twin_persists.take(), persists.take());
         // A closing crash shows the persisted images agree as well.
         let lost = region.crash();
@@ -461,13 +457,12 @@ proptest! {
         let (pooled_ns, fresh_ns) = (namespace(), namespace());
         // Fill the pool with images of two larger sizes, traced and left
         // dirty, pending, poisoned and partly fenced.
-        let (old_accesses, old_persists) = (TraceBuffer::shared(1 << 12), PersistenceTrace::shared(1 << 12));
+        let old_persists = PersistenceTrace::shared(1 << 12);
         let olds: Vec<Region> = [len + 4096, 2 * len]
             .map(|old_len| {
                 let mut old = pooled_ns.alloc_region(old_len).unwrap();
                 old.ntstore(0, &vec![0xA5; old_len as usize]);
                 old.sfence();
-                old.attach_trace(Arc::clone(&old_accesses));
                 old.attach_persist_trace(Arc::clone(&old_persists));
                 for &op in &dirt {
                     answer(&mut old, op);
@@ -482,7 +477,6 @@ proptest! {
         prop_assert_eq!(pooled_ns.pooled_images(), POOL_IMAGES);
         let fresh0 = pooled_ns.fresh_images();
         let used0 = pooled_ns.used();
-        old_accesses.take();
         old_persists.take();
 
         let mut region = pooled_ns.alloc_region(len).unwrap();
@@ -495,13 +489,9 @@ proptest! {
         // The recycled region starts with no trace attached: its first
         // accesses reach none of the old ones' sinks.
         prop_assert_eq!(answer(&mut region, ops[0]), answer(&mut twin, ops[0]));
-        prop_assert!(old_accesses.take().is_empty());
         prop_assert!(old_persists.take().is_empty());
-        let (accesses, persists) = (TraceBuffer::shared(1 << 12), PersistenceTrace::shared(1 << 12));
-        let (twin_accesses, twin_persists) = (TraceBuffer::shared(1 << 12), PersistenceTrace::shared(1 << 12));
-        region.attach_trace(Arc::clone(&accesses));
+        let (persists, twin_persists) = (PersistenceTrace::shared(1 << 12), PersistenceTrace::shared(1 << 12));
         region.attach_persist_trace(Arc::clone(&persists));
-        twin.attach_trace(Arc::clone(&twin_accesses));
         twin.attach_persist_trace(Arc::clone(&twin_persists));
         for &op in &ops[1..] {
             prop_assert_eq!(answer(&mut region, op), answer(&mut twin, op), "{:?}", op);
@@ -510,7 +500,6 @@ proptest! {
         }
         prop_assert_eq!(line_state(&region), line_state(&twin));
         prop_assert_eq!(pooled_ns.tracker().snapshot(), fresh_ns.tracker().snapshot());
-        prop_assert_eq!(accesses.take(), twin_accesses.take());
         prop_assert_eq!(persists.take(), twin_persists.take());
         // Crash results, then the whole persisted images: overwrite every
         // byte through the cache and lose it.

@@ -1,12 +1,8 @@
 //! Integration tests for the extension features built beyond the paper's
-//! core evaluation: the per-worker log, the columnar layout, Memory Mode,
-//! and the hybrid placement advisor.
+//! core evaluation: the per-worker log, the columnar layout, Dash's
+//! XPLine-sized probes and the traffic `explain` predicts.
 
-use pmem_olap::hybrid::{AccessProfile, DataObject, HybridAdvisor, Tier};
-use pmem_olap::sim::analytic::{memory_mode_bandwidth, BandwidthModel};
-use pmem_olap::sim::params::DeviceClass;
 use pmem_olap::sim::topology::SocketId;
-use pmem_olap::sim::workload::WorkloadSpec;
 use pmem_olap::ssb::columnar::{scan_comparisons, Column, ColumnarFact};
 use pmem_olap::ssb::datagen;
 use pmem_olap::ssb::queries::QueryId;
@@ -71,139 +67,22 @@ fn columnar_layout_closes_the_device_gap_for_scans() {
 }
 
 #[test]
-fn memory_mode_is_a_middle_ground_not_a_free_lunch() {
-    let model = BandwidthModel::paper_default();
-    let scan = WorkloadSpec::seq_read(DeviceClass::Pmem, 4096, 18);
-    // The paper's sf-100 SSB (≈70 GB hot set) against one socket's 96 GB
-    // DRAM cache: Memory Mode hides PMEM for reads…
-    let mm = memory_mode_bandwidth(&model, &scan, 70 << 30).gib_s();
-    assert!(mm > 90.0, "cached Memory Mode read {mm}");
-    // …but a 500 GB warehouse spills and lands between the two devices.
-    let spill = memory_mode_bandwidth(&model, &scan, 500 << 30).gib_s();
-    assert!((40.0..95.0).contains(&spill), "spilled {spill}");
-    // And it never persists (store-level semantics).
-    let ns = Namespace::memory_mode(SocketId(0), 1 << 20);
-    let mut region = ns.alloc_region(4096).unwrap();
-    region.ntstore(0, b"gone");
-    region.sfence();
-    region.crash();
-    assert_ne!(
-        region.read(0, 4, pmem_olap::store::AccessHint::Sequential),
-        b"gone"
-    );
-}
-
-#[test]
-fn hybrid_advisor_budget_sweep_is_monotone() {
-    let advisor = HybridAdvisor::paper_default();
-    let objects = [
-        DataObject::new(
-            "fact",
-            8 << 30,
-            AccessProfile::SequentialScan {
-                scans_per_query: 1.0,
-            },
-        ),
-        DataObject::new(
-            "hot index",
-            64 << 20,
-            AccessProfile::RandomProbe {
-                probes_per_query: 200e6,
-                access_bytes: 256,
-            },
-        ),
-        DataObject::new(
-            "cold index",
-            64 << 20,
-            AccessProfile::RandomProbe {
-                probes_per_query: 1e6,
-                access_bytes: 256,
-            },
-        ),
-        DataObject::new(
-            "spill",
-            1 << 30,
-            AccessProfile::SequentialWrite {
-                bytes_per_query: 1 << 30,
-            },
-        ),
-    ];
-    let mut last = 1.0;
-    for budget in [0u64, 64 << 20, 2 << 30, 16 << 30] {
-        let plan = advisor.place(&objects, budget);
-        assert!(plan.dram_used <= budget);
-        assert!(
-            plan.speedup() >= last - 1e-9,
-            "budget {budget}: speedup {} below {last}",
-            plan.speedup()
-        );
-        last = plan.speedup();
-    }
-    // With exactly one index slot of budget, the hot index wins it.
-    let plan = advisor.place(&objects, 64 << 20);
-    assert_eq!(plan.tier_of("hot index"), Some(Tier::Dram));
-    assert_eq!(plan.tier_of("cold index"), Some(Tier::Pmem));
-}
-
-#[test]
-fn recorded_dash_probe_trace_replays_through_the_des() {
+fn dash_probes_read_whole_xplines() {
     use pmem_olap::dash::{DashTable, KvIndex};
-    use pmem_olap::sim::des::{self, DesConfig, ReplayOp};
-    use pmem_olap::sim::params::SystemParams;
-    use pmem_olap::store::TraceBuffer;
 
-    // Build an index, then record the probe-phase accesses of one segment's
-    // region… tracing is attached at the namespace-region level, so trace
-    // through a standalone region instead: record bucket loads by probing.
+    // Probing a built table reads whole 256 B buckets at random.
     let ns = Namespace::devdax(SocketId(0), 64 << 20);
     let table = DashTable::with_capacity(&ns, 4096).expect("table");
     for k in 0..4096u64 {
         table.insert(k, k).expect("insert");
     }
-    // Attach tracing to a fresh region and replay a synthetic copy of the
-    // probe signature instead (Dash owns its regions): mirror the observed
-    // tracker signature into ReplayOps.
     ns.tracker().reset();
     for k in 0..2000u64 {
         table.get((k * 2654435761) % 4096);
     }
     let snap = ns.tracker().snapshot();
-    let probe_ops = snap.read_ops;
-    let granule = snap.rand_read_bytes / probe_ops.max(1);
+    let granule = snap.rand_read_bytes / snap.read_ops.max(1);
     assert_eq!(granule, 256, "Dash probes are XPLine-sized");
-
-    // Replay the same op stream (offsets drawn from the recorded index
-    // footprint) through the DES at 18 threads.
-    let footprint = ns.used();
-    let ops: Vec<ReplayOp> = (0..probe_ops)
-        .map(|i| ReplayOp {
-            offset: (i.wrapping_mul(0x9E37_79B9) % (footprint / 256)) * 256,
-            len: granule,
-            write: false,
-        })
-        .collect();
-    let result = des::run(&DesConfig::replay(SystemParams::paper_default(), ops, 18));
-    let bw = result.bandwidth.gib_s();
-    // The DES prices the stream from queue/media mechanics alone (it does
-    // not carry the analytic model's random-efficiency factors), so the
-    // replay lands between the analytic random estimate (~14 GB/s) and the
-    // media-bound ceiling (~40 GB/s).
-    assert!((6.0..40.0).contains(&bw), "replayed probe bandwidth {bw}");
-    assert!(result.read_latency.mean() > 100e-9);
-
-    // And the direct Region tracing path captures entries too.
-    let region = ns.alloc_region(1 << 20).expect("region");
-    let buffer = TraceBuffer::shared(64);
-    region.attach_trace(std::sync::Arc::clone(&buffer));
-    region.read(0, 256, pmem_olap::store::AccessHint::Random);
-    region.read(512, 64, pmem_olap::store::AccessHint::Random);
-    region.detach_trace();
-    region.read(1024, 64, pmem_olap::store::AccessHint::Random);
-    let entries = buffer.take();
-    assert_eq!(entries.len(), 2, "detach stops recording");
-    assert_eq!(entries[0].offset, 0);
-    assert_eq!(entries[0].len, 256);
-    assert!(!entries[1].write);
 }
 
 #[test]

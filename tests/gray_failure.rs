@@ -10,6 +10,7 @@
 //! partials — while the oracle/no-hedge baseline demonstrably misses
 //! both gates. Every run must replay bit for bit from its seed.
 
+use pmem_cluster::detector::DEMOTED_WEIGHT;
 use pmem_cluster::{Cluster, ClusterConfig, DetectorConfig, DetectorMode, GrayConfig};
 use pmem_serve::ShardRole;
 use proptest::prelude::*;
@@ -113,9 +114,8 @@ fn suspected_machine_is_demoted_gradedly_and_reearns_full_weight() {
     // Graded demotion: the victim kept serving at the demoted weight —
     // never zero — and new ingest arrivals rebalanced to the ring peer,
     // paying the interconnect.
-    let det = DetectorConfig::accrual();
     assert!(hedged.victim_weight_min > 0.0, "demotion is not exile");
-    assert!((hedged.victim_weight_min - det.demoted_weight).abs() < 1e-12);
+    assert!((hedged.victim_weight_min - DEMOTED_WEIGHT).abs() < 1e-12);
     assert!(hedged.rebalanced_jobs > 0, "ingest moved off the victim");
     let victim_fanout = hedged.per_shard[VICTIM as usize]
         .fanout
