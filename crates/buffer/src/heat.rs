@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn skips_oversized_and_continues() {
         // The hottest object does not fit; the plan moves on to colder
-        // candidates rather than stopping (advisor-consistent).
+        // candidates rather than stopping.
         let objects = [obj(0, 1000, 9000.0), obj(1, 50, 100.0), obj(2, 60, 60.0)];
         let plan = AdmissionPlan::plan(&objects, 120);
         assert_eq!(plan.admitted, vec![1, 2]);

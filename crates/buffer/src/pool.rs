@@ -128,8 +128,7 @@ pub struct BufferPool {
     heat: Mutex<HashMap<u64, HeatEntry>>,
     admitted: RwLock<AdmissionPlan>,
     stats: StatCounters,
-    /// Evictions per object id — the pressure signal fed back into
-    /// placement so repeatedly-evicted objects lose DRAM residency.
+    /// Evictions per object id (see [`BufferPool::eviction_pressure`]).
     evicted_objects: Mutex<HashMap<u64, u64>>,
 }
 
