@@ -2,9 +2,9 @@
 //! message — never a panic, and never after running half the figures. A
 //! failed output write fails its section's verdict, and the outputs it
 //! does write are the checked-in `BENCH_*.json` files and one CSV per
-//! figure. What a run prints and each CSV it writes are pinned by their
-//! FNV-1a digests, so a change that moves any figure, table or gate line
-//! names the output it moved.
+//! figure. What three runs print and each CSV one of them writes are
+//! pinned by their FNV-1a digests, so a change that moves any figure,
+//! table or gate line names the output it moved.
 
 use std::fs;
 use std::path::Path;
@@ -41,6 +41,21 @@ const CSV_DIGESTS: [(&str, u64); 23] = [
     ("fig8b.csv", 0x49b4_30cb_2d34_f1c7),
     ("fig9.csv", 0x135d_54d2_a7b9_9d94),
     ("fig_dax.csv", 0x08af_3d26_db0b_948a),
+];
+
+/// FNV-1a digests of the stdout of two more runs, the same in debug and
+/// release: the open-loop surge (`ServeConfig::surge` with resilience,
+/// overload and fairness on) with the crash-state checker, and the SSB
+/// figures at SF 0.005 with the serve, faults and media sections.
+const MORE_RUNS: [(&[&str], u64); 2] = [
+    (
+        &["--skip-ssb", "--surge", "7", "--crashes"],
+        0x77fa_fde2_9d40_97d7,
+    ),
+    (
+        &["--sf", "0.005", "--faults", "7", "--media", "7"],
+        0x74b6_f039_59a8_c3a9,
+    ),
 ];
 
 #[test]
@@ -166,6 +181,35 @@ fn bench_files_match_the_checked_in_ones_and_every_figure_has_a_csv() {
     assert!(
         moved.is_empty(),
         "repro outputs moved:\n{}",
+        moved.join("\n")
+    );
+}
+
+#[test]
+fn surge_crashes_faults_and_media_runs_print_what_they_printed() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro_cli_more_runs");
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("run directory");
+    let mut moved = Vec::new();
+    for (args, pinned) in MORE_RUNS {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("repro starts");
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let digest = fnv64(FNV_OFFSET, &out.stdout);
+        if digest != pinned {
+            moved.push(format!("{args:?}: {digest:#018x} (pinned {pinned:#018x})"));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "repro stdout moved:\n{}",
         moved.join("\n")
     );
 }
