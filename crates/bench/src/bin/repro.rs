@@ -274,16 +274,17 @@ fn faulted_serve_section(sf: f64, seed: u64) -> Option<bool> {
         "config", "met %", "misses", "shed", "retried", "replans", "losses", "degraded s", "health"
     );
     let modes = [
-        ("baseline", ResiliencePolicy::disabled()),
-        ("resilient", ResiliencePolicy::paper()),
+        ("baseline", None),
+        ("resilient", Some(ResiliencePolicy::paper())),
     ];
     let mut met = Vec::new();
     for (label, resilience) in modes {
         let mut server = QueryServer::new(
             &store,
-            ServeConfig::scheduled(&planner)
-                .with_faults(plan.clone())
-                .with_resilience(resilience),
+            ServeConfig {
+                resilience,
+                ..ServeConfig::scheduled(&planner).with_faults(plan.clone())
+            },
         );
         for i in 0..20u64 {
             server.submit(
@@ -461,9 +462,8 @@ fn cache_section(seed: u64) -> Option<bool> {
         })
         .collect();
 
-    let run = |tier: HotTierPolicy| -> Option<ServeReport> {
-        let mut server =
-            QueryServer::new(&store, ServeConfig::scheduled(&planner).with_hot_tier(tier));
+    let run = |config: ServeConfig| -> Option<ServeReport> {
+        let mut server = QueryServer::new(&store, config);
         server.submit_all(jobs.clone());
         match server.run() {
             Ok(r) => Some(r),
@@ -487,8 +487,9 @@ fn cache_section(seed: u64) -> Option<bool> {
         )
     };
 
-    let pure = run(HotTierPolicy::disabled())?;
-    let tiered = run(HotTierPolicy::with_budget(budget))?;
+    let pure = run(ServeConfig::scheduled(&planner))?;
+    let tiered =
+        run(ServeConfig::scheduled(&planner).with_hot_tier(HotTierPolicy::with_budget(budget)))?;
     let Some(tier) = tiered.hot_tier.as_ref() else {
         eprintln!("cache section: tiered run carried no hot-tier report");
         return None;
@@ -1015,6 +1016,7 @@ fn slo_section(seed: u64) -> Option<bool> {
 /// verifies, loses nothing, and the post-recovery tail returns to ≥ 95%
 /// of healthy goodput while the no-rejoin baseline stays degraded.
 fn recover_section(seed: u64) -> Option<bool> {
+    use pmem_cluster::recovery::{BLACKOUT_AT, BLACKOUT_UNTIL};
     use pmem_cluster::{Cluster, ClusterConfig, DetectorConfig, RecoveryConfig};
 
     let shards = 8u32;
@@ -1035,7 +1037,7 @@ fn recover_section(seed: u64) -> Option<bool> {
             return None;
         }
     };
-    let pinned = match cluster.run_with_lost_shard(victim, rcfg.blackout_at) {
+    let pinned = match cluster.run_with_lost_shard(victim, BLACKOUT_AT) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("recover section skipped: no-rejoin baseline failed: {e}");
@@ -1051,10 +1053,9 @@ fn recover_section(seed: u64) -> Option<bool> {
     };
 
     println!(
-        "\n== recovery plane (seed {seed}): machine {victim} of {shards} dark over [{:.2}, {:.2})s, then back ==",
-        rcfg.blackout_at, rcfg.blackout_until
+        "\n== recovery plane (seed {seed}): machine {victim} of {shards} dark over [{BLACKOUT_AT:.2}, {BLACKOUT_UNTIL:.2})s, then back =="
     );
-    let tail_from = rejoin.full_weight_at.unwrap_or(rcfg.blackout_until);
+    let tail_from = rejoin.full_weight_at.unwrap_or(BLACKOUT_UNTIL);
     let horizon = cfg.horizon;
     let healthy_tail = healthy.goodput_in_window(tail_from, horizon);
     let pinned_tail = pinned.goodput_in_window(tail_from, horizon);
@@ -1125,8 +1126,8 @@ fn recover_section(seed: u64) -> Option<bool> {
         .object(
             "blackout",
             Json::new()
-                .fixed("at_s", rcfg.blackout_at)
-                .fixed("until_s", rcfg.blackout_until)
+                .fixed("at_s", BLACKOUT_AT)
+                .fixed("until_s", BLACKOUT_UNTIL)
                 .fixed("detect_at_s", rejoin.detect_at),
         )
         .object(

@@ -6,7 +6,8 @@
 //! DRAM byte), then admits densest-first while the budget lasts. An object
 //! that does not fit is skipped and the scan continues with smaller,
 //! colder candidates. The sort is stable, so objects of equal density are
-//! considered in input order.
+//! considered in input order. A partial admission, where asked for, gets
+//! only what the whole admissions leave.
 
 /// One cacheable object (a column, a partition, an index) with its
 /// observed read heat.
@@ -57,7 +58,8 @@ impl AdmissionPlan {
     }
 
     /// Like [`AdmissionPlan::plan`], but the densest object that did not
-    /// fully fit is granted the leftover budget as a partial admission.
+    /// fully fit is granted what the whole admissions leave of the budget
+    /// as a partial admission.
     pub fn plan_with_partial(objects: &[HeatObject], budget: u64) -> Self {
         Self::plan_inner(objects, budget, true)
     }
@@ -68,6 +70,7 @@ impl AdmissionPlan {
         // input order.
         scored.sort_by(|a, b| b.density().total_cmp(&a.density()));
         let mut plan = AdmissionPlan::default();
+        let mut densest_miss = None;
         for o in scored {
             if o.density() <= 0.0 {
                 continue;
@@ -75,16 +78,21 @@ impl AdmissionPlan {
             if plan.admitted_bytes + o.bytes <= budget {
                 plan.admitted_bytes += o.bytes;
                 plan.admitted.push(o.id);
-            } else if partial && plan.partial.is_none() {
-                let leftover = budget - plan.admitted_bytes;
-                if leftover > 0 {
-                    plan.partial = Some(PartialAdmission {
-                        id: o.id,
-                        bytes: leftover,
-                    });
-                }
+            } else if densest_miss.is_none() {
+                densest_miss = Some(o.id);
             }
         }
+        // The partial comes after the whole pass: a smaller object that
+        // fits after a miss is admitted whole, and the partial gets only
+        // what is left.
+        let leftover = budget - plan.admitted_bytes;
+        plan.partial =
+            densest_miss
+                .filter(|_| partial && leftover > 0)
+                .map(|id| PartialAdmission {
+                    id,
+                    bytes: leftover,
+                });
         plan
     }
 
@@ -207,6 +215,22 @@ mod tests {
         assert_eq!(plan.admitted, vec![0, 2]);
         assert_eq!(plan.admitted_bytes, 150);
         assert_eq!(plan.partial, Some(PartialAdmission { id: 1, bytes: 20 }));
+    }
+
+    #[test]
+    fn partial_gets_what_later_whole_admissions_leave() {
+        // Four objects of one density: the third misses, the fourth still
+        // fits whole, and the partial gets the 30 B left after both.
+        let objects = [
+            obj(0, 100, 200.0),
+            obj(1, 50, 100.0),
+            obj(2, 100, 200.0),
+            obj(3, 50, 100.0),
+        ];
+        let plan = AdmissionPlan::plan_with_partial(&objects, 230);
+        assert_eq!(plan.admitted, vec![0, 1, 3]);
+        assert_eq!(plan.admitted_bytes, 200);
+        assert_eq!(plan.partial, Some(PartialAdmission { id: 2, bytes: 30 }));
     }
 
     #[test]

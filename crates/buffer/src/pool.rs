@@ -128,8 +128,6 @@ pub struct BufferPool {
     heat: Mutex<HashMap<u64, HeatEntry>>,
     admitted: RwLock<AdmissionPlan>,
     stats: StatCounters,
-    /// Evictions per object id (see [`BufferPool::eviction_pressure`]).
-    evicted_objects: Mutex<HashMap<u64, u64>>,
 }
 
 impl BufferPool {
@@ -159,7 +157,6 @@ impl BufferPool {
             heat: Mutex::new(HashMap::new()),
             admitted: RwLock::new(AdmissionPlan::default()),
             stats: StatCounters::default(),
-            evicted_objects: Mutex::new(HashMap::new()),
         })
     }
 
@@ -203,20 +200,6 @@ impl BufferPool {
         self.ns.tracker().snapshot()
     }
 
-    /// Evictions suffered per object since construction, sorted by object
-    /// id. Objects that churn through the clock without sticking are
-    /// fighting for frames they keep losing.
-    pub fn eviction_pressure(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self
-            .evicted_objects
-            .lock()
-            .iter()
-            .map(|(&id, &n)| (id, n))
-            .collect();
-        v.sort_unstable_by_key(|&(id, _)| id);
-        v
-    }
-
     /// Record observed read traffic against an object. Heat accumulates
     /// until [`BufferPool::replan`] turns it into an admission decision.
     pub fn observe(&self, object: u64, object_bytes: u64, read_bytes: u64) {
@@ -224,15 +207,6 @@ impl BufferPool {
         let e = heat.entry(object).or_default();
         e.object_bytes = e.object_bytes.max(object_bytes);
         e.heat_bytes += read_bytes as f64;
-    }
-
-    /// Exponentially decay accumulated heat (call between measurement
-    /// windows so admission tracks the current mix, not all history).
-    pub fn decay_heat(&self, factor: f64) {
-        let factor = factor.clamp(0.0, 1.0);
-        for e in self.heat.lock().values_mut() {
-            e.heat_bytes *= factor;
-        }
     }
 
     /// Re-run admission over the accumulated heat profile under the
@@ -448,7 +422,6 @@ impl BufferPool {
                 map.remove(&old);
                 self.occupied.fetch_sub(1, Ordering::Relaxed);
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                *self.evicted_objects.lock().entry(old.object).or_insert(0) += 1;
             }
         }
         map.insert(key, idx);
@@ -510,7 +483,6 @@ impl BufferPool {
         f.len.store(0, Ordering::Release);
         f.state.unlock_x_evicted();
         self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-        *self.evicted_objects.lock().entry(old.object).or_insert(0) += 1;
     }
 }
 
@@ -650,36 +622,6 @@ mod tests {
             out,
             data[3 * FRAME_BYTES as usize..4 * FRAME_BYTES as usize]
         );
-    }
-
-    #[test]
-    fn eviction_pressure_attributes_churn_to_the_losing_object() {
-        let pages = 8u64;
-        let data = patterned((pages * FRAME_BYTES) as usize, 17);
-        let src = pmem_region(&data);
-        let pool = BufferPool::new(SocketId(0), 2 * FRAME_BYTES).unwrap();
-        pool.observe(3, 2 * FRAME_BYTES, 100 * FRAME_BYTES);
-        pool.replan();
-        assert!(pool.eviction_pressure().is_empty(), "no churn yet");
-        // Touch 8 pages through a 2-frame pool: object 3 keeps losing its
-        // own frames to itself.
-        for p in 0..pages {
-            let mut out = Vec::new();
-            pool.read_through(
-                PageKey { object: 3, page: p },
-                &src,
-                p * FRAME_BYTES,
-                FRAME_BYTES,
-                &mut out,
-            )
-            .unwrap();
-        }
-        let pressure = pool.eviction_pressure();
-        assert_eq!(pressure.len(), 1);
-        assert_eq!(pressure[0].0, 3, "churn attributed to the right object");
-        assert!(pressure[0].1 > 0);
-        let total: u64 = pressure.iter().map(|&(_, n)| n).sum();
-        assert_eq!(total, pool.stats().evictions, "per-object sums to global");
     }
 
     #[test]

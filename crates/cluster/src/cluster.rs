@@ -36,10 +36,21 @@ use pmem_store::{Result, StoreError};
 use crate::detector::{
     DetectorConfig, DetectorMode, HealthState, HealthTimeline, Observation, PROBE_INTERVAL,
 };
-use crate::gray::GrayConfig;
 use crate::machine::{scrubs_clean, ShardMachine};
 use crate::partition::ShardMap;
 use crate::report::{ClusterReport, ScatterGather, ShardOutcome};
+
+/// Offered ingest load per shard as a multiple of its write capacity.
+const OVERLOAD: f64 = 2.0;
+
+/// Bytes per ingest unit.
+const UNIT_BYTES: u64 = 64 << 20;
+
+/// Per-unit completion deadline in seconds after arrival.
+pub(crate) const DEADLINE: f64 = 0.25;
+
+/// Inter-machine network pricing: 100 GbE.
+pub(crate) const INTERCONNECT: Interconnect = Interconnect::paper_default();
 
 /// How a cluster experiment is shaped.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,19 +65,11 @@ pub struct ClusterConfig {
     pub replicate: bool,
     /// Open-loop arrival horizon in virtual seconds.
     pub horizon: f64,
-    /// Offered ingest load per shard as a multiple of its write capacity.
-    pub overload: f64,
-    /// Bytes per ingest unit.
-    pub unit_bytes: u64,
-    /// Per-unit completion deadline in seconds after arrival.
-    pub deadline: f64,
-    /// Inter-machine network pricing.
-    pub interconnect: Interconnect,
-    /// SLO-class policy every shard's server runs under. When enabled,
-    /// each shard's steady tenant is tagged `Interactive` and its bursty
-    /// tenant `BestEffort`, and failover re-routing carries the class
-    /// with the job — the replica host inherits the victim's tiers.
-    pub slo: SloPolicy,
+    /// SLO-class policy every shard's server runs under, if any. With
+    /// one, each shard's steady tenant is tagged `Interactive` and its
+    /// bursty tenant `BestEffort`, and failover re-routing carries the
+    /// class with the job — the replica host inherits the victim's tiers.
+    pub slo: Option<SloPolicy>,
     /// How the router detects unhealthy shards. [`DetectorConfig::oracle`]
     /// is the PR-7 behavior (fixed blackout delay, blind to gray
     /// failures); [`DetectorConfig::accrual`] scores probes and
@@ -84,11 +87,7 @@ impl ClusterConfig {
             sf: 0.002,
             replicate: true,
             horizon: 0.2,
-            overload: 2.0,
-            unit_bytes: 64 << 20,
-            deadline: 0.25,
-            interconnect: Interconnect::paper_default(),
-            slo: SloPolicy::disabled(),
+            slo: None,
             detector: DetectorConfig::oracle(),
         }
     }
@@ -102,7 +101,7 @@ impl ClusterConfig {
     /// Serve every shard under `slo` (class-tagged tenants, class-banded
     /// admission on each machine).
     pub fn with_slo(mut self, slo: SloPolicy) -> Self {
-        self.slo = slo;
+        self.slo = Some(slo);
         self
     }
 
@@ -281,7 +280,7 @@ impl Cluster {
     fn run_fleet(&mut self, fleet: FleetFaultPlans) -> Result<ClusterReport> {
         let planner = AccessPlanner::paper_default();
         let link = LinkPlan::none();
-        let timelines = self.detect(&fleet, &link, GrayConfig::demo().bytes_per_row, &planner)?;
+        let timelines = self.detect(&fleet, &link, &planner)?;
         self.simulate(&fleet, &link, &timelines, &planner)
     }
 
@@ -309,15 +308,13 @@ impl Cluster {
     /// identical whether the fleet has 1 machine or 16.
     pub(crate) fn shard_plan(&self, shard: u32, planner: &AccessPlanner) -> OpenLoopPlan {
         let cfg = &self.cfg;
-        let total_rate = cfg.overload * Self::machine_write_bw(planner) / cfg.unit_bytes as f64;
+        let total_rate = OVERLOAD * Self::machine_write_bw(planner) / UNIT_BYTES as f64;
         let per_tenant = total_rate / 2.0;
-        let template = JobSpec::ingest(cfg.unit_bytes)
-            .threads(2)
-            .deadline(cfg.deadline);
+        let template = JobSpec::ingest(UNIT_BYTES).threads(2).deadline(DEADLINE);
         // With SLO classes on, the steady tenant is the latency tier and
-        // the bursty one rides best-effort; disabled policies leave both
-        // at the default class (inert — the PR-6 plan, byte for byte).
-        let (steady, bursty) = if cfg.slo.enabled {
+        // the bursty one rides best-effort; without them both keep the
+        // default class.
+        let (steady, bursty) = if cfg.slo.is_some() {
             (
                 template.slo(SloClass::Interactive),
                 template.slo(SloClass::BestEffort),
@@ -348,9 +345,10 @@ impl Cluster {
         jobs: &[JobSpec],
         planner: &AccessPlanner,
     ) -> Result<ServeReport> {
-        let config = ServeConfig::surge(planner)
-            .with_faults(plan)
-            .with_slo_classes(self.cfg.slo);
+        let config = ServeConfig {
+            slo: self.cfg.slo,
+            ..ServeConfig::surge(planner).with_faults(plan)
+        };
         let mut server = QueryServer::new(&self.machines[shard].store, config);
         server.submit_all(jobs.iter().copied());
         server.run()
@@ -358,25 +356,23 @@ impl Cluster {
 
     /// Health-probe pricing for shard `shard`: the probe's healthy cost,
     /// and its cost when issued at virtual time `t` — a round trip over
-    /// `link` plus a sample scan of `bytes_per_row` virtual bytes per row
-    /// at the machine's service rate under `plan`.
+    /// `link` plus a scan of the shard's virtual bytes at the machine's
+    /// service rate under `plan`.
     pub(crate) fn probe_pricing<'a>(
         &self,
         shard: usize,
         plan: &'a FaultPlan,
         link: &'a LinkPlan,
-        bytes_per_row: u64,
         planner: &AccessPlanner,
     ) -> (f64, impl Fn(f64) -> f64 + 'a) {
-        let interconnect = self.cfg.interconnect;
         let machine = Machine::paper_default();
-        let scan = self.machines[shard].virtual_scan_bytes(bytes_per_row) as f64
+        let scan = self.machines[shard].virtual_scan_bytes() as f64
             / Self::machine_scan_bw(planner).max(1.0);
         let probe = move |t: f64| {
-            2.0 * interconnect.latency_seconds_at(t, link)
+            2.0 * INTERCONNECT.latency_seconds_at(t, link)
                 + scan / plan.state_at(&machine, t).service_scale().max(1e-9)
         };
-        (2.0 * interconnect.latency_seconds + scan, probe)
+        (2.0 * INTERCONNECT.latency_seconds + scan, probe)
     }
 
     /// The detector step: one [`HealthTimeline`] per shard for `fleet`
@@ -390,7 +386,6 @@ impl Cluster {
         &self,
         fleet: &FleetFaultPlans,
         link: &LinkPlan,
-        bytes_per_row: u64,
         planner: &AccessPlanner,
     ) -> Result<Vec<HealthTimeline>> {
         let det = &self.cfg.detector;
@@ -409,7 +404,7 @@ impl Cluster {
             }
             let jobs = self.shard_plan(s as u32, planner).jobs();
             let stream = completion_stream(&self.serve_shard(s, plan.clone(), &jobs, planner)?);
-            let (baseline, probe) = self.probe_pricing(s, &plan, link, bytes_per_row, planner);
+            let (baseline, probe) = self.probe_pricing(s, &plan, link, planner);
             let horizon = lost.map_or(self.cfg.horizon, |b| {
                 self.cfg.horizon.max(b.at + 10.0 * PROBE_INTERVAL)
             });
@@ -464,9 +459,7 @@ impl Cluster {
                     routed[s].push(job);
                     continue;
                 };
-                let hop = cfg
-                    .interconnect
-                    .transfer_seconds_at(cfg.unit_bytes, job.arrival, link);
+                let hop = INTERCONNECT.transfer_seconds_at(UNIT_BYTES, job.arrival, link);
                 job.arrival += hop;
                 transfer_in[p] += hop;
                 moved_out[s] += 1;
@@ -578,9 +571,7 @@ impl Cluster {
             if let Some(source) = source {
                 let copy = source.replicate_to(self.machines[target].replica_ns())?;
                 rereplicated_bytes = copy.total_bytes();
-                let transfer = cfg
-                    .interconnect
-                    .transfer_seconds_at(rereplicated_bytes, at, link);
+                let transfer = INTERCONNECT.transfer_seconds_at(rereplicated_bytes, at, link);
                 redundancy_restored_at = Some(at + transfer);
                 self.machines[target].host_replica(v as u32, copy);
                 if written_off.is_none() {
@@ -628,7 +619,7 @@ impl Cluster {
         let mut lost_rows = 0;
         let mut replica_served_rows = 0;
         // Request fan-out + tiny partial results back: latency-dominated.
-        let mut transfer_seconds = 2.0 * cfg.shards as f64 * cfg.interconnect.latency_seconds;
+        let mut transfer_seconds = 2.0 * cfg.shards as f64 * INTERCONNECT.latency_seconds;
         for (s, machine) in self.machines.iter().enumerate() {
             if lost == Some(s as u32) {
                 let replica = self
@@ -639,7 +630,7 @@ impl Cluster {
                     Some(partial) => {
                         partials[s] = partial;
                         replica_served_rows += machine.rows;
-                        transfer_seconds += cfg.interconnect.latency_seconds;
+                        transfer_seconds += INTERCONNECT.latency_seconds;
                     }
                     None => lost_rows += machine.rows,
                 }

@@ -22,7 +22,7 @@
 //!    degraded interconnect), and it re-earns full weight when its score
 //!    clears. Only the query plane below is this module's own.
 //! 3. **Hedging.** The query plane fans Q1.1 out every
-//!    [`GrayConfig::query_interval`] seconds. A shard the detector has
+//!    [`QUERY_INTERVAL`] seconds. A shard the detector has
 //!    demoted gets a *tied* hedge (primary and ring-replica backup
 //!    fired together); a healthy-looking straggler gets a *reactive*
 //!    hedge once it outlives the hedge quantile of observed partial
@@ -48,7 +48,7 @@ use pmem_sim::rng::splitmix64;
 use pmem_sim::topology::Machine;
 use pmem_store::Result;
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, INTERCONNECT};
 use crate::detector::{HealthState, HealthTimeline, HEDGE_QUANTILE, HEDGE_SCALE, HEDGE_WINDOW};
 use crate::machine::ShardMachine;
 use crate::report::GrayReport;
@@ -57,8 +57,36 @@ use crate::report::GrayReport;
 /// independent of every other consumer of the cluster seed.
 const LINK_JITTER_SALT: u64 = 0x6c69_6e6b_6a69_7474;
 
+/// Virtual seconds between scatter-gather queries.
+pub const QUERY_INTERVAL: f64 = 0.001;
+
+/// Per-query completion deadline as a multiple of the healthy fan-out
+/// estimate; deadline-met queries are the goodput.
+pub const QUERY_DEADLINE_SCALE: f64 = 4.0;
+
+/// Seeded interconnect-jitter windows over the horizon.
+const LINK_WINDOWS: u32 = 2;
+
+/// Range a jitter window's latency multiplier is drawn from.
+const LINK_LATENCY_JITTER: (f64, f64) = (1.5, 3.0);
+
+/// Range a jitter window's bandwidth multiplier is drawn from.
+const LINK_BANDWIDTH_JITTER: (f64, f64) = (0.4, 0.9);
+
+/// The jittered interconnect the gray and rejoin experiments run over:
+/// [`LINK_WINDOWS`] degradation windows over `horizon`, drawn from `seed`.
+pub(crate) fn jittered_link(seed: u64, horizon: f64) -> LinkPlan {
+    LinkPlan::generate(
+        seed,
+        horizon,
+        LINK_WINDOWS,
+        LINK_LATENCY_JITTER,
+        LINK_BANDWIDTH_JITTER,
+    )
+}
+
 /// Shape of one gray-failure experiment, layered on a built
-/// [`Cluster`]: the injected fault, the query-plane cadence, and the
+/// [`Cluster`]: the injected fault, the query-plane phase, and the
 /// hedging switch. Detector behavior comes from the cluster's
 /// [`crate::detector::DetectorConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,42 +97,19 @@ pub struct GrayConfig {
     /// Whether scatter-gather hedging is armed (the no-hedge baseline
     /// turns this off).
     pub hedging: bool,
-    /// Virtual seconds between scatter-gather queries.
-    pub query_interval: f64,
     /// Issue offset of the first query (de-phases the query grid from
     /// the probe grid).
     pub query_offset: f64,
-    /// Virtual bytes each row stands in for on the query plane (the
-    /// demo data set is a miniature; see
-    /// [`ShardMachine::virtual_scan_bytes`]).
-    pub bytes_per_row: u64,
-    /// Per-query completion deadline as a multiple of the healthy
-    /// fan-out estimate; deadline-met queries are the goodput.
-    pub query_deadline_scale: f64,
-    /// Seeded interconnect-jitter windows over the horizon (0 = clean
-    /// link).
-    pub link_windows: u32,
-    /// Range a jitter window's latency multiplier is drawn from.
-    pub link_latency_jitter: (f64, f64),
-    /// Range a jitter window's bandwidth multiplier is drawn from.
-    pub link_bandwidth_jitter: (f64, f64),
 }
 
 impl GrayConfig {
-    /// The acceptance-suite shape: 1 ms query cadence (de-phased off
-    /// the probe grid), 4 KiB virtual bytes per row, 4× deadline slack,
-    /// two link-jitter windows, hedging on, no fault yet.
+    /// The acceptance-suite shape: queries de-phased 0.4 ms off the
+    /// probe grid, hedging on, no fault yet.
     pub fn demo() -> Self {
         GrayConfig {
             fail_slow: None,
             hedging: true,
-            query_interval: 0.001,
             query_offset: 0.0004,
-            bytes_per_row: 4 << 10,
-            query_deadline_scale: 4.0,
-            link_windows: 2,
-            link_latency_jitter: (1.5, 3.0),
-            link_bandwidth_jitter: (0.4, 0.9),
         }
     }
 
@@ -189,13 +194,7 @@ impl Cluster {
         let planner = AccessPlanner::paper_default();
         let machine = Machine::paper_default();
         let shards = cfg.shards as usize;
-        let link = LinkPlan::generate(
-            splitmix64(cfg.seed ^ LINK_JITTER_SALT),
-            cfg.horizon,
-            gray.link_windows,
-            gray.link_latency_jitter,
-            gray.link_bandwidth_jitter,
-        );
+        let link = jittered_link(splitmix64(cfg.seed ^ LINK_JITTER_SALT), cfg.horizon);
 
         let mut fleet = FleetFaultPlans::healthy(shards);
         if let Some(w) = gray.fail_slow {
@@ -208,7 +207,7 @@ impl Cluster {
         // every timeline healthy — that blindness is the baseline. The
         // accrual detector demotes the victim, and the run rebalances its
         // arrivals to the replica host by the graded weight.
-        let timelines = self.detect(&fleet, &link, gray.bytes_per_row, &planner)?;
+        let timelines = self.detect(&fleet, &link, &planner)?;
         let ingest = self.simulate(&fleet, &link, &timelines, &planner)?;
 
         // Query-plane pricing: each shard's partial scan in virtual
@@ -217,9 +216,9 @@ impl Cluster {
         let max_scan = self
             .machines
             .iter()
-            .map(|m| m.virtual_scan_bytes(gray.bytes_per_row) as f64 / scan_bw)
+            .map(|m| m.virtual_scan_bytes() as f64 / scan_bw)
             .fold(0.0_f64, f64::max);
-        let healthy_rtt = 2.0 * cfg.interconnect.latency_seconds;
+        let healthy_rtt = 2.0 * INTERCONNECT.latency_seconds;
 
         // The query plane. Partial *values* are computed once per
         // source — the columnar data is static over the run (ingest is
@@ -250,10 +249,10 @@ impl Cluster {
         let total_vbytes: f64 = self
             .machines
             .iter()
-            .map(|m| m.virtual_scan_bytes(gray.bytes_per_row) as f64)
+            .map(|m| m.virtual_scan_bytes() as f64)
             .sum();
         let fanout_estimate = healthy_rtt + max_scan;
-        let query_deadline = gray.query_deadline_scale.max(1.0) * fanout_estimate;
+        let query_deadline = QUERY_DEADLINE_SCALE * fanout_estimate;
 
         let mut own_lane = vec![0.0_f64; shards];
         let mut replica_lane = vec![0.0_f64; shards];
@@ -271,14 +270,13 @@ impl Cluster {
         let mut counted_partials = 0u64;
         let mut transfer_seconds = 0.0_f64;
 
-        let interval = gray.query_interval.max(1e-6);
         let mut q_t = gray.query_offset.max(0.0);
         while q_t < cfg.horizon {
             queries += 1;
             let mut aggregate = 0i64;
             let mut completion = q_t;
             for s in 0..shards {
-                let one_way = |t: f64| cfg.interconnect.latency_seconds_at(t, &link);
+                let one_way = |t: f64| INTERCONNECT.latency_seconds_at(t, &link);
                 // Primary request to the owner, scanned on its own-fact
                 // lane (socket 0).
                 let arrive = q_t + one_way(q_t);
@@ -288,7 +286,7 @@ impl Cluster {
                     &plans[s],
                     &machine,
                     start,
-                    self.machines[s].virtual_scan_bytes(gray.bytes_per_row) as f64,
+                    self.machines[s].virtual_scan_bytes() as f64,
                     scan_bw,
                 );
                 let primary_resp = finish + one_way(finish);
@@ -318,7 +316,7 @@ impl Cluster {
                                 &plans[host],
                                 &machine,
                                 b_start,
-                                self.machines[s].virtual_scan_bytes(gray.bytes_per_row) as f64,
+                                self.machines[s].virtual_scan_bytes() as f64,
                                 scan_bw,
                             );
                             let b_resp = b_finish + one_way(b_finish);
@@ -380,7 +378,7 @@ impl Cluster {
             if aggregate != self.reference {
                 mismatched += 1;
             }
-            q_t += interval;
+            q_t += QUERY_INTERVAL;
         }
 
         // The victim's router weight at the end of the run, and the lowest

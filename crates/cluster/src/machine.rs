@@ -8,6 +8,14 @@ use pmem_ssb::queries::QueryId;
 use pmem_ssb::{EngineMode, SsbStore, StorageDevice};
 use pmem_store::{Namespace, Result};
 
+/// Virtual bytes each row stands in for on the query plane, in scrub
+/// pricing and in catch-up transfers. The demo data set is a miniature
+/// (sf ≈ 0.002), so each row stands in for 4 KiB of the paper-scale
+/// table — that keeps per-shard service times large enough to be
+/// visible over the 10 µs interconnect, which is what the hedging
+/// experiments are about.
+pub const BYTES_PER_ROW: u64 = 4 << 10;
+
 /// One shard's machine: a full `pmem-sim` + store stack of its own. The
 /// row-format [`SsbStore`] backs the serving plane (admission, pricing);
 /// the [`ColumnarFact`] is the scatter-gather scan target, checksummed
@@ -107,13 +115,9 @@ impl ShardMachine {
     }
 
     /// Bytes one Q1.1 partial scan over this machine's partition is
-    /// priced at on the query plane. The demo data set is a miniature
-    /// (sf ≈ 0.002), so each row stands in for `bytes_per_row` of the
-    /// paper-scale table — that keeps per-shard service times large
-    /// enough to be visible over the 10 µs interconnect, which is what
-    /// the hedging experiments are about.
-    pub fn virtual_scan_bytes(&self, bytes_per_row: u64) -> u64 {
-        self.rows.max(1) * bytes_per_row.max(1)
+    /// priced at on the query plane, [`BYTES_PER_ROW`] per row.
+    pub fn virtual_scan_bytes(&self) -> u64 {
+        self.rows.max(1) * BYTES_PER_ROW
     }
 
     /// Q1.1 partial aggregate over a columnar partition (4 threads; the

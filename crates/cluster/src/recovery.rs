@@ -58,9 +58,9 @@ use pmem_ssb::columnar::{AntiEntropyReport, Column, ColumnarFact};
 use pmem_store::scrub::SCRUB_BLOCK;
 use pmem_store::Result;
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, DEADLINE, INTERCONNECT};
 use crate::detector::{DetectorMode, HealthState, HealthTimeline, PROBE_INTERVAL};
-use crate::gray::GrayConfig;
+use crate::gray::jittered_link;
 use crate::machine::scrubs_clean;
 use crate::report::{ChaosReport, RecoveryReport};
 
@@ -72,49 +72,36 @@ const REJOIN_LINK_SALT: u64 = 0x7265_6a6f_696e; // "rejoin"
 /// Sub-seed salt for the media damage a blackout leaves behind.
 const POISON_SALT: u64 = 0x706f_6973_6f6e; // "poison"
 
-/// Shape of one rejoin experiment, layered on a built [`Cluster`].
+/// Virtual time the rejoin experiment's blackout opens.
+pub const BLACKOUT_AT: f64 = 0.05;
+
+/// Virtual time the blacked-out machine comes back (the rejoin instant).
+pub const BLACKOUT_UNTIL: f64 = 0.10;
+
+/// Seeded media-poison sites the blackout leaves on the victim's shard
+/// (each one damages ~1 scrub block).
+pub const POISON_SITES: u32 = 3;
+
+/// Shape of one rejoin experiment, layered on a built [`Cluster`]: the
+/// victim blacks out over [`BLACKOUT_AT`]..[`BLACKOUT_UNTIL`] of the
+/// horizon and comes back with [`POISON_SITES`] seeded media errors on
+/// its shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
     /// The machine that blacks out and rejoins.
     pub victim: u32,
-    /// Virtual time the blackout opens.
-    pub blackout_at: f64,
-    /// Virtual time the machine comes back (the rejoin instant).
-    pub blackout_until: f64,
-    /// Seeded media-poison sites the blackout leaves on the victim's
-    /// shard (each one damages ~1 scrub block).
-    pub poison_sites: u32,
     /// Whether the anti-entropy catch-up verifies landed blocks and
     /// scrubs before claiming success. Turning this off is the planted
     /// regression the chaos fuzzer exists to rediscover.
     pub verify_catch_up: bool,
-    /// Virtual bytes each row stands in for when pricing the scrub and
-    /// the catch-up transfer (the demo data set is a miniature; see
-    /// [`ShardMachine::virtual_scan_bytes`](crate::machine::ShardMachine::virtual_scan_bytes)).
-    pub bytes_per_row: u64,
-    /// Seeded interconnect-jitter windows over the horizon.
-    pub link_windows: u32,
-    /// Range a jitter window's latency multiplier is drawn from.
-    pub link_latency_jitter: (f64, f64),
-    /// Range a jitter window's bandwidth multiplier is drawn from.
-    pub link_bandwidth_jitter: (f64, f64),
 }
 
 impl RecoveryConfig {
-    /// The acceptance-suite shape: blackout over `[0.05, 0.10)` of the
-    /// 0.2 s horizon, 3 poison sites, verified catch-up, two jitter
-    /// windows.
+    /// The acceptance-suite shape with a verified catch-up.
     pub fn demo(victim: u32) -> Self {
         RecoveryConfig {
             victim,
-            blackout_at: 0.05,
-            blackout_until: 0.10,
-            poison_sites: 3,
             verify_catch_up: true,
-            bytes_per_row: 4 << 10,
-            link_windows: 2,
-            link_latency_jitter: (1.5, 3.0),
-            link_bandwidth_jitter: (0.4, 0.9),
         }
     }
 
@@ -162,35 +149,28 @@ impl Cluster {
         let shards = cfg.shards as usize;
         let victim = rcfg.victim % cfg.shards;
         let v = victim as usize;
-        let at = rcfg.blackout_at;
-        let until = rcfg.blackout_until.max(at);
-        let link = LinkPlan::generate(
-            splitmix64(cfg.seed ^ REJOIN_LINK_SALT),
-            cfg.horizon,
-            rcfg.link_windows,
-            rcfg.link_latency_jitter,
-            rcfg.link_bandwidth_jitter,
-        );
+        let (at, until) = (BLACKOUT_AT, BLACKOUT_UNTIL);
+        let link = jittered_link(splitmix64(cfg.seed ^ REJOIN_LINK_SALT), cfg.horizon);
 
         // The blackout is a *window*: the machine comes back at `until`.
         // Detection cannot know that, so it reaches the same death
         // verdict the terminal-loss path would.
         let fleet = FleetFaultPlans::healthy(shards).with_lost_machine(v, at, until);
-        let mut timelines = self.detect(&fleet, &link, rcfg.bytes_per_row, &planner)?;
+        let mut timelines = self.detect(&fleet, &link, &planner)?;
         let detect_at = timelines[v].dead_at().unwrap_or(at + det.oracle_delay);
 
         // The blackout leaves seeded media damage on the victim's shard.
         let poisoned_lines = inject_seeded_poison(
             &mut self.machines[v].fact,
             splitmix64(machine_seed(cfg.seed, v) ^ POISON_SALT),
-            rcfg.poison_sites,
+            POISON_SITES,
         );
 
         // Rejoin step 1: scrub the local shard against its sealed
         // checksums, priced at the machine's scan bandwidth over the
         // shard's virtual bytes.
         let scan_bw = Self::machine_scan_bw(&planner).max(1.0);
-        let virtual_bytes = self.machines[v].virtual_scan_bytes(rcfg.bytes_per_row);
+        let virtual_bytes = self.machines[v].virtual_scan_bytes();
         let scrub_bad_blocks: u64 = self.machines[v]
             .fact
             .scrub()
@@ -207,15 +187,13 @@ impl Cluster {
             m.fact.catch_up_from_replica(replica, verify)
         })?;
         // Wire pricing in the virtual plane: each real shard byte stands
-        // in for `bytes_per_row / row_bytes` wire bytes, like every other
+        // in for `BYTES_PER_ROW / row_bytes` wire bytes, like every other
         // transfer in the demo-scale cluster.
         let vscale = virtual_bytes as f64 / full_shard_bytes.max(1) as f64;
         let wire_bytes =
             ((catch_up.hash_bytes_exchanged + catch_up.bytes_shipped) as f64 * vscale) as u64;
         let scrub_done = until + scrub_seconds;
-        let catch_up_seconds = cfg
-            .interconnect
-            .transfer_seconds_at(wire_bytes, scrub_done, &link);
+        let catch_up_seconds = INTERCONNECT.transfer_seconds_at(wire_bytes, scrub_done, &link);
         let ready_at = scrub_done + catch_up_seconds;
         let caught_up = catch_up.is_fully_caught_up();
 
@@ -232,8 +210,7 @@ impl Cluster {
             Some(back_at)
         } else {
             let plan = fleet.plan(v);
-            let (baseline, probe) =
-                self.probe_pricing(v, &plan, &link, rcfg.bytes_per_row, &planner);
+            let (baseline, probe) = self.probe_pricing(v, &plan, &link, &planner);
             let back = HealthTimeline::replay_from(
                 ready_at,
                 HealthState::Suspect,
@@ -385,8 +362,7 @@ impl Cluster {
         // Serve plane: the shared fleet run. A victim whose catch-up
         // verified takes its range back at the rejoin instant (or at
         // detection, if the window closed before the router noticed).
-        let mut timelines =
-            self.detect(&fleet, &link, GrayConfig::demo().bytes_per_row, &planner)?;
+        let mut timelines = self.detect(&fleet, &link, &planner)?;
         if let (Some((m, _, b_until)), true) = (blackout, rejoined) {
             timelines[m].extend(&[(b_until, HealthState::Healthy)]);
         }
@@ -443,7 +419,7 @@ impl Cluster {
             catch_up,
             handed_back_dirty_blocks,
             worst_window,
-            deadline: cfg.deadline,
+            deadline: DEADLINE,
             ledger_outstanding,
             partials_counted,
         })

@@ -93,14 +93,19 @@ impl Knobs {
         }
     }
 
-    /// Write the knob vector into a configuration (its other policy
-    /// fields — breakers, resilience, SLO classes — pass through).
+    /// Write the knob vector into a configuration's overload and
+    /// fairness policies, where it has them (its other policy fields —
+    /// breakers, resilience, SLO classes — pass through).
     pub fn apply(&self, mut config: ServeConfig) -> ServeConfig {
-        config.overload.queue_cap = self.queue_cap;
-        config.overload.retry_fraction = self.retry_fraction;
-        config.overload.brownout.queue_high = self.brownout_queue_high;
-        config.fairness.burst_seconds = self.burst_seconds;
-        config.fairness.rate_headroom = self.rate_headroom;
+        if let Some(overload) = config.overload.as_mut() {
+            overload.queue_cap = self.queue_cap;
+            overload.retry_fraction = self.retry_fraction;
+            overload.brownout.queue_high = self.brownout_queue_high;
+        }
+        if let Some(fairness) = config.fairness.as_mut() {
+            fairness.burst_seconds = self.burst_seconds;
+            fairness.rate_headroom = self.rate_headroom;
+        }
         config
     }
 
@@ -246,7 +251,10 @@ pub fn auto_tune(
             .with_open_loop(plan_for(plan_seed));
         let mut server = QueryServer::new(store, config);
         let report = server.run()?;
-        let v = violations(&report, &base.slo, cfg.windows.max(1));
+        let v = base
+            .slo
+            .as_ref()
+            .map_or(0, |slo| violations(&report, slo, cfg.windows.max(1)));
         let goodput = report.goodput_bytes_per_sec();
         let score = if v == 0 { goodput } else { -f64::from(v) };
         trajectory.push(EpochObservation {
@@ -284,23 +292,8 @@ mod tests {
         let planner = AccessPlanner::paper_default();
         let shipped = ServeConfig::surge(&planner);
         let applied = Knobs::hand().apply(ServeConfig::surge(&planner));
-        assert_eq!(applied.overload.queue_cap, shipped.overload.queue_cap);
-        assert_eq!(
-            applied.overload.retry_fraction,
-            shipped.overload.retry_fraction
-        );
-        assert_eq!(
-            applied.overload.brownout.queue_high,
-            shipped.overload.brownout.queue_high
-        );
-        assert_eq!(
-            applied.fairness.burst_seconds,
-            shipped.fairness.burst_seconds
-        );
-        assert_eq!(
-            applied.fairness.rate_headroom,
-            shipped.fairness.rate_headroom
-        );
+        assert_eq!(applied.overload, shipped.overload);
+        assert_eq!(applied.fairness, shipped.fairness);
     }
 
     #[test]

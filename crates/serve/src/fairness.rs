@@ -28,13 +28,11 @@ use crate::job::Side;
 /// degrades to "tiny share" instead of "starved forever".
 const MIN_WEIGHT: f64 = 1e-6;
 
-/// Tenant fairness knobs. Construct via [`FairnessPolicy::weighted`] or
-/// [`FairnessPolicy::disabled`] and override fields as needed.
+/// Tenant fairness knobs. Construct via [`FairnessPolicy::weighted`] and
+/// override fields as needed. Without a policy no buckets exist and
+/// admission order is plain FIFO-with-bypass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FairnessPolicy {
-    /// Master switch. When false no buckets exist and admission order is
-    /// plain FIFO-with-bypass.
-    pub enabled: bool,
     /// Burst capacity in seconds of a tenant's fair-share rate.
     pub burst_seconds: f64,
     /// Multiplier on every bucket's refill rate: 1.0 hands out exactly
@@ -48,21 +46,10 @@ pub struct FairnessPolicy {
 }
 
 impl FairnessPolicy {
-    /// Fairness off: no buckets, no throttling.
-    pub fn disabled() -> Self {
-        FairnessPolicy {
-            enabled: false,
-            burst_seconds: 0.0,
-            rate_headroom: 1.0,
-            weights: Vec::new(),
-        }
-    }
-
     /// Weighted-fair sharing with a 50 ms burst allowance and equal
     /// weights until configured otherwise.
     pub fn weighted() -> Self {
         FairnessPolicy {
-            enabled: true,
             burst_seconds: 0.050,
             rate_headroom: 1.05,
             weights: Vec::new(),

@@ -19,13 +19,14 @@
 //! 3. **Circuit breakers** — one per socket, tripping on a sustained
 //!    deadline-miss rate ([`BreakerConfig`]): an Open breaker stops
 //!    admission to its socket (unpinned work re-routes, never onto a
-//!    socket under media repair), then Half-Open
+//!    socket under media repair) for [`BREAKER_COOLDOWN`], then Half-Open
 //!    lets a single probe through before re-admitting the world.
 //! 4. **Brownout** — before shedding anything already queued, degrade
-//!    batch *quality*: widen the shared-scan coalescing window under
-//!    offered-load pressure and tighten the reader budget (via the same
-//!    scaling as [`AccessPlanner::degraded_budget`]) while the waiting
-//!    line is deep, trading per-query latency for surviving throughput.
+//!    batch *quality*: double the shared-scan coalescing window under
+//!    offered-load pressure and tighten the reader budget to 70% (via
+//!    the same scaling as [`AccessPlanner::degraded_budget`]) while the
+//!    waiting line is deep, trading per-query latency for surviving
+//!    throughput.
 //!
 //! [`ShedReason::QueueFull`]: crate::admission::ShedReason::QueueFull
 //! [`ShedReason::RetryBudget`]: crate::admission::ShedReason::RetryBudget
@@ -34,42 +35,27 @@
 
 use std::collections::VecDeque;
 
+/// Seconds an Open breaker blocks its socket before half-opening.
+pub const BREAKER_COOLDOWN: f64 = 0.050;
+
 /// Per-socket circuit-breaker tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
-    /// Master switch for the breakers.
-    pub enabled: bool,
     /// Deadline outcomes remembered per socket (sliding window).
     pub window: usize,
     /// Samples required before the breaker may trip.
     pub min_samples: usize,
     /// Miss fraction within the window at/above which the breaker trips.
     pub trip_miss_fraction: f64,
-    /// Seconds an Open breaker blocks its socket before half-opening.
-    pub cooldown_seconds: f64,
 }
 
 impl BreakerConfig {
-    /// Breakers off.
-    pub fn disabled() -> Self {
-        BreakerConfig {
-            enabled: false,
-            window: 0,
-            min_samples: 0,
-            trip_miss_fraction: 1.0,
-            cooldown_seconds: 0.0,
-        }
-    }
-
-    /// Trip when half of the last 16 deadline-carrying jobs missed,
-    /// cool down for 50 ms.
+    /// Trip when half of the last 16 deadline-carrying jobs missed.
     pub fn default_on() -> Self {
         BreakerConfig {
-            enabled: true,
             window: 16,
             min_samples: 8,
             trip_miss_fraction: 0.5,
-            cooldown_seconds: 0.050,
         }
     }
 }
@@ -135,7 +121,7 @@ impl CircuitBreaker {
 
     fn trip(&mut self, now: f64) {
         self.state = BreakerState::Open;
-        self.open_until = now + self.cfg.cooldown_seconds.max(0.0);
+        self.open_until = now + BREAKER_COOLDOWN;
         self.recent.clear();
         self.trips += 1;
     }
@@ -172,48 +158,21 @@ impl CircuitBreaker {
 /// Brownout tuning: quality degradation before shedding.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrownoutConfig {
-    /// Master switch.
-    pub enabled: bool,
     /// Waiting units at/above which the reader budget tightens.
     pub queue_high: usize,
-    /// Reader-budget scale applied while browned out (as if the read side
-    /// had degraded to this fraction of its bandwidth).
-    pub reader_scale: f64,
-    /// Multiplier widening the shared-scan coalescing window when offered
-    /// load exceeds projected capacity.
-    pub batch_widen: f64,
 }
 
 impl BrownoutConfig {
-    /// Brownout off.
-    pub fn disabled() -> Self {
-        BrownoutConfig {
-            enabled: false,
-            queue_high: usize::MAX,
-            reader_scale: 1.0,
-            batch_widen: 1.0,
-        }
-    }
-
-    /// Tighten the reader budget to 70% once 12 units queue; double the
-    /// coalescing window under offered overload.
+    /// Tighten the reader budget once 12 units queue.
     pub fn default_on() -> Self {
-        BrownoutConfig {
-            enabled: true,
-            queue_high: 12,
-            reader_scale: 0.7,
-            batch_widen: 2.0,
-        }
+        BrownoutConfig { queue_high: 12 }
     }
 }
 
 /// The overload-control policy one server runs under. Construct via
-/// [`OverloadPolicy::disabled`] or [`OverloadPolicy::surge`] and override
-/// fields as needed.
+/// [`OverloadPolicy::surge`] and override fields as needed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadPolicy {
-    /// Master switch. When false every mechanism below is inert.
-    pub enabled: bool,
     /// Per-tenant bound on waiting units; arrivals beyond it are refused
     /// at ingress. Zero = unbounded.
     pub queue_cap: u32,
@@ -230,24 +189,11 @@ pub struct OverloadPolicy {
 }
 
 impl OverloadPolicy {
-    /// Overload control off: the PR-2 scheduler, byte for byte.
-    pub fn disabled() -> Self {
-        OverloadPolicy {
-            enabled: false,
-            queue_cap: 0,
-            retry_fraction: f64::INFINITY,
-            retry_floor: u32::MAX,
-            breaker: BreakerConfig::disabled(),
-            brownout: BrownoutConfig::disabled(),
-        }
-    }
-
     /// The surge experiments' defaults: queues capped at 8 units per
     /// tenant, retries held under a quarter of fresh work, breakers and
     /// brownout on.
     pub fn surge() -> Self {
         OverloadPolicy {
-            enabled: true,
             queue_cap: 8,
             retry_fraction: 0.25,
             retry_floor: 2,
@@ -258,9 +204,6 @@ impl OverloadPolicy {
 
     /// Most in-flight retries allowed alongside `fresh` fresh units.
     pub fn retry_allowance(&self, fresh: u32) -> u32 {
-        if !self.enabled {
-            return u32::MAX;
-        }
         let frac = (self.retry_fraction * f64::from(fresh)).floor();
         let frac = if frac.is_finite() && frac >= 0.0 {
             frac.min(f64::from(u32::MAX)) as u32
@@ -348,7 +291,6 @@ mod tests {
             window: 4,
             min_samples: 4,
             trip_miss_fraction: 0.75,
-            ..BreakerConfig::default_on()
         };
         let mut b = CircuitBreaker::new(cfg);
         // Two misses, then enough successes to push them out of the window.
@@ -369,7 +311,6 @@ mod tests {
         assert_eq!(policy.retry_allowance(0), policy.retry_floor);
         assert_eq!(policy.retry_allowance(4), 2, "floor dominates at 4 fresh");
         assert_eq!(policy.retry_allowance(40), 10, "0.25 × 40");
-        assert_eq!(OverloadPolicy::disabled().retry_allowance(0), u32::MAX);
     }
 
     #[test]
@@ -386,18 +327,5 @@ mod tests {
         assert!(ledger.try_start(&policy, 0));
         assert!(!ledger.try_start(&policy, 0));
         assert_eq!(ledger.denied, 2);
-    }
-
-    #[test]
-    fn disabled_policy_is_inert() {
-        let p = OverloadPolicy::disabled();
-        assert!(!p.enabled);
-        assert!(!p.breaker.enabled);
-        assert!(!p.brownout.enabled);
-        let mut ledger = RetryLedger::default();
-        for _ in 0..1000 {
-            assert!(ledger.try_start(&p, 0), "disabled budget never denies");
-        }
-        assert_eq!(ledger.denied, 0);
     }
 }

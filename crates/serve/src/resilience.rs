@@ -1,18 +1,18 @@
 //! Resilience policy: how the server degrades gracefully instead of
 //! collapsing when the machine misbehaves.
 //!
-//! With resilience *disabled* (the PR-1 behavior), the scheduler under an
-//! injected [`pmem_sim::faults::FaultPlan`] simply grinds: jobs on a
-//! throttled socket run at the throttled rate, power loss resets their
-//! progress, deadlines are recorded but never acted on, and the queue
-//! grows without bound. With resilience *enabled* the scheduler:
+//! With no resilience policy (`ServeConfig::resilience` is `None`) the
+//! scheduler under an injected [`pmem_sim::faults::FaultPlan`] simply
+//! grinds: jobs on a throttled socket run at the throttled rate, power
+//! loss resets their progress, deadlines are recorded but never acted on,
+//! and the queue grows without bound. With a policy the scheduler:
 //!
 //! * routes arriving jobs away from sockets the fault state marks
 //!   degraded (unless explicitly pinned);
 //! * re-plans the per-socket admission budget when observed bandwidth
-//!   drifts past [`ResiliencePolicy::replan_drift`] — a throttled socket
-//!   is saturated by proportionally fewer threads, so admitting the
-//!   healthy budget only deepens its queues;
+//!   drifts more than 10% — a throttled socket is saturated by
+//!   proportionally fewer threads, so admitting the healthy budget only
+//!   deepens its queues;
 //! * cancels jobs that blow their deadline and retries them — with
 //!   exponential backoff and a fresh working deadline — up to
 //!   [`ResiliencePolicy::max_retries`] times, after which they fail;
@@ -27,84 +27,54 @@
 //!   cancelled jobs once the repair completes — instead of letting scans
 //!   consume poison and die.
 
+/// First retry delay in virtual seconds.
+pub const BACKOFF_BASE: f64 = 0.005;
+
+/// Multiplier applied to the delay for each further retry.
+pub const BACKOFF_FACTOR: f64 = 2.0;
+
+/// Ceiling on the un-jittered delay: exponential growth stops here
+/// instead of growing without bound.
+pub const BACKOFF_MAX: f64 = 0.080;
+
 /// Knobs for graceful degradation. Construct via
-/// [`ResiliencePolicy::paper`] or [`ResiliencePolicy::disabled`] and
-/// override fields as needed.
+/// [`ResiliencePolicy::paper`] and override fields as needed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResiliencePolicy {
-    /// Master switch. When false every other knob is inert and the
-    /// scheduler behaves exactly like the PR-1 version.
-    pub enabled: bool,
     /// Maximum retries per job after a failure or deadline blow.
     pub max_retries: u32,
-    /// First retry delay in virtual seconds.
-    pub backoff_base: f64,
-    /// Multiplier applied to the delay for each further retry.
-    pub backoff_factor: f64,
-    /// Ceiling on the un-jittered delay: exponential growth stops here
-    /// instead of growing without bound.
-    pub backoff_max: f64,
     /// Jitter fraction in `[0, 1)`: a seeded draw shortens each delay by
     /// up to this fraction so retries cancelled by the same event don't
     /// re-arrive as a synchronized herd.
     pub backoff_jitter: f64,
-    /// Bandwidth drift (1 − observed/expected) beyond which a socket's
-    /// admission budget is re-planned down.
-    pub replan_drift: f64,
     /// Shed queued jobs whose deadline is unreachable even at the healthy
     /// solo rate, instead of queueing them into certain failure.
     pub shed_hopeless: bool,
-    /// Quarantine + repair sockets hit by uncorrectable media errors,
-    /// retrying the cancelled jobs after the repair window. When false a
-    /// media error kills whatever was running on the socket.
-    pub repair_media: bool,
     /// Virtual seconds one media-error repair occupies the socket
     /// (scrub + rebuild of the poisoned blocks from the mirror).
     pub media_repair_seconds: f64,
 }
 
 impl ResiliencePolicy {
-    /// Resilience off: the PR-1 scheduler, byte for byte.
-    pub fn disabled() -> Self {
-        ResiliencePolicy {
-            enabled: false,
-            max_retries: 0,
-            backoff_base: 0.0,
-            backoff_factor: 1.0,
-            backoff_max: f64::INFINITY,
-            backoff_jitter: 0.0,
-            replan_drift: f64::INFINITY,
-            shed_hopeless: false,
-            repair_media: false,
-            media_repair_seconds: 0.0,
-        }
-    }
-
     /// The defaults the resilience experiments use: three retries starting
-    /// at 5 ms and doubling, re-plan at 10% drift, hopeless jobs shed.
+    /// at 5 ms and doubling, hopeless jobs shed, 5 ms media repairs.
     pub fn paper() -> Self {
         ResiliencePolicy {
-            enabled: true,
             max_retries: 3,
-            backoff_base: 0.005,
-            backoff_factor: 2.0,
-            backoff_max: 0.080,
             backoff_jitter: 0.2,
-            replan_drift: 0.10,
             shed_hopeless: true,
-            repair_media: true,
             media_repair_seconds: 0.005,
         }
     }
 
     /// The backoff delay before retry number `retry` (1-based): the base
     /// delay grows exponentially with each attempt, capped at
-    /// [`ResiliencePolicy::backoff_max`].
+    /// [`BACKOFF_MAX`].
     pub fn backoff_before(&self, retry: u32) -> f64 {
         if retry == 0 {
             return 0.0;
         }
-        (self.backoff_base * self.backoff_factor.powi(retry as i32 - 1)).min(self.backoff_max)
+        (BACKOFF_BASE * BACKOFF_FACTOR.powi(retry as i32 - 1)).min(BACKOFF_MAX)
     }
 
     /// The capped delay with deterministic jitter applied: `salt` (e.g. the
@@ -131,15 +101,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_policy_is_fully_inert() {
-        let p = ResiliencePolicy::disabled();
-        assert!(!p.enabled);
-        assert_eq!(p.max_retries, 0);
-        assert!(!p.shed_hopeless);
-        assert_eq!(p.backoff_before(1), 0.0);
-    }
-
-    #[test]
     fn backoff_grows_exponentially() {
         let p = ResiliencePolicy::paper();
         assert_eq!(p.backoff_before(0), 0.0);
@@ -153,11 +114,11 @@ mod tests {
         let mut p = ResiliencePolicy::paper();
         p.max_retries = 20;
         // Un-capped, retry 10 would be 0.005 * 2^9 = 2.56 s.
-        assert!((p.backoff_before(10) - p.backoff_max).abs() < 1e-12);
-        assert!((p.backoff_before(20) - p.backoff_max).abs() < 1e-12);
+        assert!((p.backoff_before(10) - BACKOFF_MAX).abs() < 1e-12);
+        assert!((p.backoff_before(20) - BACKOFF_MAX).abs() < 1e-12);
         // The cap also bounds the jittered delay.
         for salt in 0..64 {
-            assert!(p.jittered_backoff_before(15, salt) <= p.backoff_max + 1e-15);
+            assert!(p.jittered_backoff_before(15, salt) <= BACKOFF_MAX + 1e-15);
         }
     }
 

@@ -52,7 +52,24 @@ use crate::tier::{self, HotTierPolicy, SocketDemand, TierAssignment};
 /// Bytes below which a unit counts as finished (float-remainder guard).
 const DONE_EPSILON: f64 = 0.5;
 
-/// Server configuration.
+/// Ceiling on the adaptive (and brownout-widened) coalescing window, in
+/// virtual seconds.
+const BATCH_WINDOW_MAX: f64 = 0.040;
+
+/// Bandwidth drift (1 − observed/expected) beyond which resilience
+/// re-plans a socket's admission budget down.
+const REPLAN_DRIFT: f64 = 0.10;
+
+/// Reader-budget scale while browned out, as if the read side had
+/// degraded to this fraction of its bandwidth.
+const BROWNOUT_READER_SCALE: f64 = 0.7;
+
+/// Multiplier widening the shared-scan coalescing window when offered
+/// read load exceeds projected capacity under overload control.
+const BROWNOUT_BATCH_WIDEN: f64 = 2.0;
+
+/// Server configuration. Each optional mechanism is off when its field
+/// is `None`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Admission rules.
@@ -65,24 +82,22 @@ pub struct ServeConfig {
     /// machine).
     pub faults: FaultPlan,
     /// Graceful-degradation behavior under faults and deadline pressure.
-    pub resilience: ResiliencePolicy,
+    pub resilience: Option<ResiliencePolicy>,
     /// Weighted-fair tenant admission (token buckets).
-    pub fairness: FairnessPolicy,
+    pub fairness: Option<FairnessPolicy>,
     /// Overload control: bounded queues, retry budget, breakers, brownout.
-    pub overload: OverloadPolicy,
+    pub overload: Option<OverloadPolicy>,
     /// Open-loop arrival plan; when set, [`QueryServer::run`] generates
     /// and submits the whole timeline itself (every run replays it).
     pub open_loop: Option<OpenLoopPlan>,
     /// Derive the shared-scan window from the observed scan inter-arrival
     /// rate instead of the fixed `batch_window`.
     pub adaptive_batch: bool,
-    /// Ceiling on the adaptive (and brownout-widened) coalescing window.
-    pub batch_window_max: f64,
-    /// DRAM hot tier pricing reads (disabled = pure-PMEM reads).
-    pub hot_tier: HotTierPolicy,
+    /// DRAM hot tier pricing reads (`None` = pure-PMEM reads).
+    pub hot_tier: Option<HotTierPolicy>,
     /// SLO classes: EDF-within-class admission bands, class-aware ingress
     /// eviction, brownout shielding, per-class default deadlines.
-    pub slo: SloPolicy,
+    pub slo: Option<SloPolicy>,
 }
 
 impl ServeConfig {
@@ -94,14 +109,13 @@ impl ServeConfig {
             pinning: Pinning::Cores,
             batch_window: 0.010,
             faults: FaultPlan::none(),
-            resilience: ResiliencePolicy::disabled(),
-            fairness: FairnessPolicy::disabled(),
-            overload: OverloadPolicy::disabled(),
+            resilience: None,
+            fairness: None,
+            overload: None,
             open_loop: None,
             adaptive_batch: false,
-            batch_window_max: 0.040,
-            hot_tier: HotTierPolicy::disabled(),
-            slo: SloPolicy::disabled(),
+            hot_tier: None,
+            slo: None,
         }
     }
 
@@ -114,7 +128,7 @@ impl ServeConfig {
             .with_resilience(ResiliencePolicy::paper())
             .with_overload(OverloadPolicy::surge())
             .with_fairness(FairnessPolicy::weighted())
-            .with_adaptive_batching(0.040)
+            .with_adaptive_batching()
     }
 
     /// Replay an injected fault schedule during the virtual plane.
@@ -125,19 +139,19 @@ impl ServeConfig {
 
     /// Enable (or reconfigure) graceful degradation.
     pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> Self {
-        self.resilience = resilience;
+        self.resilience = Some(resilience);
         self
     }
 
     /// Enable (or reconfigure) overload control.
     pub fn with_overload(mut self, overload: OverloadPolicy) -> Self {
-        self.overload = overload;
+        self.overload = Some(overload);
         self
     }
 
     /// Enable (or reconfigure) weighted-fair tenant admission.
     pub fn with_fairness(mut self, fairness: FairnessPolicy) -> Self {
-        self.fairness = fairness;
+        self.fairness = Some(fairness);
         self
     }
 
@@ -149,10 +163,9 @@ impl ServeConfig {
     }
 
     /// Derive the shared-scan window from the observed inter-arrival
-    /// rate, capped at `max_window` seconds.
-    pub fn with_adaptive_batching(mut self, max_window: f64) -> Self {
+    /// rate, capped at 40 ms.
+    pub fn with_adaptive_batching(mut self) -> Self {
         self.adaptive_batch = true;
-        self.batch_window_max = max_window.max(0.0);
         self
     }
 
@@ -174,28 +187,41 @@ impl ServeConfig {
             pinning: Pinning::None,
             batch_window: 0.0,
             faults: FaultPlan::none(),
-            resilience: ResiliencePolicy::disabled(),
-            fairness: FairnessPolicy::disabled(),
-            overload: OverloadPolicy::disabled(),
+            resilience: None,
+            fairness: None,
+            overload: None,
             open_loop: None,
             adaptive_batch: false,
-            batch_window_max: 0.040,
-            hot_tier: HotTierPolicy::disabled(),
-            slo: SloPolicy::disabled(),
+            hot_tier: None,
+            slo: None,
         }
     }
 
-    /// Price reads through a DRAM hot tier with `policy`.
+    /// Price reads through a DRAM hot tier with `policy`; a zero-byte
+    /// budget leaves the tier off.
     pub fn with_hot_tier(mut self, policy: HotTierPolicy) -> Self {
-        self.hot_tier = policy;
+        self.hot_tier = (policy.dram_budget > 0).then_some(policy);
         self
     }
 
     /// Enable (or reconfigure) SLO classes: class-banded EDF admission,
     /// class-aware ingress eviction, and brownout shielding.
     pub fn with_slo_classes(mut self, slo: SloPolicy) -> Self {
-        self.slo = slo;
+        self.slo = Some(slo);
         self
+    }
+
+    /// The relative deadline a job of `class` that set `explicit` runs
+    /// under: its own, or with SLO classes on, its class default.
+    pub(crate) fn effective_deadline(&self, class: SloClass, explicit: Option<f64>) -> Option<f64> {
+        self.slo
+            .map_or(explicit, |slo| slo.effective_deadline(class, explicit))
+    }
+
+    /// Whether SLO classes are on and shield `class` from brownout and
+    /// ingress eviction.
+    pub(crate) fn shielded(&self, class: SloClass) -> bool {
+        self.slo.is_some_and(|slo| slo.shielded(class))
     }
 }
 
@@ -308,7 +334,7 @@ impl<'s> QueryServer<'s> {
         let sockets = self.planner.sockets().max(1);
         let rr = SocketId((self.route_rr % u64::from(sockets)) as u8);
         self.route_rr += 1;
-        if !self.config.resilience.enabled || self.config.faults.is_empty() {
+        if self.config.resilience.is_none() || self.config.faults.is_empty() {
             return rr;
         }
         let machine = &self.planner.simulation().params().machine;
@@ -378,12 +404,11 @@ impl<'s> QueryServer<'s> {
         // deduplicated fact traffic before anything is shed.
         let mut batcher = if self.config.adaptive_batch {
             let arrivals: Vec<f64> = scan_infos.iter().map(|s| s.arrival).collect();
-            ScanBatcher::adaptive(&arrivals, self.config.batch_window_max)
+            ScanBatcher::adaptive(&arrivals, BATCH_WINDOW_MAX)
         } else {
             ScanBatcher::new(self.config.batch_window)
         };
-        let brown = self.config.overload.brownout;
-        if self.config.overload.enabled && brown.enabled && scan_infos.len() >= 2 {
+        if self.config.overload.is_some() && scan_infos.len() >= 2 {
             let first = scan_infos
                 .iter()
                 .map(|s| s.arrival)
@@ -396,8 +421,8 @@ impl<'s> QueryServer<'s> {
             let capacity = read_bw.bytes_per_sec() * f64::from(self.planner.sockets().max(1));
             if offered_rate > capacity {
                 batcher = ScanBatcher::new(
-                    (batcher.window * brown.batch_widen.max(1.0))
-                        .min(self.config.batch_window_max.max(batcher.window)),
+                    (batcher.window * BROWNOUT_BATCH_WIDEN)
+                        .min(BATCH_WINDOW_MAX.max(batcher.window)),
                 );
             }
         }
@@ -409,12 +434,10 @@ impl<'s> QueryServer<'s> {
         for batch in &batches {
             shared_scan_bytes_saved += batch.saved_bytes;
             // Effective deadlines: explicit spec deadlines, with the class
-            // default filling any gap once the SLO policy is enabled.
+            // default filling any gap once SLO classes are on.
             let eff = |m: &ScanJobInfo| {
                 let spec = &routed[m.id.0 as usize].1;
-                self.config
-                    .slo
-                    .effective_deadline(spec.class, spec.deadline)
+                self.config.effective_deadline(spec.class, spec.deadline)
             };
             let deadline_rel = batch
                 .members
@@ -464,10 +487,7 @@ impl<'s> QueryServer<'s> {
         }
         for (idx, (_, spec, socket)) in routed.iter().enumerate() {
             if let JobKind::Ingest { bytes, threads } = spec.kind {
-                let eff = self
-                    .config
-                    .slo
-                    .effective_deadline(spec.class, spec.deadline);
+                let eff = self.config.effective_deadline(spec.class, spec.deadline);
                 units.push(Unit {
                     side: Side::Write,
                     socket: *socket,
@@ -494,15 +514,14 @@ impl<'s> QueryServer<'s> {
         }
 
         // ---- DRAM hot tier: plan admission, price per-unit hit rates ----
-        let tier_cfg = self.config.hot_tier;
-        let tier_state = tier_cfg.enabled.then(|| {
+        let tier_state = self.config.hot_tier.map(|tier_cfg| {
             let demands = self.socket_demands(&scan_infos);
             let full = tier::assign(&demands, tier_cfg.dram_budget);
             let shrunk = tier::assign(&demands, tier_cfg.shrunken_budget());
             price_hits(&mut units, &full, &shrunk);
             // Pristine copies replay the loop at scaled budgets for the
             // hit-rate-vs-latency curve.
-            (demands, full, units.clone())
+            (tier_cfg, demands, full, units.clone())
         });
 
         // ---- Virtual plane: discrete-event loop ----
@@ -511,7 +530,7 @@ impl<'s> QueryServer<'s> {
         // ---- Hot-tier report: observed hits plus the budget curve ----
         // Each point below the full budget replays the loop; the full
         // budget's point is the run itself.
-        let hot_tier = tier_state.map(|(demands, assignment, pristine)| {
+        let hot_tier = tier_state.map(|(tier_cfg, demands, assignment, pristine)| {
             let mut curve: Vec<TierCurvePoint> = [0.0, 0.25, 0.5, 0.75]
                 .iter()
                 .map(|&scale| {
@@ -598,7 +617,6 @@ impl<'s> QueryServer<'s> {
                 batch_peers: unit.members.len() as u32 - 1,
                 deadline: self
                     .config
-                    .slo
                     .effective_deadline(spec.class, spec.deadline)
                     .map(|d| spec.arrival + d),
                 retries: unit.retries,
@@ -795,8 +813,8 @@ impl<'a> EventLoop<'a> {
         let sockets = planner.sockets().max(1);
         // Weighted-fair tenant buckets over every tenant in the workload,
         // with open-loop plan weights folded in under explicit ones.
-        let buckets = config.fairness.enabled.then(|| {
-            let mut policy = config.fairness.clone();
+        let buckets = config.fairness.as_ref().map(|fairness| {
+            let mut policy = fairness.clone();
             if let Some(plan) = &config.open_loop {
                 for (t, w) in plan.weights() {
                     if !policy.weights.iter().any(|&(pt, _)| pt == t) {
@@ -812,14 +830,11 @@ impl<'a> EventLoop<'a> {
             tenants.dedup();
             TenantBuckets::new(&policy, planner, &tenants)
         });
-        let overload = config.overload;
-        let breakers = if overload.enabled && overload.breaker.enabled {
+        let breakers = config.overload.map_or_else(Vec::new, |overload| {
             (0..sockets)
                 .map(|_| CircuitBreaker::new(overload.breaker))
                 .collect()
-        } else {
-            Vec::new()
-        };
+        });
         EventLoop {
             config,
             planner,
@@ -854,14 +869,12 @@ impl<'a> EventLoop<'a> {
             writer_threads: config.admission.writer_cap,
         };
         // Reader budget in force while browned out.
-        let browned_caps = (overload.enabled && overload.brownout.enabled).then(|| {
-            self.planner
-                .degraded_budget(overload.brownout.reader_scale, 1.0)
-        });
+        let browned_caps =
+            overload.map(|_| self.planner.degraded_budget(BROWNOUT_READER_SCALE, 1.0));
 
         // Optimistic solo execution time per unit on a healthy machine:
         // prices the "can this still make its deadline at all?" shed check.
-        let min_exec: Vec<f64> = if res.enabled && res.shed_hopeless {
+        let min_exec: Vec<f64> = if res.is_some_and(|r| r.shed_hopeless) {
             let sim = self.planner.simulation();
             self.units
                 .iter()
@@ -910,28 +923,27 @@ impl<'a> EventLoop<'a> {
             }
             // Brownout: tighten the reader budget while the waiting line
             // is deep — quality degrades before anything is shed.
-            let brownout_active = overload.enabled
-                && overload.brownout.enabled
-                && self.waiting.len() >= overload.brownout.queue_high;
+            let brownout_active =
+                overload.is_some_and(|o| self.waiting.len() >= o.brownout.queue_high);
 
             // Deadline enforcement (resilient only): cancel active units
             // that blew their working deadline and requeue them. Every
             // blown deadline feeds the socket's circuit breaker.
-            if res.enabled {
+            if let Some(policy) = res {
                 while let Some(u) =
                     self.take_active(|_, unit| unit.deadline_at.is_some_and(|d| now >= d - 1e-9))
                 {
                     if let Some(b) = self.breakers.get_mut(usize::from(self.units[u].socket.0)) {
                         b.record(true, now);
                     }
-                    self.requeue(u, JobOutcome::Failed);
+                    self.requeue(u, &policy, JobOutcome::Failed);
                 }
             }
 
             // Shed pass: a queued job whose deadline is unreachable even at
             // the healthy solo rate gets a typed refusal now instead of
             // queueing into certain failure.
-            if res.enabled && res.shed_hopeless {
+            if res.is_some_and(|r| r.shed_hopeless) {
                 let mut i = 0;
                 while i < self.waiting.len() {
                     let u = self.waiting[i];
@@ -969,13 +981,13 @@ impl<'a> EventLoop<'a> {
             for (s, last) in last_caps.iter_mut().enumerate() {
                 let sf = fstate.socket(SocketId(s as u8));
                 let drift = (1.0 - sf.read_scale).max(1.0 - sf.write_scale);
-                let caps = if res.enabled && drift > res.replan_drift {
+                let caps = if res.is_some() && drift > REPLAN_DRIFT {
                     self.planner.degraded_budget(sf.read_scale, sf.write_scale)
                 } else {
                     policy_caps
                 };
                 let prev = std::mem::replace(last, caps);
-                if res.enabled && prev != caps {
+                if res.is_some() && prev != caps {
                     self.out.replan_events += 1;
                 }
                 // Brownout tightening stacks on top of fault re-planning
@@ -993,7 +1005,7 @@ impl<'a> EventLoop<'a> {
             // classes on, the queue is re-ordered earliest-deadline-first
             // within class bands before the pass: every interactive unit
             // is considered before any standard one, EDF inside each band.
-            if slo.enabled {
+            if slo.is_some() {
                 let units = &*self.units;
                 self.waiting.sort_by(|&a, &b| {
                     units[a]
@@ -1026,7 +1038,7 @@ impl<'a> EventLoop<'a> {
                 let caps = caps_by_socket
                     .get(usize::from(socket.0))
                     .map(|&(plain, browned)| {
-                        if slo.shielded(unit.class) {
+                        if config.shielded(unit.class) {
                             plain
                         } else {
                             browned
@@ -1115,7 +1127,7 @@ impl<'a> EventLoop<'a> {
             // PMEM and DRAM lanes at its hit rate — shielded classes keep
             // the full tier even while the brownout ladder shrinks it.
             let hit = |unit: &Unit| {
-                if brownout_active && !slo.shielded(unit.class) {
+                if brownout_active && !config.shielded(unit.class) {
                     unit.hit_rate_browned
                 } else {
                     unit.hit_rate
@@ -1162,7 +1174,7 @@ impl<'a> EventLoop<'a> {
                 .map(|&u| self.units[u].ready_at - now)
                 .filter(|&d| d > 1e-12)
                 .fold(f64::INFINITY, f64::min);
-            let dt_deadline = if res.enabled {
+            let dt_deadline = if res.is_some() {
                 self.active
                     .iter()
                     .filter_map(|a| self.units[a.unit].deadline_at)
@@ -1221,7 +1233,7 @@ impl<'a> EventLoop<'a> {
             }
             if brownout_active {
                 out.brownout_seconds += dt;
-                if config.hot_tier.enabled && !self.active.is_empty() {
+                if config.hot_tier.is_some() && !self.active.is_empty() {
                     out.tier_shrunk_seconds += dt;
                 }
             }
@@ -1260,9 +1272,9 @@ impl<'a> EventLoop<'a> {
             // from scratch at whatever rate the faults leave it.
             if let Some((_, lost)) = loss.filter(|&(t, _)| t <= now + 1e-9) {
                 self.out.power_loss_events += 1;
-                if res.enabled {
+                if let Some(policy) = res {
                     while let Some(u) = self.take_active(|_, unit| unit.socket == lost) {
-                        self.requeue(u, JobOutcome::Failed);
+                        self.requeue(u, &policy, JobOutcome::Failed);
                     }
                 } else {
                     for run in &mut self.active {
@@ -1281,9 +1293,8 @@ impl<'a> EventLoop<'a> {
             // requeues whatever was running there; the baseline's scans
             // consume the poison and die on the spot.
             if let Some(m) = media.filter(|m| m.at <= now + 1e-9) {
-                let protect = res.enabled && res.repair_media;
-                if protect {
-                    let lift = now + res.media_repair_seconds.max(0.0);
+                if let Some(policy) = res {
+                    let lift = now + policy.media_repair_seconds.max(0.0);
                     let q = self.quarantine.entry(m.socket.0).or_insert(0.0);
                     *q = q.max(lift);
                     self.out.repaired += 1;
@@ -1297,9 +1308,9 @@ impl<'a> EventLoop<'a> {
                     }
                 }
                 while let Some(u) = self.take_active(|_, unit| unit.socket == m.socket) {
-                    if protect {
+                    if let Some(policy) = res {
                         self.out.quarantined += 1;
-                        self.requeue(u, JobOutcome::Shed(ShedReason::Unrepairable));
+                        self.requeue(u, &policy, JobOutcome::Shed(ShedReason::Unrepairable));
                     } else {
                         self.end(u, JobOutcome::Failed, now);
                     }
@@ -1329,11 +1340,7 @@ impl<'a> EventLoop<'a> {
     /// An arrival routed to a quarantined socket sits out the repair
     /// window before it becomes admissible.
     fn arrive(&mut self, u: usize) {
-        let (overload, slo, res) = (
-            self.config.overload,
-            self.config.slo,
-            self.config.resilience,
-        );
+        let (overload, slo) = (self.config.overload, self.config.slo);
         let units = &*self.units;
         let tenant = units[u].tenant;
         let depth = || {
@@ -1342,14 +1349,14 @@ impl<'a> EventLoop<'a> {
                 .filter(|&&w| units[w].tenant == tenant)
                 .count() as u32
         };
-        if overload.enabled && overload.queue_cap > 0 && depth() >= overload.queue_cap {
+        if overload.is_some_and(|o| o.queue_cap > 0 && depth() >= o.queue_cap) {
             let victim = self
                 .waiting
                 .iter()
                 .copied()
                 .enumerate()
                 .filter(|&(_, w)| {
-                    slo.enabled && units[w].tenant == tenant && units[w].class > units[u].class
+                    slo.is_some() && units[w].tenant == tenant && units[w].class > units[u].class
                 })
                 .max_by(|&(pa, a), &(pb, b)| {
                     // Worst class first; most slack (latest deadline, None
@@ -1372,7 +1379,7 @@ impl<'a> EventLoop<'a> {
             self.waiting.remove(pos);
             self.end(w, full, self.now);
         }
-        if res.enabled && res.repair_media {
+        if self.config.resilience.is_some() {
             let unit = &mut self.units[u];
             if let Some(&lift) = self.quarantine.get(&unit.socket.0) {
                 unit.ready_at = unit.ready_at.max(lift);
@@ -1450,18 +1457,17 @@ impl<'a> EventLoop<'a> {
     /// media quarantine, whatever cancelled it; pinned units keep their
     /// socket. A fresh unit's first retry must clear the global retry
     /// budget ([`ShedReason::RetryBudget`] otherwise), and a unit whose
-    /// retries are exhausted ends with `exhausted`.
-    fn requeue(&mut self, u: usize, exhausted: JobOutcome) {
-        let (res, overload, now) = (self.config.resilience, self.config.overload, self.now);
+    /// retries are exhausted under `res` ends with `exhausted`.
+    fn requeue(&mut self, u: usize, res: &ResiliencePolicy, exhausted: JobOutcome) {
+        let now = self.now;
         let retries = self.units[u].retries;
         if retries >= res.max_retries {
             return self.end(u, exhausted, now);
         }
-        if overload.enabled
-            && retries == 0
-            && !self.ledger.try_start(&overload, self.fresh_in_flight())
-        {
-            return self.end(u, JobOutcome::Shed(ShedReason::RetryBudget), now);
+        if let Some(overload) = self.config.overload.filter(|_| retries == 0) {
+            if !self.ledger.try_start(&overload, self.fresh_in_flight()) {
+                return self.end(u, JobOutcome::Shed(ShedReason::RetryBudget), now);
+            }
         }
         let unit = &mut self.units[u];
         unit.retries += 1;
@@ -1574,7 +1580,7 @@ impl<'a> EventLoop<'a> {
             }
         };
         let pmem = lane(self.device);
-        let dram_read = if self.config.hot_tier.enabled && load.reader_threads > 0 {
+        let dram_read = if self.config.hot_tier.is_some() && load.reader_threads > 0 {
             per_thread(lane(DeviceClass::Dram).read, load.reader_threads)
         } else {
             0.0

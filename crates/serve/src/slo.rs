@@ -104,14 +104,12 @@ impl ClassTarget {
 }
 
 /// The SLO-class policy one server runs under. Construct via
-/// [`SloPolicy::disabled`] or [`SloPolicy::default_on`] and override
-/// per-class targets with [`SloPolicy::target`].
+/// [`SloPolicy::default_on`] and override per-class targets with
+/// [`SloPolicy::target`]. Without a policy classes are recorded but
+/// change nothing: admission stays FIFO-with-bypass and brownout applies
+/// to everyone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloPolicy {
-    /// Master switch. When false classes are recorded but change
-    /// nothing: admission stays FIFO-with-bypass and brownout applies
-    /// to everyone — the PR-5 scheduler, byte for byte.
-    pub enabled: bool,
     /// Per-class targets, indexed by [`SloClass::rank`].
     pub targets: [ClassTarget; 3],
     /// Classes at or above this one (rank-wise) are shielded from
@@ -121,22 +119,12 @@ pub struct SloPolicy {
 }
 
 impl SloPolicy {
-    /// Classes off: the FIFO-with-bypass scheduler.
-    pub fn disabled() -> Self {
-        SloPolicy {
-            enabled: false,
-            targets: [ClassTarget::none(); 3],
-            shield: SloClass::Interactive,
-        }
-    }
-
     /// Classes on with placeholder targets: interactive promises a
     /// 100 ms deadline / 150 ms p99, standard 300 ms / 500 ms,
     /// best-effort promises nothing. Experiments override these with
     /// targets derived from the planner's measured drain times.
     pub fn default_on() -> Self {
         SloPolicy {
-            enabled: true,
             targets: [
                 ClassTarget::new(0.100, 0.150, 0.95),
                 ClassTarget::new(0.300, 0.500, 0.50),
@@ -159,16 +147,13 @@ impl SloPolicy {
 
     /// Is `class` shielded from brownout and ingress eviction?
     pub fn shielded(&self, class: SloClass) -> bool {
-        self.enabled && class <= self.shield
+        class <= self.shield
     }
 
     /// The effective relative deadline for a job of `class` that set
     /// `explicit` itself: the explicit deadline wins; otherwise the
-    /// class default applies (when the policy is enabled).
+    /// class default applies.
     pub fn effective_deadline(&self, class: SloClass, explicit: Option<f64>) -> Option<f64> {
-        if !self.enabled {
-            return explicit;
-        }
         explicit.or(self.target_of(class).deadline)
     }
 }
@@ -190,15 +175,15 @@ mod tests {
 
     #[test]
     fn disabled_policy_changes_nothing() {
-        let p = SloPolicy::disabled();
-        assert!(!p.enabled);
-        assert!(!p.shielded(SloClass::Interactive));
+        let planner = pmem_olap::planner::AccessPlanner::paper_default();
+        let off = crate::ServeConfig::scheduled(&planner);
+        assert!(!off.shielded(SloClass::Interactive));
         // Explicit deadlines pass through; class defaults never apply.
         assert_eq!(
-            p.effective_deadline(SloClass::Interactive, Some(0.2)),
+            off.effective_deadline(SloClass::Interactive, Some(0.2)),
             Some(0.2)
         );
-        assert_eq!(p.effective_deadline(SloClass::Interactive, None), None);
+        assert_eq!(off.effective_deadline(SloClass::Interactive, None), None);
     }
 
     #[test]

@@ -29,8 +29,6 @@ const ZIPF_THETA: f64 = 0.99;
 /// DRAM hot-tier configuration for the serving plane.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotTierPolicy {
-    /// Whether reads are priced through the tier at all.
-    pub enabled: bool,
     /// DRAM bytes the tier may hold across all sockets.
     pub dram_budget: u64,
     /// Fraction of the budget kept while browned out (memory pressure
@@ -39,21 +37,14 @@ pub struct HotTierPolicy {
 }
 
 impl HotTierPolicy {
-    /// No hot tier: every read is priced at PMEM rates.
-    pub fn disabled() -> Self {
-        HotTierPolicy {
-            enabled: false,
-            dram_budget: 0,
-            brownout_shrink: 0.5,
-        }
-    }
-
-    /// A tier holding up to `bytes` of DRAM (zero keeps it disabled).
+    /// A tier holding up to `bytes` of DRAM, half of it while browned
+    /// out. [`ServeConfig::with_hot_tier`] leaves a zero-byte tier off.
+    ///
+    /// [`ServeConfig::with_hot_tier`]: crate::ServeConfig::with_hot_tier
     pub fn with_budget(bytes: u64) -> Self {
         HotTierPolicy {
-            enabled: bytes > 0,
             dram_budget: bytes,
-            ..Self::disabled()
+            brownout_shrink: 0.5,
         }
     }
 
@@ -158,12 +149,32 @@ mod tests {
 
     #[test]
     fn policy_builders_round_trip() {
-        let off = HotTierPolicy::disabled();
-        assert!(!off.enabled);
-        assert_eq!(HotTierPolicy::with_budget(0), off);
+        let planner = pmem_olap::planner::AccessPlanner::paper_default();
+        let config = |tier| crate::ServeConfig::scheduled(&planner).with_hot_tier(tier);
+        assert_eq!(config(HotTierPolicy::with_budget(0)).hot_tier, None);
         let on = HotTierPolicy::with_budget(1 << 20).shrink(0.25);
-        assert!(on.enabled);
+        assert_eq!(config(on).hot_tier, Some(on));
         assert_eq!(on.shrunken_budget(), 1 << 18);
+    }
+
+    #[test]
+    fn admitted_bytes_stay_within_the_budget() {
+        // The dense socket does not fit whole; the smaller, colder one
+        // does. The dense one caches only what the smaller one leaves.
+        let d = [
+            demand(0, 100 << 20, 1000 << 20),
+            demand(1, 10 << 20, 50 << 20),
+        ];
+        let budget = 50 << 20;
+        let a = assign(&d, budget);
+        assert!(
+            a.admitted_bytes <= budget,
+            "{} > {budget}",
+            a.admitted_bytes
+        );
+        assert_eq!(a.admitted_bytes, budget);
+        let whole = assign(&d[1..], budget);
+        assert_eq!(a.hit(1), whole.hit(1), "the small socket is cached whole");
     }
 
     #[test]

@@ -21,6 +21,19 @@ use super::{DesConfig, DesResult};
 /// not evict each other's partially-consumed XPLines.
 const READ_BUFFER_ENTRIES: usize = 64;
 
+/// Per-page coherence remap cost a cold far run pays, in seconds.
+const REMAP_COST: f64 = 390e-9;
+
+/// Read pending-queue depth per DIMM.
+const RPQ_DEPTH: u32 = 24;
+
+/// Write pending-queue depth per DIMM.
+const WPQ_DEPTH: u32 = 24;
+
+/// Seed of the per-thread generators of the random pattern; runs are
+/// deterministic.
+const SEED: u64 = 0xD5_AA5E;
+
 /// Virtual-time event key: `f64` seconds with a tie-breaking sequence number
 /// so the heap ordering is total and deterministic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,6 +117,8 @@ pub(super) struct Engine<'a> {
     read_latency: LatencyStats,
     bytes_done: u64,
     // Derived constants.
+    /// Whether the workload's accesses cross the UPI.
+    far: bool,
     line: u64,
     xpline: u64,
     media_read_time: f64,
@@ -180,7 +195,7 @@ impl<'a> Engine<'a> {
                 outstanding: 0,
                 blocked: false,
                 done: false,
-                rng: SmallRng::seed_from_u64(cfg.seed ^ (t as u64).wrapping_mul(0x9e37_79b9)),
+                rng: SmallRng::seed_from_u64(SEED ^ (t as u64).wrapping_mul(0x9e37_79b9)),
             })
             .collect();
         let dimms = (0..dimm_count)
@@ -217,6 +232,7 @@ impl<'a> Engine<'a> {
             stats: SimStats::default(),
             read_latency: LatencyStats::default(),
             bytes_done: 0,
+            far: spec.placement.crosses_upi(),
             line,
             xpline,
             media_read_time,
@@ -359,9 +375,9 @@ impl<'a> Engine<'a> {
             let addr = self.threads[t].cursor;
             let dimm = self.dimm_of(addr);
             let depth = if self.threads[t].is_reader {
-                self.cfg.rpq_depth
+                RPQ_DEPTH
             } else {
-                self.cfg.wpq_depth
+                WPQ_DEPTH
             };
             if self.dimms[dimm].outstanding >= depth {
                 self.dimms[dimm].waiters.push_back(t);
@@ -395,14 +411,14 @@ impl<'a> Engine<'a> {
 
         // Far traffic serializes over the UPI payload capacity and pays the
         // link latency; cold pages additionally pay the coherence remap.
-        if self.cfg.far {
+        if self.far {
             let upi = &self.cfg.params.upi;
             let transfer = self.line as f64 / upi.payload_per_direction().bytes_per_sec();
             let mut occupancy = transfer;
             if self.cfg.cold_far {
                 let page = addr / self.cfg.params.machine.interleave_bytes;
                 if self.cold_pages_touched.insert(page) {
-                    occupancy += self.cfg.remap_cost;
+                    occupancy += REMAP_COST;
                     self.stats.remap_events += 1;
                 }
             }

@@ -49,18 +49,8 @@ pub struct DesConfig {
     /// state, so runs use a scaled-down volume (default 8 MiB) instead of
     /// the paper's 70 GB.
     pub volume_bytes: u64,
-    /// Whether this access crosses the UPI (derived from the spec).
-    pub far: bool,
     /// Whether the coherence mapping is cold (first far touch, §3.4).
     pub cold_far: bool,
-    /// Per-page remap cost applied when `cold_far` (seconds).
-    pub remap_cost: f64,
-    /// Read pending-queue depth per DIMM.
-    pub rpq_depth: u32,
-    /// Write pending-queue depth per DIMM.
-    pub wpq_depth: u32,
-    /// RNG seed (random pattern); runs are deterministic given the seed.
-    pub seed: u64,
     /// For mixed runs: the first `write_threads` of `spec.threads` issue
     /// writes while the rest read (Figure 11's x writers / y readers).
     /// Zero = all threads follow `spec.kind`.
@@ -70,7 +60,6 @@ pub struct DesConfig {
 impl DesConfig {
     /// Default-scaled configuration for a workload spec.
     pub fn new(spec: WorkloadSpec) -> Self {
-        let far = spec.placement.crosses_upi();
         assert!(
             matches!(spec.placement, Placement::Single { .. }),
             "the DES simulates one socket at a time; compose dual-socket \
@@ -80,12 +69,7 @@ impl DesConfig {
             params: SystemParams::paper_default(),
             spec,
             volume_bytes: 8 << 20,
-            far,
             cold_far: false,
-            remap_cost: 390e-9,
-            rpq_depth: 24,
-            wpq_depth: 24,
-            seed: 0xD5_AA5E,
             write_threads: 0,
         }
     }

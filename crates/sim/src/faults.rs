@@ -254,36 +254,43 @@ pub struct FaultScheduleConfig {
     pub write_throttles: u32,
     /// Range the throttle factor is drawn from.
     pub throttle_factor: (f64, f64),
-    /// Number of DIMM-dropout windows (1–2 DIMMs each).
-    pub dimm_dropouts: u32,
-    /// Number of UPI degradation windows.
-    pub upi_degrades: u32,
-    /// Range the UPI capacity factor is drawn from.
-    pub upi_factor: (f64, f64),
     /// Number of transient queue-stall bursts.
     pub stall_bursts: u32,
-    /// Range a stall burst's duration is drawn from, in seconds.
-    pub stall_duration: (f64, f64),
     /// Number of instantaneous power-loss events.
     pub power_losses: u32,
     /// Number of instantaneous media-error (poison) events. Defaults to 0
     /// so schedules generated before media errors existed keep their exact
     /// timelines; integrity experiments opt in explicitly.
     pub media_errors: u32,
-    /// Byte span of the per-socket address space media-error offsets are
-    /// drawn from. Consumers reduce the offset modulo their region length,
-    /// so this only needs to be large enough to spread draws out.
-    pub media_span: u64,
-    /// Maximum number of consecutive XPLines one media error poisons
-    /// (drawn uniformly from `1..=media_lines_max`).
-    pub media_lines_max: u32,
     /// Number of sustained machine-wide fail-slow windows. Defaults to 0
     /// so schedules generated before the gray-failure plane existed keep
     /// their exact timelines; gray experiments opt in explicitly.
     pub fail_slows: u32,
-    /// Range the fail-slow service-rate factor is drawn from.
-    pub fail_slow_factor: (f64, f64),
 }
+
+/// DIMM-dropout windows per generated schedule (1–2 DIMMs each).
+const DIMM_DROPOUTS: u32 = 1;
+
+/// UPI degradation windows per generated schedule.
+const UPI_DEGRADES: u32 = 1;
+
+/// Range the UPI capacity factor is drawn from.
+const UPI_FACTOR: (f64, f64) = (0.3, 0.7);
+
+/// Range a stall burst's duration is drawn from, in seconds.
+const STALL_DURATION: (f64, f64) = (0.01, 0.05);
+
+/// Byte span of the per-socket address space media-error offsets are
+/// drawn from. Consumers reduce the offset modulo their region length,
+/// so this only needs to be large enough to spread draws out.
+const MEDIA_SPAN: u64 = 64 << 20;
+
+/// Maximum number of consecutive XPLines one media error poisons (drawn
+/// uniformly from `1..=MEDIA_LINES_MAX`).
+const MEDIA_LINES_MAX: u32 = 4;
+
+/// Range the fail-slow service-rate factor is drawn from.
+const FAIL_SLOW_FACTOR: (f64, f64) = (0.05, 0.25);
 
 impl FaultScheduleConfig {
     /// A moderately hostile default over the given horizon: a couple of
@@ -295,17 +302,10 @@ impl FaultScheduleConfig {
             victim: None,
             write_throttles: 2,
             throttle_factor: (0.1, 0.4),
-            dimm_dropouts: 1,
-            upi_degrades: 1,
-            upi_factor: (0.3, 0.7),
             stall_bursts: 3,
-            stall_duration: (0.01, 0.05),
             power_losses: 1,
             media_errors: 0,
-            media_span: 64 << 20,
-            media_lines_max: 4,
             fail_slows: 0,
-            fail_slow_factor: (0.05, 0.25),
         }
     }
 
@@ -384,7 +384,7 @@ impl FaultPlan {
                 kind: FaultKind::WriteThrottle { socket, factor },
             });
         }
-        for _ in 0..config.dimm_dropouts {
+        for _ in 0..DIMM_DROPOUTS {
             let socket = victim(&mut rng);
             let dimms = if rng.gen_bool(0.7) { 1 } else { 2 };
             let start = rng.gen_range(0.0..horizon * 0.7);
@@ -395,8 +395,8 @@ impl FaultPlan {
                 kind: FaultKind::DimmDropout { socket, dimms },
             });
         }
-        for _ in 0..config.upi_degrades {
-            let factor = range(&mut rng, config.upi_factor);
+        for _ in 0..UPI_DEGRADES {
+            let factor = range(&mut rng, UPI_FACTOR);
             let start = rng.gen_range(0.0..horizon * 0.7);
             let len = rng.gen_range(horizon * 0.1..horizon * 0.4);
             events.push(FaultEvent {
@@ -408,7 +408,7 @@ impl FaultPlan {
         for _ in 0..config.stall_bursts {
             let socket = victim(&mut rng);
             let start = rng.gen_range(0.0..horizon * 0.9);
-            let len = range(&mut rng, config.stall_duration);
+            let len = range(&mut rng, STALL_DURATION);
             events.push(FaultEvent {
                 start,
                 end: (start + len).min(horizon),
@@ -426,11 +426,11 @@ impl FaultPlan {
         }
         // Media errors draw last so pre-existing schedules (media_errors == 0)
         // keep byte-identical event streams for a given seed.
-        let span_lines = (config.media_span / XPLINE_BYTES).max(1);
+        let span_lines = (MEDIA_SPAN / XPLINE_BYTES).max(1);
         for _ in 0..config.media_errors {
             let socket = victim(&mut rng);
             let offset = rng.gen_range(0..span_lines) * XPLINE_BYTES;
-            let lines = rng.gen_range(1..=config.media_lines_max.max(1));
+            let lines = rng.gen_range(1..=MEDIA_LINES_MAX);
             let at = rng.gen_range(horizon * 0.1..horizon * 0.9);
             events.push(FaultEvent {
                 start: at,
@@ -448,7 +448,7 @@ impl FaultPlan {
         // non-fail-slow prefix of a seed's event stream byte-identical
         // when a config opts in.
         for _ in 0..config.fail_slows {
-            let factor = range(&mut rng, config.fail_slow_factor);
+            let factor = range(&mut rng, FAIL_SLOW_FACTOR);
             let start = rng.gen_range(0.0..horizon * 0.7);
             let len = rng.gen_range(horizon * 0.2..horizon * 0.6);
             events.push(FaultEvent {
@@ -811,8 +811,8 @@ mod tests {
         );
         for hit in plan.media_errors_in(0.0, 1.0) {
             assert_eq!(hit.offset % XPLINE_BYTES, 0, "XPLine aligned");
-            assert!(hit.lines >= 1 && u64::from(hit.lines) <= cfg.media_lines_max.into());
-            assert!(hit.offset < cfg.media_span);
+            assert!(hit.lines >= 1 && hit.lines <= MEDIA_LINES_MAX);
+            assert!(hit.offset < MEDIA_SPAN);
             assert_eq!(hit.len(), u64::from(hit.lines) * XPLINE_BYTES);
             assert_eq!(plan.state_at(&m, hit.at), stripped.state_at(&m, hit.at));
         }

@@ -52,7 +52,7 @@ impl Interconnect {
     /// A 100 GbE datacenter link: ~12.5 GB/s sustained, ~10 µs latency.
     /// An order of magnitude below even a degraded socket's PMEM
     /// bandwidth, which is why replication traffic must be priced.
-    pub fn paper_default() -> Self {
+    pub const fn paper_default() -> Self {
         Interconnect {
             bandwidth_bytes_per_sec: 12.5e9,
             latency_seconds: 10e-6,

@@ -150,13 +150,6 @@ impl CheckpointStore {
         self.region
     }
 
-    /// Mutable access to the backing region for fault injection in tests —
-    /// poisons land without the recovery pass `open` would run.
-    #[cfg(any(test, feature = "testing"))]
-    pub fn raw_region_mut(&mut self) -> &mut Region {
-        &mut self.region
-    }
-
     /// Durable rows.
     pub fn rows(&self) -> u64 {
         self.rows
@@ -221,43 +214,6 @@ impl CheckpointStore {
     pub fn crash_and_recover(&mut self) -> CheckpointRecovery {
         self.region.crash();
         self.recover()
-    }
-
-    /// Re-verify the durable prefix against the manifest checksum with
-    /// *checked* reads: `Ok(true)` = intact, `Ok(false)` = the bytes no
-    /// longer hash to the published checksum, `Err(Poisoned)` = the
-    /// checkpoint itself took a media error. Repair paths call this before
-    /// trusting the checkpoint as a rebuild source.
-    pub fn validate(&self) -> Result<bool> {
-        if self.rows == 0 {
-            return Ok(true);
-        }
-        let bytes =
-            self.region
-                .try_read(DATA_OFF, self.rows * TUPLE_BYTES, AccessHint::Sequential)?;
-        Ok(fnv64(FNV_INIT, bytes) == self.checksum)
-    }
-
-    /// Read a contiguous row range with checked reads — the targeted fetch
-    /// the repair path uses to rebuild one poisoned block without scanning
-    /// the whole checkpoint.
-    pub fn read_range(&self, start_row: u64, rows: u64) -> Result<Vec<ColTuple>> {
-        if start_row.saturating_add(rows) > self.rows {
-            return Err(StoreError::OutOfBounds {
-                offset: start_row * TUPLE_BYTES,
-                len: rows * TUPLE_BYTES,
-                capacity: self.rows * TUPLE_BYTES,
-            });
-        }
-        let bytes = self.region.try_read(
-            DATA_OFF + start_row * TUPLE_BYTES,
-            rows * TUPLE_BYTES,
-            AccessHint::Sequential,
-        )?;
-        Ok(bytes
-            .chunks(TUPLE_BYTES as usize)
-            .map(decode_tuple)
-            .collect())
     }
 
     fn encode_manifest(&self) -> [u8; MANIFEST_SLOT as usize] {
@@ -389,21 +345,6 @@ impl CheckpointStore {
     }
 }
 
-/// Checkpoint every tuple of a [`crate::columnar::ColumnarFact`] into a new
-/// store (single-threaded scan keeps row order).
-pub fn checkpoint_fact(
-    ns: &Namespace,
-    fact: &crate::columnar::ColumnarFact,
-) -> Result<CheckpointStore> {
-    let batches = fact.scan(&crate::columnar::Column::ALL, 1, Vec::new, |acc, t| {
-        acc.push(*t)
-    });
-    let tuples: Vec<ColTuple> = batches.into_iter().flatten().collect();
-    let mut store = CheckpointStore::create(ns, tuples.len() as u64)?;
-    store.append(&tuples)?;
-    Ok(store)
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
@@ -521,43 +462,5 @@ mod tests {
             s.append(&[tuple(9)]),
             Err(StoreError::OutOfSpace { .. })
         ));
-    }
-
-    #[test]
-    fn validate_and_read_range_see_poison_and_bounds() {
-        let mut s = store(64);
-        s.append(&(0..16).map(tuple).collect::<Vec<_>>()).unwrap();
-        assert_eq!(s.validate(), Ok(true));
-        assert_eq!(
-            s.read_range(4, 3).unwrap(),
-            (4..7).map(tuple).collect::<Vec<_>>()
-        );
-        assert!(matches!(
-            s.read_range(10, 7),
-            Err(StoreError::OutOfBounds { .. })
-        ));
-        assert!(s.read_range(16, 0).unwrap().is_empty());
-        // A media error inside the durable prefix surfaces typed, both from
-        // validate() and from a targeted range fetch.
-        s.region.inject_poison(DATA_OFF + 5 * TUPLE_BYTES, 1);
-        assert!(matches!(s.validate(), Err(StoreError::Poisoned { .. })));
-        assert!(matches!(
-            s.read_range(0, 16),
-            Err(StoreError::Poisoned { .. })
-        ));
-    }
-
-    #[test]
-    fn checkpoint_fact_round_trips_the_columnar_table() {
-        let data = crate::datagen::generate(0.001, 42);
-        let ns = Namespace::devdax(SocketId(0), 64 << 20);
-        let fact = crate::columnar::ColumnarFact::load(&ns, &data).unwrap();
-        let store = checkpoint_fact(&ns, &fact).unwrap();
-        assert_eq!(store.rows(), fact.rows());
-        let back = store.read_all();
-        assert_eq!(back.len() as u64, fact.rows());
-        let rev: u64 = back.iter().map(|t| t.revenue as u64).sum();
-        let expected: u64 = data.lineorder.iter().map(|l| l.revenue as u64).sum();
-        assert_eq!(rev, expected);
     }
 }

@@ -15,7 +15,6 @@ use std::sync::Arc;
 use pmem_store::scrub::{BlockChecksums, ScrubReport, SCRUB_BLOCK};
 use pmem_store::{AccessHint, Namespace, Region, Result, StoreError};
 
-use crate::checkpoint::CheckpointStore;
 use crate::datagen::SsbData;
 use crate::engine::par_chunks;
 use crate::integrity::{repair_region, IntegrityRepair};
@@ -130,7 +129,8 @@ pub struct ColTuple {
 
 /// A columnar `lineorder` partition: one region per column, with per-block
 /// FNV checksums sealed at load time so chunks can be verified and — when a
-/// media error poisons them — rebuilt from a durable [`CheckpointStore`].
+/// media error poisons them — rebuilt from a replica
+/// ([`ColumnarFact::repair_from_replica`]).
 #[derive(Debug)]
 pub struct ColumnarFact {
     rows: u64,
@@ -213,78 +213,6 @@ impl ColumnarFact {
             .collect()
     }
 
-    /// Rebuild every poisoned or checksum-mismatched block from the durable
-    /// checkpoint, XPLine by XPLine: the checkpoint is validated first
-    /// (reusing `checkpoint.rs`'s manifest checksum), the block's row range
-    /// is fetched with checked reads, re-encoded into column format, and
-    /// rewritten with `ntstore` — which clears the poison — then verified
-    /// against the sealed checksum.
-    ///
-    /// Fails with [`StoreError::Poisoned`] if the checkpoint itself is
-    /// poisoned over the needed rows (nothing left to rebuild from), and
-    /// with [`StoreError::OutOfBounds`] if the checkpoint holds fewer rows
-    /// than this table.
-    pub fn repair_from_checkpoint(&mut self, ckpt: &CheckpointStore) -> Result<IntegrityRepair> {
-        if ckpt.rows() < self.rows {
-            return Err(StoreError::OutOfBounds {
-                offset: 0,
-                len: self.rows,
-                capacity: ckpt.rows(),
-            });
-        }
-        if !ckpt.validate()? {
-            // The checkpoint's own bytes no longer match its manifest: it
-            // cannot be trusted as a rebuild source.
-            return Err(StoreError::Poisoned { offset: 0, len: 0 });
-        }
-        let mut repair = IntegrityRepair::default();
-        for ((column, region), checks) in self.columns.iter_mut().zip(self.checks.iter()) {
-            let width = column.width();
-            let bad = checks.scrub(region).bad_blocks();
-            if bad.is_empty() {
-                continue;
-            }
-            let region = Arc::get_mut(region).expect("no scan in flight during repair");
-            for block in bad {
-                let (offset, blen) = checks.block_range(block);
-                // Block boundaries are multiples of the column width (the
-                // 4 KiB scrub block divides evenly by widths 1 and 4), so a
-                // block maps to a whole row range.
-                let row0 = offset / width;
-                let nrows = blen.div_ceil(width).min(self.rows.saturating_sub(row0));
-                let tuples = ckpt.read_range(row0, nrows)?;
-                let mut good = Vec::with_capacity(blen as usize);
-                for t in &tuples {
-                    match column {
-                        Column::OrderDate => good.extend_from_slice(&t.orderdate.to_le_bytes()),
-                        Column::PartKey => good.extend_from_slice(&t.partkey.to_le_bytes()),
-                        Column::SuppKey => good.extend_from_slice(&t.suppkey.to_le_bytes()),
-                        Column::CustKey => good.extend_from_slice(&t.custkey.to_le_bytes()),
-                        Column::Quantity => good.push(t.quantity),
-                        Column::Discount => good.push(t.discount),
-                        Column::ExtendedPrice => {
-                            good.extend_from_slice(&t.extendedprice.to_le_bytes())
-                        }
-                        Column::Revenue => good.extend_from_slice(&t.revenue.to_le_bytes()),
-                        Column::SupplyCost => good.extend_from_slice(&t.supplycost.to_le_bytes()),
-                    }
-                }
-                // Pad to the full block when the region has slack beyond
-                // rows * width (rows == 0 placeholder regions).
-                good.resize(blen as usize, 0);
-                region.try_ntstore(offset, &good, AccessHint::Sequential)?;
-                repair.bytes_rewritten += blen;
-                if checks.verify_block(region, block)? {
-                    repair.blocks_repaired += 1;
-                } else {
-                    repair.unrepairable += 1;
-                }
-            }
-            region.sfence();
-        }
-        Ok(repair)
-    }
-
     /// Copy every column into `ns`, producing an independent replica of
     /// this partition (the peer-shard copy the cluster keeps). The copy
     /// goes through tracked reads and `ntstore` writes, so replication
@@ -324,9 +252,7 @@ impl ColumnarFact {
     }
 
     /// Rebuild every poisoned or checksum-mismatched block from a *remote
-    /// replica* of the same partition — the cluster counterpart of
-    /// [`ColumnarFact::repair_from_checkpoint`]. The replica is scrubbed
-    /// first; a dirty replica is refused with [`StoreError::Poisoned`]
+    /// replica* of the same partition. The replica is scrubbed first; a dirty replica is refused with [`StoreError::Poisoned`]
     /// before anything is rewritten (this table stays untouched, awaiting
     /// a good source). Each bad block's byte range is read from the
     /// replica's matching column with checked reads, rewritten here with
@@ -896,55 +822,6 @@ mod tests {
             assert!(report.is_clean(), "{column:?} dirty at load");
             assert!(report.blocks > 0);
         }
-    }
-
-    #[test]
-    fn poisoned_chunks_are_rebuilt_from_the_checkpoint() {
-        let (_data, mut fact, ns) = setup();
-        let ckpt = crate::checkpoint::checkpoint_fact(&ns, &fact).unwrap();
-        let before = run_q11(&fact);
-
-        // Poison two blocks of the revenue column and one of orderdate.
-        fact.inject_poison(Column::Revenue, 4096, 16);
-        fact.inject_poison(Column::Revenue, 12_288, 300);
-        fact.inject_poison(Column::OrderDate, 0, 16);
-        let dirty: u64 = fact
-            .scrub()
-            .iter()
-            .map(|(_, r)| r.poisoned.len() as u64)
-            .sum();
-        assert_eq!(dirty, 3, "three poisoned blocks across two columns");
-
-        let repair = fact.repair_from_checkpoint(&ckpt).unwrap();
-        assert_eq!(repair.blocks_repaired, 3);
-        assert!(repair.is_fully_repaired());
-        assert!(repair.bytes_rewritten >= 3 * 4096);
-        for (_, report) in fact.scrub() {
-            assert!(report.is_clean());
-        }
-        // The repaired table computes exactly what it did before the error.
-        assert_eq!(run_q11(&fact), before);
-
-        // Repair is idempotent: a second pass finds nothing to do.
-        let again = fact.repair_from_checkpoint(&ckpt).unwrap();
-        assert_eq!(again, IntegrityRepair::default());
-    }
-
-    #[test]
-    fn repair_refuses_a_poisoned_checkpoint() {
-        let (_data, mut fact, ns) = setup();
-        let mut ckpt = crate::checkpoint::checkpoint_fact(&ns, &fact).unwrap();
-        fact.inject_poison(Column::Revenue, 0, 16);
-        // The rebuild source itself takes a media error: repair must refuse
-        // loudly rather than write garbage into the table.
-        ckpt.raw_region_mut()
-            .inject_poison(crate::checkpoint::DATA_OFF, 16);
-        assert!(matches!(
-            fact.repair_from_checkpoint(&ckpt),
-            Err(StoreError::Poisoned { .. })
-        ));
-        // The table is untouched: still poisoned, awaiting a good source.
-        assert!(fact.scrub().iter().any(|(_, r)| !r.poisoned.is_empty()));
     }
 
     /// Q1.1 aggregate; the per-worker partials depend on thread scheduling,

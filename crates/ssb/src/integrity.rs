@@ -1,9 +1,9 @@
 //! Store-wide media integrity: sealed checksums, a durable mirror, and
 //! self-healing repair for the row-format fact table.
 //!
-//! [`crate::columnar`] already scrubs and repairs the columnar layout from
-//! a [`crate::checkpoint::CheckpointStore`]. This module does the same for
-//! the engine's primary 128 B row shards ([`SsbStore`]): at seal time every
+//! [`crate::columnar`] scrubs the columnar layout and repairs it from a
+//! replica. This module protects the engine's primary 128 B row shards
+//! ([`SsbStore`]): at seal time every
 //! shard's fact region gets per-block FNV checksums plus a byte-identical
 //! durable mirror on PMEM; a scrub pass verifies the live region against
 //! the sealed sums, and a repair pass rewrites poisoned or mismatched

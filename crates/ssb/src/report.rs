@@ -1,6 +1,5 @@
 //! Paper-facing SSB reports: Figure 14 (a: Hyrise-like, b: handcrafted)
-//! and Table 1 (the Q2.1 optimization ladder), plus the SSD comparison and
-//! the §7 price/performance note.
+//! and Table 1 (the Q2.1 optimization ladder), plus the SSD comparison.
 //!
 //! Each report executes the real engine at a small scale factor and prices
 //! the observed traffic at the paper's scale (sf 50 for Figure 14a, sf 100
@@ -321,42 +320,6 @@ pub fn ingest_report(run_sf: f64, target_sf: f64) -> Result<Vec<IngestRow>> {
         .collect())
 }
 
-/// §7 price/performance comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct CostComparison {
-    /// System PMEM capacity priced (1.5 TB).
-    pub capacity_tb: f64,
-    /// PMEM cost in USD (12 × $575 for 128 GB DIMMs).
-    pub pmem_usd: f64,
-    /// DRAM cost in USD (~$700 per 64 GB module).
-    pub dram_usd: f64,
-    /// Average SSB slowdown of PMEM vs DRAM.
-    pub performance_ratio: f64,
-}
-
-impl CostComparison {
-    /// The paper's numbers: $6 900 vs $16 800, 2.4× cost for 1.66× speed.
-    pub fn paper(avg_ssb_ratio: f64) -> Self {
-        CostComparison {
-            capacity_tb: 1.5,
-            pmem_usd: 12.0 * 575.0,
-            dram_usd: 24.0 * 700.0,
-            performance_ratio: avg_ssb_ratio,
-        }
-    }
-
-    /// DRAM-cost / PMEM-cost (≈2.4×).
-    pub fn cost_ratio(&self) -> f64 {
-        self.dram_usd / self.pmem_usd
-    }
-
-    /// Whether PMEM wins on price/performance (cost ratio above the
-    /// performance penalty).
-    pub fn pmem_wins(&self) -> bool {
-        self.cost_ratio() > self.performance_ratio
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
@@ -479,15 +442,5 @@ mod tests {
         // DRAM ingest is still several times faster (paper §4.2).
         let dram = find("DRAM");
         assert!(dram.bandwidth_gib_s > 2.5 * bp.bandwidth_gib_s);
-    }
-
-    #[test]
-    fn cost_comparison_matches_section_7() {
-        let cost = CostComparison::paper(1.66);
-        assert!((cost.pmem_usd - 6900.0).abs() < 1.0);
-        assert!((cost.dram_usd - 16800.0).abs() < 1.0);
-        assert!((cost.cost_ratio() - 2.43).abs() < 0.05);
-        assert!(cost.pmem_wins());
-        assert!(!CostComparison::paper(3.0).pmem_wins());
     }
 }

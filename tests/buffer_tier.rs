@@ -243,8 +243,12 @@ fn zipfian_jobs() -> Vec<JobSpec> {
         .collect()
 }
 
-fn run_with(store: &SsbStore, planner: &AccessPlanner, tier: HotTierPolicy) -> ServeReport {
-    let mut server = QueryServer::new(store, ServeConfig::scheduled(planner).with_hot_tier(tier));
+fn run_with(store: &SsbStore, planner: &AccessPlanner, tier: Option<HotTierPolicy>) -> ServeReport {
+    let config = ServeConfig {
+        hot_tier: tier,
+        ..ServeConfig::scheduled(planner)
+    };
+    let mut server = QueryServer::new(store, config);
     server.submit_all(zipfian_jobs());
     server.run().expect("serve run")
 }
@@ -277,9 +281,9 @@ fn zipfian_hot_tier_beats_pure_pmem_with_flat_p99() {
     // exceeds this budget, so admission and partial caching are exercised.
     let budget = store.fact_bytes() / 2;
 
-    let pure = run_with(&store, &planner, HotTierPolicy::disabled());
-    assert!(pure.hot_tier.is_none(), "disabled tier reports nothing");
-    let tiered = run_with(&store, &planner, HotTierPolicy::with_budget(budget));
+    let pure = run_with(&store, &planner, None);
+    assert!(pure.hot_tier.is_none(), "no tier reports nothing");
+    let tiered = run_with(&store, &planner, Some(HotTierPolicy::with_budget(budget)));
     let tier = tiered.hot_tier.as_ref().expect("tier report present");
 
     // Everything completes in both runs; the buffered run is faster.
@@ -330,7 +334,7 @@ fn zipfian_hot_tier_beats_pure_pmem_with_flat_p99() {
     assert!(last.goodput_gib_s > first.goodput_gib_s, "and goodput");
 
     // Determinism: the same seed reproduces the same report.
-    let again = run_with(&store, &planner, HotTierPolicy::with_budget(budget));
+    let again = run_with(&store, &planner, Some(HotTierPolicy::with_budget(budget)));
     assert_eq!(tiered.makespan, again.makespan);
     let tier_again = again.hot_tier.as_ref().expect("tier report");
     assert_eq!(tier.hit_bytes, tier_again.hit_bytes);

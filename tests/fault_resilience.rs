@@ -223,12 +223,14 @@ fn power_loss_restarts_baseline_but_retries_resilient() {
         },
     }]);
     let store = store();
-    let run = |resilience: ResiliencePolicy| {
+    let run = |resilience: Option<ResiliencePolicy>| {
         let mut server = QueryServer::new(
             &store,
-            ServeConfig::scheduled(&pmem_olap::planner::AccessPlanner::paper_default())
-                .with_faults(plan.clone())
-                .with_resilience(resilience),
+            ServeConfig {
+                resilience,
+                ..ServeConfig::scheduled(&pmem_olap::planner::AccessPlanner::paper_default())
+                    .with_faults(plan.clone())
+            },
         );
         let id = server.submit(JobSpec::ingest(256 << 20).threads(2).socket(SocketId(0)));
         let report = server.run().expect("run");
@@ -241,8 +243,8 @@ fn power_loss_restarts_baseline_but_retries_resilient() {
         (report, job)
     };
 
-    let (base_report, base_job) = run(ResiliencePolicy::disabled());
-    let (res_report, res_job) = run(ResiliencePolicy::paper());
+    let (base_report, base_job) = run(None);
+    let (res_report, res_job) = run(Some(ResiliencePolicy::paper()));
 
     assert_eq!(base_report.power_loss_events, 1);
     assert_eq!(res_report.power_loss_events, 1);

@@ -166,17 +166,18 @@ fn serve_counters_are_deterministic_and_protection_beats_the_baseline() {
         .expect("store loads");
     let planner = pmem_olap::planner::AccessPlanner::paper_default();
 
-    let run_with = |resilience: ResiliencePolicy| {
-        let config = ServeConfig::scheduled(&planner)
-            .with_faults(serve_media_plan())
-            .with_resilience(resilience);
+    let run_with = |resilience: Option<ResiliencePolicy>| {
+        let config = ServeConfig {
+            resilience,
+            ..ServeConfig::scheduled(&planner).with_faults(serve_media_plan())
+        };
         let mut server = QueryServer::new(&store, config);
         server.submit_all(serve_jobs());
         server.run().expect("run")
     };
 
     // Baseline: the media error kills what was running on socket 0.
-    let baseline = run_with(ResiliencePolicy::disabled());
+    let baseline = run_with(None);
     assert!(baseline
         .jobs
         .iter()
@@ -185,14 +186,14 @@ fn serve_counters_are_deterministic_and_protection_beats_the_baseline() {
     assert_eq!(baseline.repaired, 0);
 
     // Protected: quarantine + repair + retry; everything completes.
-    let protected = run_with(ResiliencePolicy::paper());
+    let protected = run_with(Some(ResiliencePolicy::paper()));
     assert!(protected.jobs.iter().all(|j| j.outcome.is_completed()));
     assert_eq!(protected.repaired, 1);
     assert!(protected.quarantined >= 1);
     assert_eq!(protected.health, ServeHealth::Degraded);
 
     // Determinism: the same configuration replays to the same counters.
-    let replay = run_with(ResiliencePolicy::paper());
+    let replay = run_with(Some(ResiliencePolicy::paper()));
     assert_eq!(replay.quarantined, protected.quarantined);
     assert_eq!(replay.repaired, protected.repaired);
     assert_eq!(replay.power_loss_events, protected.power_loss_events);

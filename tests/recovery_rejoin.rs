@@ -9,6 +9,7 @@
 //! no-rejoin baseline demonstrably stays pinned at the degraded level,
 //! with zero committed-data loss and bit-for-bit seed determinism.
 
+use pmem_cluster::recovery::{BLACKOUT_AT, BLACKOUT_UNTIL};
 use pmem_cluster::{Cluster, ClusterConfig, DetectorConfig, RecoveryConfig};
 use pmem_serve::ShardRole;
 use pmem_sim::chaos::{ChaosEvent, ChaosFault, ChaosSchedule};
@@ -32,7 +33,7 @@ fn rejoined_machine_catches_up_and_restores_fleet_goodput() {
     // never closes — the victim is written off for good. (Run before
     // the rejoin so the final cluster state below is the rejoin's.)
     let pinned = cluster
-        .run_with_lost_shard(victim, rcfg.blackout_at)
+        .run_with_lost_shard(victim, BLACKOUT_AT)
         .expect("no-rejoin baseline");
     let rejoin = cluster.run_rejoin(&rcfg).expect("rejoin run");
     println!("healthy goodput {:.2} GiB/s", healthy.goodput_gib_s());
@@ -41,9 +42,9 @@ fn rejoined_machine_catches_up_and_restores_fleet_goodput() {
 
     // The arc ran end to end: detection, damage, scrub, catch-up,
     // probe-earned weight, hand-back.
-    assert!(rejoin.detect_at > rcfg.blackout_at);
+    assert!(rejoin.detect_at > BLACKOUT_AT);
     assert!(
-        rejoin.detect_at < rcfg.blackout_at + cluster.config().detector.oracle_delay,
+        rejoin.detect_at < BLACKOUT_AT + cluster.config().detector.oracle_delay,
         "accrual detection {:.4}s beats the oracle delay it replaced",
         rejoin.detect_at
     );
@@ -55,7 +56,7 @@ fn rejoined_machine_catches_up_and_restores_fleet_goodput() {
     assert!(rejoin.caught_up, "verified catch-up succeeded");
     let full_weight_at = rejoin.full_weight_at.expect("full weight re-earned");
     assert!(
-        full_weight_at > rejoin.ready_at && rejoin.ready_at > rcfg.blackout_until,
+        full_weight_at > rejoin.ready_at && rejoin.ready_at > BLACKOUT_UNTIL,
         "suspect → demoted → full weight is a staged hand-back"
     );
     assert!(
