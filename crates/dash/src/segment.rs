@@ -83,6 +83,11 @@ impl Segment {
         self.inner.write()
     }
 
+    /// The inner state through a unique handle, without taking the lock.
+    pub fn get_mut(&mut self) -> &mut SegmentInner {
+        self.inner.get_mut()
+    }
+
     /// The inner state, out of its lock (the segment is consumed).
     pub fn into_inner(self) -> SegmentInner {
         self.inner.into_inner()

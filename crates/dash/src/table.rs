@@ -6,6 +6,11 @@
 //! directory-read + segment-write for normal operations and directory-write
 //! for splits — coarse but correct, and segment operations dominate.
 //!
+//! A table with one owner fills through [`DashTable::insert_owned`], which
+//! reaches a segment through `&mut` and takes no lock unless directory
+//! twins share it. It runs the one segment insert and the one split the
+//! shared [`KvIndex::insert`] runs.
+//!
 //! A table that takes no more writes can be [sealed](DashTable::seal) into
 //! a [`SealedDashTable`]: the same segments and directory, out of their
 //! locks, probed with exactly the same bucket reads.
@@ -212,6 +217,33 @@ impl DashTable {
         }
     }
 
+    /// Single-owner insert or update, counted into `tally`: exactly what
+    /// [`KvIndex::insert_tallied`] writes and counts, without its locks. A
+    /// segment only this directory slot holds is reached through `&mut`;
+    /// one that split twins share is locked as the shared path locks it.
+    pub fn insert_owned(&mut self, key: u64, value: u64, tally: &mut Tally<'_>) -> Result<()> {
+        let h = hash64(key);
+        loop {
+            let dir = self.dir.get_mut();
+            let slot = &mut dir.entries[hash::dir_index(h, dir.global_depth)];
+            let outcome = match Arc::get_mut(slot) {
+                Some(segment) => segment.get_mut().insert(h, key, value, tally),
+                None => slot.write().insert(h, key, value, tally),
+            };
+            match outcome {
+                SegmentInsert::Inserted => {
+                    *self.len.get_mut() += 1;
+                    return Ok(());
+                }
+                SegmentInsert::Updated => return Ok(()),
+                SegmentInsert::NeedsSplit => {
+                    let full_segment = Arc::as_ptr(slot);
+                    self.split(h, full_segment, tally)?;
+                }
+            }
+        }
+    }
+
     /// Split the segment responsible for hash `h`, unless another thread
     /// already replaced it (`expected` no longer matches).
     fn split(&self, h: u64, expected: *const Segment, tally: &mut Tally<'_>) -> Result<()> {
@@ -390,17 +422,18 @@ impl KvIndex for DashTable {
         let h = hash64(key);
         loop {
             let full_segment = {
+                // The directory guard keeps the segment alive while it is
+                // locked, so no handle is cloned.
                 let dir = self.dir.read();
-                let idx = hash::dir_index(h, dir.global_depth);
-                let segment = Arc::clone(&dir.entries[idx]);
-                let mut inner = segment.write();
-                match inner.insert(h, key, value, tally) {
+                let segment = &dir.entries[hash::dir_index(h, dir.global_depth)];
+                let outcome = segment.write().insert(h, key, value, tally);
+                match outcome {
                     SegmentInsert::Inserted => {
                         self.len.fetch_add(1, Ordering::Relaxed);
                         return Ok(());
                     }
                     SegmentInsert::Updated => return Ok(()),
-                    SegmentInsert::NeedsSplit => Arc::as_ptr(&segment),
+                    SegmentInsert::NeedsSplit => Arc::as_ptr(segment),
                 }
             };
             // Split outside of the read lock, then retry.
@@ -655,6 +688,73 @@ mod tests {
                 live_ns.tracker().snapshot().since(&live0),
                 "key {key}"
             );
+        }
+    }
+
+    #[test]
+    fn owned_inserts_equal_shared_inserts() {
+        // Each shape is built twice, on namespaces of their own: through
+        // `insert_owned` and through `KvIndex::insert_tallied`, then every
+        // seventh key is updated. Started at depth 0 the table splits into
+        // twins, which the owned insert reaches through their lock; the
+        // presized table never splits.
+        let segment_bytes = |t: &DashTable| -> Vec<Vec<u8>> {
+            let dir = t.dir.read();
+            let regions = dir.entries.iter().map(|s| s.read());
+            regions
+                .map(|s| s.region.untracked_slice().to_vec())
+                .collect()
+        };
+        for (presized, keys) in [(false, 7_500u64), (true, 2_000)] {
+            let build = |owned: bool| {
+                let ns = Namespace::fsdax(SocketId(0), 64 << 20);
+                let mut t = if presized {
+                    DashTable::with_capacity(&ns, keys as usize)
+                } else {
+                    DashTable::new(&ns)
+                }
+                .unwrap();
+                let mut tally = ns.tally();
+                let pairs = (0..keys).map(|k| (k.wrapping_mul(0x9E37_79B9_7F4A_7C15), k));
+                let updates = (0..keys)
+                    .step_by(7)
+                    .map(|k| (k.wrapping_mul(0x9E37_79B9_7F4A_7C15), !k));
+                for (key, value) in pairs.chain(updates) {
+                    if owned {
+                        t.insert_owned(key, value, &mut tally).unwrap();
+                    } else {
+                        t.insert_tallied(key, value, &mut tally).unwrap();
+                    }
+                }
+                let counts = tally.counts();
+                drop(tally);
+                (ns, t, counts)
+            };
+            let (owned_ns, owned, owned_counts) = build(true);
+            let (shared_ns, shared, shared_counts) = build(false);
+            assert_eq!(owned_counts, shared_counts, "presized {presized}");
+            assert_eq!(
+                owned_ns.tracker().snapshot(),
+                shared_ns.tracker().snapshot()
+            );
+            assert_eq!(owned.iter_records(), shared.iter_records());
+            assert_eq!(segment_bytes(&owned), segment_bytes(&shared));
+            let stats = owned.stats();
+            assert_eq!(stats, shared.stats());
+            assert_eq!(stats.records, keys as usize);
+            assert_eq!(
+                stats.directory_entries > stats.segments,
+                !presized,
+                "twins only where the table split: {stats:?}"
+            );
+            let (owned, shared) = (owned.seal(), shared.seal());
+            assert_eq!(owned.len(), shared.len());
+            for k in 0..2 * keys {
+                let key = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let (mut a, mut b) = (owned_ns.tally(), shared_ns.tally());
+                assert_eq!(owned.get(key, &mut a), shared.get(key, &mut b), "key {key}");
+                assert_eq!(a.counts(), b.counts(), "key {key}");
+            }
         }
     }
 

@@ -262,10 +262,6 @@ pub struct FaultScheduleConfig {
     /// so schedules generated before media errors existed keep their exact
     /// timelines; integrity experiments opt in explicitly.
     pub media_errors: u32,
-    /// Number of sustained machine-wide fail-slow windows. Defaults to 0
-    /// so schedules generated before the gray-failure plane existed keep
-    /// their exact timelines; gray experiments opt in explicitly.
-    pub fail_slows: u32,
 }
 
 /// DIMM-dropout windows per generated schedule (1–2 DIMMs each).
@@ -289,9 +285,6 @@ const MEDIA_SPAN: u64 = 64 << 20;
 /// uniformly from `1..=MEDIA_LINES_MAX`).
 const MEDIA_LINES_MAX: u32 = 4;
 
-/// Range the fail-slow service-rate factor is drawn from.
-const FAIL_SLOW_FACTOR: (f64, f64) = (0.05, 0.25);
-
 impl FaultScheduleConfig {
     /// A moderately hostile default over the given horizon: a couple of
     /// throttle windows, one dropout, one UPI degradation, a few stall
@@ -305,7 +298,6 @@ impl FaultScheduleConfig {
             stall_bursts: 3,
             power_losses: 1,
             media_errors: 0,
-            fail_slows: 0,
         }
     }
 
@@ -316,21 +308,6 @@ impl FaultScheduleConfig {
             media_errors: count,
             ..FaultScheduleConfig::over(horizon)
         }
-    }
-
-    /// The hostile default plus `count` fail-slow windows — the opt-in
-    /// used by gray-failure experiments.
-    pub fn with_fail_slows(horizon: f64, count: u32) -> Self {
-        FaultScheduleConfig {
-            fail_slows: count,
-            ..FaultScheduleConfig::over(horizon)
-        }
-    }
-}
-
-impl Default for FaultScheduleConfig {
-    fn default() -> Self {
-        FaultScheduleConfig::over(1.0)
     }
 }
 
@@ -440,21 +417,6 @@ impl FaultPlan {
                     offset,
                     lines,
                 },
-            });
-        }
-
-        // Fail-slow windows draw after media errors for the same reason
-        // media errors draw after everything else: appending keeps the
-        // non-fail-slow prefix of a seed's event stream byte-identical
-        // when a config opts in.
-        for _ in 0..config.fail_slows {
-            let factor = range(&mut rng, FAIL_SLOW_FACTOR);
-            let start = rng.gen_range(0.0..horizon * 0.7);
-            let len = rng.gen_range(horizon * 0.2..horizon * 0.6);
-            events.push(FaultEvent {
-                start,
-                end: (start + len).min(horizon),
-                kind: FaultKind::FailSlow { factor },
             });
         }
 
@@ -896,45 +858,6 @@ mod tests {
         assert!((s0.write_scale - 0.25).abs() < 1e-12, "factors multiply");
         assert!((s0.read_scale - 0.5).abs() < 1e-12);
         assert!((state.service_scale() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fail_slows_are_opt_in_and_deterministic() {
-        let horizon = 2.0;
-        // Default config draws zero fail-slow windows, so plans generated
-        // before the kind existed keep their exact timelines.
-        let base = FaultPlan::generate(42, &FaultScheduleConfig::over(horizon));
-        assert!(!base
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::FailSlow { .. })));
-
-        let cfg = FaultScheduleConfig::with_fail_slows(horizon, 3);
-        let a = FaultPlan::generate(42, &cfg);
-        let b = FaultPlan::generate(42, &cfg);
-        assert_eq!(a, b, "same seed, same gray timeline");
-        let slows: Vec<_> = a
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::FailSlow { .. }))
-            .collect();
-        assert_eq!(slows.len(), 3);
-        for e in &slows {
-            assert!(e.end > e.start, "fail-slow is sustained, never a point");
-            if let FaultKind::FailSlow { factor } = e.kind {
-                assert!((0.05..0.25).contains(&factor));
-            }
-        }
-        // Fail-slow draws are appended after every pre-existing draw, so
-        // the rest of the event stream is unchanged by opting in.
-        let strip = |plan: &FaultPlan| {
-            plan.events()
-                .iter()
-                .filter(|e| !matches!(e.kind, FaultKind::FailSlow { .. }))
-                .copied()
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(strip(&a), strip(&base));
     }
 
     #[test]

@@ -7,24 +7,24 @@
 //! single-box model cannot express:
 //!
 //! * **Independent failure domains.** Each machine degrades on its own
-//!   timeline. [`FleetFaultPlans`] derives one [`FaultPlan`] per machine
-//!   from a single fleet seed (splitmix64 sub-seeding, the same scheme
-//!   the arrival processes use), so a cluster experiment replays
-//!   exactly from one number. A whole-machine *blackout* — the failure
-//!   unit motivated by the DIMM-loss caveats in the early Optane
-//!   evaluations — is composed from existing fault kinds: every channel
-//!   of both sockets drops out, the residual channel is write-throttled
-//!   to a trickle, and the iMC queues stall for the window. Bandwidth
-//!   never reaches exactly zero (the simulator keeps completion times
-//!   finite), but the machine is effectively dead to its deadline-
-//!   carrying work.
+//!   timeline: [`FleetFaultPlans`] holds one [`FaultPlan`] per machine,
+//!   and [`machine_seed`] derives each machine's seed from one fleet seed
+//!   (splitmix64 sub-seeding, the same scheme the arrival processes use),
+//!   so a cluster experiment replays exactly from one number. A
+//!   whole-machine *blackout* — the failure unit motivated by the
+//!   DIMM-loss caveats in the early Optane evaluations — is composed
+//!   from existing fault kinds: every channel of both sockets drops
+//!   out, the residual channel is write-throttled to a trickle, and the
+//!   iMC queues stall for the window. Bandwidth never reaches exactly
+//!   zero (the simulator keeps completion times finite), but the machine
+//!   is effectively dead to its deadline-carrying work.
 //! * **A priced interconnect.** Replication, failover re-routing and
 //!   re-replication move bytes between machines over a network that is
 //!   an order of magnitude slower than the local memory bus.
 //!   [`Interconnect`] prices a transfer with a latency + bandwidth
 //!   model so cluster reports charge remote repairs honestly.
 
-use crate::faults::{FaultEvent, FaultKind, FaultPlan, FaultScheduleConfig};
+use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::topology::SocketId;
 
 /// Write-throttle factor applied to a blacked-out socket: the WPQ drain
@@ -233,19 +233,6 @@ impl FleetFaultPlans {
         }
     }
 
-    /// Seed-derived background fault schedules: machine `m` runs
-    /// `FaultPlan::generate(machine_seed(seed, m), config)`. Identical
-    /// `(seed, machines, config)` triples produce identical fleets.
-    pub fn generate(seed: u64, machines: usize, config: &FaultScheduleConfig) -> Self {
-        FleetFaultPlans {
-            plans: (0..machines)
-                .map(|m| FaultPlan::generate(machine_seed(seed, m), config))
-                .collect(),
-            blackout: None,
-            fail_slow: None,
-        }
-    }
-
     /// Overlay a whole-machine blackout on machine `victim` over
     /// `[at, until)`: both sockets lose every interleaved channel the
     /// dropout clamp allows, the surviving channel is throttled to
@@ -368,17 +355,6 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), a.len(), "machines get distinct seeds");
         assert_ne!(machine_seed(7, 0), machine_seed(8, 0), "seed matters");
-    }
-
-    #[test]
-    fn generated_fleet_is_reproducible_and_per_machine_distinct() {
-        let cfg = FaultScheduleConfig::over(1.0);
-        let a = FleetFaultPlans::generate(42, 4, &cfg);
-        let b = FleetFaultPlans::generate(42, 4, &cfg);
-        for m in 0..4 {
-            assert_eq!(a.plan(m), b.plan(m), "machine {m} replays exactly");
-        }
-        assert_ne!(a.plan(0), a.plan(1), "machines fail independently");
     }
 
     #[test]

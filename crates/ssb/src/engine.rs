@@ -8,10 +8,12 @@
 //! hash maps merged at the end.
 //!
 //! [`build_index`] fills a live table, then seals it into a [`JoinIndex`]
-//! that only answers lookups. The scan workers share it and probe it
-//! without a lock or a reference-count bump, yet every probe reads exactly
-//! the buckets (Dash) or chain nodes (chained) a live table's `get` reads,
-//! so sealing moves host time and no tracked byte.
+//! that only answers lookups. It owns the table while it fills it, so a
+//! Dash build inserts through [`DashTable::insert_owned`] and takes no
+//! lock. The scan workers share the sealed index and probe it without a
+//! lock or a reference-count bump, yet every probe reads exactly the
+//! buckets (Dash) or chain nodes (chained) a live table's `get` reads, so
+//! sealing moves host time and no tracked byte.
 //!
 //! A query counts its own traffic. Every access it makes counts into a
 //! [`Tally`] the query owns: one per build for the dimension reads and one
@@ -124,7 +126,7 @@ pub fn build_index(
 ) -> Result<(JoinIndex, u64, TrackerSnapshot)> {
     let mut reads = dim.tracker().tally();
     let mut writes = ns.tally();
-    let mut fill = |index: &dyn KvIndex| -> Result<u64> {
+    let mut fill = |insert: &mut dyn FnMut(u64, u64, &mut Tally<'_>) -> Result<()>| -> Result<u64> {
         let mut inserts = 0u64;
         let mut row = 0u64;
         while row < rows {
@@ -137,7 +139,7 @@ pub fn build_index(
             );
             for row in rows_of(bytes) {
                 if let Some((key, value)) = entry(row) {
-                    index.insert_tallied(key, value, &mut writes)?;
+                    insert(key, value, &mut writes)?;
                     inserts += 1;
                 }
             }
@@ -147,13 +149,13 @@ pub fn build_index(
     };
     let (index, inserts) = match mode {
         EngineMode::Aware => {
-            let table = DashTable::with_capacity(ns, rows as usize)?;
-            let inserts = fill(&table)?;
+            let mut table = DashTable::with_capacity(ns, rows as usize)?;
+            let inserts = fill(&mut |key, value, tally| table.insert_owned(key, value, tally))?;
             (JoinIndex::Dash(table.seal()), inserts)
         }
         EngineMode::Unaware => {
             let table = ChainedTable::with_capacity(ns, rows as usize)?;
-            let inserts = fill(&table)?;
+            let inserts = fill(&mut |key, value, tally| table.insert_tallied(key, value, tally))?;
             (JoinIndex::Chained(table.seal()), inserts)
         }
     };
@@ -173,7 +175,8 @@ fn rows_of<const ROW: usize>(bytes: &[u8]) -> impl Iterator<Item = &[u8; ROW]> {
 /// worker claims the next unclaimed chunk from a shared cursor and hands
 /// it to `visit` with its own state, which starts as `init()`, until the
 /// chunks run out or `visit` fails. Returns the workers' states in spawn
-/// order, or the first error in that order.
+/// order, or the first error in that order. One worker runs on the
+/// calling thread, visiting the chunks in order.
 pub(crate) fn par_chunks<S: Send, E: Send>(
     chunks: u64,
     threads: u32,
@@ -181,22 +184,21 @@ pub(crate) fn par_chunks<S: Send, E: Send>(
     visit: impl Fn(&mut S, u64) -> std::result::Result<(), E> + Sync,
 ) -> std::result::Result<Vec<S>, E> {
     let cursor = AtomicU64::new(0);
+    let worker = || {
+        let mut state = init();
+        loop {
+            let chunk = cursor.fetch_add(1, Ordering::Relaxed);
+            if chunk >= chunks {
+                return Ok(state);
+            }
+            visit(&mut state, chunk)?;
+        }
+    };
+    if threads <= 1 {
+        return worker().map(|state| vec![state]);
+    }
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads.max(1))
-            .map(|_| {
-                let (cursor, init, visit) = (&cursor, &init, &visit);
-                scope.spawn(move || {
-                    let mut state = init();
-                    loop {
-                        let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= chunks {
-                            return Ok(state);
-                        }
-                        visit(&mut state, chunk)?;
-                    }
-                })
-            })
-            .collect();
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
         workers
             .into_iter()
             .map(|w| w.join().expect("scan worker"))
@@ -505,6 +507,27 @@ mod tests {
         .unwrap();
         let expected: u64 = data.lineorder.iter().map(|l| l.revenue as u64).sum();
         assert_eq!(sums.iter().sum::<u64>(), expected);
+    }
+
+    #[test]
+    fn one_worker_visits_every_chunk_in_order_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let visit = |seen: &mut Vec<u64>, chunk| {
+            assert_eq!(std::thread::current().id(), caller);
+            seen.push(chunk);
+            if chunk == 99 {
+                return Err(chunk);
+            }
+            Ok(())
+        };
+        assert_eq!(
+            par_chunks(5, 1, Vec::new, visit),
+            Ok(vec![vec![0, 1, 2, 3, 4]])
+        );
+        assert_eq!(par_chunks(0, 1, Vec::new, visit), Ok(vec![vec![]]));
+        assert_eq!(par_chunks(200, 1, Vec::new, visit), Err(99));
+        // Zero threads means one worker too.
+        assert_eq!(par_chunks(3, 0, Vec::new, visit), Ok(vec![vec![0, 1, 2]]));
     }
 
     #[test]

@@ -294,33 +294,21 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
     let threads = threads.max(1);
     let per_shard_threads = (threads / store.shards.len() as u32).max(1);
 
-    // ---- Build phase (per shard, in parallel) ----
-    // The indexes are per-query structures: their regions return their
-    // bytes when they drop, on every return path, so repeated executions
-    // (benchmark loops) and failed ones never exhaust the namespace.
-    let shard_indexes: Vec<ShardIndexes> = std::thread::scope(|scope| {
+    // One thread per shard builds the shard's indexes and then scans its
+    // fact partition, probing only those indexes, so no shard waits for
+    // another's build. The indexes are per-query structures: their
+    // regions return their bytes when they drop, on every return path, so
+    // repeated executions (benchmark loops) and failed ones never exhaust
+    // the namespace. Each scan worker probes through its own tally of its
+    // shard's index namespace.
+    let shards = std::thread::scope(|scope| {
         let handles: Vec<_> = store
             .shards
             .iter()
-            .map(|shard| scope.spawn(move || build_for_plan(store, shard, plan)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("build worker"))
-            .collect::<Result<Vec<_>>>()
-    })?;
-
-    // ---- Probe/scan phase (shards in parallel, threads per shard) ----
-    // Each scan worker probes through its own tally of its shard's index
-    // namespace.
-    let shard_scans = std::thread::scope(|scope| {
-        let handles: Vec<_> = store
-            .shards
-            .iter()
-            .zip(shard_indexes.iter())
-            .map(|(shard, indexes)| {
+            .map(|shard| {
                 scope.spawn(move || {
-                    scan_fact(
+                    let indexes = build_for_plan(store, shard, plan)?;
+                    let scan = scan_fact(
                         &shard.fact,
                         shard.fact_rows,
                         per_shard_threads,
@@ -351,20 +339,26 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
                             counters.tuples_selected += 1;
                             agg.add((plan.group)(dp, cp, sp, pp), (plan.value)(row));
                         },
-                    )
+                    )?;
+                    Ok((indexes, scan))
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("scan worker"))
+            .map(|h| h.join().expect("shard worker"))
             .collect::<Result<Vec<_>>>()
     })?;
 
     let mut agg = GroupAgg::default();
     let mut counters = OpCounters::default();
     let mut traffic = PhaseTraffic::default();
-    for (workers, fact) in shard_scans {
+    for (si, (workers, fact)) in shards {
+        counters.build_inserts += si.inserts;
+        traffic.build = traffic.build.plus(&si.traffic);
+        for (total, bytes) in traffic.index_bytes_by_dim.iter_mut().zip(si.bytes_by_dim()) {
+            *total += bytes;
+        }
         traffic.fact = traffic.fact.plus(&fact);
         for (a, c, probes) in workers {
             agg.merge(a);
@@ -373,13 +367,6 @@ fn execute_plan(store: &SsbStore, plan: &Plan, threads: u32) -> Result<QueryOutc
         }
     }
     counters.agg_updates = agg.updates;
-    for si in &shard_indexes {
-        counters.build_inserts += si.inserts;
-        traffic.build = traffic.build.plus(&si.traffic);
-        for (total, bytes) in traffic.index_bytes_by_dim.iter_mut().zip(si.bytes_by_dim()) {
-            *total += bytes;
-        }
-    }
     traffic.index_bytes = traffic.index_bytes_by_dim.iter().sum();
 
     let rows = agg.into_sorted();

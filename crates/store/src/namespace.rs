@@ -38,8 +38,9 @@ use crate::region::{AccessHint, FaultModel, Region};
 use crate::tracker::{AccessTracker, Tally};
 use crate::{Result, StoreError};
 
-/// Default fsdax page size when PMEM is configured with `ndctl` (§2.3).
-pub const DEFAULT_FSDAX_PAGE: u64 = 2 << 20;
+/// The fsdax page size when PMEM is configured with `ndctl` (§2.3): the
+/// granularity every fsdax region faults at.
+pub const FSDAX_PAGE: u64 = 2 << 20;
 
 /// Regions of at least this many bytes recycle their host images through
 /// their namespace's pool; smaller ones leave theirs to the allocator.
@@ -118,11 +119,9 @@ impl ImagePool {
 pub enum NamespaceMode {
     /// App Direct via a character device (`/dev/daxX.Y`).
     DevDax,
-    /// App Direct via a DAX filesystem; first-touch page faults apply.
-    FsDax {
-        /// Fault granularity (2 MB by default).
-        page_bytes: u64,
-    },
+    /// App Direct via a DAX filesystem; first-touch page faults apply, one
+    /// per [`FSDAX_PAGE`] page.
+    FsDax,
     /// PMEM as transparent volatile main-memory extension.
     MemoryMode,
     /// Volatile DRAM.
@@ -132,7 +131,7 @@ pub enum NamespaceMode {
 impl NamespaceMode {
     /// Whether regions of this mode guarantee persistence.
     pub fn is_persistent(self) -> bool {
-        matches!(self, NamespaceMode::DevDax | NamespaceMode::FsDax { .. })
+        matches!(self, NamespaceMode::DevDax | NamespaceMode::FsDax)
     }
 
     /// The device class whose bandwidth model times accesses in this mode.
@@ -196,15 +195,9 @@ impl Namespace {
         Self::new(NamespaceMode::DevDax, socket, capacity)
     }
 
-    /// App Direct fsdax namespace with the default 2 MB fault granularity.
+    /// App Direct fsdax namespace, faulting per 2 MB page.
     pub fn fsdax(socket: SocketId, capacity: u64) -> Self {
-        Self::new(
-            NamespaceMode::FsDax {
-                page_bytes: DEFAULT_FSDAX_PAGE,
-            },
-            socket,
-            capacity,
-        )
+        Self::new(NamespaceMode::FsDax, socket, capacity)
     }
 
     /// Memory-Mode namespace (volatile PMEM behind the DRAM cache).
@@ -281,7 +274,7 @@ impl Namespace {
         self.charge(len)?;
         let data = self.inner.pool.take(len);
         let fault = match self.inner.mode {
-            NamespaceMode::FsDax { page_bytes } => Some(FaultModel::new(page_bytes, len)),
+            NamespaceMode::FsDax => Some(FaultModel::new(FSDAX_PAGE, len)),
             _ => None,
         };
         Ok(Region::from_zeros(
@@ -353,7 +346,7 @@ mod tests {
     #[test]
     fn modes_classify_persistence_and_device() {
         assert!(NamespaceMode::DevDax.is_persistent());
-        assert!(NamespaceMode::FsDax { page_bytes: 4096 }.is_persistent());
+        assert!(NamespaceMode::FsDax.is_persistent());
         assert!(!NamespaceMode::MemoryMode.is_persistent());
         assert!(!NamespaceMode::Dram.is_persistent());
         assert_eq!(NamespaceMode::DevDax.device_class(), DeviceClass::Pmem);

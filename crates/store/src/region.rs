@@ -67,11 +67,13 @@ pub enum AccessHint {
     Auto,
 }
 
-/// fsdax page-fault state (2 MB pages by default, §2.3): one bit per page
-/// of the region, set by the first access that touches the page.
+/// fsdax page-fault state (2 MB pages, §2.3): one bit per page of the
+/// region, set by the first access that touches the page.
 #[derive(Debug)]
 pub(crate) struct FaultModel {
-    page_bytes: u64,
+    /// log2 of the page size: an access finds its pages by shifting, not
+    /// dividing.
+    page_shift: u32,
     /// Touched pages. Relaxed throughout: a bit publishes no other data,
     /// and `fetch_or` is a read-modify-write, so exactly one thread sees
     /// a given bit go from 0 to 1 and counts that fault.
@@ -79,13 +81,19 @@ pub(crate) struct FaultModel {
 }
 
 impl FaultModel {
-    /// Fault state for a region of `region_len` bytes. It covers every page
-    /// an in-bounds access can name — also the page a zero-length access
-    /// at `offset == region_len` names, which faults like any other.
+    /// Fault state for a region of `region_len` bytes in pages of
+    /// `page_bytes`, a power of two. It covers every page an in-bounds
+    /// access can name — also the page a zero-length access at
+    /// `offset == region_len` names, which faults like any other.
     pub(crate) fn new(page_bytes: u64, region_len: u64) -> Self {
-        let pages = region_len / page_bytes + 1;
+        assert!(
+            page_bytes.is_power_of_two(),
+            "fsdax page size {page_bytes} is not a power of two"
+        );
+        let page_shift = page_bytes.trailing_zeros();
+        let pages = (region_len >> page_shift) + 1;
         FaultModel {
-            page_bytes,
+            page_shift,
             touched: (0..pages.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
         }
     }
@@ -93,9 +101,10 @@ impl FaultModel {
     /// Touch the pages covering `len` bytes at `offset`; returns how many
     /// of them were touched for the first time. A page already touched
     /// costs one relaxed load.
+    #[inline]
     fn touch(&self, offset: u64, len: u64) -> u64 {
-        let first = offset / self.page_bytes;
-        let last = (offset + len.max(1) - 1) / self.page_bytes;
+        let first = offset >> self.page_shift;
+        let last = (offset + len.max(1) - 1) >> self.page_shift;
         let mut fresh = 0;
         for (w, mask) in word_masks(first, last) {
             let word = &self.touched[w];
