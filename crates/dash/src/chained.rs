@@ -12,17 +12,19 @@
 //! would not recover from a crash, just like a volatile structure `mmap`ed
 //! onto App Direct memory.
 //!
-//! A table that takes no more writes can be [sealed](ChainedTable::seal)
-//! into a [`SealedChainedTable`], which walks the same chains without the
-//! table lock. Lookups and inserts, node-region grows and rehashes
-//! included, count into the caller's [`Tally`], as Dash's do. The bucket
-//! array and the node storage are regions, which hold their namespace
-//! bytes until they drop: a grow or rehash returns the replaced region's.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! A table with one owner fills through [`ChainedTable::insert_owned`],
+//! which takes no lock; it and the shared [`KvIndex::insert`] run the one
+//! insert body. A table that takes no more writes can be
+//! [sealed](ChainedTable::seal) into a [`SealedChainedTable`], which walks
+//! the same chains without the table lock. Lookups and inserts,
+//! node-region grows and rehashes included, count into the caller's
+//! [`Tally`], as Dash's do. The bucket array and the node storage are
+//! regions, which hold their namespace bytes until they drop: a grow or
+//! rehash returns the replaced region's. Nodes are taken from the front of
+//! the node storage in order, and a removed node goes on the table's free
+//! list, which later inserts take from first.
 
 use parking_lot::RwLock;
-use pmem_store::alloc::Arena;
 use pmem_store::{AccessHint, Namespace, Region, Result, Tally};
 
 use crate::hash::hash64;
@@ -36,16 +38,18 @@ const MAX_LOAD: usize = 3;
 struct Inner {
     heads: Region,
     nodes: Region,
-    arena: Arena,
+    /// Offset of the first node of `nodes` never handed out.
+    next_node: u64,
     bucket_count: u64,
     free_head: u64, // offset+1 of first freed node, 0 = none
+    /// Live records.
+    len: usize,
 }
 
 /// The PMEM-unaware chained hash table.
 pub struct ChainedTable {
     ns: Namespace,
     inner: RwLock<Inner>,
-    len: AtomicUsize,
 }
 
 /// A [`ChainedTable`] after its last write: the same buckets and nodes out
@@ -55,7 +59,6 @@ pub struct SealedChainedTable {
     /// On the heap, as a sealed Dash table's segments are, so both sealed
     /// kinds are a few words wide.
     inner: Box<Inner>,
-    len: usize,
 }
 
 impl SealedChainedTable {
@@ -75,12 +78,12 @@ impl SealedChainedTable {
 
     /// Number of live records.
     pub fn len(&self) -> usize {
-        self.len
+        self.inner.len
     }
 
     /// Whether the table holds no records.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.inner.len == 0
     }
 }
 
@@ -103,11 +106,11 @@ impl ChainedTable {
             inner: RwLock::new(Inner {
                 heads,
                 nodes,
-                arena: Arena::new(node_bytes),
+                next_node: 0,
                 bucket_count,
                 free_head: 0,
+                len: 0,
             }),
-            len: AtomicUsize::new(0),
         })
     }
 
@@ -121,8 +124,13 @@ impl ChainedTable {
     pub fn seal(self) -> SealedChainedTable {
         SealedChainedTable {
             inner: Box::new(self.inner.into_inner()),
-            len: self.len.into_inner(),
         }
+    }
+
+    /// Single-owner insert or update, counted into `tally`: exactly what
+    /// [`KvIndex::insert_tallied`] writes and counts, without its lock.
+    pub fn insert_owned(&mut self, key: u64, value: u64, tally: &mut Tally<'_>) -> Result<()> {
+        self.inner.get_mut().insert(&self.ns, key, value, tally)
     }
 
     /// Simulate a power loss (chaos-testing hook). This table never
@@ -131,7 +139,7 @@ impl ChainedTable {
     pub fn simulate_crash(&self) -> u64 {
         let mut inner = self.inner.write();
         let lost = inner.heads.crash() + inner.nodes.crash();
-        self.len.store(0, Ordering::Relaxed);
+        inner.len = 0;
         lost
     }
 }
@@ -206,6 +214,34 @@ impl Inner {
             .expect("node in bounds");
     }
 
+    /// The one insert body of the shared and the owned table: update the
+    /// key's node if its chain holds one, else link a new node in at the
+    /// chain's head, and rehash once chains average above `MAX_LOAD`.
+    fn insert(&mut self, ns: &Namespace, key: u64, value: u64, t: &mut Tally<'_>) -> Result<()> {
+        let bucket = self.bucket_of(key);
+        let head = self.head(bucket, t);
+        // Walk the chain looking for the key.
+        let mut link = head;
+        while link != 0 {
+            let (k, _, next) = self.node(link, t);
+            if k == key {
+                self.set_node_value(link, value, t);
+                return Ok(());
+            }
+            link = next;
+        }
+        let node = self.alloc_node(ns, t)?;
+        self.write_node(node, key, value, head, t);
+        self.set_head(bucket, node, t);
+        self.len += 1;
+        if self.len > self.bucket_count as usize * MAX_LOAD {
+            self.rehash(ns, t)?;
+        }
+        Ok(())
+    }
+
+    /// A node's link: a freed node if there is one, else the next node of
+    /// the storage, which doubles first when that node would not fit.
     fn alloc_node(&mut self, ns: &Namespace, t: &mut Tally<'_>) -> Result<u64> {
         if self.free_head != 0 {
             let link = self.free_head;
@@ -213,14 +249,12 @@ impl Inner {
             self.free_head = next;
             return Ok(link);
         }
-        match self.arena.alloc(NODE_SIZE, 8) {
-            Ok(off) => Ok(off + 1),
-            Err(pmem_store::StoreError::OutOfSpace { .. }) => {
-                self.grow_nodes(ns, t)?;
-                Ok(self.arena.alloc(NODE_SIZE, 8)? + 1)
-            }
-            Err(e) => Err(e),
+        if self.next_node + NODE_SIZE > self.nodes.len() {
+            self.grow_nodes(ns, t)?;
         }
+        let link = self.next_node + 1;
+        self.next_node += NODE_SIZE;
+        Ok(link)
     }
 
     /// Double the node storage, copying existing nodes so offsets stay
@@ -235,7 +269,6 @@ impl Inner {
             .to_vec();
         new_nodes.try_write_tallied(0, &bytes, AccessHint::Sequential, t)?;
         self.nodes = new_nodes;
-        self.arena.grow(new_len);
         Ok(())
     }
 
@@ -271,27 +304,7 @@ impl KvIndex for ChainedTable {
     }
 
     fn insert_tallied(&self, key: u64, value: u64, t: &mut Tally<'_>) -> Result<()> {
-        let mut inner = self.inner.write();
-        let bucket = inner.bucket_of(key);
-        let head = inner.head(bucket, t);
-        // Walk the chain looking for the key.
-        let mut link = head;
-        while link != 0 {
-            let (k, _, next) = inner.node(link, t);
-            if k == key {
-                inner.set_node_value(link, value, t);
-                return Ok(());
-            }
-            link = next;
-        }
-        let node = inner.alloc_node(&self.ns, t)?;
-        inner.write_node(node, key, value, head, t);
-        inner.set_head(bucket, node, t);
-        let len = self.len.fetch_add(1, Ordering::Relaxed) + 1;
-        if len > inner.bucket_count as usize * MAX_LOAD {
-            inner.rehash(&self.ns, t)?;
-        }
-        Ok(())
+        self.inner.write().insert(&self.ns, key, value, t)
     }
 
     fn get_tallied(&self, key: u64, t: &mut Tally<'_>) -> Option<u64> {
@@ -316,7 +329,7 @@ impl KvIndex for ChainedTable {
                 let free = inner.free_head;
                 inner.set_node_next(link, free, t);
                 inner.free_head = link;
-                self.len.fetch_sub(1, Ordering::Relaxed);
+                inner.len -= 1;
                 return Some(v);
             }
             prev = link;
@@ -326,7 +339,7 @@ impl KvIndex for ChainedTable {
     }
 
     fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.inner.read().len
     }
 }
 
@@ -404,7 +417,8 @@ mod tests {
         for k in 0..30u64 {
             assert_eq!(t.get(k), (k % 2 == 1).then_some(k), "key {k}");
         }
-        // Freed nodes are reused: inserts succeed without growing the arena.
+        // Freed nodes are reused: inserts succeed without growing the node
+        // storage.
         for k in 100..115u64 {
             t.insert(k, k).unwrap();
         }
@@ -436,21 +450,26 @@ mod tests {
 
     #[test]
     fn sealed_lookup_reads_what_the_live_get_reads() {
-        // Two tables built alike on namespaces of their own: one through
-        // `KvIndex::insert`, the other through one tally, then sealed. 45
-        // records from a 16-record hint cross a rehash (8 → 16 buckets, at
-        // the 25th) and a node-region grow (at the 33rd), and leave some
-        // chain of 3 or more.
-        let build = |tallied: bool| {
+        // Three tables built alike on namespaces of their own: one through
+        // `KvIndex::insert`, one through `insert_owned` and the last through
+        // one tally, then sealed. 45 records from a 16-record hint cross a
+        // rehash (8 → 16 buckets, at the 25th) and a node-region grow (at
+        // the 33rd), and leave some chain of 3 or more.
+        enum Fill {
+            Shared,
+            Owned,
+            Tallied,
+        }
+        let build = |fill: Fill| {
             let ns = Namespace::fsdax(SocketId(0), 8 << 20);
-            let t = ChainedTable::with_capacity(&ns, 16).unwrap();
+            let mut t = ChainedTable::with_capacity(&ns, 16).unwrap();
             let nodes = t.inner.read().nodes.len();
             let mut tally = ns.tally();
             for k in 0..45u64 {
-                if tallied {
-                    t.insert_tallied(k * 2, k, &mut tally).unwrap();
-                } else {
-                    t.insert(k * 2, k).unwrap();
+                match fill {
+                    Fill::Shared => t.insert(k * 2, k).unwrap(),
+                    Fill::Owned => t.insert_owned(k * 2, k, &mut tally).unwrap(),
+                    Fill::Tallied => t.insert_tallied(k * 2, k, &mut tally).unwrap(),
                 }
             }
             drop(tally);
@@ -463,8 +482,11 @@ mod tests {
             let heads = inner.heads.untracked_slice().to_vec();
             (heads, inner.nodes.untracked_slice().to_vec())
         };
-        let (live_ns, live) = build(false);
-        let (sealed_ns, table) = build(true);
+        let (live_ns, live) = build(Fill::Shared);
+        let (owned_ns, owned) = build(Fill::Owned);
+        let (sealed_ns, table) = build(Fill::Tallied);
+        assert_eq!(owned_ns.tracker().snapshot(), live_ns.tracker().snapshot());
+        assert_eq!(bytes(&owned), bytes(&live));
         assert_eq!(sealed_ns.tracker().snapshot(), live_ns.tracker().snapshot());
         assert_eq!(bytes(&table), bytes(&live));
         let sealed = table.seal();

@@ -4,9 +4,10 @@
 //! harness also *executes* the access patterns against real regions —
 //! grouped/individual/random, reads and writes, with the paper's thread
 //! counts — so the patterns themselves are tested code, not just spec
-//! structs. Reads verify a checksum over deterministic fill data; all
-//! traffic lands in the namespace tracker, which tests compare against the
-//! expected pattern signature.
+//! structs. Reads verify a checksum over deterministic fill data; each
+//! worker counts its traffic into a tally of its own, and all of it lands
+//! in the namespace tracker, which tests compare against the expected
+//! pattern signature.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,6 +120,7 @@ fn read_traffic(ns: &Namespace, cfg: &TrafficConfig) -> Result<(u64, u64)> {
             let checksum = &checksum;
             let cfg = cfg.clone();
             scope.spawn(move || {
+                let mut reads = region.tracker().tally();
                 let mut local_sum = 0u64;
                 let mut rng = XorShift(cfg.seed ^ (t + 1).wrapping_mul(0x2545_F491_4F6C_DD1D));
                 match cfg.pattern {
@@ -127,15 +129,24 @@ fn read_traffic(ns: &Namespace, cfg: &TrafficConfig) -> Result<(u64, u64)> {
                         if chunk >= total_chunks {
                             break;
                         }
-                        let data = region.read(chunk * access, access, AccessHint::Sequential);
+                        let data = region.read_tallied(
+                            chunk * access,
+                            access,
+                            AccessHint::Sequential,
+                            &mut reads,
+                        );
                         local_sum = local_sum.wrapping_add(sum_bytes(data));
                     },
                     Pattern::SequentialIndividual => {
                         let per_thread = total_chunks / cfg.threads as u64;
                         let base = t * per_thread * access;
                         for i in 0..per_thread {
-                            let data =
-                                region.read(base + i * access, access, AccessHint::Sequential);
+                            let data = region.read_tallied(
+                                base + i * access,
+                                access,
+                                AccessHint::Sequential,
+                                &mut reads,
+                            );
                             local_sum = local_sum.wrapping_add(sum_bytes(data));
                         }
                     }
@@ -144,7 +155,12 @@ fn read_traffic(ns: &Namespace, cfg: &TrafficConfig) -> Result<(u64, u64)> {
                         let slots = region.len() / access;
                         for _ in 0..per_thread {
                             let slot = rng.next() % slots.max(1);
-                            let data = region.read(slot * access, access, AccessHint::Random);
+                            let data = region.read_tallied(
+                                slot * access,
+                                access,
+                                AccessHint::Random,
+                                &mut reads,
+                            );
                             local_sum = local_sum.wrapping_add(sum_bytes(data));
                         }
                     }
@@ -172,11 +188,14 @@ fn write_traffic(ns: &Namespace, cfg: &TrafficConfig) -> Result<(u64, u64)> {
     ns.tracker().reset();
 
     let payload: Vec<u8> = (0..access).map(fill_byte).collect();
+    let tracker = ns.tracker();
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(regions.len());
         for (t, region) in regions.iter_mut().enumerate() {
             let payload = &payload;
             let cfg = cfg.clone();
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || -> Result<()> {
+                let mut writes = tracker.tally();
                 let mut rng = XorShift(cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9));
                 let ops = per_thread / access;
                 for i in 0..ops {
@@ -192,14 +211,17 @@ fn write_traffic(ns: &Namespace, cfg: &TrafficConfig) -> Result<(u64, u64)> {
                     } else {
                         AccessHint::Sequential
                     };
-                    region
-                        .try_ntstore(offset, payload, hint)
-                        .expect("write in bounds");
-                    region.sfence();
+                    region.try_ntstore_tallied(offset, payload, hint, &mut writes)?;
+                    region.sfence_tallied(&mut writes);
                 }
-            });
+                Ok(())
+            }));
         }
-    });
+        // The first failed worker's error, in spawn order.
+        workers
+            .into_iter()
+            .try_for_each(|w| w.join().expect("write worker"))
+    })?;
 
     let moved = ns.tracker().snapshot().write_bytes();
     Ok((moved, 0))

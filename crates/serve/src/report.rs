@@ -196,6 +196,43 @@ pub struct TenantReport {
     pub hit_rate: f64,
 }
 
+/// What every slice of a run (a tenant's jobs, a class's) reports about
+/// its jobs: the outcome counts, and the bytes and latencies of the
+/// completed ones.
+struct SliceFold<'j> {
+    /// The slice's completed jobs, in submission order.
+    done: Vec<&'j JobRecord>,
+    shed: usize,
+    failed: usize,
+    bytes_completed: u64,
+    queue_wait: Option<Percentiles>,
+    end_to_end: Option<Percentiles>,
+}
+
+impl<'j> SliceFold<'j> {
+    fn of(mine: &[&'j JobRecord]) -> Self {
+        let (mut done, mut shed, mut failed) = (Vec::new(), 0, 0);
+        for &job in mine {
+            match job.outcome {
+                JobOutcome::Completed => done.push(job),
+                JobOutcome::Shed(_) => shed += 1,
+                JobOutcome::Failed => failed += 1,
+            }
+        }
+        let latencies = |of: fn(&JobRecord) -> f64| {
+            Percentiles::try_of(&done.iter().map(|&j| of(j)).collect::<Vec<_>>())
+        };
+        SliceFold {
+            bytes_completed: done.iter().map(|j| j.bytes).sum(),
+            queue_wait: latencies(|j| j.queue_wait_seconds),
+            end_to_end: latencies(|j| (j.finished_at - j.arrival).max(0.0)),
+            done,
+            shed,
+            failed,
+        }
+    }
+}
+
 /// Fold per-job records into per-tenant slices, sorted by tenant id.
 pub fn tenant_reports(jobs: &[JobRecord]) -> Vec<TenantReport> {
     let mut tenants: Vec<u32> = jobs.iter().map(|j| j.tenant).collect();
@@ -205,43 +242,25 @@ pub fn tenant_reports(jobs: &[JobRecord]) -> Vec<TenantReport> {
         .into_iter()
         .map(|tenant| {
             let mine: Vec<&JobRecord> = jobs.iter().filter(|j| j.tenant == tenant).collect();
-            let done: Vec<&&JobRecord> = mine.iter().filter(|j| j.outcome.is_completed()).collect();
-            let waits: Vec<f64> = done.iter().map(|j| j.queue_wait_seconds).collect();
-            let e2e: Vec<f64> = done
-                .iter()
-                .map(|j| (j.finished_at - j.arrival).max(0.0))
-                .collect();
-            let read_bytes: u64 = done
-                .iter()
-                .filter(|j| j.side == Side::Read)
-                .map(|j| j.bytes)
-                .sum();
+            let slice = SliceFold::of(&mine);
+            let reads = || slice.done.iter().filter(|j| j.side == Side::Read);
+            let read_bytes: u64 = reads().map(|j| j.bytes).sum();
             let hit_rate = if read_bytes > 0 {
-                done.iter()
-                    .filter(|j| j.side == Side::Read)
-                    .map(|j| j.hit_rate * j.bytes as f64)
-                    .sum::<f64>()
-                    / read_bytes as f64
+                reads().map(|j| j.hit_rate * j.bytes as f64).sum::<f64>() / read_bytes as f64
             } else {
                 0.0
             };
             TenantReport {
                 tenant,
                 jobs: mine.len(),
-                completed: done.len(),
-                shed: mine
-                    .iter()
-                    .filter(|j| matches!(j.outcome, JobOutcome::Shed(_)))
-                    .count(),
-                failed: mine
-                    .iter()
-                    .filter(|j| j.outcome == JobOutcome::Failed)
-                    .count(),
-                bytes_completed: done.iter().map(|j| j.bytes).sum(),
+                completed: slice.done.len(),
+                shed: slice.shed,
+                failed: slice.failed,
+                bytes_completed: slice.bytes_completed,
                 queue_wait_total: mine.iter().map(|j| j.queue_wait_seconds).sum(),
                 exec_total: mine.iter().map(|j| j.exec_seconds).sum(),
-                queue_wait: Percentiles::of(&waits),
-                end_to_end: Percentiles::of(&e2e),
+                queue_wait: slice.queue_wait.unwrap_or_default(),
+                end_to_end: slice.end_to_end.unwrap_or_default(),
                 hit_rate,
             }
         })
@@ -296,30 +315,19 @@ pub fn class_reports(jobs: &[JobRecord]) -> Vec<ClassReport> {
             if mine.is_empty() {
                 return None;
             }
-            let done: Vec<&&JobRecord> = mine.iter().filter(|j| j.outcome.is_completed()).collect();
-            let waits: Vec<f64> = done.iter().map(|j| j.queue_wait_seconds).collect();
-            let e2e: Vec<f64> = done
-                .iter()
-                .map(|j| (j.finished_at - j.arrival).max(0.0))
-                .collect();
+            let slice = SliceFold::of(&mine);
             let carrying: Vec<&&JobRecord> = mine.iter().filter(|j| j.deadline.is_some()).collect();
             Some(ClassReport {
                 class,
                 jobs: mine.len(),
-                completed: done.len(),
-                shed: mine
-                    .iter()
-                    .filter(|j| matches!(j.outcome, JobOutcome::Shed(_)))
-                    .count(),
-                failed: mine
-                    .iter()
-                    .filter(|j| j.outcome == JobOutcome::Failed)
-                    .count(),
+                completed: slice.done.len(),
+                shed: slice.shed,
+                failed: slice.failed,
                 deadline_carrying: carrying.len(),
                 met_deadline: carrying.iter().filter(|j| j.met_deadline()).count(),
-                bytes_completed: done.iter().map(|j| j.bytes).sum(),
-                queue_wait: Percentiles::try_of(&waits),
-                end_to_end: Percentiles::try_of(&e2e),
+                bytes_completed: slice.bytes_completed,
+                queue_wait: slice.queue_wait,
+                end_to_end: slice.end_to_end,
             })
         })
         .collect()

@@ -494,7 +494,9 @@ impl ColumnarFact {
     }
 
     /// Parallel projected scan: stream only `projection`, assembling
-    /// [`ColTuple`]s chunk by chunk. Returns the per-thread accumulators.
+    /// [`ColTuple`]s chunk by chunk. Each worker counts its reads into a
+    /// tally of its own, which lands in the namespace tracker before the
+    /// scan returns. Returns the per-thread accumulators.
     pub fn scan<A, F>(
         &self,
         projection: &[Column],
@@ -506,17 +508,23 @@ impl ColumnarFact {
         A: Send,
         F: Fn(&mut A, &ColTuple) + Sync,
     {
+        // Every column region reports into the tracker of the namespace
+        // they were loaded into.
+        let tracker = self.columns[0].1.tracker();
         let workers = par_chunks::<_, Infallible>(
             self.rows.div_ceil(CHUNK),
             threads,
-            || (make_acc(), Vec::new()),
-            |(acc, tuples), chunk| {
+            || (make_acc(), Vec::new(), tracker.tally()),
+            |(acc, tuples, reads), chunk| {
                 let (start, n) = self.chunk_rows(chunk, tuples);
                 for &column in projection {
                     let width = column.width();
-                    let bytes =
-                        self.region(column)
-                            .read(start * width, n * width, AccessHint::Sequential);
+                    let bytes = self.region(column).read_tallied(
+                        start * width,
+                        n * width,
+                        AccessHint::Sequential,
+                        reads,
+                    );
                     fill_column(column, bytes, tuples);
                 }
                 for t in tuples.iter() {
@@ -526,7 +534,7 @@ impl ColumnarFact {
             },
         );
         let workers = workers.unwrap_or_else(|never| match never {});
-        workers.into_iter().map(|(acc, _)| acc).collect()
+        workers.into_iter().map(|(acc, ..)| acc).collect()
     }
 
     /// The first row and the row count of scan chunk `chunk`, with
@@ -727,6 +735,7 @@ mod tests {
     use super::*;
     use crate::datagen::generate;
     use pmem_sim::topology::SocketId;
+    use pmem_store::TrackerSnapshot;
 
     fn setup() -> (SsbData, ColumnarFact, Namespace) {
         let data = generate(0.003, 77);
@@ -795,6 +804,34 @@ mod tests {
         assert_eq!(snap.rand_read_bytes, 0);
         // 10 B per tuple instead of 128.
         assert_eq!(Column::tuple_bytes(projection), 10);
+    }
+
+    #[test]
+    fn a_scan_counts_exactly_its_projection() {
+        let (_data, fact, ns) = setup();
+        let chunks = fact.rows().div_ceil(4096);
+        assert!(chunks > 4, "more chunks than workers");
+        // Each column alone, then a query's six.
+        let projections: Vec<Vec<Column>> = Column::ALL
+            .iter()
+            .map(|&column| vec![column])
+            .chain([Column::for_query(QueryId::Q4_1).to_vec()])
+            .collect();
+        for threads in [1, 4] {
+            for projection in &projections {
+                let before = ns.tracker().snapshot();
+                let _ = fact.scan(projection, threads, || (), |_, _| {});
+                let delta = ns.tracker().snapshot().since(&before);
+                // One sequential read per column per chunk; no random
+                // bytes, no writes.
+                let expected = TrackerSnapshot {
+                    seq_read_bytes: projection.iter().map(|c| fact.rows() * c.width()).sum(),
+                    read_ops: projection.len() as u64 * chunks,
+                    ..TrackerSnapshot::default()
+                };
+                assert_eq!(delta, expected, "{threads} threads, {projection:?}");
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pmem_dash::{ChainedTable, DashTable, KvIndex, SealedChainedTable, SealedDashTable};
+use pmem_dash::{ChainedTable, DashTable, SealedChainedTable, SealedDashTable};
 use pmem_store::{AccessHint, Namespace, Region, Result, Tally, TrackerSnapshot};
 
 use crate::schema::{DateDim, GeoDim, Lineorder, PartDim, DIM_ROW, LINEORDER_ROW};
@@ -154,8 +154,8 @@ pub fn build_index(
             (JoinIndex::Dash(table.seal()), inserts)
         }
         EngineMode::Unaware => {
-            let table = ChainedTable::with_capacity(ns, rows as usize)?;
-            let inserts = fill(&mut |key, value, tally| table.insert_tallied(key, value, tally))?;
+            let mut table = ChainedTable::with_capacity(ns, rows as usize)?;
+            let inserts = fill(&mut |key, value, tally| table.insert_owned(key, value, tally))?;
             (JoinIndex::Chained(table.seal()), inserts)
         }
     };

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors raised by namespaces, regions, and allocators.
+/// Errors raised by namespaces and regions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// An access reached past the end of a region.
@@ -21,8 +21,6 @@ pub enum StoreError {
         /// Bytes still available.
         available: u64,
     },
-    /// Alignment must be a power of two.
-    BadAlignment(u64),
     /// Operation requires App Direct mode (e.g. persistence primitives in
     /// Memory Mode, which does not guarantee persistence).
     NotPersistent,
@@ -58,7 +56,6 @@ impl fmt::Display for StoreError {
                     "allocation of {requested} bytes exceeds {available} available"
                 )
             }
-            StoreError::BadAlignment(a) => write!(f, "alignment {a} is not a power of two"),
             StoreError::NotPersistent => {
                 write!(f, "operation requires a persistent (App Direct) namespace")
             }
@@ -89,9 +86,6 @@ mod tests {
             available: 1,
         };
         assert!(e.to_string().contains("exceeds"));
-        assert!(StoreError::BadAlignment(3)
-            .to_string()
-            .contains("power of two"));
         assert!(StoreError::NotPersistent.to_string().contains("App Direct"));
         let e = StoreError::Poisoned {
             offset: 256,

@@ -12,8 +12,6 @@
 //!   of the paper's kernels: `ntstore` (non-temporal store), `clwb`,
 //!   `sfence`, plus crash/recovery simulation that enforces the ADR rules
 //!   ("a write is persistent once accepted into the iMC's WPQ").
-//! * [`alloc`] — a region allocator (bump + free-list) for carving tables,
-//!   indexes, and intermediates out of a namespace.
 //! * [`log`] — a per-worker, crash-consistent append log implementing the
 //!   paper's "one log per worker, 256 B appends" recipe.
 //! * [`scrub`] — per-block FNV checksums and a media scrubber that walks a
@@ -44,7 +42,6 @@
 #![warn(rust_2018_idioms)]
 #![deny(clippy::unwrap_used)]
 
-pub mod alloc;
 pub mod log;
 pub mod namespace;
 pub mod region;

@@ -16,8 +16,9 @@
 //! [`crate::tracker::AccessTracker`] so simulated device time
 //! can be derived, and fsdax regions charge first-touch page faults
 //! (the §2.3 devdax-vs-fsdax effect). The `*_tallied` methods count into
-//! a worker's [`Tally`] of that tracker instead; they run the same body as
-//! their untallied twins, which count each access into the tracker.
+//! a worker's [`Tally`] of that tracker; their untallied twins run the
+//! same body with a batch of the access's own, which they add into the
+//! tracker before they return.
 //!
 //! The bookkeeping around each access costs O(1) amortized and takes no
 //! shared lock (DESIGN.md, "Store hot path"): dirty, pending and poisoned
@@ -44,7 +45,7 @@ use parking_lot::Mutex;
 use crate::lineset::{word_masks, LineSet};
 use crate::namespace::NamespaceInner;
 use crate::trace::{PersistEvent, PersistenceTrace};
-use crate::tracker::{AccessTracker, OneAccess, Sink, Tally};
+use crate::tracker::{AccessTracker, Counts, Tally};
 use crate::{Result, StoreError};
 
 /// CPU cache-line size: the granularity of dirtiness and flushing.
@@ -310,12 +311,9 @@ impl Region {
         Ok(())
     }
 
-    fn fault_pages(&self, offset: u64, len: u64, sink: &mut impl Sink) {
+    fn fault_pages(&self, offset: u64, len: u64, counts: &mut Counts) {
         if let Some(fm) = &self.fault_model {
-            let fresh = fm.touch(offset, len);
-            if fresh > 0 {
-                sink.page_faults(&self.tracker, fresh);
-            }
+            counts.page_faults(fm.touch(offset, len));
         }
     }
 
@@ -323,7 +321,9 @@ impl Region {
     /// and devdax). Counts the faults now instead of during the measured
     /// access — call `tracker().reset()` afterwards to exclude them.
     pub fn prefault(&self) {
-        self.fault_pages(0, self.len(), &mut OneAccess);
+        let mut counts = Counts::default();
+        self.fault_pages(0, self.len(), &mut counts);
+        self.tracker.add(&counts);
     }
 
     fn infer_read(&self, offset: u64, len: u64, hint: AccessHint) -> bool {
@@ -355,11 +355,11 @@ impl Region {
         offset: u64,
         len: u64,
         hint: AccessHint,
-        sink: &mut impl Sink,
+        counts: &mut Counts,
     ) -> &[u8] {
-        self.fault_pages(offset, len, sink);
+        self.fault_pages(offset, len, counts);
         let sequential = self.infer_read(offset, len, hint);
-        sink.read(&self.tracker, len, sequential);
+        counts.read(len, sequential);
         &self.data[offset as usize..(offset + len) as usize]
     }
 
@@ -373,7 +373,10 @@ impl Region {
     /// exactly the silent corruption the scrubber exists to prevent. Use
     /// [`Region::try_read`] to surface poison as a typed error instead.
     pub fn read(&self, offset: u64, len: u64, hint: AccessHint) -> &[u8] {
-        self.read_with(offset, len, hint, &mut OneAccess)
+        let mut counts = Counts::default();
+        let bytes = self.read_with(offset, len, hint, &mut counts);
+        self.tracker.add(&counts);
+        bytes
     }
 
     /// [`Region::read`], counted into `tally`.
@@ -389,7 +392,7 @@ impl Region {
     }
 
     #[inline]
-    fn read_with(&self, offset: u64, len: u64, hint: AccessHint, sink: &mut impl Sink) -> &[u8] {
+    fn read_with(&self, offset: u64, len: u64, hint: AccessHint, counts: &mut Counts) -> &[u8] {
         if let Err(e) = self.check(offset, len) {
             panic!("region read out of bounds: {e}");
         }
@@ -402,14 +405,17 @@ impl Region {
             #[cfg(not(any(test, feature = "testing")))]
             let _ = line;
         }
-        self.read_accounted(offset, len, hint, sink)
+        self.read_accounted(offset, len, hint, counts)
     }
 
     /// Fallible [`Region::read`]: out-of-bounds accesses return
     /// [`StoreError::OutOfBounds`] and accesses intersecting a poisoned
     /// XPLine return [`StoreError::Poisoned`] instead of bytes.
     pub fn try_read(&self, offset: u64, len: u64, hint: AccessHint) -> Result<&[u8]> {
-        self.try_read_with(offset, len, hint, &mut OneAccess)
+        let mut counts = Counts::default();
+        let bytes = self.try_read_with(offset, len, hint, &mut counts);
+        self.tracker.add(&counts);
+        bytes
     }
 
     /// [`Region::try_read`], counted into `tally`.
@@ -430,41 +436,13 @@ impl Region {
         offset: u64,
         len: u64,
         hint: AccessHint,
-        sink: &mut impl Sink,
+        counts: &mut Counts,
     ) -> Result<&[u8]> {
         self.check(offset, len)?;
         if let Some(line) = self.first_poisoned(offset, len) {
             return Err(self.poison_error(line));
         }
-        Ok(self.read_accounted(offset, len, hint, sink))
-    }
-
-    /// Read a little-endian `u64` (random-access accounted unless hinted).
-    /// Panics on out-of-bounds; see [`Region::try_read_u64`].
-    pub fn read_u64(&self, offset: u64, hint: AccessHint) -> u64 {
-        let bytes = self.read(offset, 8, hint);
-        u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
-    }
-
-    /// Read a little-endian `u32`. Panics on out-of-bounds; see
-    /// [`Region::try_read_u32`].
-    pub fn read_u32(&self, offset: u64, hint: AccessHint) -> u32 {
-        let bytes = self.read(offset, 4, hint);
-        u32::from_le_bytes(bytes.try_into().expect("4 bytes"))
-    }
-
-    /// Checked [`Region::read_u64`]: returns an error (never panics) on
-    /// out-of-range offsets — including `offset + 8` overflow — or poison.
-    pub fn try_read_u64(&self, offset: u64, hint: AccessHint) -> Result<u64> {
-        let bytes = self.try_read(offset, 8, hint)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
-    }
-
-    /// Checked [`Region::read_u32`]: returns an error (never panics) on
-    /// out-of-range offsets or poison.
-    pub fn try_read_u32(&self, offset: u64, hint: AccessHint) -> Result<u32> {
-        let bytes = self.try_read(offset, 4, hint)?;
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+        Ok(self.read_accounted(offset, len, hint, counts))
     }
 
     /// Access the raw bytes without accounting (test/debug aid; not part of
@@ -618,7 +596,10 @@ impl Region {
 
     /// Fallible [`Region::write`] with an explicit hint.
     pub fn try_write(&mut self, offset: u64, bytes: &[u8], hint: AccessHint) -> Result<()> {
-        self.try_write_with(offset, bytes, hint, &mut OneAccess)
+        let mut counts = Counts::default();
+        let result = self.try_write_with(offset, bytes, hint, &mut counts);
+        self.tracker.add(&counts);
+        result
     }
 
     /// [`Region::try_write`], counted into `tally`.
@@ -639,12 +620,12 @@ impl Region {
         offset: u64,
         bytes: &[u8],
         hint: AccessHint,
-        sink: &mut impl Sink,
+        counts: &mut Counts,
     ) -> Result<()> {
         self.check(offset, bytes.len() as u64)?;
-        self.fault_pages(offset, bytes.len() as u64, sink);
+        self.fault_pages(offset, bytes.len() as u64, counts);
         let sequential = self.infer_write(offset, bytes.len() as u64, hint);
-        sink.write(&self.tracker, bytes.len() as u64, sequential);
+        counts.write(bytes.len() as u64, sequential);
         self.record_persist(|| PersistEvent::Store {
             offset,
             data: bytes.to_vec(),
@@ -667,7 +648,10 @@ impl Region {
 
     /// Fallible [`Region::ntstore`] with an explicit hint.
     pub fn try_ntstore(&mut self, offset: u64, bytes: &[u8], hint: AccessHint) -> Result<()> {
-        self.try_ntstore_gather_with(offset, &[bytes], hint, &mut OneAccess)
+        let mut counts = Counts::default();
+        let result = self.try_ntstore_gather_with(offset, &[bytes], hint, &mut counts);
+        self.tracker.add(&counts);
+        result
     }
 
     /// [`Region::try_ntstore`], counted into `tally`.
@@ -704,13 +688,13 @@ impl Region {
         offset: u64,
         parts: &[B],
         hint: AccessHint,
-        sink: &mut impl Sink,
+        counts: &mut Counts,
     ) -> Result<()> {
         let len: u64 = parts.iter().map(|p| p.as_ref().len() as u64).sum();
         self.check(offset, len)?;
-        self.fault_pages(offset, len, sink);
+        self.fault_pages(offset, len, counts);
         let sequential = self.infer_write(offset, len, hint);
-        sink.write(&self.tracker, len, sequential);
+        counts.write(len, sequential);
         self.record_persist(|| PersistEvent::NtStore {
             offset,
             data: parts.iter().flat_map(|p| p.as_ref()).copied().collect(),
@@ -729,11 +713,6 @@ impl Region {
         Ok(())
     }
 
-    /// Write a little-endian `u64` with a non-temporal store.
-    pub fn ntstore_u64(&mut self, offset: u64, value: u64) {
-        self.ntstore(offset, &value.to_le_bytes());
-    }
-
     /// `clwb`: schedule the dirty cache lines covering the range for
     /// write-back. They persist at the next [`Region::sfence`].
     pub fn clwb(&mut self, offset: u64, len: u64) {
@@ -746,7 +725,9 @@ impl Region {
     /// the WPQ and — by the ADR guarantee — persistent. It drains the
     /// pending lines and copies no byte.
     pub fn sfence(&mut self) {
-        self.sfence_with(&mut OneAccess);
+        let mut counts = Counts::default();
+        self.sfence_with(&mut counts);
+        self.tracker.add(&counts);
     }
 
     /// [`Region::sfence`], counted into `tally`.
@@ -756,8 +737,8 @@ impl Region {
     }
 
     #[inline]
-    fn sfence_with(&mut self, sink: &mut impl Sink) {
-        sink.sfence(&self.tracker);
+    fn sfence_with(&mut self, counts: &mut Counts) {
+        counts.sfence();
         self.record_persist(|| PersistEvent::Sfence);
         if !self.persistent {
             return; // Memory Mode: nothing actually persists (§2.1).
@@ -941,15 +922,6 @@ mod tests {
     }
 
     #[test]
-    fn typed_reads_round_trip() {
-        let mut r = region(4096);
-        r.ntstore_u64(16, 0xDEAD_BEEF_CAFE_F00D);
-        assert_eq!(r.read_u64(16, AccessHint::Random), 0xDEAD_BEEF_CAFE_F00D);
-        r.ntstore(24, &7u32.to_le_bytes());
-        assert_eq!(r.read_u32(24, AccessHint::Random), 7);
-    }
-
-    #[test]
     fn out_of_bounds_is_an_error() {
         let mut r = region(128);
         assert!(matches!(
@@ -958,39 +930,11 @@ mod tests {
         ));
         assert!(r.try_write(u64::MAX, b"x", AccessHint::Auto).is_err());
         assert!(r.try_ntstore(129, b"", AccessHint::Auto).is_err());
-    }
-
-    #[test]
-    fn checked_typed_reads_never_panic_out_of_range() {
-        let r = region(128);
-        // Regression: read_u64/read_u32 used to be panic-only; the checked
-        // variants must return OutOfBounds for every bad offset, including
-        // offset + len overflow at the top of the address space.
-        assert!(matches!(
-            r.try_read_u64(121, AccessHint::Auto),
-            Err(StoreError::OutOfBounds { .. })
-        ));
-        assert!(matches!(
-            r.try_read_u64(u64::MAX - 4, AccessHint::Auto),
-            Err(StoreError::OutOfBounds { .. })
-        ));
-        assert!(matches!(
-            r.try_read_u32(126, AccessHint::Auto),
-            Err(StoreError::OutOfBounds { .. })
-        ));
-        assert!(matches!(
-            r.try_read_u32(u64::MAX, AccessHint::Auto),
-            Err(StoreError::OutOfBounds { .. })
-        ));
+        // `offset + len` overflows at the top of the address space.
         assert!(matches!(
             r.try_read(u64::MAX - 7, 16, AccessHint::Auto),
             Err(StoreError::OutOfBounds { .. })
         ));
-        // In-range values still round-trip through the checked path.
-        let mut r = region(128);
-        r.ntstore_u64(0, 42);
-        assert_eq!(r.try_read_u64(0, AccessHint::Auto).unwrap(), 42);
-        assert_eq!(r.try_read_u32(0, AccessHint::Auto).unwrap(), 42);
     }
 
     #[test]

@@ -5,21 +5,15 @@
 //! counts into the [`pmem-sim`](pmem_sim) bandwidth model to obtain the
 //! simulated device time a real Optane system would have spent.
 //!
-//! An access counts into the tracker's shared stripes as it happens, or,
-//! through a `Region` method that takes one, into a worker's [`Tally`]:
-//! plain counters the worker owns, added into the tracker when the tally
-//! drops.
+//! Every access counts into a batch of plain counters: a worker's
+//! [`Tally`], added into the tracker when the tally drops, or, for the
+//! `Region` methods that take no tally, the access's own batch, added
+//! into the tracker before the method returns.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Counter stripes per tracker. Threads take stripes round-robin, in the
-/// order they first record into any tracker, so threads spawned together
-/// (a query's scan workers) count on distinct cache lines.
-const STRIPES: usize = 16;
-
-// Counter slots of a stripe, in `TrackerSnapshot` field order.
+// Counter slots, in `TrackerSnapshot` field order.
 const SEQ_READ_BYTES: usize = 0;
 const RAND_READ_BYTES: usize = 1;
 const SEQ_WRITE_BYTES: usize = 2;
@@ -32,42 +26,14 @@ const CRASHES: usize = 8;
 const CRASH_LOST_LINES: usize = 9;
 const COUNTERS: usize = 10;
 
-/// One thread's share of the counters, alone on its cache lines (128 B
-/// covers the adjacent-line prefetch pair as well).
-#[derive(Default)]
-#[repr(align(128))]
-struct Stripe([AtomicU64; COUNTERS]);
-
-/// Next stripe to hand to a thread. Relaxed: the value only spreads
-/// threads over stripes and publishes nothing.
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// The calling thread's stripe index, assigned on its first use.
-#[inline]
-fn stripe_index() -> usize {
-    STRIPE.with(|slot| {
-        let mut index = slot.get();
-        if index == usize::MAX {
-            index = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
-            slot.set(index);
-        }
-        index
-    })
-}
-
 /// Thread-safe access counters shared by all regions of a namespace.
 ///
-/// Each counter is split into per-thread, cache-line-padded stripes, so
-/// threads scanning the same namespace never contend on a counter line.
-/// Increments are relaxed atomic adds: a count publishes no other data,
-/// and threads that do share a stripe still lose no update.
+/// Counts arrive a batch at a time (a dropped [`Tally`], or one untallied
+/// access), and a crash adds its own two. Adds are relaxed atomic adds: a
+/// count publishes no other data, and concurrent batches lose no update.
 #[derive(Default)]
 pub struct AccessTracker {
-    stripes: [Stripe; STRIPES],
+    counters: [AtomicU64; COUNTERS],
 }
 
 impl std::fmt::Debug for AccessTracker {
@@ -84,44 +50,19 @@ impl AccessTracker {
         Arc::new(Self::default())
     }
 
+    /// Add each nonzero count of `batch`.
     #[inline]
-    fn add(&self, counter: usize, n: u64) {
-        self.stripes[stripe_index()].0[counter].fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_read(&self, bytes: u64, sequential: bool) {
-        let stripe = &self.stripes[stripe_index()].0;
-        stripe[READ_OPS].fetch_add(1, Ordering::Relaxed);
-        let kind = if sequential {
-            SEQ_READ_BYTES
-        } else {
-            RAND_READ_BYTES
-        };
-        stripe[kind].fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_write(&self, bytes: u64, sequential: bool) {
-        let stripe = &self.stripes[stripe_index()].0;
-        stripe[WRITE_OPS].fetch_add(1, Ordering::Relaxed);
-        let kind = if sequential {
-            SEQ_WRITE_BYTES
-        } else {
-            RAND_WRITE_BYTES
-        };
-        stripe[kind].fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_sfence(&self) {
-        self.add(SFENCES, 1);
-    }
-
-    pub(crate) fn record_page_faults(&self, pages: u64) {
-        self.add(PAGE_FAULTS, pages);
+    pub(crate) fn add(&self, batch: &Counts) {
+        for (counter, &n) in self.counters.iter().zip(&batch.0) {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     pub(crate) fn record_crash(&self, lost_lines: u64) {
-        self.add(CRASHES, 1);
-        self.add(CRASH_LOST_LINES, lost_lines);
+        self.counters[CRASHES].fetch_add(1, Ordering::Relaxed);
+        self.counters[CRASH_LOST_LINES].fetch_add(lost_lines, Ordering::Relaxed);
     }
 
     /// A tally of this tracker's counters, empty; it adds what it counted
@@ -129,86 +70,85 @@ impl AccessTracker {
     pub fn tally(&self) -> Tally<'_> {
         Tally {
             tracker: self,
-            counts: [0; COUNTERS],
+            counts: Counts::default(),
         }
     }
 
-    /// Snapshot of the counters: each is the sum of its stripes, read with
-    /// relaxed loads. Once every thread that recorded into the tracker has
-    /// been joined, the counts are exact; a snapshot taken while threads
-    /// are still recording may see some of their updates and not others
-    /// (fine for timing estimates, which snapshot between phases).
+    /// Snapshot of the counters, read with relaxed loads. Once every
+    /// thread that recorded into the tracker has been joined, the counts
+    /// are exact; a snapshot taken while threads are still recording may
+    /// see some of their batches and not others (fine for timing
+    /// estimates, which snapshot between phases).
     pub fn snapshot(&self) -> TrackerSnapshot {
-        let mut sum = [0u64; COUNTERS];
-        for stripe in &self.stripes {
-            for (total, counter) in sum.iter_mut().zip(&stripe.0) {
-                *total += counter.load(Ordering::Relaxed);
-            }
-        }
-        TrackerSnapshot::from_counts(&sum)
+        TrackerSnapshot::from_counts(&Counts(std::array::from_fn(|i| {
+            self.counters[i].load(Ordering::Relaxed)
+        })))
     }
 
-    /// Reset all counters, in every stripe, to zero (e.g. after the load
-    /// phase, before the measured query phase).
+    /// Reset all counters to zero (e.g. after the load phase, before the
+    /// measured query phase).
     pub fn reset(&self) {
-        for counter in self.stripes.iter().flat_map(|s| &s.0) {
+        for counter in &self.counters {
             counter.store(0, Ordering::Relaxed);
         }
     }
 }
 
-/// Where a [`Region`](crate::region::Region) access records its counts.
-/// Every access body is generic over it, so the one-access path and the
-/// tallied path run the same code.
-pub(crate) trait Sink {
+/// One batch of a tracker's counters, counted with plain adds: every
+/// access body of [`Region`](crate::region::Region) counts into one.
+#[derive(Debug, Default)]
+pub(crate) struct Counts([u64; COUNTERS]);
+
+impl Counts {
     /// One read of `bytes`.
-    fn read(&mut self, tracker: &AccessTracker, bytes: u64, sequential: bool);
+    #[inline]
+    pub(crate) fn read(&mut self, bytes: u64, sequential: bool) {
+        self.0[READ_OPS] += 1;
+        let kind = if sequential {
+            SEQ_READ_BYTES
+        } else {
+            RAND_READ_BYTES
+        };
+        self.0[kind] += bytes;
+    }
+
     /// One write (cached or non-temporal) of `bytes`.
-    fn write(&mut self, tracker: &AccessTracker, bytes: u64, sequential: bool);
+    #[inline]
+    pub(crate) fn write(&mut self, bytes: u64, sequential: bool) {
+        self.0[WRITE_OPS] += 1;
+        let kind = if sequential {
+            SEQ_WRITE_BYTES
+        } else {
+            RAND_WRITE_BYTES
+        };
+        self.0[kind] += bytes;
+    }
+
     /// One `sfence`.
-    fn sfence(&mut self, tracker: &AccessTracker);
+    #[inline]
+    pub(crate) fn sfence(&mut self) {
+        self.0[SFENCES] += 1;
+    }
+
     /// `pages` first-touch page faults.
-    fn page_faults(&mut self, tracker: &AccessTracker, pages: u64);
-}
-
-/// The sink of the untallied `Region` methods: each access goes straight
-/// into the tracker's stripe for the calling thread.
-pub(crate) struct OneAccess;
-
-impl Sink for OneAccess {
     #[inline]
-    fn read(&mut self, tracker: &AccessTracker, bytes: u64, sequential: bool) {
-        tracker.record_read(bytes, sequential);
-    }
-
-    #[inline]
-    fn write(&mut self, tracker: &AccessTracker, bytes: u64, sequential: bool) {
-        tracker.record_write(bytes, sequential);
-    }
-
-    #[inline]
-    fn sfence(&mut self, tracker: &AccessTracker) {
-        tracker.record_sfence();
-    }
-
-    #[inline]
-    fn page_faults(&mut self, tracker: &AccessTracker, pages: u64) {
-        tracker.record_page_faults(pages);
+    pub(crate) fn page_faults(&mut self, pages: u64) {
+        self.0[PAGE_FAULTS] += pages;
     }
 }
 
-/// A worker's own copy of one [`AccessTracker`]'s counters.
+/// A worker's own batch of one [`AccessTracker`]'s counters.
 ///
-/// The `Region` methods that take a tally count into it with plain adds
-/// instead of the tracker's atomic stripes. When the tally drops, on every
-/// return path an `?` included, it adds each nonzero count into the
-/// tracker, so the tracker's counts are exact once every tally of it has
-/// dropped and the threads that recorded are joined. A tally records only
-/// regions of its own tracker: recording a region of another one panics.
+/// The `Region` methods that take a tally count into it with plain adds.
+/// When the tally drops, on every return path an `?` included, it adds
+/// each nonzero count into the tracker, so the tracker's counts are exact
+/// once every tally of it has dropped and the threads that recorded are
+/// joined. A tally records only regions of its own tracker: recording a
+/// region of another one panics.
 #[derive(Debug)]
 pub struct Tally<'t> {
     tracker: &'t AccessTracker,
-    counts: [u64; COUNTERS],
+    counts: Counts,
 }
 
 impl Tally<'_> {
@@ -218,59 +158,20 @@ impl Tally<'_> {
         TrackerSnapshot::from_counts(&self.counts)
     }
 
-    /// This tally, after checking that it belongs to `tracker`.
+    /// This tally's batch, after checking that it belongs to `tracker`.
     #[inline]
-    pub(crate) fn of(&mut self, tracker: &AccessTracker) -> &mut Self {
+    pub(crate) fn of(&mut self, tracker: &AccessTracker) -> &mut Counts {
         assert!(
             std::ptr::eq(self.tracker, tracker),
             "a tally records only regions of its own tracker"
         );
-        self
-    }
-}
-
-impl Sink for Tally<'_> {
-    #[inline]
-    fn read(&mut self, _: &AccessTracker, bytes: u64, sequential: bool) {
-        self.counts[READ_OPS] += 1;
-        let kind = if sequential {
-            SEQ_READ_BYTES
-        } else {
-            RAND_READ_BYTES
-        };
-        self.counts[kind] += bytes;
-    }
-
-    #[inline]
-    fn write(&mut self, _: &AccessTracker, bytes: u64, sequential: bool) {
-        self.counts[WRITE_OPS] += 1;
-        let kind = if sequential {
-            SEQ_WRITE_BYTES
-        } else {
-            RAND_WRITE_BYTES
-        };
-        self.counts[kind] += bytes;
-    }
-
-    #[inline]
-    fn sfence(&mut self, _: &AccessTracker) {
-        self.counts[SFENCES] += 1;
-    }
-
-    #[inline]
-    fn page_faults(&mut self, _: &AccessTracker, pages: u64) {
-        self.counts[PAGE_FAULTS] += pages;
+        &mut self.counts
     }
 }
 
 impl Drop for Tally<'_> {
     fn drop(&mut self) {
-        let stripe = &self.tracker.stripes[stripe_index()].0;
-        for (counter, &n) in stripe.iter().zip(&self.counts) {
-            if n > 0 {
-                counter.fetch_add(n, Ordering::Relaxed);
-            }
-        }
+        self.tracker.add(&self.counts);
     }
 }
 
@@ -300,7 +201,7 @@ pub struct TrackerSnapshot {
 }
 
 impl TrackerSnapshot {
-    fn from_counts(counts: &[u64; COUNTERS]) -> Self {
+    fn from_counts(Counts(counts): &Counts) -> Self {
         TrackerSnapshot {
             seq_read_bytes: counts[SEQ_READ_BYTES],
             rand_read_bytes: counts[RAND_READ_BYTES],
@@ -374,15 +275,25 @@ impl TrackerSnapshot {
 mod tests {
     use super::*;
 
+    /// A tracker that received `batch` once.
+    fn tracker_of(batch: impl FnOnce(&mut Counts)) -> AccessTracker {
+        let t = AccessTracker::default();
+        let mut counts = Counts::default();
+        batch(&mut counts);
+        t.add(&counts);
+        t
+    }
+
     #[test]
     fn records_by_kind() {
-        let t = AccessTracker::default();
-        t.record_read(100, true);
-        t.record_read(50, false);
-        t.record_write(30, true);
-        t.record_write(20, false);
-        t.record_sfence();
-        t.record_page_faults(1);
+        let t = tracker_of(|c| {
+            c.read(100, true);
+            c.read(50, false);
+            c.write(30, true);
+            c.write(20, false);
+            c.sfence();
+            c.page_faults(1);
+        });
         let s = t.snapshot();
         assert_eq!(s.seq_read_bytes, 100);
         assert_eq!(s.rand_read_bytes, 50);
@@ -398,8 +309,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_everything() {
-        let t = AccessTracker::default();
-        t.record_read(1, true);
+        let t = tracker_of(|c| c.read(1, true));
         t.record_crash(3);
         t.reset();
         assert_eq!(t.snapshot(), TrackerSnapshot::default());
@@ -417,10 +327,9 @@ mod tests {
 
     #[test]
     fn since_computes_phase_delta() {
-        let t = AccessTracker::default();
-        t.record_read(100, true);
+        let t = tracker_of(|c| c.read(100, true));
         let before = t.snapshot();
-        t.record_read(40, false);
+        t.tally().of(&t).read(40, false);
         let delta = t.snapshot().since(&before);
         assert_eq!(delta.rand_read_bytes, 40);
         assert_eq!(delta.seq_read_bytes, 0);
@@ -428,10 +337,11 @@ mod tests {
 
     #[test]
     fn mean_random_read_size_is_sane() {
-        let t = AccessTracker::default();
-        for _ in 0..10 {
-            t.record_read(256, false);
-        }
+        let t = tracker_of(|c| {
+            for _ in 0..10 {
+                c.read(256, false);
+            }
+        });
         let s = t.snapshot();
         assert_eq!(s.mean_random_read_size(), 256);
         assert_eq!(TrackerSnapshot::default().mean_random_read_size(), 0);
@@ -441,10 +351,11 @@ mod tests {
     fn a_tally_lands_its_counts_when_it_drops() {
         let t = AccessTracker::default();
         let mut tally = t.tally();
-        Sink::read(&mut tally, &t, 256, false);
-        Sink::write(&mut tally, &t, 64, true);
-        Sink::sfence(&mut tally, &t);
-        Sink::page_faults(&mut tally, &t, 2);
+        let counts = tally.of(&t);
+        counts.read(256, false);
+        counts.write(64, true);
+        counts.sfence();
+        counts.page_faults(2);
         assert_eq!(t.snapshot(), TrackerSnapshot::default(), "held until drop");
         let counted = tally.counts();
         drop(tally);

@@ -517,7 +517,8 @@ proptest! {
 
 #[test]
 fn concurrent_accesses_count_exactly_once_joined() {
-    // More threads than the tracker has stripes, so some share one.
+    // Twenty threads count into the one tracker at once, each access as
+    // a batch of its own.
     const THREADS: u64 = 20;
     const READS: u64 = 20_000;
     let ns = Namespace::devdax(S0, 64 << 20);

@@ -9,7 +9,6 @@ use pmem_olap::sim::analytic::{BandwidthModel, CoherenceView};
 use pmem_olap::sim::params::DeviceClass;
 use pmem_olap::sim::topology::SocketId;
 use pmem_olap::sim::workload::{AccessKind, Pattern, WorkloadSpec};
-use pmem_olap::store::alloc::Arena;
 use pmem_olap::store::{AccessHint, Namespace};
 
 /// One operation against a key-value index.
@@ -86,43 +85,6 @@ proptest! {
         prop_assert_eq!(table.recount(), crash_at);
         for k in &keys[..crash_at] {
             prop_assert_eq!(table.get(*k), Some(k ^ 0xFF));
-        }
-    }
-
-    /// Arena allocations never overlap, stay in bounds, and respect
-    /// alignment; freed extents are reusable.
-    #[test]
-    fn arena_allocations_are_disjoint(
-        requests in prop::collection::vec((1u64..4096, 0u32..4), 1..60),
-    ) {
-        let mut arena = Arena::new(1 << 20);
-        let mut live: Vec<(u64, u64)> = Vec::new();
-        for (len, align_pow) in requests {
-            let align = 1u64 << (align_pow * 2); // 1, 4, 16, 64
-            match arena.alloc(len, align) {
-                Ok(off) => {
-                    prop_assert_eq!(off % align, 0, "alignment violated");
-                    prop_assert!(off + len <= 1 << 20, "out of bounds");
-                    for (o, l) in &live {
-                        prop_assert!(
-                            off + len <= *o || *o + *l <= off,
-                            "overlap: [{}, {}) vs [{}, {})", off, off + len, o, o + l
-                        );
-                    }
-                    live.push((off, len));
-                }
-                Err(_) => {
-                    // Free everything and ensure a retry of a small request
-                    // succeeds: nothing leaked.
-                    for (o, l) in live.drain(..) {
-                        arena.free(o, l);
-                    }
-                    prop_assert!(arena.alloc(1, 1).is_ok());
-                    let a = arena.allocated();
-                    prop_assert_eq!(a, 1);
-                    arena.reset();
-                }
-            }
         }
     }
 
